@@ -11,10 +11,17 @@ passes are pure functions of ``(context, block_len, cache contents)``.
 All math runs in float64 so that batched, cached, and from-scratch paths
 agree to well below argmax-flipping noise.
 
+With a cache slot, a call writes the K/V of its new positions straight into
+the slot's rows past the valid length (the commit pointer) and attends over
+the slot's rows in place; committing them is the caller's
+:meth:`~glimpse.cache.CacheBuffer.write_back`.  One visibility rule covers
+causality and all padding: key ``t`` is visible to query ``j`` of an
+instance iff ``t <= valid_len + j``.
+
 The batched path consumes the two padding plans from :mod:`glimpse.cache`:
-cache-length padding masks out unused key slots per instance, and input
-padding right-pads uneven input blocks with PAD under a mask, so every
-batched instance reproduces its solo output.
+cache-length padding pads each instance's key range ``[0, valid_len + n)``
+to the longest in the batch, and input padding right-pads uneven input
+blocks with PAD, so every batched instance reproduces its solo output.
 """
 
 from __future__ import annotations
@@ -57,9 +64,14 @@ def default_toy_spec(
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + 1e-5)
+    """Zero-mean, unit-variance rows (eps 1e-5), in one fresh array."""
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(xc), axis=-1, keepdims=True)
+    var *= 1.0 / n
+    var += 1e-5
+    xc /= np.sqrt(var, out=var)
+    return xc
 
 
 class ToyTransformer:
@@ -85,11 +97,13 @@ class ToyTransformer:
         self.wpe = draw(spec.max_len, d, std=0.5)
         self.layers = []
         for _ in range(spec.n_layers):
+            wq, wk, wv = (draw(d, d, std=proj) for _ in range(3))
             self.layers.append(
                 {
-                    "wq": draw(d, d, std=proj),
-                    "wk": draw(d, d, std=proj),
-                    "wv": draw(d, d, std=proj),
+                    # Fused query/key/value projection, one matmul instead of
+                    # three, with the 1/sqrt(head_dim) score scale folded
+                    # into the query columns.
+                    "wqkv": np.concatenate([wq / np.sqrt(spec.head_dim), wk, wv], axis=1),
                     "wo": draw(d, d, std=proj),
                     "w1": draw(d, 4 * d, std=proj),
                     "w2": draw(4 * d, d, std=1.0 / np.sqrt(4 * d)),
@@ -124,7 +138,7 @@ class ToyTransformer:
 
         spec = self.spec
         valid_lens: list[int] = []
-        blocks: list[list[int]] = []
+        blocks: list[TokenSeq] = []
         for ctx, bl, slot in zip(contexts, block_lens, slots):
             check_forward_args(spec, ctx, bl)
             if len(ctx) > spec.max_len:
@@ -139,112 +153,115 @@ class ToyTransformer:
                         f"cache holds {v} positions but only "
                         f"{len(ctx) - bl} may precede the queried block"
                     )
-                if list(slot.tokens) != list(ctx[:v]):
+                if slot.tokens.tolist() != list(ctx[:v]):
                     raise CacheMismatchError("cached tokens disagree with context prefix")
             valid_lens.append(v)
-            blocks.append(list(ctx[v:]))
+            blocks.append(ctx[v:])
 
-        kv_plan = plan_kv_padding(valid_lens)
         in_plan, padded = plan_input_padding(blocks, spec.pad_id)
         batch, n_max = padded.shape
-        v_max = kv_plan.target_len
-        n_lens = np.asarray([len(b) for b in blocks])
+        n_lens = [n_max - p for p in in_plan.pad_counts]
+        # Instance b attends over its store rows [0, valid_len + n_b); the
+        # key length pads to the longest of these.
+        kv_plan = plan_kv_padding([v + n for v, n in zip(valid_lens, n_lens)])
+        key_len = kv_plan.target_len
         d, heads, hd = spec.model_dim, spec.n_heads, spec.head_dim
 
-        # Absolute positions of each input slot (clipped for masked pads).
-        positions = np.minimum(
-            np.asarray(valid_lens)[:, None] + np.arange(n_max)[None, :],
-            spec.max_len - 1,
+        # Input slot j of instance b sits at absolute position valid_len + j,
+        # which is also the store row its K/V are written to.
+        new_rows = np.asarray(valid_lens)[:, None] + np.arange(n_max)[None, :]
+        x = self.wte[padded] + self.wpe[np.minimum(new_rows, spec.max_len - 1)]
+        # One visibility rule: key t is visible to query j iff t <= valid_len + j.
+        # Keys before the smallest valid length pass it for every query, so
+        # the additive bias only covers the keys from there on.
+        v_min = min(valid_lens)
+        bias = np.where(np.arange(v_min, key_len) <= new_rows[:, :, None], 0.0, _NEG)[:, None]
+        self.score_reads += len(self.layers) * sum(
+            n * (v + n) for v, n in zip(valid_lens, n_lens)
         )
-        x = self.wte[padded] + self.wpe[positions]
 
-        # Key visibility: cached slot k valid iff k < valid_len[b]; new slot t
-        # visible to query j iff t <= j (causal) and t is a real input.
-        key_mask = np.zeros((batch, n_max, v_max + n_max), dtype=bool)
-        if v_max:
-            key_mask[:, :, :v_max] = kv_plan.mask[:, None, :]
-        causal = np.tril(np.ones((n_max, n_max), dtype=bool))
-        key_mask[:, :, v_max:] = causal[None, :, :] & in_plan.mask[:, None, :]
-
-        for b in range(batch):
-            self.score_reads += int(n_lens[b]) * (valid_lens[b] + int(n_lens[b])) * len(
-                self.layers
-            )
-
-        cached_k, cached_v = self._gather_cached(slots, valid_lens, v_max)
-        new_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        attn_last: np.ndarray | None = None
-        for layer in self.layers:
-            h = _layer_norm(x)
-            q = (h @ layer["wq"]).reshape(batch, n_max, heads, hd)
-            k = (h @ layer["wk"]).reshape(batch, n_max, heads, hd)
-            v = (h @ layer["wv"]).reshape(batch, n_max, heads, hd)
-            new_kv.append((k, v))
-            if v_max:
-                k_all = np.concatenate([cached_k.pop(0), k], axis=1)
-                v_all = np.concatenate([cached_v.pop(0), v], axis=1)
-            else:
-                k_all, v_all = k, v
-            scores = np.einsum("bqhd,bkhd->bhqk", q, k_all) / np.sqrt(hd)
-            scores = np.where(key_mask[:, None, :, :], scores, _NEG)
-            scores -= scores.max(axis=-1, keepdims=True)
-            weights = np.exp(scores)
-            weights /= weights.sum(axis=-1, keepdims=True)
-            attn_last = weights
-            attn = np.einsum("bhqk,bkhd->bqhd", weights, v_all)
-            x = x + attn.reshape(batch, n_max, d) @ layer["wo"]
+        keys, values, store_rows = self._kv_store(slots, valid_lens, n_max)
+        write_at = (np.asarray(store_rows)[:, None], new_rows)
+        first = store_rows[0]
+        if store_rows == list(range(first, first + batch)):
+            read: slice | list[int] = slice(first, first + batch)  # a view, no gather
+        else:
+            read = store_rows
+        weights = sums = np.empty(0)
+        for layer, k_store, v_store in zip(self.layers, keys, values):
+            qkv = (_layer_norm(x) @ layer["wqkv"]).reshape(batch, n_max, 3, heads, hd)
+            q = qkv[:, :, 0].transpose(0, 2, 1, 3).copy()  # [batch, heads, n_max, hd]
+            k_store[write_at] = qkv[:, :, 1]
+            v_store[write_at] = qkv[:, :, 2]
+            k_all = k_store[read, :key_len]
+            v_all = v_store[read, :key_len]
+            # Softmax over [batch, heads, n_max, key_len], normalized after
+            # the value product, where it is n_max x hd instead of n_max x key_len.
+            weights = q @ k_all.transpose(0, 2, 3, 1)
+            weights[..., v_min:] += bias
+            weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+            np.exp(weights, out=weights)
+            sums = np.add.reduce(weights, axis=-1, keepdims=True)
+            attn = weights @ v_all.transpose(0, 2, 1, 3)
+            attn /= sums
+            x = x + attn.transpose(0, 2, 1, 3).reshape(batch, n_max, d) @ layer["wo"]
             h2 = _layer_norm(x)
             x = x + np.maximum(h2 @ layer["w1"], 0.0) @ layer["w2"]
 
         logits = _layer_norm(x) @ self.lm_head
-        head_avg = attn_last.mean(axis=1)  # [batch, n_max, v_max + n_max]
+        # Head average of the last layer's normalized weights, as one
+        # weighted sum over heads per query: [batch, n_max, key_len].
+        head_scale = (1.0 / (sums * heads)).transpose(0, 2, 3, 1)  # [batch, n_max, 1, heads]
+        head_avg = (head_scale @ weights.transpose(0, 2, 1, 3))[:, :, 0]
 
         outputs: list[StepOutput] = []
-        for b, (bl, v_len) in enumerate(zip(block_lens, valid_lens)):
-            n_b = int(n_lens[b])
-            rows = logits[b, n_b - bl : n_b].copy()
-            # Summary columns: this instance's real cache slots then its real
-            # input slots, i.e. one column per visible context position.
-            cols = np.concatenate(
-                [np.arange(v_len), v_max + np.arange(n_b)]
-            ).astype(np.intp)
-            summary = head_avg[b, n_b - bl : n_b][:, cols].copy()
-            kv_b = [
-                (k[b, :n_b].copy(), v[b, :n_b].copy()) for (k, v) in new_kv
-            ]
+        for b, (bl, v_len, n_b) in enumerate(zip(block_lens, valid_lens, n_lens)):
+            row = store_rows[b]
+            new = slice(v_len, v_len + n_b)
             outputs.append(
                 StepOutput(
-                    rows=rows,
-                    attention_summary=summary,
-                    new_kv=kv_b,
+                    rows=logits[b, n_b - bl : n_b],
+                    # One column per visible context position.
+                    attention_summary=head_avg[b, n_b - bl : n_b, : v_len + n_b],
+                    new_kv=[(k[row, new], v[row, new]) for k, v in zip(keys, values)],
                     new_start=v_len,
                 )
             )
         return outputs
 
-    def _gather_cached(
+    def _kv_store(
         self,
         slots: Sequence[CacheSlot | None],
         valid_lens: Sequence[int],
-        v_max: int,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Copy each instance's cached K/V into [batch, v_max, ...] workspaces."""
-        if v_max == 0:
-            return [], []
+        n_max: int,
+    ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
+        """Per-layer K/V stores for one call, and each instance's row in them.
+
+        When every slot is a distinct instance of one cache buffer with room
+        for the padded block past its valid length, the store is that buffer
+        itself: the call writes its new K/V ahead of the commit pointer and
+        copies nothing.  Otherwise (no cache, mixed buffers, or a block that
+        runs past capacity) a per-call store is filled from the slots.
+        """
+        buf = slots[0].buffer if slots[0] is not None else None
+        if buf is not None:
+            rows = [s.instance for s in slots if s is not None and s.buffer is buf]
+            if (
+                len(rows) == len(slots)
+                and len(set(rows)) == len(rows)
+                and max(valid_lens) + n_max <= buf.max_len
+            ):
+                return buf.keys, buf.values, rows
         batch = len(slots)
-        heads, hd = self.spec.n_heads, self.spec.head_dim
-        ks, vs = [], []
-        for _ in range(self.spec.n_layers):
-            ks.append(np.zeros((batch, v_max, heads, hd)))
-            vs.append(np.zeros((batch, v_max, heads, hd)))
+        shape = (batch, max(valid_lens) + n_max, self.spec.n_heads, self.spec.head_dim)
+        keys = [np.zeros(shape) for _ in self.layers]
+        values = [np.zeros(shape) for _ in self.layers]
         for b, (slot, v_len) in enumerate(zip(slots, valid_lens)):
             if slot is None or v_len == 0:
                 continue
-            for li in range(self.spec.n_layers):
-                k_cached, v_cached = slot.layer_kv(li)
-                ks[li][b, :v_len] = k_cached
-                vs[li][b, :v_len] = v_cached
-        return ks, vs
+            for li in range(len(self.layers)):
+                keys[li][b, :v_len], values[li][b, :v_len] = slot.layer_kv(li)
+        return keys, values, list(range(batch))
 
 
 def make_toy_transformer(seed: int, spec: BackendSpec | None = None) -> ToyTransformer:

@@ -2,9 +2,15 @@
 
 The cache buffer is sized once, before decoding starts, and never grows:
 per layer it holds ``[batch, max_len, heads, head_dim]`` key and value
-arrays plus a per-instance valid length.  Only positions belonging to
-committed (exact) tokens are ever written back; lookahead-window state is
-recomputed every iteration because those tokens may still change.
+arrays plus a per-instance valid length.
+
+The valid length is the commit pointer.  Rows before it belong to committed
+(exact) tokens and are never touched again.  Rows from it onwards are
+scratch: a cache-aware forward writes the K/V of its new positions straight
+there and attends over the rows in place, and the next call overwrites
+them.  :meth:`CacheBuffer.write_back` commits a prefix of that scratch by
+advancing the pointer; lookahead-window rows stay uncommitted because those
+tokens may still change.
 
 Two padding plans support batches whose instances progress unevenly:
 
@@ -30,13 +36,18 @@ class PadPlan:
 
     Attributes:
         target_len: Padded length (the batch maximum).
-        pad_counts: Per-instance number of padded slots.
-        mask: ``[batch, target_len]`` bool; True marks real (unpadded) slots.
+        pad_counts: Per-instance number of padded slots, which follow the
+            instance's real slots.
     """
 
     target_len: int
     pad_counts: list[int]
-    mask: np.ndarray
+
+    @property
+    def mask(self) -> np.ndarray:
+        """``[batch, target_len]`` bool; True marks real (unpadded) slots."""
+        real = self.target_len - np.asarray(self.pad_counts)
+        return np.arange(self.target_len)[None, :] < real[:, None]
 
     @property
     def is_noop(self) -> bool:
@@ -50,14 +61,7 @@ def plan_kv_padding(valid_lens: Sequence[int]) -> PadPlan:
     if any(v < 0 for v in valid_lens):
         raise ContractError("valid lengths must be nonnegative")
     target = max(valid_lens)
-    mask = np.zeros((len(valid_lens), target), dtype=bool)
-    for i, v in enumerate(valid_lens):
-        mask[i, :v] = True
-    return PadPlan(
-        target_len=target,
-        pad_counts=[target - v for v in valid_lens],
-        mask=mask,
-    )
+    return PadPlan(target_len=target, pad_counts=[target - v for v in valid_lens])
 
 
 def plan_input_padding(
@@ -66,8 +70,8 @@ def plan_input_padding(
     """Right-pad uneven input-id blocks to the batch maximum.
 
     Returns the plan and the padded ``[batch, target_len]`` int array.
-    Padded slots carry ``pad_id`` and are excluded by the mask, so an
-    unpadded instance's outputs are unaffected by its neighbors.
+    Padded slots carry ``pad_id`` and are excluded by the plan's mask, so
+    an unpadded instance's outputs are unaffected by its neighbors.
     """
     if len(blocks) == 0:
         raise ContractError("batch must be nonempty")
@@ -76,14 +80,9 @@ def plan_input_padding(
         raise ContractError("input blocks must be nonempty")
     target = max(lengths)
     padded = np.full((len(blocks), target), pad_id, dtype=np.int64)
-    mask = np.zeros((len(blocks), target), dtype=bool)
     for i, block in enumerate(blocks):
-        padded[i, : lengths[i]] = np.asarray(block, dtype=np.int64)
-        mask[i, : lengths[i]] = True
-    return (
-        PadPlan(target_len=target, pad_counts=[target - n for n in lengths], mask=mask),
-        padded,
-    )
+        padded[i, : lengths[i]] = block
+    return PadPlan(target_len=target, pad_counts=[target - n for n in lengths]), padded
 
 
 class CacheBuffer:
@@ -122,10 +121,13 @@ class CacheBuffer:
         count: int,
         tokens: Sequence[int],
     ) -> None:
-        """Persist K/V (and token ids) for ``count`` positions from ``start``.
+        """Commit K/V (and token ids) for ``count`` positions from ``start``.
 
         ``start`` must equal the instance's current valid length: committed
-        positions are contiguous, with no overlap and no gap.
+        positions are contiguous, with no overlap and no gap.  K/V that a
+        forward already wrote ahead into these rows are views of them, and
+        numpy skips an assignment of a view onto itself, so they cost no
+        copy; other arrays (say, from a cache-less forward) are copied in.
         """
         if count == 0:
             return

@@ -446,10 +446,20 @@ def run_rationale(
 def run_rationale_batch(
     prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig
 ) -> list[DecodeResult]:
-    """Batched :func:`run_rationale`; per-instance results match solo runs."""
+    """Batched :func:`run_rationale`; per-instance results match solo runs.
+
+    Every trace carries the batch's totals: ``wall_s`` is the wall time of
+    the whole batch and ``breakdown`` its session timer's phases.
+    """
+    t0 = time.perf_counter()
     session = _Session(prompts, backend, cfg)
     session.run()
-    return session.results()
+    results = session.results()
+    wall_s = time.perf_counter() - t0
+    for result in results:
+        result.trace.wall_s = wall_s
+        result.trace.breakdown = session.timer.breakdown()
+    return results
 
 
 def _cache_for_answer(
@@ -534,8 +544,9 @@ def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> Decode
     """Greedy autoregressive decode to EOS or the token budget.
 
     Trace timings bucket the stop check separately so benchmark totals can
-    exclude it; the breakdown reports zero context-decode and zero cache
-    padding time by construction.
+    exclude it.  The breakdown reports zero context-decode time by
+    construction; cache write-back is timed as ``kv_cache``, as in the
+    windowed loop, so it is zero only for cache-less backends.
     """
     spec = backend.spec
     if len(prompt) == 0:
@@ -559,9 +570,10 @@ def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> Decode
         with timer.phase("decode"):
             tok = mask.pick(out.rows[0], cfg.repetition_penalty)
         if slot is not None and out.new_kv is not None:
-            slot.write_back(
-                out.new_kv, out.new_start, len(seq) - out.new_start, seq[out.new_start :]
-            )
+            with timer.phase("kv_cache"):
+                slot.write_back(
+                    out.new_kv, out.new_start, len(seq) - out.new_start, seq[out.new_start :]
+                )
         seq.append(tok)
         mask.add(tok)
         trace.records.append(

@@ -148,6 +148,86 @@ def test_batched_forward_matches_solo(toy):
         ).max() < 1e-6
 
 
+def _committed_state(cache, instance):
+    v = cache.valid_lens()[instance]
+    return (
+        v,
+        cache.tokens[instance, :v].copy(),
+        [k[instance, :v].copy() for k in cache.keys + cache.values],
+    )
+
+
+def _assert_same_state(a, b):
+    assert a[0] == b[0]
+    assert np.array_equal(a[1], b[1])
+    assert all(np.array_equal(x, y) for x, y in zip(a[2], b[2]))
+
+
+def test_write_ahead_scratch_never_leaks(toy):
+    # a rejected window leaves scratch rows past the commit pointer; the next
+    # forward on the same slot must overwrite them and see only committed rows
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        prefix = [int(t) for t in rng.integers(0, 62, size=int(rng.integers(2, 12)))]
+        cache = alloc(1, 64, toy.spec)
+        pre = toy.forward(prefix, 1, cache.slot(0))
+        cache.write_back(0, pre.new_kv, 0, len(prefix) - 1, prefix[:-1])
+        rejected = prefix + [int(t) for t in rng.integers(0, 62, size=6)]
+        accepted = prefix + [int(t) for t in rng.integers(0, 62, size=3)]
+        for ctx in (rejected, accepted):
+            before = _committed_state(cache, 0)
+            warm = toy.forward(ctx, len(ctx) - len(prefix) + 1, cache.slot(0))
+            _assert_same_state(before, _committed_state(cache, 0))
+        fresh = toy.forward(accepted, len(accepted) - len(prefix) + 1)
+        assert np.abs(fresh.rows - warm.rows).max() < 1e-6
+        assert np.abs(fresh.attention_summary - warm.attention_summary).max() < 1e-6
+
+
+def test_forward_writes_ahead_into_the_cache(toy):
+    # new K/V are views of the slot's rows past its valid length, so a
+    # commit advances the pointer without a copy
+    cache = alloc(2, 32, toy.spec)
+    ctx = [5, 6, 7, 8, 9]
+    pre = toy.forward(ctx[:3], 1, cache.slot(1))
+    cache.write_back(1, pre.new_kv, 0, 3, ctx[:3])
+    step = toy.forward(ctx, 2, cache.slot(1))
+    assert step.new_start == 3
+    for li, (k, v) in enumerate(step.new_kv):
+        assert k.shape == (2, toy.spec.n_heads, toy.spec.head_dim)
+        assert np.shares_memory(k, cache.keys[li][1, 3:5])
+        assert np.shares_memory(v, cache.values[li][1, 3:5])
+    cache.write_back(1, step.new_kv, 3, 2, ctx[3:])
+    fresh = toy.forward(ctx, 5)
+    for li, (k, v) in enumerate(fresh.new_kv):
+        assert np.abs(cache.keys[li][1, :5] - k).max() < 1e-9
+        assert np.abs(cache.values[li][1, :5] - v).max() < 1e-9
+
+
+def test_batched_forward_matches_solo_on_any_slot_layout(toy):
+    # instances out of buffer order (a gathered read) and slots from two
+    # buffers (a per-call store) both reproduce the solo outputs
+    rng = np.random.default_rng(4)
+    contexts = [[int(t) for t in rng.integers(0, 62, size=n)] for n in (6, 11, 8)]
+    cached_lens = [3, 9, 5]
+    block_lens = [3, 2, 1]
+    for gathered in (True, False):
+        shared, other = alloc(3, 48, toy.spec), alloc(1, 48, toy.spec)
+        if gathered:
+            slots = [shared.slot(2), shared.slot(0), shared.slot(1)]
+        else:
+            slots = [shared.slot(2), other.slot(0), None]
+        for slot, ctx, cl in zip(slots, contexts, cached_lens):
+            if slot is None:
+                continue
+            pre = toy.forward(ctx[:cl], 1, slot)
+            slot.write_back(pre.new_kv, 0, cl, ctx[:cl])
+        batched = toy.forward_batch(contexts, block_lens, slots)
+        for out, ctx, bl in zip(batched, contexts, block_lens):
+            fresh = toy.forward(ctx, bl)
+            assert np.abs(out.rows - fresh.rows).max() < 1e-6
+            assert np.abs(out.attention_summary - fresh.attention_summary).max() < 1e-6
+
+
 def test_debug_state_shapes(toy):
     cache = alloc(2, 16, toy.spec)
     step = toy.forward([1, 2, 3], 1)

@@ -288,6 +288,22 @@ def test_ar_baseline_buckets(counting_backend):
     assert res.trace.stop_check_s >= 0.0
 
 
+def test_ar_baseline_times_cache_write_back(toy_backend):
+    cfg = cfg_for(toy_backend, 0, max_new=20)
+    res = ar_baseline([3, 1, 4, 1, 5], toy_backend, cfg)
+    assert res.trace.breakdown.kv_cache > 0.0
+    assert res.trace.breakdown.total() <= res.trace.wall_s * 1.05
+
+
+def test_batch_traces_carry_batch_totals(toy_backend):
+    cfg = cfg_for(toy_backend, 3, max_new=20)
+    results = run_rationale_batch([[9, 4, 7], [1, 2, 3, 4, 5]], toy_backend, cfg)
+    for res in results:
+        assert res.trace.wall_s > 0.0
+        assert res.trace.breakdown.total() <= res.trace.wall_s * 1.05
+        assert res.trace.breakdown.infer > 0.0
+
+
 def test_truncated_prefix_property(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=20)
     full = ar_baseline([2], counting_backend, cfg)
