@@ -189,13 +189,9 @@ def greedy_pick(row: np.ndarray, history: Iterable[int], penalty: float = 1.0) -
         raise ContractError("score row contains non-finite values")
     if penalty < 1.0:
         raise ContractError("penalty must be >= 1")
-    if penalty != 1.0:
-        mask = np.zeros(scores.shape[0], dtype=bool)
-        for tok in history:
-            if 0 <= tok < scores.shape[0]:
-                mask[tok] = True
-        scores = penalized_scores(scores, mask, penalty)
-    return int(np.argmax(scores))
+    mask = HistoryMask(scores.shape[0])
+    mask.extend(tok for tok in history if 0 <= tok < scores.shape[0])
+    return mask.pick(scores, penalty)
 
 
 @dataclass
@@ -225,7 +221,12 @@ class HistoryMask:
         return out
 
     def pick(self, row: np.ndarray, penalty: float) -> int:
+        """Penalized argmax of ``row``, ties to the lowest id; see :func:`greedy_pick`.
+
+        The row is not checked for non-finite values: the engine checks
+        each forward's scores once, before any pick.
+        """
         scores = np.asarray(row, dtype=np.float64)
         if penalty != 1.0:
             scores = penalized_scores(scores, self.mask, penalty)
-        return int(np.argmax(scores))
+        return int(scores.argmax())

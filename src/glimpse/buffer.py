@@ -114,7 +114,8 @@ def update(buffer: DecodeBuffer, outcome: VerifyOutcome) -> DecodeBuffer:
 class BatchBuffers:
     """Decode buffers for a batch sharing one backend and one config.
 
-    Carries the per-instance prompts so context assembly stays local.
+    Keeps each instance's ``prompt ‖ exact ‖ window`` as one list, which
+    the engine edits in place on update, so context assembly copies nothing.
     Frontiers advance independently; finished instances are frozen while
     the rest continue.
     """
@@ -130,12 +131,12 @@ class BatchBuffers:
             if buf.prompt_len != len(prompt):
                 raise ContractError("buffer prompt_len disagrees with prompt")
         self.buffers = list(buffers)
-        self.prompts = [list(p) for p in prompts]
+        self.contexts = [[*p, *b.exact, *b.window] for p, b in zip(prompts, buffers)]
         self.finished = [False] * len(buffers)
 
     def context(self, i: int) -> list[int]:
-        buf = self.buffers[i]
-        return self.prompts[i] + buf.exact + buf.window
+        """The live context list of instance ``i``; read it, do not keep it."""
+        return self.contexts[i]
 
     def __len__(self) -> int:
         return len(self.buffers)

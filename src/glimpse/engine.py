@@ -6,14 +6,13 @@ Each iteration issues one forward call per instance over
 exact context, so its pick is always committed; further picks commit while
 the window guesses they were conditioned on match.  The uncommitted fresh
 predictions slide into the next window.  With a zero-length window the loop
-degenerates to plain autoregressive decoding.
+is plain greedy autoregressive decoding.
 
-The answer phase appends the configured trigger after the exact rationale
-plus the remaining approximate window and decodes greedily, letting a run
-answer before its rationale has fully resolved.
-
-Also provides the two reference baselines (plain autoregressive decoding
-and budget-truncated decoding) used by the benchmark harness.
+There is one loop.  The autoregressive baseline, budget-truncated decoding
+and the answer phase are runs of it with a zero-length window; the answer
+phase decodes after ``prompt ‖ exact ‖ approximate tail ‖ trigger`` and
+extends the rationale's cache, letting a run answer before its rationale
+has fully resolved.
 """
 
 from __future__ import annotations
@@ -147,16 +146,6 @@ class IterationOutput:
     predictions: list[int] = field(default_factory=list)
 
 
-@dataclass
-class InstanceState:
-    """Stop-relevant view of one instance, fed to :func:`check_stop`."""
-
-    buffer: DecodeBuffer
-    eos_id: int
-    last_committed: list[int] = field(default_factory=list)
-    last_probe: float = 0.0
-
-
 def probe_score(step: StepOutput, window_positions: Sequence[int]) -> float:
     """Peak head-averaged attention from the last queried position onto the window.
 
@@ -169,22 +158,28 @@ def probe_score(step: StepOutput, window_positions: Sequence[int]) -> float:
     return float(max(last_row[p] for p in window_positions))
 
 
-def check_stop(state: InstanceState, cfg: DecodeConfig) -> StopDecision | None:
+def check_stop(
+    buffer: DecodeBuffer,
+    committed: Sequence[int],
+    probe: float,
+    eos_id: int,
+    cfg: DecodeConfig,
+) -> StopDecision | None:
     """Evaluate stop conditions in fixed precedence; return the first hit.
 
-    Order: EOS committed this iteration, probe score at threshold,
-    iteration cap, exact-token budget.
+    ``committed`` and ``probe`` come from the iteration that just updated
+    ``buffer``.  Order: EOS committed this iteration, probe score at
+    threshold, iteration cap, exact-token budget.
     """
-    if state.eos_id in state.last_committed:
-        offset = state.last_committed.index(state.eos_id)
-        eos_pos = state.buffer.frontier - len(state.last_committed) + offset
+    if eos_id in committed:
+        eos_pos = buffer.frontier - len(committed) + committed.index(eos_id)
         return StopDecision(reason="eos", value=float(eos_pos))
-    if cfg.probe_threshold is not None and state.last_probe >= cfg.probe_threshold:
-        return StopDecision(reason="probe", value=state.last_probe)
-    if cfg.iteration_cap is not None and state.buffer.iteration >= cfg.iteration_cap:
-        return StopDecision(reason="iteration_cap", value=float(state.buffer.iteration))
-    if len(state.buffer.exact) >= cfg.max_new_tokens:
-        return StopDecision(reason="max_tokens", value=float(len(state.buffer.exact)))
+    if cfg.probe_threshold is not None and probe >= cfg.probe_threshold:
+        return StopDecision(reason="probe", value=probe)
+    if cfg.iteration_cap is not None and buffer.iteration >= cfg.iteration_cap:
+        return StopDecision(reason="iteration_cap", value=float(buffer.iteration))
+    if len(buffer.exact) >= cfg.max_new_tokens:
+        return StopDecision(reason="max_tokens", value=float(len(buffer.exact)))
     return None
 
 
@@ -224,10 +219,14 @@ def iterate_once(
 
     Every listed instance must be unfinished.  Each gets exactly one
     forward call over ``[cached prefix | frontier-1 token | window]`` with
-    a query block of ``window_len + 1``; the cache is extended by the newly
-    exact positions only.  The forward for the whole batch happens before
-    any instance is updated, so iteration is atomic per instance: a backend
-    or cache error leaves every buffer untouched.
+    a query block of ``window_len + 1`` (the first call also computes the
+    uncached prompt); the cache is extended by the newly exact positions
+    only.  The forward for the whole batch happens, and its scores are
+    checked to be finite, before any instance is updated, so a backend
+    error or a non-finite score leaves every buffer untouched.  Cache
+    write-back and update then run instance by instance and are not rolled
+    back: a write-back error on one instance leaves the earlier ones
+    advanced.
     """
     if instances is None:
         instances = list(range(len(buffers)))
@@ -240,10 +239,12 @@ def iterate_once(
 
     contexts = [buffers.context(i) for i in instances]
     block_lens = [len(buffers[i].window) + 1 for i in instances]
-    with timer.phase("kv_cache"):
-        slots = [cache.slot(i) for i in instances] if cache is not None else None
+    slots = [cache.slot(i) for i in instances] if cache is not None else None
     with timer.phase("infer"):
         steps = backend.forward_batch(contexts, block_lens, slots)
+    for step in steps:
+        if not np.isfinite(step.rows).all():
+            raise ContractError("backend returned non-finite scores")
 
     outputs: list[IterationOutput] = []
     for pos, i in enumerate(instances):
@@ -251,21 +252,21 @@ def iterate_once(
         step = steps[pos]
         ctx = contexts[pos]
         c = len(buf.window)
-        if histories is not None:
-            mask = histories[pos].copy()
-        else:
+        if histories is None:
             mask = HistoryMask(backend.spec.vocab_size)
             mask.extend(ctx[: buf.frontier])
-        preds: list[int] = []
+        else:
+            # Window tokens join the history only for this iteration.
+            mask = histories[pos].copy() if c else histories[pos]
         with timer.phase("decode"):
-            preds.append(mask.pick(step.rows[0], cfg.repetition_penalty))
+            preds = [mask.pick(step.rows[0], cfg.repetition_penalty)]
         if c:
             with timer.phase("context_decode"):
                 for j in range(1, c + 1):
                     mask.add(buf.window[j - 1])
                     preds.append(mask.pick(step.rows[j], cfg.repetition_penalty))
 
-        probe = probe_score(step, range(buf.frontier, buf.frontier + c))
+        probe = probe_score(step, range(buf.frontier, buf.frontier + c)) if c else 0.0
         raw = verify(buf.window, preds, cfg.skip, pad)
         remaining = cfg.max_new_tokens - len(buf.exact)
         outcome = _truncate_commit(raw, remaining, eos, c)
@@ -284,6 +285,8 @@ def iterate_once(
                     count,
                     ctx[step.new_start : persist_end],
                 )
+        # The context's tail from the frontier is the window being replaced.
+        ctx[buf.frontier :] = [*outcome.committed, *outcome.next_window]
         update(buf, outcome)
         outputs.append(
             IterationOutput(outcome=outcome, step=step, probe=probe, predictions=preds)
@@ -291,8 +294,32 @@ def iterate_once(
     return outputs
 
 
+def _max_context(prompts: Sequence[TokenSeq], cfg: DecodeConfig) -> int:
+    """Longest context a forward of this run can see.
+
+    The last iteration starts with at most ``max_new_tokens - 1`` exact
+    tokens and scores them behind the prompt, with the window after them.
+    """
+    return max(len(p) for p in prompts) + cfg.max_new_tokens - 1 + cfg.window_len
+
+
+def _check_capacity(backend: Backend, need: int, what: str) -> None:
+    """Refuse up front a run whose contexts would outgrow the backend."""
+    limit = backend.spec.max_len
+    if limit and need > limit:
+        raise ConfigError(
+            f"{what} needs contexts of up to {need} tokens,"
+            f" over the backend's max_len {limit}"
+        )
+
+
 class _Session:
-    """Single-threaded batch decode session (one backend, one config)."""
+    """One batch decode run: the fused loop until every instance stops.
+
+    ``cache`` continues an earlier run's cache (the answer phase extends
+    the rationale's); without it a cache is allocated for backends that
+    take one, with room for an answer phase after this run.
+    """
 
     def __init__(
         self,
@@ -300,6 +327,8 @@ class _Session:
         backend: Backend,
         cfg: DecodeConfig,
         method: str = "parallel",
+        cache: CacheBuffer | None = None,
+        timer: PhaseTimer | None = None,
     ) -> None:
         spec = backend.spec
         for prompt in prompts:
@@ -311,119 +340,105 @@ class _Session:
         for tok in cfg.answer_trigger:
             if not 0 <= tok < spec.vocab_size:
                 raise ConfigError(f"answer trigger token {tok} outside vocab")
+        self.buffers = BatchBuffers(
+            [init_buffer(len(p), cfg.window_len, spec.pad_id) for p in prompts], prompts
+        )
+        need = _max_context(prompts, cfg)
+        _check_capacity(backend, need, "decoding")
         self.backend = backend
         self.cfg = cfg
-        self.prompts = [list(p) for p in prompts]
-        self.buffers = BatchBuffers(
-            [init_buffer(len(p), cfg.window_len, spec.pad_id) for p in self.prompts],
-            self.prompts,
-        )
-        self.timer = PhaseTimer()
+        self.timer = timer or PhaseTimer()
         self.histories = [HistoryMask(spec.vocab_size) for _ in prompts]
-        for mask, prompt in zip(self.histories, self.prompts):
+        for mask, prompt in zip(self.histories, prompts):
             mask.extend(prompt)
-        self.states = [
-            InstanceState(buffer=buf, eos_id=spec.eos_id) for buf in self.buffers.buffers
-        ]
         self.stops: list[StopDecision | None] = [None] * len(prompts)
         self.traces = [
-            DecodeTrace(
-                method=method,
-                prompt=list(p),
-                window_len=cfg.window_len,
-                skip=cfg.skip,
-            )
-            for p in self.prompts
+            DecodeTrace(method=method, prompt=list(p), window_len=cfg.window_len, skip=cfg.skip)
+            for p in prompts
         ]
-        self.cache: CacheBuffer | None = None
-        if spec.supports_cache:
-            max_len = (
-                max(len(p) for p in self.prompts)
-                + cfg.max_new_tokens
-                + cfg.window_len
-                + len(cfg.answer_trigger)
-                + cfg.answer_max_tokens
-                + 2
-            )
-            if spec.max_len:
-                max_len = min(max_len, spec.max_len)
-            self.cache = alloc(len(prompts), max_len, spec)
-            self._prefill()
+        if cache is None and spec.supports_cache:
+            rows = need + len(cfg.answer_trigger) + cfg.answer_max_tokens
+            cache = alloc(len(prompts), min(rows, spec.max_len or rows), spec)
+        self.cache = cache
 
-    def _prefill(self) -> None:
-        """Cache each prompt except its final token, one solo pass apiece.
-
-        Afterwards every iteration's input block is exactly
-        ``[frontier-1 token | window]`` regardless of prompt length.
-        """
-        assert self.cache is not None
-        for i, prompt in enumerate(self.prompts):
-            if len(prompt) < 2:
-                continue
-            with self.timer.phase("infer"):
-                step = self.backend.forward(prompt, 1, self.cache.slot(i))
-            with self.timer.phase("kv_cache"):
-                self.cache.write_back(
-                    i, step.new_kv, 0, len(prompt) - 1, prompt[:-1]
-                )
-
-    def run(self) -> None:
-        while True:
-            active = self.buffers.active_indices()
-            if not active:
-                break
-            before = [
-                (self.buffers[i].frontier, list(self.buffers[i].window)) for i in active
-            ]
+    def run(self) -> list[DecodeResult]:
+        buffers, cfg, timer = self.buffers, self.cfg, self.timer
+        eos = self.backend.spec.eos_id
+        active = buffers.active_indices()
+        while active:
+            windows_before = [buffers[i].window for i in active]
             outs = iterate_once(
-                self.buffers,
+                buffers,
                 self.backend,
                 self.cache,
-                self.cfg,
+                cfg,
                 instances=active,
                 histories=[self.histories[i] for i in active],
-                timer=self.timer,
+                timer=timer,
             )
-            for (frontier_before, window_before), i, out in zip(before, active, outs):
-                buf = self.buffers[i]
-                self.histories[i].extend(out.outcome.committed)
+            for window_before, i, out in zip(windows_before, active, outs):
+                buf = buffers[i]
+                committed = out.outcome.committed
+                self.histories[i].extend(committed)
                 self.traces[i].records.append(
                     IterationRecord(
                         iteration=buf.iteration,
-                        frontier_before=frontier_before,
+                        frontier_before=buf.frontier - len(committed),
                         frontier=buf.frontier,
                         window_before=window_before,
-                        predictions=list(out.predictions),
+                        predictions=out.predictions,
                         match_len=out.outcome.match_len,
-                        committed=list(out.outcome.committed),
-                        window=list(buf.window),
+                        committed=committed,
+                        window=buf.window,
                         probe_score=out.probe,
                     )
                 )
-                state = self.states[i]
-                state.last_committed = list(out.outcome.committed)
-                state.last_probe = out.probe
-                stop = check_stop(state, self.cfg)
+                with timer.phase("stop_check"):
+                    stop = check_stop(buf, committed, out.probe, eos, cfg)
                 if stop is not None:
-                    self.buffers.finished[i] = True
+                    buffers.finished[i] = True
                     self.stops[i] = stop
-
-    def results(self) -> list[DecodeResult]:
-        out = []
-        for i, buf in enumerate(self.buffers.buffers):
-            trace = self.traces[i]
-            stop = self.stops[i]
-            assert stop is not None
-            out.append(
-                DecodeResult(
-                    exact_rationale=list(buf.exact),
-                    approximate_tail=list(buf.window),
-                    answer=[],
-                    trace=trace,
-                    stop=stop,
-                )
+            active = buffers.active_indices()
+        return [
+            DecodeResult(
+                exact_rationale=list(buf.exact),
+                approximate_tail=list(buf.window),
+                answer=[],
+                trace=trace,
+                stop=stop,
             )
-        return out
+            for buf, trace, stop in zip(buffers.buffers, self.traces, self.stops)
+        ]
+
+
+def _stamp(results: list[DecodeResult], timer: PhaseTimer, t0: float) -> list[DecodeResult]:
+    """Give every trace the run's wall time since ``t0`` and its phase totals."""
+    wall_s = time.perf_counter() - t0
+    for result in results:
+        result.trace.wall_s = wall_s
+        result.trace.breakdown = timer.breakdown()
+        result.trace.stop_check_s = timer.get("stop_check")
+    return results
+
+
+def _decode(
+    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, method: str
+) -> list[DecodeResult]:
+    t0 = time.perf_counter()
+    session = _Session(prompts, backend, cfg, method)
+    return _stamp(session.run(), session.timer, t0)
+
+
+def _greedy(cfg: DecodeConfig, budget: int) -> DecodeConfig:
+    """``cfg`` as plain greedy decoding of ``budget`` tokens: no window, cap or probe."""
+    return replace(
+        cfg,
+        window_len=0,
+        skip=False,
+        max_new_tokens=budget,
+        iteration_cap=None,
+        probe_threshold=None,
+    )
 
 
 def run_rationale(
@@ -434,13 +449,7 @@ def run_rationale(
     Returns the committed exact rationale, the final approximate window,
     the full trace, and the stop decision; the answer field is left empty.
     """
-    t0 = time.perf_counter()
-    session = _Session([prompt], backend, cfg)
-    session.run()
-    result = session.results()[0]
-    result.trace.wall_s = time.perf_counter() - t0
-    result.trace.breakdown = session.timer.breakdown()
-    return result
+    return _decode([prompt], backend, cfg, "parallel")[0]
 
 
 def run_rationale_batch(
@@ -451,30 +460,7 @@ def run_rationale_batch(
     Every trace carries the batch's totals: ``wall_s`` is the wall time of
     the whole batch and ``breakdown`` its session timer's phases.
     """
-    t0 = time.perf_counter()
-    session = _Session(prompts, backend, cfg)
-    session.run()
-    results = session.results()
-    wall_s = time.perf_counter() - t0
-    for result in results:
-        result.trace.wall_s = wall_s
-        result.trace.breakdown = session.timer.breakdown()
-    return results
-
-
-def _cache_for_answer(
-    prompt_len: int,
-    seq_len: int,
-    backend: Backend,
-    cfg: DecodeConfig,
-    session_cache: CacheBuffer | None,
-):
-    if not backend.spec.supports_cache:
-        return None
-    if cfg.reuse_cache_for_answer and session_cache is not None:
-        return session_cache.slot(0)
-    fresh = alloc(1, seq_len + cfg.answer_max_tokens + 1, backend.spec)
-    return fresh.slot(0)
+    return _decode(prompts, backend, cfg, "parallel")
 
 
 def answer_phase(
@@ -488,44 +474,31 @@ def answer_phase(
 ) -> list[int]:
     """Decode the answer from prompt, exact rationale, approximate tail, trigger.
 
-    The approximate tail is included verbatim, PAD tokens and all.  Decoding
-    is greedy with the configured penalty, up to ``answer_max_tokens`` or EOS
-    (EOS itself is not returned).
+    A zero-window run over ``prompt ‖ exact ‖ approx_tail ‖ trigger``: the
+    approximate tail is included verbatim, PAD tokens and all.  Decoding is
+    greedy with the configured penalty, up to ``answer_max_tokens`` or EOS
+    (EOS itself is not returned).  With ``reuse_cache_for_answer`` it
+    extends ``cache`` (the rationale's, instance 0) instead of a fresh one.
     """
-    timer = timer or PhaseTimer()
-    spec = backend.spec
-    seq = list(prompt) + list(exact) + list(approx_tail) + list(cfg.answer_trigger)
-    slot = _cache_for_answer(len(prompt), len(seq), backend, cfg, cache)
-    mask = HistoryMask(spec.vocab_size)
-    mask.extend(seq)
-    answer: list[int] = []
-    for _ in range(cfg.answer_max_tokens):
-        with timer.phase("infer"):
-            step = backend.forward(seq, 1, slot)
-        with timer.phase("decode"):
-            tok = mask.pick(step.rows[0], cfg.repetition_penalty)
-        if slot is not None and step.new_kv is not None:
-            count = len(seq) - step.new_start
-            with timer.phase("kv_cache"):
-                slot.write_back(
-                    step.new_kv, step.new_start, count, seq[step.new_start :]
-                )
-        if tok == spec.eos_id:
-            break
-        answer.append(tok)
-        seq.append(tok)
-        mask.add(tok)
+    seq = [*prompt, *exact, *approx_tail, *cfg.answer_trigger]
+    reuse = cache if cfg.reuse_cache_for_answer else None
+    session = _Session(
+        [seq], backend, _greedy(cfg, cfg.answer_max_tokens), "answer", reuse, timer
+    )
+    answer = session.run()[0].exact_rationale
+    if answer and answer[-1] == backend.spec.eos_id:
+        answer.pop()
     return answer
 
 
-def decode_with_answer(
-    prompt: TokenSeq, backend: Backend, cfg: DecodeConfig
+def _with_answer(
+    prompt: TokenSeq, backend: Backend, cfg: DecodeConfig, method: str
 ) -> DecodeResult:
-    """Full pipeline: rationale loop, then the answer phase."""
+    need = _max_context([prompt], cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
+    _check_capacity(backend, need, "the answer phase")
     t0 = time.perf_counter()
-    session = _Session([prompt], backend, cfg)
-    session.run()
-    result = session.results()[0]
+    session = _Session([prompt], backend, cfg, method)
+    result = session.run()[0]
     result.answer = answer_phase(
         prompt,
         result.exact_rationale,
@@ -535,77 +508,27 @@ def decode_with_answer(
         cache=session.cache,
         timer=session.timer,
     )
-    result.trace.breakdown = session.timer.breakdown()
-    result.trace.wall_s = time.perf_counter() - t0
-    return result
+    return _stamp([result], session.timer, t0)[0]
+
+
+def decode_with_answer(
+    prompt: TokenSeq, backend: Backend, cfg: DecodeConfig
+) -> DecodeResult:
+    """Full pipeline: rationale loop, then the answer phase.
+
+    Refused before the rationale starts when the answer would not fit the
+    backend's ``max_len``.
+    """
+    return _with_answer(prompt, backend, cfg, "parallel")
 
 
 def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
     """Greedy autoregressive decode to EOS or the token budget.
 
-    Trace timings bucket the stop check separately so benchmark totals can
-    exclude it.  The breakdown reports zero context-decode time by
-    construction; cache write-back is timed as ``kv_cache``, as in the
-    windowed loop, so it is zero only for cache-less backends.
+    The fused loop with a zero-length window; the window, iteration cap
+    and probe threshold of ``cfg`` are ignored.
     """
-    spec = backend.spec
-    if len(prompt) == 0:
-        raise ContractError("prompt must be nonempty")
-    t0 = time.perf_counter()
-    timer = PhaseTimer()
-    trace = DecodeTrace(method="ar", prompt=list(prompt), window_len=0, skip=False)
-    slot = None
-    if spec.supports_cache:
-        max_len = len(prompt) + cfg.max_new_tokens + len(cfg.answer_trigger) + cfg.answer_max_tokens + 2
-        if spec.max_len:
-            max_len = min(max_len, spec.max_len)
-        slot = alloc(1, max_len, spec).slot(0)
-    seq = list(prompt)
-    mask = HistoryMask(spec.vocab_size)
-    mask.extend(seq)
-    stop: StopDecision | None = None
-    for step_no in range(cfg.max_new_tokens):
-        with timer.phase("infer"):
-            out = backend.forward(seq, 1, slot)
-        with timer.phase("decode"):
-            tok = mask.pick(out.rows[0], cfg.repetition_penalty)
-        if slot is not None and out.new_kv is not None:
-            with timer.phase("kv_cache"):
-                slot.write_back(
-                    out.new_kv, out.new_start, len(seq) - out.new_start, seq[out.new_start :]
-                )
-        seq.append(tok)
-        mask.add(tok)
-        trace.records.append(
-            IterationRecord(
-                iteration=step_no + 1,
-                frontier_before=len(seq) - 1,
-                frontier=len(seq),
-                window_before=[],
-                predictions=[tok],
-                match_len=0,
-                committed=[tok],
-                window=[],
-            )
-        )
-        timer.begin("stop_check")
-        hit_eos = tok == spec.eos_id
-        timer.end("stop_check")
-        if hit_eos:
-            stop = StopDecision(reason="eos", value=float(len(seq) - 1))
-            break
-    if stop is None:
-        stop = StopDecision(reason="max_tokens", value=float(len(seq) - len(prompt)))
-    trace.breakdown = timer.breakdown()
-    trace.stop_check_s = timer.get("stop_check")
-    trace.wall_s = time.perf_counter() - t0
-    return DecodeResult(
-        exact_rationale=seq[len(prompt) :],
-        approximate_tail=[],
-        answer=[],
-        trace=trace,
-        stop=stop,
-    )
+    return _decode([prompt], backend, _greedy(cfg, cfg.max_new_tokens), "ar")[0]
 
 
 def truncated_cot(
@@ -622,28 +545,19 @@ def truncated_cot(
     if iteration_budget < 0:
         raise ContractError("iteration_budget must be nonnegative")
     if iteration_budget == 0:
-        trace = DecodeTrace(
-            method="truncated", prompt=list(prompt), window_len=0, skip=False
-        )
-        answer = answer_phase(prompt, [], [], backend, cfg)
+        t0 = time.perf_counter()
+        timer = PhaseTimer()
         result = DecodeResult(
             exact_rationale=[],
             approximate_tail=[],
-            answer=answer,
-            trace=trace,
+            answer=answer_phase(prompt, [], [], backend, cfg, timer=timer),
+            trace=DecodeTrace(method="truncated", prompt=list(prompt), window_len=0, skip=False),
             stop=StopDecision(reason="iteration_cap", value=0.0),
         )
-        return result
-    inner = replace(cfg, max_new_tokens=iteration_budget)
-    result = ar_baseline(prompt, backend, inner)
-    result.trace.method = "truncated"
-    result.answer = answer_phase(
-        prompt, result.exact_rationale, [], backend, cfg
-    )
+        return _stamp([result], timer, t0)[0]
+    result = _with_answer(prompt, backend, _greedy(cfg, iteration_budget), "truncated")
     if result.stop.reason == "max_tokens":
-        result.stop = StopDecision(
-            reason="iteration_cap", value=float(iteration_budget)
-        )
+        result.stop = StopDecision(reason="iteration_cap", value=float(iteration_budget))
     return result
 
 
@@ -657,34 +571,29 @@ def calibrate_iteration_cap(
 
     Runs the full pipeline uncapped to establish reference accuracy, then
     sweeps caps upward and returns the first one whose accuracy is at least
-    ``full_accuracy - loss_threshold``.
+    ``full_accuracy - loss_threshold``.  A run capped at ``k`` iterations is
+    the first ``k`` records of the uncapped one, so each cap costs only an
+    answer phase per sample that ran longer than ``k``.
     """
     if len(sample_prompts) == 0:
         raise ConfigError("sample_prompts must be nonempty")
     if not 0.0 <= loss_threshold <= 1.0:
         raise ConfigError("loss_threshold must lie in [0, 1]")
     base = replace(cfg, iteration_cap=None)
-    full_results = [decode_with_answer(p, backend, base) for p, _ in sample_prompts]
-    full_acc = float(
-        np.mean(
-            [
-                res.answer == list(ref)
-                for res, (_, ref) in zip(full_results, sample_prompts)
-            ]
-        )
-    )
-    max_cap = max(res.trace.iterations for res in full_results)
+    full = [decode_with_answer(p, backend, base) for p, _ in sample_prompts]
+    refs = [list(ref) for _, ref in sample_prompts]
+    full_acc = float(np.mean([res.answer == ref for res, ref in zip(full, refs)]))
+    max_cap = max(res.trace.iterations for res in full)
     target = full_acc - loss_threshold
     for cap in range(1, max_cap + 1):
-        capped = replace(cfg, iteration_cap=cap)
-        acc = float(
-            np.mean(
-                [
-                    decode_with_answer(p, backend, capped).answer == list(ref)
-                    for p, ref in sample_prompts
-                ]
-            )
-        )
-        if acc >= target:
+        hits = []
+        for (prompt, _), res, ref in zip(sample_prompts, full, refs):
+            records = res.trace.records
+            answer = res.answer
+            if cap < len(records):
+                exact = [tok for rec in records[:cap] for tok in rec.committed]
+                answer = answer_phase(prompt, exact, records[cap - 1].window, backend, cfg)
+            hits.append(answer == ref)
+        if float(np.mean(hits)) >= target:
             return cap
     return max_cap

@@ -27,7 +27,6 @@ from glimpse.trace import (  # noqa: F401  (re-exported instrumentation surface)
     DecodeTrace,
     PhaseTimer,
     TimeBreakdown,
-    record_phase,
 )
 
 

@@ -84,6 +84,8 @@ def test_criterion_1_losslessness_suite():
 
 
 def test_criterion_2_degenerate_equivalence():
+    # ar_baseline is the c=0 loop itself, so both are checked against the
+    # independent greedy oracle rather than against each other.
     backends = [
         make_counting_backend(10),
         random_ngram_backend(5),
@@ -91,20 +93,22 @@ def test_criterion_2_degenerate_equivalence():
     ]
     rng = np.random.default_rng(2)
     for backend in backends:
+        eos = backend.spec.eos_id
         for _ in range(5):
             prompt = random_prompt(rng, backend.spec.vocab_size)
             cfg = DecodeConfig(window_len=0, max_new_tokens=15)
-            par = run_rationale(prompt, backend, cfg)
-            ar = ar_baseline(prompt, backend, cfg)
-            assert par.exact_rationale == ar.exact_rationale
-            assert par.trace.iterations == ar.trace.iterations
-            assert par.stop.reason == ar.stop.reason
-            for a, b in zip(par.trace.records, ar.trace.records):
-                assert a.committed == b.committed
-                assert a.frontier_before == b.frontier_before
-                assert a.frontier == b.frontier
-                assert a.window == b.window == []
-    verdict(2, "c=0 trace-identical to AR baseline")
+            want = greedy_ar_reference(backend, prompt, 15, cfg.repetition_penalty)
+            want_stop = "eos" if eos in want else "max_tokens"
+            for res in (run_rationale(prompt, backend, cfg), ar_baseline(prompt, backend, cfg)):
+                assert res.exact_rationale == want
+                assert res.stop.reason == want_stop
+                assert res.trace.iterations == len(want)
+                for k, rec in enumerate(res.trace.records):
+                    assert rec.frontier_before == len(prompt) + k
+                    assert rec.frontier == len(prompt) + k + 1
+                    assert rec.committed == [want[k]]
+                    assert rec.window == []
+    verdict(2, "c=0 trace-identical to the greedy oracle")
 
 
 # ----------------------------------------------------------------------

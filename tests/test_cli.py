@@ -51,6 +51,19 @@ def test_decode_no_backend_exits_2(tmp_path):
     assert code == 2
 
 
+def test_decode_over_capacity_exits_2(tmp_path):
+    # 3 + (600 - 1) + 4 context tokens exceed the toy's default max_len of 512
+    code = run_cli(
+        "decode",
+        "--backend", "toy",
+        "--prompt", "1,2,3",
+        "--window", "4",
+        "--max-new-tokens", "600",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+
+
 def test_decode_rerun_identical_tokens(tmp_path):
     args = [
         "decode",

@@ -3,14 +3,15 @@ import pytest
 
 from glimpse.backends import (
     NgramBackend,
+    default_toy_spec,
     make_scripted_backend,
+    make_toy_transformer,
     RetrievalScript,
 )
 from glimpse.backends.scripted import TRIGGER, PAD as S_PAD
 from glimpse.buffer import BatchBuffers, init_buffer
 from glimpse.engine import (
     DecodeConfig,
-    InstanceState,
     answer_phase,
     ar_baseline,
     calibrate_iteration_cap,
@@ -167,17 +168,15 @@ def test_stop_eos_beats_cap():
 
 def test_check_stop_returns_none_when_clear(counting_backend):
     buf = init_buffer(3, 2, counting_backend.spec.pad_id)
-    state = InstanceState(buffer=buf, eos_id=counting_backend.spec.eos_id)
-    assert check_stop(state, cfg_for(counting_backend, 2, max_new=10)) is None
+    eos = counting_backend.spec.eos_id
+    assert check_stop(buf, [], 0.0, eos, cfg_for(counting_backend, 2, max_new=10)) is None
 
 
 def test_check_stop_probe_at_threshold(counting_backend):
     buf = init_buffer(3, 2, counting_backend.spec.pad_id)
     buf.iteration = 1
-    state = InstanceState(
-        buffer=buf, eos_id=counting_backend.spec.eos_id, last_probe=0.35
-    )
-    stop = check_stop(state, cfg_for(counting_backend, 2, probe_threshold=0.3))
+    eos = counting_backend.spec.eos_id
+    stop = check_stop(buf, [], 0.35, eos, cfg_for(counting_backend, 2, probe_threshold=0.3))
     assert stop is not None
     assert stop.reason == "probe"
     assert stop.value == pytest.approx(0.35)
@@ -382,6 +381,93 @@ def test_monotone_frontier(toy_backend):
     frontiers = [r.frontier for r in res.trace.records]
     assert all(b > a for a, b in zip(frontiers, frontiers[1:]))
     assert all(len(r.committed) >= 1 for r in res.trace.records)
+
+
+# ----------------------------------------------------------------------
+# refused inputs: capacity and non-finite scores
+# ----------------------------------------------------------------------
+
+
+class _CountingForwards:
+    """Backend proxy that counts forward calls and can poison one call's scores."""
+
+    def __init__(self, inner, nan_at=None):
+        self.inner = inner
+        self.spec = inner.spec
+        self.calls = 0
+        self.nan_at = nan_at
+
+    def forward(self, context, block_len, cache=None):
+        return self.forward_batch([context], [block_len], [cache])[0]
+
+    def forward_batch(self, contexts, block_lens, slots=None):
+        steps = self.inner.forward_batch(contexts, block_lens, slots)
+        self.calls += 1
+        if self.calls == self.nan_at:
+            steps[0].rows = steps[0].rows.copy()
+            steps[0].rows[-1, 3] = np.nan
+        return steps
+
+
+def _small_max_len_toy():
+    return _CountingForwards(make_toy_transformer(1, default_toy_spec(max_len=64)))
+
+
+PROMPT_10_17 = list(range(10, 18))
+
+
+def test_over_capacity_window_run_refused_before_decoding():
+    backend = _small_max_len_toy()
+    # 8 + (55 - 1) + 4 = 66 context tokens at the last iteration, max_len 64
+    with pytest.raises(ConfigError):
+        run_rationale(PROMPT_10_17, backend, DecodeConfig(window_len=4, max_new_tokens=55))
+    with pytest.raises(ConfigError):
+        run_rationale(PROMPT_10_17, backend, DecodeConfig(window_len=4, max_new_tokens=54))
+    assert backend.calls == 0
+
+
+def test_largest_accepted_budget_runs_to_completion():
+    backend = _small_max_len_toy()
+    cfg = DecodeConfig(window_len=4, max_new_tokens=53, repetition_penalty=1.0)
+    res = run_rationale(PROMPT_10_17, backend, cfg)
+    ar = ar_baseline(PROMPT_10_17, backend, cfg)
+    assert res.exact_rationale == ar.exact_rationale
+    assert res.stop.reason == ar.stop.reason == "max_tokens"
+    assert len(res.exact_rationale) == 53
+
+
+def test_ar_baseline_fills_max_len():
+    backend = _small_max_len_toy()
+    cfg = DecodeConfig(window_len=0, max_new_tokens=56, repetition_penalty=1.0)
+    res = ar_baseline(PROMPT_10_17, backend, cfg)
+    assert res.stop.reason == "max_tokens"
+    assert len(res.exact_rationale) == 56
+    with pytest.raises(ConfigError):
+        ar_baseline(PROMPT_10_17, backend, DecodeConfig(window_len=0, max_new_tokens=58))
+
+
+def test_answer_that_cannot_fit_refused_before_rationale():
+    backend = _small_max_len_toy()
+    # the 56-token rationale fits, but its 16-token answer would not
+    cfg = DecodeConfig(window_len=0, max_new_tokens=56)
+    with pytest.raises(ConfigError):
+        decode_with_answer(PROMPT_10_17, backend, cfg)
+    assert backend.calls == 0
+    # 8 + 40 - 1 + 0 + 1 trigger + 16 answer = 64 fits exactly
+    fits = DecodeConfig(window_len=0, max_new_tokens=40, answer_trigger=(5,))
+    res = decode_with_answer(PROMPT_10_17, backend, fits)
+    assert len(res.answer) <= fits.answer_max_tokens
+
+
+@pytest.mark.parametrize("nan_at", [1, 3])
+def test_non_finite_scores_rejected(counting_backend, nan_at):
+    cfg = DecodeConfig(window_len=2, max_new_tokens=10, answer_max_tokens=4)
+    with pytest.raises(ContractError):
+        run_rationale([0], _CountingForwards(counting_backend, nan_at), cfg)
+    with pytest.raises(ContractError):
+        ar_baseline([0], _CountingForwards(counting_backend, nan_at), cfg)
+    with pytest.raises(ContractError):
+        answer_phase([0], [1, 2], [], _CountingForwards(counting_backend, nan_at), cfg)
 
 
 # ----------------------------------------------------------------------
