@@ -136,25 +136,43 @@ class SequentialBatchMixin:
         ]
 
 
-def check_forward_args(spec: BackendSpec, context: TokenSeq, block_len: int) -> None:
-    """Shared precondition checks for every backend's ``forward``."""
-    if len(context) == 0:
+def check_forward_args(
+    spec: BackendSpec, context: TokenSeq, block_len: int
+) -> np.ndarray:
+    """Shared precondition checks for every backend's ``forward``.
+
+    Returns the context as a 1-D int64 array, so that a backend converts
+    it once; an int64 array (such as the engine's context view) is
+    returned as is, without a copy.  The checks are vectorized: their
+    Python work does not grow with the context.
+    """
+    try:
+        ids = np.asarray(context, dtype=np.int64)
+    except OverflowError:
+        raise ContractError(
+            f"context holds a token id outside vocab of size {spec.vocab_size}"
+        ) from None
+    if ids.ndim != 1:
+        raise ContractError("context must be a 1-D token sequence")
+    n = ids.shape[0]
+    if n == 0:
         raise ContractError("context must be nonempty")
     if block_len < 1:
         raise ContractError("block_len must be >= 1")
-    if block_len > len(context):
-        raise ContractError(
-            f"block_len {block_len} exceeds context length {len(context)}"
-        )
-    for tok in context:
-        if not 0 <= tok < spec.vocab_size:
-            raise ContractError(f"token id {tok} outside vocab of size {spec.vocab_size}")
+    if block_len > n:
+        raise ContractError(f"block_len {block_len} exceeds context length {n}")
+    # As uint64 a negative id wraps past every vocab size, so one max
+    # checks both bounds.
+    if ids.view(np.uint64).max() >= spec.vocab_size:
+        bad = ids[(ids < 0) | (ids >= spec.vocab_size)][0]
+        raise ContractError(f"token id {bad} outside vocab of size {spec.vocab_size}")
+    return ids
 
 
 def penalized_scores(
     scores: np.ndarray, history_mask: np.ndarray, penalty: float
 ) -> np.ndarray:
-    """Apply a repetition penalty to ``scores`` in place-free fashion.
+    """Apply a repetition penalty to ``scores``, returning a new array.
 
     For every token marked in ``history_mask``, a positive score is divided
     by ``penalty`` and a negative score multiplied by it; zeros are left
@@ -162,12 +180,11 @@ def penalized_scores(
     """
     if penalty == 1.0:
         return scores
-    adjusted = scores.astype(np.float64, copy=True)
-    pos = history_mask & (adjusted > 0)
-    neg = history_mask & (adjusted < 0)
-    adjusted[pos] /= penalty
-    adjusted[neg] *= penalty
-    return adjusted
+    scores = np.asarray(scores, dtype=np.float64)
+    # Zeros divide to zeros, so only the negatives need the product.
+    adjusted = scores / penalty
+    np.multiply(scores, penalty, out=adjusted, where=scores < 0)
+    return np.where(history_mask, adjusted, scores)
 
 
 def greedy_pick(row: np.ndarray, history: Iterable[int], penalty: float = 1.0) -> int:

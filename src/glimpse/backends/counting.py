@@ -25,6 +25,22 @@ from glimpse.backends.base import (
 from glimpse.errors import ContractError
 
 
+def _last_digit(ids: np.ndarray, end: int, modulus: int) -> int:
+    """Index of the last digit in ``ids[: end + 1]``, or -1 if there is none.
+
+    Scans backwards in doubling chunks, so the work is proportional to the
+    distance of that digit from ``end``, not to the length of ``ids``.
+    """
+    hi, step = end + 1, 16
+    while hi > 0:
+        lo = max(hi - step, 0)
+        hits = (ids[lo:hi] < modulus).nonzero()[0]
+        if hits.size:
+            return lo + int(hits[-1])
+        hi, step = lo, 2 * step
+    return -1
+
+
 class CountingBackend(SequentialBatchMixin):
     def __init__(self, modulus: int = 10) -> None:
         if modulus < 2:
@@ -41,19 +57,20 @@ class CountingBackend(SequentialBatchMixin):
     ) -> StepOutput:
         if cache is not None:
             raise ContractError("counting backend does not support a cache")
-        check_forward_args(self.spec, context, block_len)
+        ids = check_forward_args(self.spec, context, block_len)
         m = self.modulus
-        ids = np.asarray(context, dtype=np.int64)
         n = ids.shape[0]
-        # last_digit[s] / last_pos[s]: value and index of the most recent
-        # digit at or before position s; -1 when none exists.
-        is_digit = ids < m
-        idx = np.where(is_digit, np.arange(n), -1)
-        last_pos = np.maximum.accumulate(idx)
         split = n - block_len
+        # Only the tail from the last digit at or before the block's first
+        # position matters: every later digit search stops there.
+        start = max(_last_digit(ids, split, m), 0)
+        # last_pos[s]: index of the most recent digit at or before position
+        # start + s; -1 when none exists.
+        idx = np.where(ids[start:] < m, np.arange(start, n), -1)
+        last_pos = np.maximum.accumulate(idx)
         rows = np.zeros((block_len, self.spec.vocab_size), dtype=np.float64)
         ends = np.arange(split, n)
-        pos = last_pos[ends]
+        pos = last_pos[split - start :]
         has_digit = pos >= 0
         # Predicting position end+1, so the gap from the last digit is
         # (end + 1) - its position.

@@ -99,12 +99,14 @@ class NgramBackend(SequentialBatchMixin):
     def forward(self, context: TokenSeq, block_len: int, cache=None) -> StepOutput:
         if cache is not None:
             raise ContractError("ngram backend does not support a cache")
-        check_forward_args(self.spec, context, block_len)
-        ctx = list(context)
-        split = len(ctx) - block_len
+        ids = check_forward_args(self.spec, context, block_len)
+        # No lookup reaches further back than ``order`` tokens before the block.
+        lo = max(len(ids) - block_len + 1 - self.order, 0)
+        tail = ids[lo:].tolist()
+        split = len(tail) - block_len
         rows = np.empty((block_len, self.spec.vocab_size), dtype=np.float64)
         for j in range(block_len):
-            rows[j] = self._row_for(ctx[: split + j + 1])
+            rows[j] = self._row_for(tail[: split + j + 1])
         return StepOutput(rows=rows)
 
 

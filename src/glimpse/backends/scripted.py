@@ -133,8 +133,7 @@ class ScriptedBackend(SequentialBatchMixin):
     def forward(self, context: TokenSeq, block_len: int, cache=None) -> StepOutput:
         if cache is not None:
             raise ContractError("scripted backend does not support a cache")
-        check_forward_args(self.spec, context, block_len)
-        ctx = list(context)
+        ctx = check_forward_args(self.spec, context, block_len).tolist()
         split = len(ctx) - block_len
         rows = np.zeros((block_len, VOCAB), dtype=np.float64)
         for j in range(block_len):

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from glimpse.errors import ContractError
+import numpy as np
+
+from glimpse.errors import CapacityError, ContractError
 
 
 @dataclass
@@ -114,14 +116,19 @@ def update(buffer: DecodeBuffer, outcome: VerifyOutcome) -> DecodeBuffer:
 class BatchBuffers:
     """Decode buffers for a batch sharing one backend and one config.
 
-    Keeps each instance's ``prompt ‖ exact ‖ window`` as one list, which
-    the engine edits in place on update, so context assembly copies nothing.
-    Frontiers advance independently; finished instances are frozen while
-    the rest continue.
+    Keeps each instance's ``prompt ‖ exact ‖ window`` in one row of a
+    preallocated int64 array, ``capacity`` tokens wide (by default the
+    longest initial context).  :meth:`context` is a view of the row and
+    :meth:`write_tail` overwrites its tail in place, so neither copies the
+    context.  Frontiers advance independently; finished instances are
+    frozen while the rest continue.
     """
 
     def __init__(
-        self, buffers: Sequence[DecodeBuffer], prompts: Sequence[Sequence[int]]
+        self,
+        buffers: Sequence[DecodeBuffer],
+        prompts: Sequence[Sequence[int]],
+        capacity: int | None = None,
     ) -> None:
         if len(buffers) == 0:
             raise ContractError("batch must be nonempty")
@@ -131,12 +138,34 @@ class BatchBuffers:
             if buf.prompt_len != len(prompt):
                 raise ContractError("buffer prompt_len disagrees with prompt")
         self.buffers = list(buffers)
-        self.contexts = [[*p, *b.exact, *b.window] for p, b in zip(prompts, buffers)]
+        contexts = [[*p, *b.exact, *b.window] for p, b in zip(prompts, buffers)]
+        self.lengths = [len(ctx) for ctx in contexts]
+        if capacity is None:
+            capacity = max(self.lengths)
+        if capacity < max(self.lengths):
+            raise CapacityError(
+                f"context of {max(self.lengths)} tokens exceeds capacity {capacity}"
+            )
+        self.store = np.zeros((len(buffers), capacity), dtype=np.int64)
+        for row, ctx in zip(self.store, contexts):
+            row[: len(ctx)] = ctx
         self.finished = [False] * len(buffers)
 
-    def context(self, i: int) -> list[int]:
-        """The live context list of instance ``i``; read it, do not keep it."""
-        return self.contexts[i]
+    def context(self, i: int) -> np.ndarray:
+        """A view of instance ``i``'s context; read it, do not keep it."""
+        return self.store[i, : self.lengths[i]]
+
+    def write_tail(self, i: int, start: int, tokens: Sequence[int]) -> None:
+        """Replace instance ``i``'s context from ``start`` on with ``tokens``."""
+        end = start + len(tokens)
+        if not 0 <= start <= self.lengths[i]:
+            raise ContractError(f"tail start {start} outside context of {self.lengths[i]}")
+        if end > self.store.shape[1]:
+            raise CapacityError(
+                f"context of {end} tokens exceeds capacity {self.store.shape[1]}"
+            )
+        self.store[i, start:end] = tokens
+        self.lengths[i] = end
 
     def __len__(self) -> int:
         return len(self.buffers)

@@ -286,7 +286,7 @@ def iterate_once(
                     ctx[step.new_start : persist_end],
                 )
         # The context's tail from the frontier is the window being replaced.
-        ctx[buf.frontier :] = [*outcome.committed, *outcome.next_window]
+        buffers.write_tail(i, buf.frontier, [*outcome.committed, *outcome.next_window])
         update(buf, outcome)
         outputs.append(
             IterationOutput(outcome=outcome, step=step, probe=probe, predictions=preds)
@@ -340,11 +340,14 @@ class _Session:
         for tok in cfg.answer_trigger:
             if not 0 <= tok < spec.vocab_size:
                 raise ConfigError(f"answer trigger token {tok} outside vocab")
-        self.buffers = BatchBuffers(
-            [init_buffer(len(p), cfg.window_len, spec.pad_id) for p in prompts], prompts
-        )
         need = _max_context(prompts, cfg)
         _check_capacity(backend, need, "decoding")
+        self.buffers = BatchBuffers(
+            [init_buffer(len(p), cfg.window_len, spec.pad_id) for p in prompts],
+            prompts,
+            # The last update appends its commit after the last forward's context.
+            capacity=need + 1,
+        )
         self.backend = backend
         self.cfg = cfg
         self.timer = timer or PhaseTimer()

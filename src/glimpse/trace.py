@@ -114,9 +114,23 @@ class IterationRecord:
     probe_score: float = 0.0
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out["type"] = "iteration"
-        return out
+        """The JSONL object: the fields in declaration order, then ``"type"``.
+
+        Built field by field rather than with ``dataclasses.asdict``, which
+        deep-copies every list; the lists are shared, not copied.
+        """
+        return {
+            "iteration": self.iteration,
+            "frontier_before": self.frontier_before,
+            "frontier": self.frontier,
+            "window_before": self.window_before,
+            "predictions": self.predictions,
+            "match_len": self.match_len,
+            "committed": self.committed,
+            "window": self.window,
+            "probe_score": self.probe_score,
+            "type": "iteration",
+        }
 
 
 @dataclass

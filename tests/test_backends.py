@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glimpse.backends import (
     NgramBackend,
     greedy_pick,
+    make_counting_backend,
     make_ngram_backend,
     make_scripted_backend,
     make_toy_transformer,
@@ -17,6 +20,7 @@ from glimpse.backends.scripted import (
     TRIGGER,
     UNK,
 )
+from glimpse.backends.base import HistoryMask, penalized_scores
 from glimpse.cache import alloc
 from glimpse.errors import (
     CacheMismatchError,
@@ -25,7 +29,8 @@ from glimpse.errors import (
     TableParseError,
 )
 
-from conftest import small_toy_spec
+from conftest import random_ngram_backend, small_toy_spec
+from oracles import penalized_argmax
 
 
 # ----------------------------------------------------------------------
@@ -67,6 +72,46 @@ def test_greedy_history_multiplicity_irrelevant():
     assert greedy_pick(row, [0], 1.2) == greedy_pick(row, [0, 0, 0], 1.2)
 
 
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.2, -1.2, 2.0, -2.0, 2.4, -2.4]),
+    st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _penalized_loop(row, mask, penalty):
+    """Elementwise reference: divide marked positives, multiply marked negatives."""
+    out = [float(x) for x in row]
+    for tok, marked in enumerate(mask):
+        if marked and out[tok] > 0:
+            out[tok] /= penalty
+        elif marked and out[tok] < 0:
+            out[tok] *= penalty
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    row=st.lists(_SCORES, min_size=1, max_size=24),
+    penalty=st.sampled_from([1.0, 1.2, 1.3, 2.0]),
+    data=st.data(),
+)
+def test_penalized_pick_matches_oracle(row, penalty, data):
+    # The sampled scores make zeros and ties common, and a penalty can make
+    # new ties (2.4 / 2.0 == 1.2) that must still break to the lowest id.
+    mask = data.draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+    history = [tok for tok, marked in enumerate(mask) if marked]
+    scores = np.asarray(row, dtype=np.float64)
+    adjusted = penalized_scores(scores, np.asarray(mask), penalty)
+    reference = _penalized_loop(row, mask, penalty)
+    assert adjusted.tolist() == reference
+    assert np.array_equal(np.signbit(adjusted), np.signbit(reference))
+    hist = HistoryMask(len(row))
+    hist.extend(history)
+    want = penalized_argmax(row, history, penalty)
+    assert hist.pick(scores, penalty) == want
+    assert greedy_pick(scores, history, penalty) == want
+
+
 # ----------------------------------------------------------------------
 # counting backend
 # ----------------------------------------------------------------------
@@ -101,6 +146,45 @@ def test_counting_deterministic(counting_backend):
 def test_counting_rejects_oversized_block(counting_backend):
     with pytest.raises(ContractError):
         counting_backend.forward([1], 2)
+
+
+def _counting_closed_form(ctx, block_len, modulus):
+    """Next digit after each block position, by a backwards scan in Python."""
+    out = []
+    for end in range(len(ctx) - block_len, len(ctx)):
+        last = next((p for p in range(end, -1, -1) if ctx[p] < modulus), None)
+        out.append(0 if last is None else (ctx[last] + end + 1 - last) % modulus)
+    return out
+
+
+def _counting_contexts(pad, eos):
+    rng = np.random.default_rng(7)
+    yield [pad] * 50  # no digit at all
+    yield [eos]
+    yield [pad, eos] * 40 + [pad] * 9
+    yield [7] + [pad] * 100  # a digit only at position 0
+    yield [7] + [eos] * 37 + [pad] * 60
+    yield [3, 4] + [pad] * 200 + [5] + [eos] * 70  # runs far longer than any window
+    for _ in range(40):
+        n = int(rng.integers(1, 90))
+        p_digit = float(rng.choice([0.02, 0.3, 0.9]))
+        yield [
+            int(rng.integers(0, 10)) if rng.random() < p_digit else int(rng.choice([pad, eos]))
+            for _ in range(n)
+        ]
+
+
+def test_counting_tail_forward_matches_closed_form(counting_backend):
+    spec = counting_backend.spec
+    for ctx in _counting_contexts(spec.pad_id, spec.eos_id):
+        for block_len in sorted({1, 2, 8, len(ctx)} & set(range(1, len(ctx) + 1))):
+            rows = counting_backend.forward(ctx, block_len).rows
+            assert rows.shape == (block_len, spec.vocab_size)
+            assert (rows.sum(axis=1) == 1.0).all()
+            want = _counting_closed_form(ctx, block_len, 10)
+            assert rows.argmax(axis=1).tolist() == want, (ctx, block_len)
+            # The engine hands the backend an int64 view; same rows.
+            assert np.array_equal(counting_backend.forward(np.asarray(ctx), block_len).rows, rows)
 
 
 # ----------------------------------------------------------------------
@@ -334,3 +418,44 @@ def test_scripted_multi_key_requires_all():
     damaged[positions[1]] = PAD
     ctx = script.prompt(q) + damaged + list(TRIGGER)
     assert backend.forward(ctx, 1).rows[0].argmax() == UNK
+
+
+# ----------------------------------------------------------------------
+# contract checks shared by every backend
+# ----------------------------------------------------------------------
+
+
+_BACKENDS = {
+    "counting": lambda: make_counting_backend(10),
+    "ngram": lambda: random_ngram_backend(3),
+    "scripted": make_scripted_backend,
+    "toy": lambda: make_toy_transformer(42, small_toy_spec()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+@pytest.mark.parametrize("bad", ["vocab", -1, -(2**70), 2**70])
+@pytest.mark.parametrize("where", [0, 20])
+def test_out_of_vocab_anywhere_in_context_rejected(kind, bad, where):
+    backend = _BACKENDS[kind]()
+    spec = backend.spec
+    bad = spec.vocab_size if bad == "vocab" else bad
+    ctx = [spec.pad_id] * 40
+    ctx[where] = bad  # position 0 is far before the 2-token block
+    with pytest.raises(ContractError):
+        backend.forward(ctx, 2)
+    with pytest.raises(ContractError):
+        backend.forward_batch([[spec.pad_id] * 4, ctx], [1, 2])
+    ctx[where] = spec.pad_id
+    backend.forward(ctx, 2)  # the same context with the id replaced is fine
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_empty_context_and_bad_block_rejected(kind):
+    backend = _BACKENDS[kind]()
+    pad = backend.spec.pad_id
+    with pytest.raises(ContractError):
+        backend.forward([], 1)
+    for block_len in (0, -1, 4):
+        with pytest.raises(ContractError):
+            backend.forward([pad] * 3, block_len)

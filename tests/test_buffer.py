@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glimpse.buffer import BatchBuffers, init_buffer, update, verify
-from glimpse.errors import ContractError
+from glimpse.errors import CapacityError, ContractError
 
 PAD = 99
 
@@ -119,8 +119,18 @@ def test_batch_buffers_contract():
     batch = BatchBuffers(bufs, [[1, 2], [3, 4, 5, 6]])
     assert batch.max_frontier == 4
     assert batch.active_indices() == [0, 1]
-    assert batch.context(1) == [3, 4, 5, 6, PAD, PAD, PAD]
+    assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
     with pytest.raises(ContractError):
         BatchBuffers(bufs, [[1, 2]])
     with pytest.raises(ContractError):
         BatchBuffers([], [])
+    with pytest.raises(CapacityError):
+        BatchBuffers(bufs, [[1, 2], [3, 4, 5, 6]], capacity=6)
+    batch = BatchBuffers(bufs, [[1, 2], [3, 4, 5, 6]], capacity=9)
+    batch.write_tail(0, 2, [7, 8, 9, 9, 9])
+    assert batch.context(0).tolist() == [1, 2, 7, 8, 9, 9, 9]
+    assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
+    with pytest.raises(CapacityError):
+        batch.write_tail(1, 5, [1] * 5)
+    with pytest.raises(ContractError):
+        batch.write_tail(1, 8, [1])  # would leave a gap after the context

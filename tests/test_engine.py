@@ -24,7 +24,7 @@ from glimpse.engine import (
     truncated_cot,
 )
 from glimpse.backends.base import StepOutput
-from glimpse.errors import ConfigError, ContractError
+from glimpse.errors import CapacityError, ConfigError, ContractError
 
 from conftest import random_ngram_backend, random_prompt
 from oracles import greedy_ar_reference, jacobi_reference
@@ -457,6 +457,109 @@ def test_answer_that_cannot_fit_refused_before_rationale():
     fits = DecodeConfig(window_len=0, max_new_tokens=40, answer_trigger=(5,))
     res = decode_with_answer(PROMPT_10_17, backend, fits)
     assert len(res.answer) <= fits.answer_max_tokens
+
+
+# ----------------------------------------------------------------------
+# the context store
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def context_rows(monkeypatch):
+    """(length, row width, is a view of the store) of every context handed out."""
+    seen = []
+    original = BatchBuffers.context
+
+    def spy(self, i):
+        ctx = original(self, i)
+        seen.append((len(ctx), self.store.shape[1], ctx.base is self.store))
+        return ctx
+
+    monkeypatch.setattr(BatchBuffers, "context", spy)
+    return seen
+
+
+def test_mixed_batch_reaches_max_context_exactly(counting_backend, context_rows):
+    # The longest prompt's last forward starts with 16 exact tokens (commits
+    # go 1, 4, 1, 4, ...) and sees 5 + (17 - 1) + 3 = 24 tokens.
+    prompts = [[1], [2, 3, 4, 5, 6], [7, 8]]
+    cfg = DecodeConfig(window_len=3, max_new_tokens=17)
+    results = run_rationale_batch(prompts, counting_backend, cfg)
+    assert [len(r.exact_rationale) for r in results] == [17, 17, 17]
+    assert max(n for n, _, _ in context_rows) == 24
+    assert {width for _, width, _ in context_rows} == {25}
+    assert all(view and n <= width for n, width, view in context_rows)
+    for prompt, res in zip(prompts, results):
+        assert res.exact_rationale == run_rationale(prompt, counting_backend, cfg).exact_rationale
+
+
+def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
+    prompts = [[0], [4, 5, 6]]
+    c, budget = 3, 8
+    cfg = DecodeConfig(window_len=c, max_new_tokens=budget)
+    pad, eos = counting_backend.spec.pad_id, counting_backend.spec.eos_id
+    bufs = BatchBuffers(
+        [init_buffer(len(p), c, pad) for p in prompts], prompts, capacity=3 + budget + c
+    )
+    truncated = 0
+    active = bufs.active_indices()
+    while active:
+        outs = iterate_once(bufs, counting_backend, None, cfg, instances=active)
+        for i, out in zip(active, outs):
+            buf = bufs[i]
+            # commits go 1, 4, 1, 4: the fourth is cut to the 2 tokens left
+            truncated += len(out.outcome.committed) < 1 + out.outcome.match_len
+            assert bufs.context(i).tolist() == prompts[i] + buf.exact + buf.window
+            if check_stop(buf, out.outcome.committed, out.probe, eos, cfg):
+                bufs.finished[i] = True
+        active = bufs.active_indices()
+    assert truncated == 2
+    assert [len(bufs.context(i)) for i in range(2)] == [1 + budget + c, 3 + budget + c]
+    with pytest.raises(CapacityError):
+        bufs.write_tail(1, bufs[1].frontier, [0] * (c + 1))
+
+
+def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows):
+    from dataclasses import replace
+
+    cfg = DecodeConfig(window_len=3, max_new_tokens=10, answer_trigger=(2, 3), answer_max_tokens=6)
+    res = decode_with_answer([4, 5, 6], toy_backend, cfg)
+    assert all(view and n <= width for n, width, view in context_rows)
+    # The answer session's first context is prompt ‖ exact ‖ approx ‖ trigger.
+    answer_start = 3 + len(res.exact_rationale) + len(res.approximate_tail) + 2
+    first_answer = res.trace.iterations
+    assert context_rows[first_answer][0] == answer_start
+    assert context_rows[first_answer][1] == answer_start + cfg.answer_max_tokens
+    fresh = answer_phase(
+        [4, 5, 6],
+        res.exact_rationale,
+        res.approximate_tail,
+        toy_backend,
+        replace(cfg, reuse_cache_for_answer=False),
+    )
+    assert res.answer == fresh
+
+
+def test_results_hold_python_ints(toy_backend, counting_backend):
+    toy_cfg = DecodeConfig(window_len=3, max_new_tokens=12, answer_trigger=(2, 3))
+    count_cfg = DecodeConfig(window_len=4, max_new_tokens=13)
+    results = [
+        decode_with_answer([4, 5, 6], toy_backend, toy_cfg),
+        ar_baseline([4, 5, 6], toy_backend, toy_cfg),
+        truncated_cot([9], toy_backend, toy_cfg, 5),
+        *run_rationale_batch([[0], [1, 2, 3]], counting_backend, count_cfg),
+    ]
+    for res in results:
+        for seq in (res.exact_rationale, res.approximate_tail, res.answer):
+            assert all(type(tok) is int for tok in seq)
+        assert type(res.stop.value) is float
+        assert res.trace.records
+        for rec in res.trace.records:
+            for name in ("iteration", "frontier_before", "frontier", "match_len"):
+                assert type(getattr(rec, name)) is int
+            for name in ("window_before", "predictions", "committed", "window"):
+                assert all(type(tok) is int for tok in getattr(rec, name))
+            assert type(rec.probe_score) is float
 
 
 @pytest.mark.parametrize("nan_at", [1, 3])

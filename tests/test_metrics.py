@@ -253,6 +253,28 @@ def test_trace_jsonl_roundtrip(counting_backend):
     assert back.breakdown == res.trace.breakdown
 
 
+def test_iteration_record_json_bytes_pinned(counting_backend, toy_backend):
+    import json
+    from dataclasses import asdict
+
+    from glimpse.trace import IterationRecord
+
+    records = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12)).trace.records
+    records += run_rationale(
+        [5, 6], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6, probe_threshold=1.0)
+    ).trace.records
+    records.append(IterationRecord(7, 3, 5, [1, 2], [1, 2, 9], 1, [1, 2], [9, 0], 0.125))
+    assert any(rec.probe_score for rec in records)
+    for rec in records:
+        want = json.dumps({**asdict(rec), "type": "iteration"})
+        assert json.dumps(rec.to_json()) == want
+    buf = io.StringIO()
+    trace = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12)).trace
+    trace.write_jsonl(buf)
+    lines = buf.getvalue().splitlines()[1:-1]
+    assert lines == [json.dumps({**asdict(rec), "type": "iteration"}) for rec in trace.records]
+
+
 def test_ar_breakdown_structure(counting_backend):
     cfg = DecodeConfig(window_len=0, max_new_tokens=300)
     res = ar_baseline([0], counting_backend, cfg)
