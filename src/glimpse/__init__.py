@@ -18,7 +18,7 @@ from glimpse.backends import (
     make_scripted_backend,
     make_toy_transformer,
 )
-from glimpse.buffer import BatchBuffers, DecodeBuffer, VerifyOutcome, init_buffer, update, verify
+from glimpse.buffer import BatchBuffers, VerifyOutcome, update, verify
 from glimpse.cache import CacheBuffer, alloc, plan_input_padding, plan_kv_padding
 from glimpse.engine import (
     DecodeConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "BackendSpec",
     "BatchBuffers",
     "CacheBuffer",
-    "DecodeBuffer",
     "DecodeConfig",
     "DecodeResult",
     "StepOutput",
@@ -53,7 +52,6 @@ __all__ = [
     "check_stop",
     "decode_with_answer",
     "greedy_pick",
-    "init_buffer",
     "iterate_once",
     "make_counting_backend",
     "make_ngram_backend",

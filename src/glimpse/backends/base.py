@@ -143,15 +143,11 @@ def check_forward_args(
 
     Returns the context as a 1-D int64 array, so that a backend converts
     it once; an int64 array (such as the engine's context view) is
-    returned as is, without a copy.  The checks are vectorized: their
-    Python work does not grow with the context.
+    returned as is, without a copy.  Ids must be integers: floats and
+    bools are refused, not cast.  The checks are vectorized: their Python
+    work does not grow with the context.
     """
-    try:
-        ids = np.asarray(context, dtype=np.int64)
-    except OverflowError:
-        raise ContractError(
-            f"context holds a token id outside vocab of size {spec.vocab_size}"
-        ) from None
+    ids = np.asarray(context)
     if ids.ndim != 1:
         raise ContractError("context must be a 1-D token sequence")
     n = ids.shape[0]
@@ -161,6 +157,12 @@ def check_forward_args(
         raise ContractError("block_len must be >= 1")
     if block_len > n:
         raise ContractError(f"block_len {block_len} exceeds context length {n}")
+    if ids.dtype.kind not in "iu":
+        # Python ints past int64 arrive here too, as an object array.
+        raise ContractError(
+            f"token ids must be integers in [0, {spec.vocab_size}), got {ids.dtype} data"
+        )
+    ids = ids.astype(np.int64, copy=False)
     # As uint64 a negative id wraps past every vocab size, so one max
     # checks both bounds.
     if ids.view(np.uint64).max() >= spec.vocab_size:
@@ -207,17 +209,13 @@ def greedy_pick(row: np.ndarray, history: Iterable[int], penalty: float = 1.0) -
     if penalty < 1.0:
         raise ContractError("penalty must be >= 1")
     mask = HistoryMask(scores.shape[0])
-    mask.extend(tok for tok in history if 0 <= tok < scores.shape[0])
-    return mask.pick(scores, penalty)
+    mask.extend([tok for tok in history if 0 <= tok < scores.shape[0]])
+    return mask.pick(scores[None], penalty)[0]
 
 
 @dataclass
 class HistoryMask:
-    """Incrementally maintained history membership mask for greedy picking.
-
-    Avoids rebuilding a set per decoded position; the decode loops add one
-    token at a time as the visible context grows.
-    """
+    """History membership mask for greedy picking, grown as tokens commit."""
 
     vocab_size: int
     mask: np.ndarray = field(init=False)
@@ -225,25 +223,37 @@ class HistoryMask:
     def __post_init__(self) -> None:
         self.mask = np.zeros(self.vocab_size, dtype=bool)
 
-    def extend(self, tokens: Iterable[int]) -> None:
-        for tok in tokens:
-            self.mask[tok] = True
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Mark ``tokens``, ids in ``[0, vocab_size)``, with one indexed assignment."""
+        self.mask[tokens] = True
 
-    def add(self, token: int) -> None:
-        self.mask[token] = True
+    def pick(self, rows: np.ndarray, penalty: float, window: Sequence[int] = ()) -> list[int]:
+        """Penalized argmax of each score row, ties to the lowest id.
 
-    def copy(self) -> "HistoryMask":
-        out = HistoryMask(self.vocab_size)
-        out.mask[:] = self.mask
-        return out
+        Like a backend's score rows, ``rows`` score the last positions of a
+        block that follows the history and then ``window``: the last row is
+        penalized under the history plus the whole window, and each earlier
+        row under one window token fewer.  With ``len(window) == len(rows) - 1``,
+        row ``j`` sees ``window[:j]``.  One penalty pass and one argmax
+        cover the block.  See :func:`greedy_pick`.
 
-    def pick(self, row: np.ndarray, penalty: float) -> int:
-        """Penalized argmax of ``row``, ties to the lowest id; see :func:`greedy_pick`.
-
-        The row is not checked for non-finite values: the engine checks
+        The rows are not checked for non-finite values: the engine checks
         each forward's scores once, before any pick.
         """
-        scores = np.asarray(row, dtype=np.float64)
+        scores = np.asarray(rows, dtype=np.float64)
+        c = len(window)
+        lead = c + 1 - scores.shape[0]
+        if lead < 0:
+            raise ContractError(
+                f"{scores.shape[0]} score rows need at least {scores.shape[0] - 1}"
+                f" window tokens, got {c}"
+            )
         if penalty != 1.0:
-            scores = penalized_scores(scores, self.mask, penalty)
-        return int(scores.argmax())
+            mask = self.mask
+            if c:
+                # seen[k] marks window[:k]: a cumulative one-hot.
+                seen = np.zeros((c + 1, self.vocab_size), dtype=bool)
+                seen[np.arange(1, c + 1), window] = True
+                mask = np.logical_or.accumulate(seen)[lead:] | mask
+            scores = penalized_scores(scores, mask, penalty)
+        return scores.argmax(axis=-1).tolist()

@@ -1,47 +1,33 @@
-"""Decode buffer: committed exact prefix, lookahead window, frontier index.
+"""Decode state: one token row per instance, of which the exact prefix and the window are views.
 
-The buffer is the engine's central state.  ``exact`` holds tokens proven
+Each instance's state is a single block, ``prompt ‖ exact ‖ window``, kept
+in one row of a preallocated int64 array.  ``exact`` holds tokens proven
 equal to greedy autoregressive output; ``window`` holds the current block
-of unverified lookahead guesses; ``frontier`` is the absolute context index
-of the first guess (prompt length + committed count).
+of unverified lookahead guesses; ``frontier`` is the absolute index of the
+first guess (prompt length + committed count).  The window length ``c`` is
+fixed per batch, so a context is always ``frontier + c`` tokens long.
 
 Verification compares the window's previous guesses against the fresh
 predictions from the fused forward call.  The first fresh prediction is
 conditioned only on exact context and is therefore always exact; each
 further prediction inherits exactness while the guess it was conditioned
 on matches.  Commits are append-only and never re-verified.
+
+Whatever the commit count ``m`` (a full match, a miss, a cut at the token
+budget or at EOS), the next window is ``preds[m:] ‖ PAD^(m-1)``: the
+uncommitted predictions slide forward and PAD fills the rest.  So one tail
+write, ``preds ‖ PAD^(m-1)`` at the frontier, is the whole update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from glimpse.backends.base import BackendSpec, HistoryMask
 from glimpse.errors import CapacityError, ContractError
-
-
-@dataclass
-class DecodeBuffer:
-    """Per-instance decode state.
-
-    Invariants: ``frontier == prompt_len + len(exact)``; ``len(window)`` is
-    at most the configured window size; ``exact`` only ever grows.
-    """
-
-    prompt_len: int
-    exact: list[int] = field(default_factory=list)
-    window: list[int] = field(default_factory=list)
-    frontier: int = 0
-    iteration: int = 0
-
-    def check(self) -> None:
-        if self.frontier != self.prompt_len + len(self.exact):
-            raise ContractError(
-                f"frontier {self.frontier} != prompt_len {self.prompt_len}"
-                f" + exact {len(self.exact)}"
-            )
 
 
 @dataclass
@@ -55,127 +41,104 @@ class VerifyOutcome:
 
     committed: list[int]
     match_len: int
-    next_window: list[int]
 
 
-def init_buffer(prompt_len: int, window_len: int, pad_id: int) -> DecodeBuffer:
-    """Fresh buffer: empty exact prefix, PAD-filled window, frontier at prompt end."""
-    if window_len < 0:
-        raise ContractError("window length must be nonnegative")
-    if prompt_len < 1:
-        raise ContractError("prompt length must be >= 1")
-    return DecodeBuffer(
-        prompt_len=prompt_len,
-        exact=[],
-        window=[pad_id] * window_len,
-        frontier=prompt_len,
-        iteration=0,
-    )
-
-
-def verify(
-    old_window: Sequence[int],
-    new_predictions: Sequence[int],
-    skip: bool,
-    pad_id: int,
-) -> VerifyOutcome:
+def verify(window: Sequence[int], preds: Sequence[int], skip: bool) -> VerifyOutcome:
     """Accept the guaranteed exact token plus any confirmed guess prefix.
 
-    ``match_len`` is the longest k with ``old_window[:k] == new_predictions[:k]``.
-    In skip mode ``1 + match_len`` tokens commit; otherwise exactly one.
-    The uncommitted tail of the fresh predictions slides into the next
-    window, right-padded with PAD to the fixed window length.
+    ``match_len`` is the longest k with ``window[:k] == preds[:k]``.  In
+    skip mode ``1 + match_len`` tokens commit; otherwise exactly one.
     """
-    c = len(old_window)
-    if len(new_predictions) != c + 1:
-        raise ContractError(
-            f"expected {c + 1} predictions for a window of {c}, got {len(new_predictions)}"
-        )
+    c = len(window)
+    if len(preds) != c + 1:
+        raise ContractError(f"expected {c + 1} predictions for a window of {c}, got {len(preds)}")
     k = 0
-    while k < c and old_window[k] == new_predictions[k]:
+    while k < c and window[k] == preds[k]:
         k += 1
-    commit = 1 + k if skip else 1
-    committed = list(new_predictions[:commit])
-    next_window = list(new_predictions[commit : c + 1])
-    next_window += [pad_id] * (c - len(next_window))
-    return VerifyOutcome(committed=committed, match_len=k, next_window=next_window)
-
-
-def update(buffer: DecodeBuffer, outcome: VerifyOutcome) -> DecodeBuffer:
-    """Apply a verification outcome: extend exact, advance frontier, slide window."""
-    if len(outcome.next_window) != len(buffer.window):
-        raise ContractError("outcome window length disagrees with buffer window")
-    buffer.exact.extend(outcome.committed)
-    buffer.frontier += len(outcome.committed)
-    buffer.window = list(outcome.next_window)
-    buffer.iteration += 1
-    buffer.check()
-    return buffer
+    return VerifyOutcome(committed=list(preds[: 1 + k if skip else 1]), match_len=k)
 
 
 class BatchBuffers:
-    """Decode buffers for a batch sharing one backend and one config.
+    """The decode state of a batch sharing one backend and one window length.
 
-    Keeps each instance's ``prompt ‖ exact ‖ window`` in one row of a
-    preallocated int64 array, ``capacity`` tokens wide (by default the
-    longest initial context).  :meth:`context` is a view of the row and
-    :meth:`write_tail` overwrites its tail in place, so neither copies the
-    context.  Frontiers advance independently; finished instances are
-    frozen while the rest continue.
+    Per instance: a row of ``store`` holding ``prompt ‖ exact ‖ window``
+    (``capacity`` tokens wide, by default the initial context), the
+    ``prompt_len``, ``frontier`` and ``iteration`` counters, the
+    ``finished`` flag, and a :class:`HistoryMask` marking prompt ∪ exact.
+    :meth:`context`, :meth:`exact` and :meth:`window` are views of the row:
+    read them, do not keep them, since :func:`update` overwrites the tail.
+    Prompt ids must already be checked to lie in the vocabulary.
     """
 
     def __init__(
         self,
-        buffers: Sequence[DecodeBuffer],
         prompts: Sequence[Sequence[int]],
+        window_len: int,
+        spec: BackendSpec,
         capacity: int | None = None,
     ) -> None:
-        if len(buffers) == 0:
+        if len(prompts) == 0:
             raise ContractError("batch must be nonempty")
-        if len(prompts) != len(buffers):
-            raise ContractError("one prompt per buffer required")
-        for buf, prompt in zip(buffers, prompts):
-            if buf.prompt_len != len(prompt):
-                raise ContractError("buffer prompt_len disagrees with prompt")
-        self.buffers = list(buffers)
-        contexts = [[*p, *b.exact, *b.window] for p, b in zip(prompts, buffers)]
-        self.lengths = [len(ctx) for ctx in contexts]
+        if window_len < 0:
+            raise ContractError("window length must be nonnegative")
+        if min(len(p) for p in prompts) < 1:
+            raise ContractError("prompt length must be >= 1")
+        self.window_len = window_len
+        self.pad_id = spec.pad_id
+        self.prompt_len = [len(p) for p in prompts]
+        self.frontier = list(self.prompt_len)
+        self.iteration = [0] * len(prompts)
+        self.finished = [False] * len(prompts)
+        need = max(self.prompt_len) + window_len
         if capacity is None:
-            capacity = max(self.lengths)
-        if capacity < max(self.lengths):
-            raise CapacityError(
-                f"context of {max(self.lengths)} tokens exceeds capacity {capacity}"
-            )
-        self.store = np.zeros((len(buffers), capacity), dtype=np.int64)
-        for row, ctx in zip(self.store, contexts):
-            row[: len(ctx)] = ctx
-        self.finished = [False] * len(buffers)
+            capacity = need
+        if capacity < need:
+            raise CapacityError(f"context of {need} tokens exceeds capacity {capacity}")
+        # Zeros, not a PAD fill: pages past the decoded tokens stay untouched.
+        self.store = np.zeros((len(prompts), capacity), dtype=np.int64)
+        self.histories = [HistoryMask(spec.vocab_size) for _ in prompts]
+        for row, mask, prompt in zip(self.store, self.histories, prompts):
+            n = len(prompt)
+            row[:n] = prompt
+            row[n : n + window_len] = spec.pad_id
+            mask.extend(row[:n])
 
     def context(self, i: int) -> np.ndarray:
-        """A view of instance ``i``'s context; read it, do not keep it."""
-        return self.store[i, : self.lengths[i]]
+        """Instance ``i``'s ``prompt ‖ exact ‖ window``."""
+        return self.store[i, : self.frontier[i] + self.window_len]
 
-    def write_tail(self, i: int, start: int, tokens: Sequence[int]) -> None:
-        """Replace instance ``i``'s context from ``start`` on with ``tokens``."""
-        end = start + len(tokens)
-        if not 0 <= start <= self.lengths[i]:
-            raise ContractError(f"tail start {start} outside context of {self.lengths[i]}")
-        if end > self.store.shape[1]:
-            raise CapacityError(
-                f"context of {end} tokens exceeds capacity {self.store.shape[1]}"
-            )
-        self.store[i, start:end] = tokens
-        self.lengths[i] = end
+    def exact(self, i: int) -> np.ndarray:
+        return self.store[i, self.prompt_len[i] : self.frontier[i]]
+
+    def window(self, i: int) -> np.ndarray:
+        f = self.frontier[i]
+        return self.store[i, f : f + self.window_len]
 
     def __len__(self) -> int:
-        return len(self.buffers)
-
-    def __getitem__(self, i: int) -> DecodeBuffer:
-        return self.buffers[i]
-
-    @property
-    def max_frontier(self) -> int:
-        return max(b.frontier for b in self.buffers)
+        return len(self.prompt_len)
 
     def active_indices(self) -> list[int]:
         return [i for i, done in enumerate(self.finished) if not done]
+
+
+def update(buffers: BatchBuffers, i: int, preds: Sequence[int], m: int) -> None:
+    """Commit ``preds[:m]`` for instance ``i`` and slide the rest into its window.
+
+    Writes ``preds ‖ PAD^(m-1)`` at the frontier, marks ``preds[:m]`` in
+    the history and advances the frontier by ``m``, so the next window is
+    ``preds[m:] ‖ PAD^(m-1)``.
+    """
+    c = buffers.window_len
+    if len(preds) != c + 1:
+        raise ContractError(f"expected {c + 1} predictions for a window of {c}, got {len(preds)}")
+    if not 1 <= m <= c + 1:
+        raise ContractError(f"commit of {m} tokens outside 1..{c + 1}")
+    start = buffers.frontier[i]
+    row = buffers.store[i]
+    end = start + c + m
+    if end > row.shape[0]:
+        raise CapacityError(f"context of {end} tokens exceeds capacity {row.shape[0]}")
+    row[start:end] = list(preds) + [buffers.pad_id] * (m - 1)
+    buffers.histories[i].extend(row[start : start + m])
+    buffers.frontier[i] = start + m
+    buffers.iteration[i] += 1

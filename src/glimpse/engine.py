@@ -19,20 +19,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from glimpse.backends.base import Backend, HistoryMask, StepOutput, TokenSeq
-from glimpse.buffer import (
-    BatchBuffers,
-    DecodeBuffer,
-    VerifyOutcome,
-    init_buffer,
-    update,
-    verify,
-)
+from glimpse.backends.base import Backend, StepOutput, TokenSeq, check_forward_args
+from glimpse.buffer import BatchBuffers, update, verify
 from glimpse.cache import CacheBuffer, alloc
 from glimpse.errors import ConfigError, ContractError
 from glimpse.trace import DecodeTrace, IterationRecord, PhaseTimer
@@ -136,16 +129,6 @@ class DecodeResult:
     stop: StopDecision
 
 
-@dataclass
-class IterationOutput:
-    """Per-instance product of one engine iteration."""
-
-    outcome: VerifyOutcome
-    step: StepOutput
-    probe: float
-    predictions: list[int] = field(default_factory=list)
-
-
 def probe_score(step: StepOutput, window_positions: Sequence[int]) -> float:
     """Peak head-averaged attention from the last queried position onto the window.
 
@@ -159,51 +142,25 @@ def probe_score(step: StepOutput, window_positions: Sequence[int]) -> float:
 
 
 def check_stop(
-    buffer: DecodeBuffer,
-    committed: Sequence[int],
-    probe: float,
-    eos_id: int,
-    cfg: DecodeConfig,
+    record: IterationRecord, n_exact: int, eos_id: int, cfg: DecodeConfig
 ) -> StopDecision | None:
     """Evaluate stop conditions in fixed precedence; return the first hit.
 
-    ``committed`` and ``probe`` come from the iteration that just updated
-    ``buffer``.  Order: EOS committed this iteration, probe score at
-    threshold, iteration cap, exact-token budget.
+    ``record`` is the iteration that just ended and ``n_exact`` the
+    instance's exact-token count after it.  Order: EOS committed this
+    iteration, probe score at threshold, iteration cap, exact-token budget.
     """
+    committed = record.committed
     if eos_id in committed:
-        eos_pos = buffer.frontier - len(committed) + committed.index(eos_id)
+        eos_pos = record.frontier_before + committed.index(eos_id)
         return StopDecision(reason="eos", value=float(eos_pos))
-    if cfg.probe_threshold is not None and probe >= cfg.probe_threshold:
-        return StopDecision(reason="probe", value=probe)
-    if cfg.iteration_cap is not None and buffer.iteration >= cfg.iteration_cap:
-        return StopDecision(reason="iteration_cap", value=float(buffer.iteration))
-    if len(buffer.exact) >= cfg.max_new_tokens:
-        return StopDecision(reason="max_tokens", value=float(len(buffer.exact)))
+    if cfg.probe_threshold is not None and record.probe_score >= cfg.probe_threshold:
+        return StopDecision(reason="probe", value=record.probe_score)
+    if cfg.iteration_cap is not None and record.iteration >= cfg.iteration_cap:
+        return StopDecision(reason="iteration_cap", value=float(record.iteration))
+    if n_exact >= cfg.max_new_tokens:
+        return StopDecision(reason="max_tokens", value=float(n_exact))
     return None
-
-
-def _truncate_commit(
-    outcome: VerifyOutcome, remaining_budget: int, eos_id: int, window_len: int
-) -> VerifyOutcome:
-    """Trim a commit at the token budget and at the first EOS.
-
-    Dropped committed tokens are verified continuations, so they slide back
-    into the front of the next window rather than being thrown away.
-    """
-    cut = min(len(outcome.committed), remaining_budget)
-    head = outcome.committed[:cut]
-    if eos_id in head:
-        cut = head.index(eos_id) + 1
-    if cut == len(outcome.committed):
-        return outcome
-    dropped = outcome.committed[cut:]
-    next_window = (dropped + outcome.next_window)[:window_len]
-    return VerifyOutcome(
-        committed=outcome.committed[:cut],
-        match_len=outcome.match_len,
-        next_window=next_window,
-    )
 
 
 def iterate_once(
@@ -212,86 +169,86 @@ def iterate_once(
     cache: CacheBuffer | None,
     cfg: DecodeConfig,
     instances: Sequence[int] | None = None,
-    histories: Sequence[HistoryMask] | None = None,
     timer: PhaseTimer | None = None,
-) -> list[IterationOutput]:
-    """Run one fused forward + verify + update over the given instances.
+) -> list[IterationRecord]:
+    """Run one fused forward + pick + verify + update over the given instances.
 
     Every listed instance must be unfinished.  Each gets exactly one
     forward call over ``[cached prefix | frontier-1 token | window]`` with
     a query block of ``window_len + 1`` (the first call also computes the
     uncached prompt); the cache is extended by the newly exact positions
-    only.  The forward for the whole batch happens, and its scores are
-    checked to be finite, before any instance is updated, so a backend
-    error or a non-finite score leaves every buffer untouched.  Cache
-    write-back and update then run instance by instance and are not rolled
-    back: a write-back error on one instance leaves the earlier ones
-    advanced.
+    only.  The commit count is ``1 + match_len`` with skip (else 1), cut at
+    the token budget and after the first EOS.  The forward for the whole
+    batch happens, and its scores are checked to be finite, before any
+    instance is updated, so a backend error or a non-finite score leaves
+    every buffer untouched.  Cache write-back and update then run instance
+    by instance and are not rolled back: a write-back error on one instance
+    leaves the earlier ones advanced.  Returns one record per instance.
     """
     if instances is None:
-        instances = list(range(len(buffers)))
+        instances = range(len(buffers))
     for i in instances:
         if buffers.finished[i]:
             raise ContractError(f"instance {i} already finished")
     timer = timer or PhaseTimer()
-    pad = backend.spec.pad_id
     eos = backend.spec.eos_id
+    c = buffers.window_len
+    penalty = cfg.repetition_penalty
 
     contexts = [buffers.context(i) for i in instances]
-    block_lens = [len(buffers[i].window) + 1 for i in instances]
     slots = [cache.slot(i) for i in instances] if cache is not None else None
     with timer.phase("infer"):
-        steps = backend.forward_batch(contexts, block_lens, slots)
+        steps = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
     for step in steps:
         if not np.isfinite(step.rows).all():
             raise ContractError("backend returned non-finite scores")
 
-    outputs: list[IterationOutput] = []
-    for pos, i in enumerate(instances):
-        buf = buffers[i]
-        step = steps[pos]
-        ctx = contexts[pos]
-        c = len(buf.window)
-        if histories is None:
-            mask = HistoryMask(backend.spec.vocab_size)
-            mask.extend(ctx[: buf.frontier])
-        else:
-            # Window tokens join the history only for this iteration.
-            mask = histories[pos].copy() if c else histories[pos]
+    records: list[IterationRecord] = []
+    for i, ctx, step in zip(instances, contexts, steps):
+        frontier = buffers.frontier[i]
+        window = buffers.window(i)
+        mask = buffers.histories[i]
         with timer.phase("decode"):
-            preds = [mask.pick(step.rows[0], cfg.repetition_penalty)]
+            preds = mask.pick(step.rows[:1], penalty)
         if c:
+            # Window tokens join the history of the rows after them, for this pick only.
             with timer.phase("context_decode"):
-                for j in range(1, c + 1):
-                    mask.add(buf.window[j - 1])
-                    preds.append(mask.pick(step.rows[j], cfg.repetition_penalty))
-
-        probe = probe_score(step, range(buf.frontier, buf.frontier + c)) if c else 0.0
-        raw = verify(buf.window, preds, cfg.skip, pad)
-        remaining = cfg.max_new_tokens - len(buf.exact)
-        outcome = _truncate_commit(raw, remaining, eos, c)
+                preds += mask.pick(step.rows[1:], penalty, window)
+        probe = probe_score(step, range(frontier, frontier + c)) if c else 0.0
+        window_before = window.tolist()
+        outcome = verify(window_before, preds, cfg.skip)
+        m = min(len(outcome.committed), cfg.max_new_tokens - (frontier - buffers.prompt_len[i]))
+        if eos in preds[:m]:
+            m = preds.index(eos) + 1
 
         if cache is not None and step.new_kv is not None:
             # Persist up to (new frontier - 1): all freshly exact positions
             # except the last committed token, whose K/V is recomputed as the
             # next iteration's frontier-1 input.
-            persist_end = buf.frontier + len(outcome.committed) - 1
-            count = persist_end - step.new_start
+            persist_end = frontier + m - 1
             with timer.phase("kv_cache"):
                 cache.write_back(
                     i,
                     step.new_kv,
                     step.new_start,
-                    count,
+                    persist_end - step.new_start,
                     ctx[step.new_start : persist_end],
                 )
-        # The context's tail from the frontier is the window being replaced.
-        buffers.write_tail(i, buf.frontier, [*outcome.committed, *outcome.next_window])
-        update(buf, outcome)
-        outputs.append(
-            IterationOutput(outcome=outcome, step=step, probe=probe, predictions=preds)
+        update(buffers, i, preds, m)
+        records.append(
+            IterationRecord(
+                iteration=buffers.iteration[i],
+                frontier_before=frontier,
+                frontier=frontier + m,
+                window_before=window_before,
+                predictions=preds,
+                match_len=outcome.match_len,
+                committed=preds[:m],
+                window=buffers.window(i).tolist(),
+                probe_score=probe,
+            )
         )
-    return outputs
+    return records
 
 
 def _max_context(prompts: Sequence[TokenSeq], cfg: DecodeConfig) -> int:
@@ -331,32 +288,21 @@ class _Session:
         timer: PhaseTimer | None = None,
     ) -> None:
         spec = backend.spec
-        for prompt in prompts:
-            if len(prompt) == 0:
-                raise ContractError("prompt must be nonempty")
-            for tok in prompt:
-                if not 0 <= tok < spec.vocab_size:
-                    raise ContractError(f"prompt token {tok} outside vocab")
+        # The backends' own check: integer ids inside the vocabulary.
+        prompts = [check_forward_args(spec, prompt, 1) for prompt in prompts]
         for tok in cfg.answer_trigger:
             if not 0 <= tok < spec.vocab_size:
                 raise ConfigError(f"answer trigger token {tok} outside vocab")
         need = _max_context(prompts, cfg)
         _check_capacity(backend, need, "decoding")
-        self.buffers = BatchBuffers(
-            [init_buffer(len(p), cfg.window_len, spec.pad_id) for p in prompts],
-            prompts,
-            # The last update appends its commit after the last forward's context.
-            capacity=need + 1,
-        )
+        # The last update's tail write ends at most one token past the last forward's context.
+        self.buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
         self.backend = backend
         self.cfg = cfg
         self.timer = timer or PhaseTimer()
-        self.histories = [HistoryMask(spec.vocab_size) for _ in prompts]
-        for mask, prompt in zip(self.histories, prompts):
-            mask.extend(prompt)
         self.stops: list[StopDecision | None] = [None] * len(prompts)
         self.traces = [
-            DecodeTrace(method=method, prompt=list(p), window_len=cfg.window_len, skip=cfg.skip)
+            DecodeTrace(method=method, prompt=p.tolist(), window_len=cfg.window_len, skip=cfg.skip)
             for p in prompts
         ]
         if cache is None and spec.supports_cache:
@@ -369,48 +315,24 @@ class _Session:
         eos = self.backend.spec.eos_id
         active = buffers.active_indices()
         while active:
-            windows_before = [buffers[i].window for i in active]
-            outs = iterate_once(
-                buffers,
-                self.backend,
-                self.cache,
-                cfg,
-                instances=active,
-                histories=[self.histories[i] for i in active],
-                timer=timer,
-            )
-            for window_before, i, out in zip(windows_before, active, outs):
-                buf = buffers[i]
-                committed = out.outcome.committed
-                self.histories[i].extend(committed)
-                self.traces[i].records.append(
-                    IterationRecord(
-                        iteration=buf.iteration,
-                        frontier_before=buf.frontier - len(committed),
-                        frontier=buf.frontier,
-                        window_before=window_before,
-                        predictions=out.predictions,
-                        match_len=out.outcome.match_len,
-                        committed=committed,
-                        window=buf.window,
-                        probe_score=out.probe,
-                    )
-                )
+            records = iterate_once(buffers, self.backend, self.cache, cfg, active, timer)
+            for i, rec in zip(active, records):
+                self.traces[i].records.append(rec)
                 with timer.phase("stop_check"):
-                    stop = check_stop(buf, committed, out.probe, eos, cfg)
+                    stop = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
                 if stop is not None:
                     buffers.finished[i] = True
                     self.stops[i] = stop
             active = buffers.active_indices()
         return [
             DecodeResult(
-                exact_rationale=list(buf.exact),
-                approximate_tail=list(buf.window),
+                exact_rationale=buffers.exact(i).tolist(),
+                approximate_tail=buffers.window(i).tolist(),
                 answer=[],
                 trace=trace,
                 stop=stop,
             )
-            for buf, trace, stop in zip(buffers.buffers, self.traces, self.stops)
+            for i, (trace, stop) in enumerate(zip(self.traces, self.stops))
         ]
 
 
@@ -554,7 +476,12 @@ def truncated_cot(
             exact_rationale=[],
             approximate_tail=[],
             answer=answer_phase(prompt, [], [], backend, cfg, timer=timer),
-            trace=DecodeTrace(method="truncated", prompt=list(prompt), window_len=0, skip=False),
+            trace=DecodeTrace(
+                method="truncated",
+                prompt=check_forward_args(backend.spec, prompt, 1).tolist(),
+                window_len=0,
+                skip=False,
+            ),
             stop=StopDecision(reason="iteration_cap", value=0.0),
         )
         return _stamp([result], timer, t0)[0]

@@ -128,7 +128,7 @@ def test_criterion_3_geometric_yield():
                 old = list(range(10, 10 + c))
                 new = [old[j] if row[j] else old[j] + 100 for j in range(c)]
                 new.append(7)
-                out = verify(old, new, skip=True, pad_id=0)
+                out = verify(old, new, skip=True)
                 total += len(out.committed)
             mean = total / iterations
             assert abs(mean - expected) <= 0.03 * expected, (p, c, mean, expected)

@@ -20,7 +20,7 @@ from glimpse.backends.scripted import (
     TRIGGER,
     UNK,
 )
-from glimpse.backends.base import HistoryMask, penalized_scores
+from glimpse.backends.base import HistoryMask, check_forward_args, penalized_scores
 from glimpse.cache import alloc
 from glimpse.errors import (
     CacheMismatchError,
@@ -98,18 +98,36 @@ def _penalized_loop(row, mask, penalty):
 def test_penalized_pick_matches_oracle(row, penalty, data):
     # The sampled scores make zeros and ties common, and a penalty can make
     # new ties (2.4 / 2.0 == 1.2) that must still break to the lowest id.
-    mask = data.draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+    vocab = len(row)
+    mask = data.draw(st.lists(st.booleans(), min_size=vocab, max_size=vocab))
     history = [tok for tok, marked in enumerate(mask) if marked]
     scores = np.asarray(row, dtype=np.float64)
     adjusted = penalized_scores(scores, np.asarray(mask), penalty)
     reference = _penalized_loop(row, mask, penalty)
     assert adjusted.tolist() == reference
     assert np.array_equal(np.signbit(adjusted), np.signbit(reference))
-    hist = HistoryMask(len(row))
+    assert greedy_pick(scores, history, penalty) == penalized_argmax(row, history, penalty)
+
+    # A block picked at once: row j is penalized under history + window[:j].
+    n = data.draw(st.integers(1, 9))
+    rows = [row] + data.draw(
+        st.lists(st.lists(_SCORES, min_size=vocab, max_size=vocab), min_size=n - 1, max_size=n - 1)
+    )
+    # Windows repeat tokens and hold PAD (the last id) and tokens already in the history.
+    pad = vocab - 1
+    token = st.one_of(st.just(pad), st.sampled_from(history or [pad]), st.integers(0, min(vocab, 3) - 1))
+    window = data.draw(st.lists(token, min_size=n - 1, max_size=n - 1))
+    hist = HistoryMask(vocab)
     hist.extend(history)
-    want = penalized_argmax(row, history, penalty)
-    assert hist.pick(scores, penalty) == want
-    assert greedy_pick(scores, history, penalty) == want
+    block = np.asarray(rows, dtype=np.float64)
+    picks = hist.pick(block, penalty, window)
+    assert picks == [penalized_argmax(rows[j], history + window[:j], penalty) for j in range(n)]
+    # Rows score the block's last positions: without row 0, row j still sees window[:j + 1].
+    assert hist.pick(block[1:], penalty, window) == picks[1:]
+    assert hist.mask.tolist() == mask
+    if n > 1:
+        with pytest.raises(ContractError):
+            hist.pick(block, penalty, window[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +452,7 @@ _BACKENDS = {
 
 
 @pytest.mark.parametrize("kind", sorted(_BACKENDS))
-@pytest.mark.parametrize("bad", ["vocab", -1, -(2**70), 2**70])
+@pytest.mark.parametrize("bad", ["vocab", -1, -(2**70), 2**70, 3.7])
 @pytest.mark.parametrize("where", [0, 20])
 def test_out_of_vocab_anywhere_in_context_rejected(kind, bad, where):
     backend = _BACKENDS[kind]()
@@ -448,6 +466,12 @@ def test_out_of_vocab_anywhere_in_context_rejected(kind, bad, where):
         backend.forward_batch([[spec.pad_id] * 4, ctx], [1, 2])
     ctx[where] = spec.pad_id
     backend.forward(ctx, 2)  # the same context with the id replaced is fine
+    # Ids are refused, not cast, when they are not integers.
+    for dtype in (np.float64, bool):
+        with pytest.raises(ContractError):
+            backend.forward(np.asarray(ctx, dtype=dtype), 2)
+    view = np.asarray([ctx, ctx], dtype=np.int64)[1, :30]
+    assert check_forward_args(spec, view, 2) is view  # an int64 view is not copied
 
 
 @pytest.mark.parametrize("kind", sorted(_BACKENDS))

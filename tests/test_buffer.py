@@ -1,82 +1,93 @@
 import numpy as np
 import pytest
 
-from glimpse.buffer import BatchBuffers, init_buffer, update, verify
+from glimpse.backends.base import BackendSpec
+from glimpse.buffer import BatchBuffers, update, verify
 from glimpse.errors import CapacityError, ContractError
 
 PAD = 99
+SPEC = BackendSpec(vocab_size=100, pad_id=PAD, eos_id=98)
+
+
+def _state(b, i=0):
+    return b.exact(i).tolist(), b.window(i).tolist(), b.frontier[i], b.iteration[i]
+
+
+def _slide(preds, m):
+    """(committed, next window) of one update from a fresh one-token prompt."""
+    b = BatchBuffers([[1]], len(preds) - 1, SPEC, capacity=len(preds) + m)
+    update(b, 0, preds, m)
+    return b.exact(0).tolist(), b.window(0).tolist()
 
 
 def test_init_pure_ar_mode():
-    buf = init_buffer(10, 0, PAD)
-    assert buf.window == []
-    assert buf.frontier == 10
-    assert buf.iteration == 0
+    b = BatchBuffers([list(range(10))], 0, SPEC)
+    assert _state(b) == ([], [], 10, 0)
+    assert b.context(0).tolist() == list(range(10))
 
 
 def test_init_window_filled_with_pad():
-    buf = init_buffer(10, 3, PAD)
-    assert buf.window == [PAD, PAD, PAD]
-    assert buf.frontier == 10
-    assert buf.exact == []
+    b = BatchBuffers([list(range(10))], 3, SPEC)
+    assert _state(b) == ([], [PAD, PAD, PAD], 10, 0)
+    assert b.histories[0].mask.nonzero()[0].tolist() == list(range(10))
 
 
 def test_init_rejects_negative_window():
     with pytest.raises(ContractError):
-        init_buffer(10, -1, PAD)
+        BatchBuffers([list(range(10))], -1, SPEC)
 
 
 def test_verify_skip_commits_matched_prefix():
-    out = verify([5, 7, 9], [5, 7, 8, 4], skip=True, pad_id=PAD)
+    out = verify([5, 7, 9], [5, 7, 8, 4], skip=True)
     assert out.committed == [5, 7, 8]
     assert out.match_len == 2
-    assert out.next_window == [4, PAD, PAD]
+    assert _slide([5, 7, 8, 4], 3) == ([5, 7, 8], [4, PAD, PAD])
 
 
 def test_verify_skip_first_guess_misses():
-    out = verify([5, 7, 9], [6, 7, 9, 4], skip=True, pad_id=PAD)
+    out = verify([5, 7, 9], [6, 7, 9, 4], skip=True)
     assert out.committed == [6]
     assert out.match_len == 0
-    assert out.next_window == [7, 9, 4]
+    assert _slide([6, 7, 9, 4], 1) == ([6], [7, 9, 4])
 
 
 def test_verify_no_skip_commits_one():
-    out = verify([5, 7, 9], [5, 7, 8, 4], skip=False, pad_id=PAD)
+    out = verify([5, 7, 9], [5, 7, 8, 4], skip=False)
     assert out.committed == [5]
     assert out.match_len == 2
-    assert out.next_window == [7, 8, 4]
+    assert _slide([5, 7, 8, 4], 1) == ([5], [7, 8, 4])
 
 
 def test_verify_empty_window():
-    out = verify([], [3], skip=True, pad_id=PAD)
+    out = verify([], [3], skip=True)
     assert out.committed == [3]
     assert out.match_len == 0
-    assert out.next_window == []
+    assert _slide([3], 1) == ([3], [])
 
 
 def test_verify_full_match_refills_with_pad():
-    out = verify([1, 2], [1, 2, 3], skip=True, pad_id=PAD)
+    out = verify([1, 2], [1, 2, 3], skip=True)
     assert out.committed == [1, 2, 3]
-    assert out.next_window == [PAD, PAD]
+    assert _slide([1, 2, 3], 3) == ([1, 2, 3], [PAD, PAD])
 
 
 def test_verify_length_mismatch_rejected():
     with pytest.raises(ContractError):
-        verify([1, 2, 3], [1, 2, 3], skip=True, pad_id=PAD)
+        verify([1, 2, 3], [1, 2, 3], skip=True)
 
 
 def test_update_advances_frontier_and_iteration():
-    buf = init_buffer(10, 3, PAD)
-    out = verify(buf.window, [4, 5, 6, 7], skip=True, pad_id=PAD)
-    update(buf, out)
-    assert buf.frontier == 11  # PAD window: only the AR token commits
-    assert buf.iteration == 1
-    assert len(buf.window) == 3
-    out2 = verify(buf.window, list(buf.window) + [8], skip=True, pad_id=PAD)
-    update(buf, out2)
-    assert buf.frontier == 15  # full match commits 1 + 3
-    assert buf.iteration == 2
-    assert len(buf.window) == 3
+    b = BatchBuffers([list(range(10))], 3, SPEC, capacity=20)
+    preds = [4, 5, 6, 7]
+    update(b, 0, preds, len(verify(b.window(0), preds, skip=True).committed))
+    # PAD window: only the AR token commits
+    assert _state(b) == ([4], [5, 6, 7], 11, 1)
+    preds = b.window(0).tolist() + [8]
+    update(b, 0, preds, len(verify(b.window(0), preds, skip=True).committed))
+    # full match commits 1 + 3
+    assert _state(b) == ([4, 5, 6, 7, 8], [PAD, PAD, PAD], 15, 2)
+    assert b.histories[0].mask[[4, 5, 6, 7, 8]].all()
+    assert not b.histories[0].mask[PAD]
 
 
 def test_verify_properties_random():
@@ -86,7 +97,7 @@ def test_verify_properties_random():
         skip = bool(rng.integers(0, 2))
         old = [int(t) for t in rng.integers(0, 5, size=c)]
         new = [int(t) for t in rng.integers(0, 5, size=c + 1)]
-        out = verify(old, new, skip=skip, pad_id=PAD)
+        out = verify(old, new, skip=skip)
         # committed[0] is always the frontier prediction
         assert out.committed[0] == new[0]
         # match_len is the longest equal prefix
@@ -96,41 +107,47 @@ def test_verify_properties_random():
         assert out.match_len == k
         assert len(out.committed) == (1 + k if skip else 1)
         assert out.match_len <= c
-        assert len(out.next_window) == c
-        m = len(out.committed)
-        assert out.next_window[: c + 1 - m] == new[m:]
+        # any commit count, cut or not, slides the rest into the window
+        for m in range(1, len(out.committed) + 1):
+            committed, window = _slide(new, m)
+            assert committed == new[:m]
+            assert window == new[m:] + [PAD] * (m - 1)
 
 
 def test_exact_stream_append_only():
     rng = np.random.default_rng(1)
-    buf = init_buffer(4, 4, PAD)
+    b = BatchBuffers([[1, 2, 3, 4]], 4, SPEC, capacity=4 + 50 * 5 + 4)
     seen: list[int] = []
     for _ in range(50):
         preds = [int(t) for t in rng.integers(0, 6, size=5)]
-        out = verify(buf.window, preds, skip=True, pad_id=PAD)
-        update(buf, out)
-        assert buf.exact[: len(seen)] == seen
-        seen = list(buf.exact)
-        buf.check()
+        out = verify(b.window(0), preds, skip=True)
+        update(b, 0, preds, len(out.committed))
+        exact = b.exact(0).tolist()
+        assert exact[: len(seen)] == seen
+        assert b.frontier[0] == 4 + len(exact)
+        seen = exact
 
 
 def test_batch_buffers_contract():
-    bufs = [init_buffer(2, 3, PAD), init_buffer(4, 3, PAD)]
-    batch = BatchBuffers(bufs, [[1, 2], [3, 4, 5, 6]])
-    assert batch.max_frontier == 4
+    batch = BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC)
     assert batch.active_indices() == [0, 1]
     assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
+    assert batch.store.shape == (2, 7)
     with pytest.raises(ContractError):
-        BatchBuffers(bufs, [[1, 2]])
+        BatchBuffers([[1, 2], []], 3, SPEC)
     with pytest.raises(ContractError):
-        BatchBuffers([], [])
+        BatchBuffers([], 3, SPEC)
     with pytest.raises(CapacityError):
-        BatchBuffers(bufs, [[1, 2], [3, 4, 5, 6]], capacity=6)
-    batch = BatchBuffers(bufs, [[1, 2], [3, 4, 5, 6]], capacity=9)
-    batch.write_tail(0, 2, [7, 8, 9, 9, 9])
-    assert batch.context(0).tolist() == [1, 2, 7, 8, 9, 9, 9]
+        BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC, capacity=6)
+    batch = BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC, capacity=9)
+    update(batch, 0, [7, 8, 9, 9], 1)
+    assert batch.context(0).tolist() == [1, 2, 7, 8, 9, 9]
     assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
+    batch.finished[0] = True
+    assert batch.active_indices() == [1]
     with pytest.raises(CapacityError):
-        batch.write_tail(1, 5, [1] * 5)
-    with pytest.raises(ContractError):
-        batch.write_tail(1, 8, [1])  # would leave a gap after the context
+        update(batch, 1, [1] * 4, 3)  # 4 + 3 + 3 > 9
+    for preds, m in (([1] * 3, 1), ([1] * 4, 0), ([1] * 4, 5)):
+        with pytest.raises(ContractError):
+            update(batch, 1, preds, m)
+    assert _state(batch, 1) == ([], [PAD, PAD, PAD], 4, 0)

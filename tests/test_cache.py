@@ -255,9 +255,9 @@ def test_cached_work_quadratic_not_cubic():
             mask.extend(seq)
             for _ in range(n_tokens):
                 out = backend.forward(seq, 1)
-                tok = mask.pick(out.rows[0], cfg.repetition_penalty)
+                tok = mask.pick(out.rows, cfg.repetition_penalty)[0]
                 seq.append(tok)
-                mask.add(tok)
+                mask.extend([tok])
         return backend.score_reads
 
     small, big = 24, 48

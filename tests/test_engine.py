@@ -1,5 +1,9 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glimpse.backends import (
     NgramBackend,
@@ -9,7 +13,7 @@ from glimpse.backends import (
     RetrievalScript,
 )
 from glimpse.backends.scripted import TRIGGER, PAD as S_PAD
-from glimpse.buffer import BatchBuffers, init_buffer
+from glimpse.buffer import BatchBuffers, update
 from glimpse.engine import (
     DecodeConfig,
     answer_phase,
@@ -25,6 +29,7 @@ from glimpse.engine import (
 )
 from glimpse.backends.base import StepOutput
 from glimpse.errors import CapacityError, ConfigError, ContractError
+from glimpse.trace import IterationRecord
 
 from conftest import random_ngram_backend, random_prompt
 from oracles import greedy_ar_reference, jacobi_reference
@@ -87,9 +92,7 @@ def test_batch_matches_solo_runs(toy_backend):
 
 def test_iterate_once_rejects_finished_instance(counting_backend):
     cfg = cfg_for(counting_backend, 2)
-    bufs = BatchBuffers(
-        [init_buffer(1, 2, counting_backend.spec.pad_id)], [[0]]
-    )
+    bufs = BatchBuffers([[0]], 2, counting_backend.spec)
     bufs.finished[0] = True
     with pytest.raises(ContractError):
         iterate_once(bufs, counting_backend, None, cfg)
@@ -108,13 +111,15 @@ def test_iterate_once_atomic_on_backend_error(counting_backend):
             raise RuntimeError("boom")
 
     cfg = cfg_for(counting_backend, 2)
-    bufs = BatchBuffers(
-        [init_buffer(1, 2, counting_backend.spec.pad_id)], [[0]]
-    )
-    snapshot = (list(bufs[0].exact), list(bufs[0].window), bufs[0].frontier)
+    bufs = BatchBuffers([[0]], 2, counting_backend.spec, capacity=6)
+
+    def state():
+        return bufs.store.tolist(), bufs.frontier, bufs.iteration, bufs.histories[0].mask.tolist()
+
+    snapshot = state()
     with pytest.raises(RuntimeError):
         iterate_once(bufs, Flaky(counting_backend), None, cfg)
-    assert (list(bufs[0].exact), list(bufs[0].window), bufs[0].frontier) == snapshot
+    assert state() == snapshot
 
 
 def test_max_new_tokens_never_exceeded(counting_backend):
@@ -166,17 +171,35 @@ def test_stop_eos_beats_cap():
     assert res.stop.reason == "eos"
 
 
+def _record(committed, probe=0.0, iteration=1, frontier_before=3):
+    return IterationRecord(
+        iteration=iteration,
+        frontier_before=frontier_before,
+        frontier=frontier_before + len(committed),
+        window_before=[],
+        predictions=list(committed),
+        match_len=0,
+        committed=list(committed),
+        window=[],
+        probe_score=probe,
+    )
+
+
 def test_check_stop_returns_none_when_clear(counting_backend):
-    buf = init_buffer(3, 2, counting_backend.spec.pad_id)
     eos = counting_backend.spec.eos_id
-    assert check_stop(buf, [], 0.0, eos, cfg_for(counting_backend, 2, max_new=10)) is None
+    cfg = cfg_for(counting_backend, 2, max_new=10, iteration_cap=3)
+    assert check_stop(_record([1, 2], iteration=2), 9, eos, cfg) is None
+    assert check_stop(_record([1, 2], iteration=3), 9, eos, cfg).reason == "iteration_cap"
+    assert check_stop(_record([1, 2], iteration=2), 10, eos, cfg).reason == "max_tokens"
+    stop = check_stop(_record([1, eos, 2], probe=1.0), 10, eos, cfg)
+    assert (stop.reason, stop.value) == ("eos", 4.0)
 
 
 def test_check_stop_probe_at_threshold(counting_backend):
-    buf = init_buffer(3, 2, counting_backend.spec.pad_id)
-    buf.iteration = 1
     eos = counting_backend.spec.eos_id
-    stop = check_stop(buf, [], 0.35, eos, cfg_for(counting_backend, 2, probe_threshold=0.3))
+    stop = check_stop(
+        _record([1], probe=0.35), 1, eos, cfg_for(counting_backend, 2, probe_threshold=0.3)
+    )
     assert stop is not None
     assert stop.reason == "probe"
     assert stop.value == pytest.approx(0.35)
@@ -365,6 +388,37 @@ def test_losslessness_random_sample(toy_backend, counting_backend):
     assert cases == 40
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    c=st.integers(0, 8),
+    skip=st.booleans(),
+    budget=st.integers(1, 40),
+    penalty=st.sampled_from([1.0, 1.2]),
+    data=st.data(),
+)
+def test_trace_matches_jacobi_oracle_and_batch_matches_solo(seed, c, skip, budget, penalty, data):
+    # EOS follows about a fifth of all ids, so most runs stop at EOS rather
+    # than at the budget, and some cut a commit short at either.
+    backend = random_ngram_backend(seed, eos_prob=0.2)
+    vocab = backend.spec.vocab_size
+    prompt = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6)
+    prompts = data.draw(st.lists(prompt, min_size=2, max_size=4))
+    cfg = DecodeConfig(window_len=c, skip=skip, max_new_tokens=budget, repetition_penalty=penalty)
+    solo = [run_rationale(p, backend, cfg) for p in prompts]
+    for p, res in zip(prompts, solo):
+        exact, commits = jacobi_reference(backend, p, c, skip, budget, penalty)
+        assert res.exact_rationale == exact
+        assert [len(r.committed) for r in res.trace.records] == commits
+    for s, b in zip(solo, run_rationale_batch(prompts, backend, cfg)):
+        assert b.trace.records == s.trace.records
+        assert (b.exact_rationale, b.approximate_tail, b.stop) == (
+            s.exact_rationale,
+            s.approximate_tail,
+            s.stop,
+        )
+
+
 def test_skip_vs_noskip_same_stream_fewer_iterations(counting_backend):
     cfg_s = cfg_for(counting_backend, 5, skip=True, max_new=30)
     cfg_n = cfg_for(counting_backend, 5, skip=False, max_new=30)
@@ -498,25 +552,28 @@ def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
     c, budget = 3, 8
     cfg = DecodeConfig(window_len=c, max_new_tokens=budget)
     pad, eos = counting_backend.spec.pad_id, counting_backend.spec.eos_id
-    bufs = BatchBuffers(
-        [init_buffer(len(p), c, pad) for p in prompts], prompts, capacity=3 + budget + c
-    )
+    streams = [jacobi_reference(counting_backend, p, c, True, budget)[0] for p in prompts]
+    bufs = BatchBuffers(prompts, c, counting_backend.spec, capacity=3 + budget + c)
     truncated = 0
     active = bufs.active_indices()
     while active:
-        outs = iterate_once(bufs, counting_backend, None, cfg, instances=active)
-        for i, out in zip(active, outs):
-            buf = bufs[i]
+        records = iterate_once(bufs, counting_backend, None, cfg, instances=active)
+        for i, rec in zip(active, records):
+            m = len(rec.committed)
             # commits go 1, 4, 1, 4: the fourth is cut to the 2 tokens left
-            truncated += len(out.outcome.committed) < 1 + out.outcome.match_len
-            assert bufs.context(i).tolist() == prompts[i] + buf.exact + buf.window
-            if check_stop(buf, out.outcome.committed, out.probe, eos, cfg):
+            truncated += m < 1 + rec.match_len
+            n_exact = rec.frontier - len(prompts[i])
+            # a cut commit slides like any other: the rest of preds, then PAD
+            slide = rec.predictions[m:] + [pad] * (m - 1)
+            assert rec.window == slide
+            assert bufs.context(i).tolist() == prompts[i] + streams[i][:n_exact] + slide
+            if check_stop(rec, n_exact, eos, cfg):
                 bufs.finished[i] = True
         active = bufs.active_indices()
     assert truncated == 2
     assert [len(bufs.context(i)) for i in range(2)] == [1 + budget + c, 3 + budget + c]
     with pytest.raises(CapacityError):
-        bufs.write_tail(1, bufs[1].frontier, [0] * (c + 1))
+        update(bufs, 1, [0] * (c + 1), 1)
 
 
 def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows):
@@ -548,8 +605,12 @@ def test_results_hold_python_ints(toy_backend, counting_backend):
         ar_baseline([4, 5, 6], toy_backend, toy_cfg),
         truncated_cot([9], toy_backend, toy_cfg, 5),
         *run_rationale_batch([[0], [1, 2, 3]], counting_backend, count_cfg),
+        run_rationale(np.array([1, 0]), counting_backend, count_cfg),
     ]
+    assert results[-1].trace.prompt == [1, 0]
     for res in results:
+        res.trace.write_jsonl(io.StringIO())
+        assert all(type(tok) is int for tok in res.trace.prompt)
         for seq in (res.exact_rationale, res.approximate_tail, res.answer):
             assert all(type(tok) is int for tok in seq)
         assert type(res.stop.value) is float
@@ -560,6 +621,18 @@ def test_results_hold_python_ints(toy_backend, counting_backend):
             for name in ("window_before", "predictions", "committed", "window"):
                 assert all(type(tok) is int for tok in getattr(rec, name))
             assert type(rec.probe_score) is float
+
+
+def test_prompt_ids_checked_like_contexts(counting_backend):
+    cfg = DecodeConfig(window_len=2, max_new_tokens=5)
+    vocab = counting_backend.spec.vocab_size
+    for bad in ([1.0, 2.0], [3.7], np.array([True, False]), [0, vocab], [-1], [2**70], []):
+        with pytest.raises(ContractError):
+            run_rationale(bad, counting_backend, cfg)
+        with pytest.raises(ContractError):
+            run_rationale_batch([[0], bad], counting_backend, cfg)
+        with pytest.raises(ContractError):
+            ar_baseline(bad, counting_backend, cfg)
 
 
 @pytest.mark.parametrize("nan_at", [1, 3])
