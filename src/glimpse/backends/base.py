@@ -136,6 +136,9 @@ class SequentialBatchMixin:
         ]
 
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
 def check_forward_args(
     spec: BackendSpec, context: TokenSeq, block_len: int
 ) -> np.ndarray:
@@ -144,8 +147,9 @@ def check_forward_args(
     Returns the context as a 1-D int64 array, so that a backend converts
     it once; an int64 array (such as the engine's context view) is
     returned as is, without a copy.  Ids must be integers: floats and
-    bools are refused, not cast.  The checks are vectorized: their Python
-    work does not grow with the context.
+    bools are refused, not cast, also a single bool in a list of ints.
+    An array's checks are vectorized: their Python work does not grow
+    with the context.
     """
     ids = np.asarray(context)
     if ids.ndim != 1:
@@ -162,6 +166,9 @@ def check_forward_args(
         raise ContractError(
             f"token ids must be integers in [0, {spec.vocab_size}), got {ids.dtype} data"
         )
+    if not isinstance(context, np.ndarray) and not _BOOLS.isdisjoint(map(type, context)):
+        # numpy casts a bool among ints to 0 or 1; only a sequence can hide one.
+        raise ContractError("token ids must be integers, got a bool")
     ids = ids.astype(np.int64, copy=False)
     # As uint64 a negative id wraps past every vocab size, so one max
     # checks both bounds.

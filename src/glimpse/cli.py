@@ -1,10 +1,11 @@
 """Command-line entry point: decode, bench, sweep-window, corrupt.
 
-Every command reads an optional JSON config (overridable by flags), builds
-a deterministic backend, and writes machine-readable outputs (JSON report,
-JSONL traces, CSV tables).  Each output embeds the run manifest so results
-are replayable; reruns with the same manifest produce identical token
-outputs (wall-clock fields excepted).
+Every command reads an optional JSON config (each setting comes from its
+flag if given, else from the file, else a default), builds a deterministic
+backend, and writes machine-readable outputs (JSON report, JSONL traces,
+CSV tables).  Each output embeds the run manifest so results are
+replayable; reruns with the same manifest produce identical token outputs
+(wall-clock fields excepted).
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 Set GLIMPSE_LOG=DEBUG|INFO|WARNING for log verbosity.
@@ -19,9 +20,9 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from glimpse import __version__
 from glimpse.backends import (
@@ -35,49 +36,45 @@ from glimpse.backends import (
 )
 from glimpse.corruption import (
     CorruptionSpec,
+    default_answer_config,
     make_scripted_tasks,
     run_overlap_experiment,
 )
 from glimpse.engine import (
     DecodeConfig,
-    DecodeResult,
     ar_baseline,
     decode_with_answer,
+    run_rationale,
     truncated_cot,
 )
 from glimpse.errors import ConfigError
-from glimpse.metrics import iteration_savings
+from glimpse.metrics import (
+    PHASES,
+    HitReport,
+    WindowRecord,
+    aggregate,
+    iteration_savings,
+    score_window,
+    snapshots_from_trace,
+)
 
 log = logging.getLogger("glimpse")
 
 
-@dataclass
-class RunManifest:
-    """Identity of one CLI run, embedded in every output file."""
+def _manifest(command: str, cfg: DecodeConfig, backend_desc: dict, names: list[str]) -> dict:
+    """Identity of one CLI run, embedded in every output file.
 
-    command: str
-    config: dict
-    config_digest: str
-    backend: dict
-    version: str
-    outputs: list[str]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _manifest(command: str, cfg: DecodeConfig, backend_desc: dict, outputs: list[str]) -> RunManifest:
-    payload = cfg.digest_payload()
-    return RunManifest(
-        command=command,
-        config=cfg.to_dict(),
-        config_digest=hashlib.sha256(payload.encode()).hexdigest(),
-        backend=backend_desc,
-        version=__version__,
-        # basenames only: identical runs into different directories stay
-        # byte-identical
-        outputs=[Path(p).name for p in outputs],
-    )
+    ``names`` are basenames only: identical runs into different
+    directories stay byte-identical.
+    """
+    return {
+        "command": command,
+        "config": cfg.to_dict(),
+        "config_digest": hashlib.sha256(cfg.digest_payload().encode()).hexdigest(),
+        "backend": backend_desc,
+        "version": __version__,
+        "outputs": names,
+    }
 
 
 def _parse_tokens(text: str) -> list[int]:
@@ -98,32 +95,42 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _build_config(args: argparse.Namespace, file_cfg: dict) -> DecodeConfig:
-    data = dict(file_cfg.get("decode", {}))
-    if getattr(args, "window", None) is not None:
-        data["window_len"] = args.window
-    if getattr(args, "skip", None) is not None:
-        data["skip"] = args.skip
-    if getattr(args, "max_iters", None) is not None:
-        data["iteration_cap"] = args.max_iters
-    if getattr(args, "probe_threshold", None) is not None:
-        data["probe_threshold"] = args.probe_threshold
-    if getattr(args, "max_new_tokens", None) is not None:
-        data["max_new_tokens"] = args.max_new_tokens
-    if getattr(args, "answer_trigger", None) is not None:
+def _pick(flag, section: dict, key: str, default=None):
+    """A setting's value: the flag if given, else the config file's, else ``default``."""
+    return flag if flag is not None else section.get(key, default)
+
+
+def _build_config(
+    args: argparse.Namespace, file_cfg: dict, base: dict | None = None
+) -> DecodeConfig:
+    """``base`` (default: ``window_len`` 0), then the file's ``decode`` section, then flags."""
+    data = {**(base or {"window_len": 0}), **file_cfg.get("decode", {})}
+    flags = {
+        "window_len": args.window,
+        "skip": args.skip,
+        "iteration_cap": args.max_iters,
+        "probe_threshold": args.probe_threshold,
+        "max_new_tokens": args.max_new_tokens,
+    }
+    data.update({k: v for k, v in flags.items() if v is not None})
+    if args.answer_trigger is not None:
         data["answer_trigger"] = _parse_tokens(args.answer_trigger)
-    data.setdefault("window_len", 0)
     return DecodeConfig.from_dict(data)
+
+
+def _script(args: argparse.Namespace, section: dict) -> RetrievalScript:
+    return RetrievalScript(
+        num_keys=_pick(args.keys, section, "num_keys", 1),
+        rationale_len=_pick(args.rationale_len, section, "rationale_len", 24),
+    )
 
 
 def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, dict]:
     section = dict(file_cfg.get("backend", {}))
-    kind = getattr(args, "backend", None) or section.get("kind")
+    kind = _pick(args.backend, section, "kind")
     if kind is None:
         raise ConfigError("no backend selected (use --backend or config)")
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = section.get("seed", 0)
+    seed = _pick(args.seed, section, "seed", 0)
     if kind == "toy":
         spec_kwargs = {
             k: section[k]
@@ -133,18 +140,14 @@ def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, d
         backend: Backend = make_toy_transformer(seed, default_toy_spec(**spec_kwargs))
         desc = {"kind": "toy", "seed": seed, **spec_kwargs}
     elif kind == "ngram":
-        table = getattr(args, "table", None) or section.get("table")
+        table = _pick(args.table, section, "table")
         if table is None:
             raise ConfigError("ngram backend needs --table")
-        order = getattr(args, "order", None) or section.get("order", 2)
+        order = _pick(args.order, section, "order", 2)
         backend = make_ngram_backend(order, table)
         desc = {"kind": "ngram", "table": str(table), "order": order}
     elif kind == "scripted":
-        script = RetrievalScript(
-            num_keys=getattr(args, "keys", None) or section.get("num_keys", 1),
-            rationale_len=getattr(args, "rationale_len", None)
-            or section.get("rationale_len", 24),
-        )
+        script = _script(args, section)
         backend = make_scripted_backend(script)
         desc = {
             "kind": "scripted",
@@ -152,7 +155,7 @@ def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, d
             "rationale_len": script.rationale_len,
         }
     elif kind == "counting":
-        modulus = getattr(args, "modulus", None) or section.get("modulus", 10)
+        modulus = _pick(args.modulus, section, "modulus", 10)
         backend = make_counting_backend(modulus)
         desc = {"kind": "counting", "modulus": modulus}
     else:
@@ -162,9 +165,9 @@ def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, d
 
 def _prompts_from_args(args: argparse.Namespace) -> list[list[int]]:
     prompts: list[list[int]] = []
-    if getattr(args, "prompt", None):
+    if args.prompt:
         prompts.extend(_parse_tokens(p) for p in args.prompt)
-    if getattr(args, "prompts_file", None):
+    if args.prompts_file:
         data = _load_json(args.prompts_file)
         if isinstance(data, dict):
             data = data.get("prompts", [])
@@ -174,29 +177,43 @@ def _prompts_from_args(args: argparse.Namespace) -> list[list[int]]:
     return prompts
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(getattr(args, "out", None) or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _setup(
+    args: argparse.Namespace, command: str, names: list[str]
+) -> tuple[DecodeConfig, Backend, list[list[int]], list[Path], dict]:
+    """Config, backend, prompts, output paths and manifest of a decoding command.
+
+    The output directory is made by the first write (``_open``), so a
+    configuration error leaves nothing on disk.
+    """
+    file_cfg = _load_json(args.config) if args.config else {}
+    cfg = _build_config(args, file_cfg)
+    backend, desc = _build_backend(args, file_cfg)
+    prompts = _prompts_from_args(args)
+    out = Path(args.out or "out")
+    return cfg, backend, prompts, [out / n for n in names], _manifest(command, cfg, desc, names)
 
 
-def _write_csv(path: Path, manifest: RunManifest, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(f"# manifest: {json.dumps(manifest.as_dict(), sort_keys=True)}\n")
+def _open(path: Path) -> TextIO:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", newline="")
+
+
+def _header(manifest: dict) -> str:
+    return f"# manifest: {json.dumps(manifest, sort_keys=True)}\n"
+
+
+def _write_json(path: Path, manifest: dict, key: str, rows: list[dict]) -> None:
+    with _open(path) as fh:
+        json.dump({"manifest": manifest, key: rows}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, manifest: dict, header: list[str], rows: list[list]) -> None:
+    with _open(path) as fh:
+        fh.write(_header(manifest))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _result_payload(result: DecodeResult) -> dict:
-    return {
-        "exact_rationale": result.exact_rationale,
-        "approximate_tail": result.approximate_tail,
-        "answer": result.answer,
-        "stop": {"reason": result.stop.reason, "value": result.stop.value},
-        "iterations": result.trace.iterations,
-        "exact_tokens": len(result.exact_rationale),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -205,46 +222,36 @@ def _result_payload(result: DecodeResult) -> dict:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
-    cfg = _build_config(args, file_cfg)
-    backend, desc = _build_backend(args, file_cfg)
-    prompts = _prompts_from_args(args)
-    out = _out_dir(args)
-    result_path = out / "result.json"
-    trace_path = out / "trace.jsonl"
-    tokens_path = out / "tokens.txt"
-    manifest = _manifest(
-        "decode", cfg, desc, [str(result_path), str(trace_path), str(tokens_path)]
+    cfg, backend, prompts, paths, manifest = _setup(
+        args, "decode", ["result.json", "trace.jsonl", "tokens.txt"]
     )
-
-    method = args.method
+    result_path, trace_path, tokens_path = paths
+    decode = ar_baseline if args.method == "ar" else decode_with_answer
     payloads = []
     token_lines = []
-    with trace_path.open("w") as tf:
+    with _open(trace_path) as tf:
         for prompt in prompts:
-            if method == "ar":
-                result = ar_baseline(prompt, backend, cfg)
-            else:
-                result = decode_with_answer(prompt, backend, cfg)
-            payloads.append({"prompt": prompt, "method": method, **_result_payload(result)})
+            result = decode(prompt, backend, cfg)
+            payloads.append(
+                {
+                    "prompt": prompt,
+                    "method": args.method,
+                    "exact_rationale": result.exact_rationale,
+                    "approximate_tail": result.approximate_tail,
+                    "answer": result.answer,
+                    "stop": {"reason": result.stop.reason, "value": result.stop.value},
+                    "iterations": result.trace.iterations,
+                    "exact_tokens": len(result.exact_rationale),
+                }
+            )
             token_lines.append(" ".join(str(t) for t in result.exact_rationale))
             result.trace.write_jsonl(tf)
-    result_path.write_text(
-        json.dumps(
-            {"manifest": manifest.as_dict(), "results": payloads},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_json(result_path, manifest, "results", payloads)
     # Exact-token file: the method flag is deliberately not part of the
     # manifest, so equivalent runs (c=0 vs the AR baseline) compare equal
     # byte for byte.
-    tokens_path.write_text(
-        f"# manifest: {json.dumps(manifest.as_dict(), sort_keys=True)}\n"
-        + "\n".join(token_lines)
-        + "\n"
-    )
+    with _open(tokens_path) as fh:
+        fh.write(_header(manifest) + "\n".join(token_lines) + "\n")
     log.info("wrote %s, %s and %s", result_path, trace_path, tokens_path)
     print(f"decode: {len(prompts)} prompt(s) -> {result_path}")
     return 0
@@ -253,82 +260,38 @@ def cmd_decode(args: argparse.Namespace) -> int:
 _BENCH_METHODS = ("ar", "truncated", "parallel_noskip", "parallel_skip")
 
 
-def _run_method(
-    method: str,
-    prompt: list[int],
-    backend: Backend,
-    cfg: DecodeConfig,
-    noskip_iterations: int,
-) -> DecodeResult:
-    if method == "ar":
-        return ar_baseline(prompt, backend, cfg)
-    if method == "truncated":
-        return truncated_cot(prompt, backend, cfg, noskip_iterations)
-    if method == "parallel_noskip":
-        return decode_with_answer(prompt, backend, replace(cfg, skip=False))
-    if method == "parallel_skip":
-        return decode_with_answer(prompt, backend, replace(cfg, skip=True))
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
-    cfg = _build_config(args, file_cfg)
-    backend, desc = _build_backend(args, file_cfg)
-    prompts = _prompts_from_args(args)
+    cfg, backend, prompts, (report_path, csv_path), manifest = _setup(
+        args, "bench", ["bench_report.json", "bench.csv"]
+    )
     methods = list(args.methods.split(",")) if args.methods else list(_BENCH_METHODS)
     for m in methods:
         if m not in _BENCH_METHODS:
             raise ConfigError(f"unknown method {m!r} (choose from {_BENCH_METHODS})")
-    out = _out_dir(args)
-    report_path = out / "bench_report.json"
-    csv_path = out / "bench.csv"
-    manifest = _manifest("bench", cfg, desc, [str(report_path), str(csv_path)])
 
-    rows = []
     report: list[dict] = []
     for pid, prompt in enumerate(prompts):
+        # Every method is measured against AR; truncated CoT gets as many
+        # iterations as the no-skip run took.
         noskip = decode_with_answer(prompt, backend, replace(cfg, skip=False))
         ar = ar_baseline(prompt, backend, cfg)
-        base_wall = ar.trace.wall_s
-        per_method: dict[str, DecodeResult] = {}
         for method in methods:
-            if method == "parallel_noskip":
-                per_method[method] = noskip
-            elif method == "ar":
-                per_method[method] = ar
+            if method == "truncated":
+                res = truncated_cot(prompt, backend, cfg, noskip.trace.iterations)
+            elif method == "parallel_skip":
+                res = decode_with_answer(prompt, backend, replace(cfg, skip=True))
             else:
-                per_method[method] = _run_method(
-                    method, prompt, backend, cfg, noskip.trace.iterations
-                )
-        for method in methods:
-            res = per_method[method]
-            bd = res.trace.breakdown
+                res = noskip if method == "parallel_noskip" else ar
             wall = res.trace.wall_s
-            speedup = base_wall / wall if wall > 0 else 0.0
-            rows.append(
-                [
-                    method,
-                    pid,
-                    res.trace.iterations,
-                    len(res.exact_rationale),
-                    f"{wall:.6f}",
-                    f"{bd.infer:.6f}",
-                    f"{bd.decode:.6f}",
-                    f"{bd.context_decode:.6f}",
-                    f"{bd.kv_cache:.6f}",
-                    f"{speedup:.4f}",
-                ]
-            )
             entry = {
                 "method": method,
                 "prompt_id": pid,
                 "iterations": res.trace.iterations,
                 "exact_tokens": len(res.exact_rationale),
                 "wall_s": wall,
-                "breakdown": bd.as_dict(),
+                "breakdown": res.trace.breakdown.as_dict(),
                 "stop_check_s": res.trace.stop_check_s,
-                "speedup_vs_ar": speedup,
+                "speedup_vs_ar": ar.trace.wall_s / wall if wall > 0 else 0.0,
             }
             if method in ("parallel_noskip", "parallel_skip"):
                 entry["savings"] = iteration_savings(res.trace, ar.trace).as_dict()
@@ -336,100 +299,61 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _write_csv(
         csv_path,
         manifest,
+        ["method", "prompt_id", "iterations", "exact_tokens", "wall_s"]
+        + [f"{phase}_s" for phase in PHASES]
+        + ["speedup_vs_ar"],
         [
-            "method",
-            "prompt_id",
-            "iterations",
-            "exact_tokens",
-            "wall_s",
-            "infer_s",
-            "decode_s",
-            "context_decode_s",
-            "kv_cache_s",
-            "speedup_vs_ar",
+            [e["method"], e["prompt_id"], e["iterations"], e["exact_tokens"], f"{e['wall_s']:.6f}"]
+            + [f"{e['breakdown'][phase]:.6f}" for phase in PHASES]
+            + [f"{e['speedup_vs_ar']:.4f}"]
+            for e in report
         ],
-        rows,
     )
-    report_path.write_text(
-        json.dumps(
-            {"manifest": manifest.as_dict(), "rows": report}, sort_keys=True, indent=2
-        )
-        + "\n"
-    )
+    _write_json(report_path, manifest, "rows", report)
     print(f"bench: {len(prompts)} prompt(s) x {len(methods)} methods -> {csv_path}")
     return 0
 
 
+# The hit report of an iteration in which no window was scored.
+_NO_WINDOWS = HitReport(0, 0.0, 0, 0.0, 0, 0.0, 0, 0.0, 0, 0).as_dict()
+
+
 def cmd_sweep_window(args: argparse.Namespace) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
-    cfg = _build_config(args, file_cfg)
-    backend, desc = _build_backend(args, file_cfg)
-    prompts = _prompts_from_args(args)
+    cfg, backend, prompts, (csv_path, json_path), manifest = _setup(
+        args, "sweep-window", ["sweep.csv", "sweep.json"]
+    )
     windows = sorted({int(w) for w in _parse_tokens(args.windows)})
     if len(windows) == 0:
         raise ConfigError("no window sizes given")
-    out = _out_dir(args)
-    csv_path = out / "sweep.csv"
-    json_path = out / "sweep.json"
-    manifest = _manifest("sweep-window", cfg, desc, [str(csv_path), str(json_path)])
 
-    from glimpse.metrics import aggregate, score_window, snapshots_from_trace
-
-    rows = []
+    # Per window size and iteration: the scored windows, and each run's
+    # rationale wall time per iteration.
+    scored: dict[int, dict[int, list[WindowRecord]]] = {c: {} for c in windows}
+    calls: dict[int, dict[int, list[float]]] = {c: {} for c in windows}
+    for prompt in prompts:
+        runs = {c: run_rationale(prompt, backend, replace(cfg, window_len=c)) for c in windows}
+        # One greedy reference covers every window span of every run:
+        # a larger budget only extends the greedy stream.
+        budget = max(len(res.exact_rationale) + c + 1 for c, res in runs.items())
+        reference = ar_baseline(prompt, backend, replace(cfg, max_new_tokens=budget))
+        for c, res in runs.items():
+            for snap in snapshots_from_trace(res.trace, reference.exact_rationale):
+                scored[c].setdefault(snap.iteration, []).append(score_window(snap))
+            mean_call = res.trace.wall_s / res.trace.iterations if res.trace.iterations else 0.0
+            for rec in res.trace.records:
+                calls[c].setdefault(rec.iteration, []).append(mean_call)
     payload = []
     for c in windows:
-        ccfg = replace(cfg, window_len=c)
-        per_iter: dict[int, list] = {}
-        calls: dict[int, list[float]] = {}
-        for prompt in prompts:
-            res = decode_with_answer(prompt, backend, ccfg)
-            ar = ar_baseline(
-                prompt,
-                backend,
-                replace(cfg, max_new_tokens=len(res.exact_rationale) + c + 1),
-            )
-            snaps = snapshots_from_trace(res.trace, ar.exact_rationale)
-            for snap in snaps:
-                per_iter.setdefault(snap.iteration, []).append(score_window(snap))
-            mean_call = (
-                res.trace.wall_s / res.trace.iterations if res.trace.iterations else 0.0
-            )
-            for rec in res.trace.records:
-                calls.setdefault(rec.iteration, []).append(mean_call)
-        for iteration in sorted(calls):
-            recs = per_iter.get(iteration, [])
-            if recs:
-                rep = aggregate(recs).as_dict()
-            else:
-                rep = {
-                    "first_hit": 0,
-                    "first_hit_ratio": 0.0,
-                    "total_hit": 0,
-                    "total_hit_ratio": 0.0,
-                    "occur_guess_in_ref": 0,
-                    "occur_guess_in_ref_ratio": 0.0,
-                    "occur_ref_in_guess": 0,
-                    "occur_ref_in_guess_ratio": 0.0,
-                    "windows_evaluated": 0,
-                    "positions_evaluated": 0,
+        for iteration, means in sorted(calls[c].items()):
+            recs = scored[c].get(iteration)
+            payload.append(
+                {
+                    "window_len": c,
+                    "iteration": iteration,
+                    **(aggregate(recs).as_dict() if recs else _NO_WINDOWS),
+                    "mean_call_s": sum(means) / len(means),
                 }
-            mean_call_s = sum(calls[iteration]) / len(calls[iteration])
-            rows.append(
-                [
-                    c,
-                    iteration,
-                    rep["windows_evaluated"],
-                    rep["first_hit"],
-                    f"{rep['first_hit_ratio']:.4f}",
-                    rep["total_hit"],
-                    f"{rep['total_hit_ratio']:.4f}",
-                    rep["occur_guess_in_ref"],
-                    rep["occur_ref_in_guess"],
-                    f"{mean_call_s:.6f}",
-                ]
             )
-            payload.append({"window_len": c, "iteration": iteration, **rep,
-                            "mean_call_s": mean_call_s})
     _write_csv(
         csv_path,
         manifest,
@@ -445,47 +369,52 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
             "occur_ref_in_guess",
             "mean_call_s",
         ],
-        rows,
+        [
+            [
+                r["window_len"],
+                r["iteration"],
+                r["windows_evaluated"],
+                r["first_hit"],
+                f"{r['first_hit_ratio']:.4f}",
+                r["total_hit"],
+                f"{r['total_hit_ratio']:.4f}",
+                r["occur_guess_in_ref"],
+                r["occur_ref_in_guess"],
+                f"{r['mean_call_s']:.6f}",
+            ]
+            for r in payload
+        ],
     )
-    json_path.write_text(
-        json.dumps(
-            {"manifest": manifest.as_dict(), "rows": payload}, sort_keys=True, indent=2
-        )
-        + "\n"
-    )
+    _write_json(json_path, manifest, "rows", payload)
     print(f"sweep-window: {len(windows)} window size(s) -> {csv_path}")
     return 0
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
     file_cfg = _load_json(args.config) if args.config else {}
-    script = RetrievalScript(
-        num_keys=args.keys, rationale_len=args.rationale_len
-    )
-    cases, backend = make_scripted_tasks(args.tasks, args.seed or 0, script)
+    section = file_cfg.get("backend", {})
+    cfg = _build_config(args, file_cfg, default_answer_config().to_dict())
+    script = _script(args, section)
+    task_seed = _pick(args.seed, section, "seed", 0)
+    cases, backend = make_scripted_tasks(args.tasks, task_seed, script)
     ratios = [float(r) for r in args.ratios.replace(",", " ").split()]
     spec = CorruptionSpec(
         ratios=sorted(ratios),
         seeds=list(range(args.n_seeds)),
         pad_id=backend.spec.pad_id,
     )
-    cfg = _build_config(args, file_cfg) if args.config else None
     rows = run_overlap_experiment(cases, spec, backend, cfg)
-    out = _out_dir(args)
-    csv_path = out / "corruption.csv"
+    csv_path = Path(args.out or "out") / "corruption.csv"
     desc = {
         "kind": "scripted",
         "num_keys": script.num_keys,
         "rationale_len": script.rationale_len,
         "tasks": args.tasks,
-        "task_seed": args.seed or 0,
+        "task_seed": task_seed,
     }
-    from glimpse.corruption import default_answer_config
-
-    manifest = _manifest("corrupt", cfg or default_answer_config(), desc, [str(csv_path)])
     _write_csv(
         csv_path,
-        manifest,
+        _manifest("corrupt", cfg, desc, [csv_path.name]),
         ["ratio", "mean", "stddev", "n"],
         [[f"{r.ratio:.4f}", f"{r.mean:.6f}", f"{r.stddev:.6f}", r.n_seeds] for r in rows],
     )
@@ -514,8 +443,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--answer-trigger", default=None, help="token list, e.g. '4,5'")
     p.add_argument("--table", help="ngram table file")
     p.add_argument("--order", type=int, default=None, help="ngram order")
-    p.add_argument("--keys", type=int, default=1, help="scripted key tokens")
-    p.add_argument("--rationale-len", type=int, default=24)
+    p.add_argument("--keys", type=int, default=None, help="scripted key tokens")
+    p.add_argument("--rationale-len", type=int, default=None)
     p.add_argument("--modulus", type=int, default=None, help="counting modulus")
     p.add_argument("--out", default="out", help="output directory")
 

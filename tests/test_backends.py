@@ -470,6 +470,13 @@ def test_out_of_vocab_anywhere_in_context_rejected(kind, bad, where):
     for dtype in (np.float64, bool):
         with pytest.raises(ContractError):
             backend.forward(np.asarray(ctx, dtype=dtype), 2)
+    # A bool among ints would be upcast to 0 or 1, so it is refused too.
+    for flag in (True, np.bool_(True)):
+        for mixed in ([flag, 2], (2, flag), [flag] + ctx[1:]):
+            with pytest.raises(ContractError):
+                backend.forward(mixed, 2)
+            with pytest.raises(ContractError):
+                backend.forward_batch([[spec.pad_id] * 4, mixed], [1, 2])
     view = np.asarray([ctx, ctx], dtype=np.int64)[1, :30]
     assert check_forward_args(spec, view, 2) is view  # an int64 view is not copied
 

@@ -1,8 +1,15 @@
 import csv
+import io
 import json
+import shlex
 from pathlib import Path
 
+import oracles
+import pytest
+
+from glimpse.backends import default_toy_spec, make_counting_backend, make_toy_transformer
 from glimpse.cli import main
+from glimpse.engine import DecodeConfig, ar_baseline, run_rationale
 
 
 def run_cli(*argv):
@@ -272,3 +279,207 @@ def test_glimpse_log_env(tmp_path, monkeypatch):
         "--out", str(tmp_path / "o"),
     )
     assert code == 0
+
+
+def test_config_file_values_not_hidden_by_flag_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"backend": {"kind": "scripted", "num_keys": 3, "rationale_len": 12}})
+    )
+    out = tmp_path / "o"
+    assert run_cli("decode", "--config", str(cfg), "--prompt", "3 20", "--out", str(out)) == 0
+    payload = json.loads((out / "result.json").read_text())
+    assert payload["manifest"]["backend"] == {
+        "kind": "scripted",
+        "num_keys": 3,
+        "rationale_len": 12,
+    }
+    # 12 rationale tokens, then EOS
+    assert len(payload["results"][0]["exact_rationale"]) == 13
+    # a flag still wins over the file
+    code = run_cli(
+        "decode", "--config", str(cfg), "--prompt", "3 20", "--keys", "2", "--out", str(out)
+    )
+    assert code == 0
+    payload = json.loads((out / "result.json").read_text())
+    assert payload["manifest"]["backend"]["num_keys"] == 2
+
+    cfg.write_text(json.dumps({"backend": {"kind": "counting", "modulus": 7}}))
+    for flags, modulus in (([], 7), (["--modulus", "5"], 5)):
+        code = run_cli("decode", "--config", str(cfg), "--prompt", "0", *flags, "--out", str(out))
+        assert code == 0
+        payload = json.loads((out / "result.json").read_text())
+        assert payload["manifest"]["backend"]["modulus"] == modulus
+
+
+def test_corrupt_takes_decode_flags_and_file(tmp_path):
+    from glimpse.corruption import default_answer_config
+
+    common = ["corrupt", "--tasks", "2", "--n-seeds", "2", "--ratios", "1.0"]
+    assert run_cli(*common, "--out", str(tmp_path / "d")) == 0
+    manifest, rows = read_csv(tmp_path / "d/corruption.csv")
+    assert manifest["config"] == default_answer_config().to_dict()
+    assert rows[0]["mean"] == "1.000000"
+
+    code = run_cli(
+        *common,
+        "--answer-trigger", "9,9",
+        "--max-new-tokens", "5",
+        "--out", str(tmp_path / "f"),
+    )
+    assert code == 0
+    manifest, rows = read_csv(tmp_path / "f/corruption.csv")
+    assert manifest["config"]["answer_trigger"] == [9, 9]
+    assert manifest["config"]["max_new_tokens"] == 5
+    assert rows[0]["mean"] == "0.000000"  # without the real trigger nothing answers
+
+    # A file without a trigger keeps the scripted one; its other values apply.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"decode": {"window_len": 0, "answer_max_tokens": 3}}))
+    assert run_cli(*common, "--config", str(cfg), "--out", str(tmp_path / "c")) == 0
+    manifest, rows = read_csv(tmp_path / "c/corruption.csv")
+    assert manifest["config"]["answer_trigger"] == [4, 5]
+    assert manifest["config"]["answer_max_tokens"] == 3
+    assert rows[0]["mean"] == "1.000000"
+
+
+def test_bench_csv_is_the_report_in_print(tmp_path):
+    from glimpse.trace import PHASES
+
+    out = tmp_path / "bench"
+    code = run_cli(
+        "bench",
+        "--backend", "toy",
+        "--prompt", "1,2,3",
+        "--prompt", "9,8",
+        "--window", "4",
+        "--max-new-tokens", "30",
+        "--out", str(out),
+    )
+    assert code == 0
+    csv_manifest, rows = read_csv(out / "bench.csv")
+    report = json.loads((out / "bench_report.json").read_text())
+    assert csv_manifest == report["manifest"]
+    assert list(rows[0]) == [
+        "method", "prompt_id", "iterations", "exact_tokens", "wall_s",
+        *(f"{phase}_s" for phase in PHASES), "speedup_vs_ar",
+    ]
+    assert len(rows) == len(report["rows"]) == 2 * 4
+    for row, entry in zip(rows, report["rows"]):
+        expected = {
+            "method": entry["method"],
+            "prompt_id": str(entry["prompt_id"]),
+            "iterations": str(entry["iterations"]),
+            "exact_tokens": str(entry["exact_tokens"]),
+            "wall_s": f"{entry['wall_s']:.6f}",
+            **{f"{p}_s": f"{entry['breakdown'][p]:.6f}" for p in PHASES},
+            "speedup_vs_ar": f"{entry['speedup_vs_ar']:.4f}",
+        }
+        assert row == expected
+
+
+def test_sweep_window_decodes_one_reference_per_prompt(tmp_path, monkeypatch):
+    import glimpse.cli
+
+    calls = []
+
+    def spy(prompt, backend, cfg):
+        calls.append(list(prompt))
+        return ar_baseline(prompt, backend, cfg)
+
+    monkeypatch.setattr(glimpse.cli, "ar_baseline", spy)
+    code = run_cli(
+        "sweep-window",
+        "--backend", "counting",
+        "--prompt", "0",
+        "--prompt", "4,2",
+        "--windows", "0,2,4,8",
+        "--max-new-tokens", "20",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    assert calls == [[0], [4, 2]]
+
+
+@pytest.mark.parametrize(
+    "backend_args, make_backend, prompts",
+    [
+        (["--backend", "counting"], lambda: make_counting_backend(10), [[0], [4, 2]]),
+        (
+            ["--backend", "toy", "--seed", "1"],
+            lambda: make_toy_transformer(1, default_toy_spec()),
+            [[1, 2, 3], [7, 8]],
+        ),
+    ],
+)
+def test_sweep_hits_match_replayed_traces(tmp_path, backend_args, make_backend, prompts):
+    windows, budget = (0, 2, 4, 8), 40
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep-window",
+        *backend_args,
+        *[arg for p in prompts for arg in ("--prompt", ",".join(map(str, p)))],
+        "--windows", ",".join(map(str, windows)),
+        "--max-new-tokens", str(budget),
+        "--out", str(out),
+    )
+    assert code == 0
+    _, rows = read_csv(out / "sweep.csv")
+    backend = make_backend()
+    for c in windows:
+        cfg = DecodeConfig(window_len=c, max_new_tokens=budget)
+        expected = dict.fromkeys(("first_hit", "total_hit", "windows_evaluated"), 0)
+        for prompt in prompts:
+            fh = io.StringIO()
+            run_rationale(prompt, backend, cfg).trace.write_jsonl(fh)
+            reference = oracles.greedy_ar_reference(
+                backend, prompt, budget + c + 1, cfg.repetition_penalty
+            )
+            replay = oracles.replay_hit_report(fh.getvalue().splitlines(), reference)
+            for key in expected:
+                expected[key] += replay[key]
+        mine = [r for r in rows if r["window_len"] == str(c)]
+        assert mine
+        assert {
+            "first_hit": sum(int(r["first_hit"]) for r in mine),
+            "total_hit": sum(int(r["total_hit"]) for r in mine),
+            "windows_evaluated": sum(int(r["windows"]) for r in mine),
+        } == expected
+    assert expected["windows_evaluated"] > 0
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("glimpse ")]
+    outputs = {
+        "decode": ["result.json", "trace.jsonl", "tokens.txt"],
+        "bench": ["bench_report.json", "bench.csv"],
+        "sweep-window": ["sweep.csv", "sweep.json"],
+        "corrupt": ["corruption.csv"],
+    }
+    assert [argv[1] for argv in commands] == list(outputs)
+    for argv in commands:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv[1:]) == 0, argv
+        for name in outputs[argv[1]]:
+            assert (Path(argv[at]) / name).exists(), (argv, name)
+
+
+def test_sweep_window_runs_no_answer_phase(tmp_path):
+    # The rationale (8 + 39 + 4 tokens) and its reference fit max_len 64;
+    # the answer after it (+ 2 trigger + 16 answer tokens) would not.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "backend": {"kind": "toy", "seed": 1, "max_len": 64},
+                "decode": {"window_len": 0, "answer_trigger": [4, 5]},
+            }
+        )
+    )
+    common = ["--config", str(cfg), "--prompt", "10,11,12,13,14,15,16,17"]
+    common += ["--window", "4", "--max-new-tokens", "40", "--out", str(tmp_path / "o")]
+    assert run_cli("decode", *common) == 2
+    assert run_cli("sweep-window", *common, "--windows", "4") == 0

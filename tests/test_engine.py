@@ -626,7 +626,11 @@ def test_results_hold_python_ints(toy_backend, counting_backend):
 def test_prompt_ids_checked_like_contexts(counting_backend):
     cfg = DecodeConfig(window_len=2, max_new_tokens=5)
     vocab = counting_backend.spec.vocab_size
-    for bad in ([1.0, 2.0], [3.7], np.array([True, False]), [0, vocab], [-1], [2**70], []):
+    bad_prompts = (
+        [1.0, 2.0], [3.7], np.array([True, False]), [2, True], (np.bool_(False), 3),
+        [0, vocab], [-1], [2**70], [],
+    )
+    for bad in bad_prompts:
         with pytest.raises(ContractError):
             run_rationale(bad, counting_backend, cfg)
         with pytest.raises(ContractError):
