@@ -81,11 +81,12 @@ class StepOutput:
         new_kv: For cache-capable backends, per-layer ``(keys, values)``
             arrays for the context positions computed in this call, each
             shaped ``[n_new, n_heads, head_dim]``.  The caller decides which
-            prefix of these to commit.  With a cache slot they are views of
-            the slot's scratch rows, from its valid length (the commit
-            pointer) onwards: committing advances the pointer without a
-            copy, and the next forward on the slot overwrites whatever
-            was not committed, so read them before that call.
+            prefix of these to commit.  They are views of a cache buffer's
+            scratch rows, from the valid length (the commit pointer)
+            onwards: the slot's buffer, or a fresh one for a call without
+            a slot.  Committing advances the pointer without a copy, and
+            the next forward on the slot overwrites whatever was not
+            committed, so read them before that call.
         new_start: Context index of the first freshly computed position
             (equals the cache slot's valid length, or 0 without a cache).
     """

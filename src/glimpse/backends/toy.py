@@ -11,12 +11,13 @@ passes are pure functions of ``(context, block_len, cache contents)``.
 All math runs in float64 so that batched, cached, and from-scratch paths
 agree to well below argmax-flipping noise.
 
-With a cache slot, a call writes the K/V of its new positions straight into
-the slot's rows past the valid length (the commit pointer) and attends over
-the slot's rows in place; committing them is the caller's
-:meth:`~glimpse.cache.CacheBuffer.write_back`.  One visibility rule covers
-causality and all padding: key ``t`` is visible to query ``j`` of an
-instance iff ``t <= valid_len + j``.
+Every call attends over a :class:`~glimpse.cache.CacheBuffer`: the one its
+slots share, or a fresh one when it is given none.  It writes the K/V of
+its new positions straight into each slot's rows past the valid length (the
+commit pointer) and attends over them in place; committing them is the
+caller's :meth:`~glimpse.cache.CacheBuffer.write_back`.  One visibility
+rule covers causality and all padding: key ``t`` is visible to query ``j``
+of an instance iff ``t <= valid_len + j``.
 
 The batched path consumes the two padding plans from :mod:`glimpse.cache`:
 cache-length padding pads each instance's key range ``[0, valid_len + n)``
@@ -36,7 +37,7 @@ from glimpse.backends.base import (
     TokenSeq,
     check_forward_args,
 )
-from glimpse.cache import CacheSlot, plan_input_padding, plan_kv_padding
+from glimpse.cache import CacheBuffer, CacheSlot, alloc, plan_input_padding, plan_kv_padding
 from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 
 _NEG = -1e30  # masked attention score; exp() underflows to exactly 0.0
@@ -182,7 +183,8 @@ class ToyTransformer:
             n * (v + n) for v, n in zip(valid_lens, n_lens)
         )
 
-        keys, values, store_rows = self._kv_store(slots, valid_lens, n_max)
+        buf, store_rows = self._kv_store(slots, max(valid_lens) + n_max)
+        keys, values = buf.keys, buf.values
         write_at = (np.asarray(store_rows)[:, None], new_rows)
         first = store_rows[0]
         if store_rows == list(range(first, first + batch)):
@@ -232,38 +234,22 @@ class ToyTransformer:
         return outputs
 
     def _kv_store(
-        self,
-        slots: Sequence[CacheSlot | None],
-        valid_lens: Sequence[int],
-        n_max: int,
-    ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
-        """Per-layer K/V stores for one call, and each instance's row in them.
+        self, slots: Sequence[CacheSlot | None], n_rows: int
+    ) -> tuple[CacheBuffer, list[int]]:
+        """The cache buffer one call writes and attends in, and each instance's row.
 
-        When every slot is a distinct instance of one cache buffer with room
-        for the padded block past its valid length, the store is that buffer
-        itself: the call writes its new K/V ahead of the commit pointer and
-        copies nothing.  Otherwise (no cache, mixed buffers, or a block that
-        runs past capacity) a per-call store is filled from the slots.
+        The slots must be distinct instances of one buffer with ``n_rows``
+        rows of room; a call without slots gets a fresh buffer of that size.
         """
+        if all(s is None for s in slots):
+            return alloc(len(slots), n_rows, self.spec), list(range(len(slots)))
         buf = slots[0].buffer if slots[0] is not None else None
-        if buf is not None:
-            rows = [s.instance for s in slots if s is not None and s.buffer is buf]
-            if (
-                len(rows) == len(slots)
-                and len(set(rows)) == len(rows)
-                and max(valid_lens) + n_max <= buf.max_len
-            ):
-                return buf.keys, buf.values, rows
-        batch = len(slots)
-        shape = (batch, max(valid_lens) + n_max, self.spec.n_heads, self.spec.head_dim)
-        keys = [np.zeros(shape) for _ in self.layers]
-        values = [np.zeros(shape) for _ in self.layers]
-        for b, (slot, v_len) in enumerate(zip(slots, valid_lens)):
-            if slot is None or v_len == 0:
-                continue
-            for li in range(len(self.layers)):
-                keys[li][b, :v_len], values[li][b, :v_len] = slot.layer_kv(li)
-        return keys, values, list(range(batch))
+        rows = [s.instance for s in slots if s is not None and s.buffer is buf]
+        if len(rows) != len(slots) or len(set(rows)) != len(rows):
+            raise ContractError("cache slots must be distinct instances of one buffer")
+        if n_rows > buf.max_len:
+            raise CapacityError(f"cache capacity {buf.max_len} exceeded at position {n_rows}")
+        return buf, rows
 
 
 def make_toy_transformer(seed: int, spec: BackendSpec | None = None) -> ToyTransformer:

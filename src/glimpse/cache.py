@@ -15,8 +15,11 @@ tokens may still change.
 Two padding plans support batches whose instances progress unevenly:
 
 * cache padding — pad the key/value length dimension to the longest valid
-  length in the batch and mask the unused slots per instance;
-* input padding — right-pad uneven input-id blocks with PAD under a mask.
+  length in the batch;
+* input padding — right-pad uneven input-id blocks with PAD.
+
+A plan only counts the padded slots; the forward that uses it hides them
+from every real query (see :mod:`glimpse.backends.toy`).
 """
 
 from __future__ import annotations
@@ -43,16 +46,6 @@ class PadPlan:
     target_len: int
     pad_counts: list[int]
 
-    @property
-    def mask(self) -> np.ndarray:
-        """``[batch, target_len]`` bool; True marks real (unpadded) slots."""
-        real = self.target_len - np.asarray(self.pad_counts)
-        return np.arange(self.target_len)[None, :] < real[:, None]
-
-    @property
-    def is_noop(self) -> bool:
-        return all(c == 0 for c in self.pad_counts)
-
 
 def plan_kv_padding(valid_lens: Sequence[int]) -> PadPlan:
     """Plan cache-length padding to the largest valid length in the batch."""
@@ -70,8 +63,7 @@ def plan_input_padding(
     """Right-pad uneven input-id blocks to the batch maximum.
 
     Returns the plan and the padded ``[batch, target_len]`` int array.
-    Padded slots carry ``pad_id`` and are excluded by the plan's mask, so
-    an unpadded instance's outputs are unaffected by its neighbors.
+    Padded slots carry ``pad_id`` and follow each instance's real slots.
     """
     if len(blocks) == 0:
         raise ContractError("batch must be nonempty")
@@ -127,7 +119,8 @@ class CacheBuffer:
         positions are contiguous, with no overlap and no gap.  K/V that a
         forward already wrote ahead into these rows are views of them, and
         numpy skips an assignment of a view onto itself, so they cost no
-        copy; other arrays (say, from a cache-less forward) are copied in.
+        copy; other arrays (say, from a forward without slots, which
+        attends in a fresh buffer of its own) are copied in.
         """
         if count == 0:
             return
@@ -156,14 +149,6 @@ class CacheBuffer:
     def valid_lens(self) -> list[int]:
         return [int(v) for v in self.valid_len]
 
-    def debug_state(self) -> dict:
-        """Valid lengths and current padding mask, for trace diffing."""
-        plan = plan_kv_padding(self.valid_lens())
-        return {
-            "valid_len": self.valid_lens(),
-            "mask": plan.mask.astype(int).tolist(),
-        }
-
 
 @dataclass
 class CacheSlot:
@@ -179,23 +164,6 @@ class CacheSlot:
     @property
     def tokens(self) -> np.ndarray:
         return self.buffer.tokens[self.instance, : self.valid_len]
-
-    def layer_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the cached keys/values for one layer (no copy)."""
-        v = self.valid_len
-        return (
-            self.buffer.keys[layer][self.instance, :v],
-            self.buffer.values[layer][self.instance, :v],
-        )
-
-    def write_back(
-        self,
-        new_kv: Sequence[tuple[np.ndarray, np.ndarray]],
-        start: int,
-        count: int,
-        tokens: Sequence[int],
-    ) -> None:
-        self.buffer.write_back(self.instance, new_kv, start, count, tokens)
 
 
 def alloc(batch: int, max_len: int, spec: BackendSpec) -> CacheBuffer:

@@ -34,6 +34,7 @@ from glimpse.backends import (
     make_scripted_backend,
     make_toy_transformer,
 )
+from glimpse.backends.scripted import PAD
 from glimpse.corruption import (
     CorruptionSpec,
     default_answer_config,
@@ -171,7 +172,12 @@ def _prompts_from_args(args: argparse.Namespace) -> list[list[int]]:
         data = _load_json(args.prompts_file)
         if isinstance(data, dict):
             data = data.get("prompts", [])
-        prompts.extend([list(map(int, p)) for p in data])
+        # JSON integers only, as the backends take ids: no floats, bools or strings.
+        if not isinstance(data, list) or not all(
+            isinstance(p, list) and all(type(t) is int for t in p) for p in data
+        ):
+            raise ConfigError(f"{args.prompts_file}: prompts must be lists of integers")
+        prompts.extend(data)
     if not prompts:
         raise ConfigError("no prompts given (use --prompt or --prompts-file)")
     return prompts
@@ -332,9 +338,10 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
     calls: dict[int, dict[int, list[float]]] = {c: {} for c in windows}
     for prompt in prompts:
         runs = {c: run_rationale(prompt, backend, replace(cfg, window_len=c)) for c in windows}
-        # One greedy reference covers every window span of every run:
-        # a larger budget only extends the greedy stream.
-        budget = max(len(res.exact_rationale) + c + 1 for c, res in runs.items())
+        # One greedy reference covers every window span of every run (a
+        # larger budget only extends the greedy stream).  A window starts at
+        # most len(exact) - 1 tokens in, so it ends by len(exact) + c - 1.
+        budget = max(1, *(len(res.exact_rationale) + c - 1 for c, res in runs.items()))
         reference = ar_baseline(prompt, backend, replace(cfg, max_new_tokens=budget))
         for c, res in runs.items():
             for snap in snapshots_from_trace(res.trace, reference.exact_rationale):
@@ -391,18 +398,18 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
+    # The grid is checked before the tasks are built, which decodes every task.
+    try:
+        ratios = [float(r) for r in args.ratios.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"bad ratio list {args.ratios!r}") from exc
+    spec = CorruptionSpec(ratios=sorted(ratios), seeds=list(range(args.n_seeds)), pad_id=PAD)
     file_cfg = _load_json(args.config) if args.config else {}
     section = file_cfg.get("backend", {})
     cfg = _build_config(args, file_cfg, default_answer_config().to_dict())
     script = _script(args, section)
     task_seed = _pick(args.seed, section, "seed", 0)
     cases, backend = make_scripted_tasks(args.tasks, task_seed, script)
-    ratios = [float(r) for r in args.ratios.replace(",", " ").split()]
-    spec = CorruptionSpec(
-        ratios=sorted(ratios),
-        seeds=list(range(args.n_seeds)),
-        pad_id=backend.spec.pad_id,
-    )
     rows = run_overlap_experiment(cases, spec, backend, cfg)
     csv_path = Path(args.out or "out") / "corruption.csv"
     desc = {

@@ -18,6 +18,7 @@ has fully resolved.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,6 +32,31 @@ from glimpse.errors import ConfigError, ContractError
 from glimpse.trace import DecodeTrace, IterationRecord, PhaseTimer
 
 STOP_REASONS = ("eos", "probe", "iteration_cap", "max_tokens")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_ids(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_int, value))
+
+
+# Each field's type test; a bool is neither an integer nor a number here.
+_FIELD_TYPES = {
+    "window_len": (_is_int, "an integer"),
+    "skip": (lambda v: isinstance(v, bool), "a bool"),
+    "max_new_tokens": (_is_int, "an integer"),
+    "iteration_cap": (lambda v: v is None or _is_int(v), "an integer or None"),
+    "probe_threshold": (lambda v: v is None or _is_real(v), "a number or None"),
+    "repetition_penalty": (_is_real, "a number"),
+    "answer_trigger": (_is_ids, "a tuple of integers"),
+    "answer_max_tokens": (_is_int, "an integer"),
+}
 
 
 @dataclass(frozen=True)
@@ -47,8 +73,6 @@ class DecodeConfig:
         repetition_penalty: Greedy-pick penalty, >= 1.
         answer_trigger: Token sequence appended before answer decoding.
         answer_max_tokens: Budget for the answer phase.
-        reuse_cache_for_answer: Extend the rationale KV-cache into the
-            answer phase instead of starting fresh.
     """
 
     window_len: int
@@ -59,9 +83,12 @@ class DecodeConfig:
     repetition_penalty: float = 1.2
     answer_trigger: tuple[int, ...] = ()
     answer_max_tokens: int = 16
-    reuse_cache_for_answer: bool = True
 
     def __post_init__(self) -> None:
+        for name, (ok, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if self.window_len < 0:
             raise ConfigError("window_len must be nonnegative")
         if self.max_new_tokens < 1:
@@ -70,7 +97,7 @@ class DecodeConfig:
             raise ConfigError("iteration_cap must be positive when set")
         if self.probe_threshold is not None and not 0.0 <= self.probe_threshold <= 1.0:
             raise ConfigError("probe_threshold must lie in [0, 1]")
-        if self.repetition_penalty < 1.0:
+        if not self.repetition_penalty >= 1.0:
             raise ConfigError("repetition_penalty must be >= 1")
         if self.answer_max_tokens < 1:
             raise ConfigError("answer_max_tokens must be positive")
@@ -85,7 +112,6 @@ class DecodeConfig:
             "repetition_penalty": self.repetition_penalty,
             "answer_trigger": list(self.answer_trigger),
             "answer_max_tokens": self.answer_max_tokens,
-            "reuse_cache_for_answer": self.reuse_cache_for_answer,
         }
 
     @classmethod
@@ -97,7 +123,7 @@ class DecodeConfig:
         if "window_len" not in data:
             raise ConfigError("config must set window_len")
         kwargs = dict(data)
-        if "answer_trigger" in kwargs:
+        if isinstance(kwargs.get("answer_trigger"), list):
             kwargs["answer_trigger"] = tuple(kwargs["answer_trigger"])
         try:
             return cls(**kwargs)
@@ -402,13 +428,12 @@ def answer_phase(
     A zero-window run over ``prompt ‖ exact ‖ approx_tail ‖ trigger``: the
     approximate tail is included verbatim, PAD tokens and all.  Decoding is
     greedy with the configured penalty, up to ``answer_max_tokens`` or EOS
-    (EOS itself is not returned).  With ``reuse_cache_for_answer`` it
-    extends ``cache`` (the rationale's, instance 0) instead of a fresh one.
+    (EOS itself is not returned).  Given ``cache`` (the rationale's,
+    instance 0) it extends that cache; without it the run gets a fresh one.
     """
     seq = [*prompt, *exact, *approx_tail, *cfg.answer_trigger]
-    reuse = cache if cfg.reuse_cache_for_answer else None
     session = _Session(
-        [seq], backend, _greedy(cfg, cfg.answer_max_tokens), "answer", reuse, timer
+        [seq], backend, _greedy(cfg, cfg.answer_max_tokens), "answer", cache, timer
     )
     answer = session.run()[0].exact_rationale
     if answer and answer[-1] == backend.spec.eos_id:

@@ -33,13 +33,11 @@ def test_plan_kv_padding_masks_shorter_instances():
     plan = plan_kv_padding([8, 11])
     assert plan.target_len == 11
     assert plan.pad_counts == [3, 0]
-    assert plan.mask[0].sum() == 8
-    assert plan.mask[1].sum() == 11
 
 
 def test_plan_kv_padding_noop_cases():
-    assert plan_kv_padding([7, 7]).is_noop
-    assert plan_kv_padding([5]).is_noop
+    assert plan_kv_padding([7, 7]).pad_counts == [0, 0]
+    assert plan_kv_padding([5]).pad_counts == [0]
 
 
 def test_plan_input_padding_widths():
@@ -48,12 +46,12 @@ def test_plan_input_padding_widths():
     assert plan.pad_counts == [0, 2]
     assert padded.shape == (2, 4)
     assert padded[1].tolist() == [5, 6, 0, 0]
-    assert plan.mask[1].tolist() == [True, True, False, False]
 
 
 def test_plan_input_padding_identity():
-    plan, _ = plan_input_padding([[1, 2], [3, 4]], pad_id=0)
-    assert plan.is_noop
+    plan, padded = plan_input_padding([[1, 2], [3, 4]], pad_id=0)
+    assert plan.pad_counts == [0, 0]
+    assert padded.tolist() == [[1, 2], [3, 4]]
 
 
 def test_write_back_advances_valid_len(toy):
@@ -81,9 +79,11 @@ def test_capacity_error_not_silent_wrap(toy):
     cache = alloc(1, 6, toy.spec)
     step = toy.forward([1, 2, 3, 4, 5], 1)
     cache.write_back(0, step.new_kv, 0, 5, [1, 2, 3, 4, 5])
-    step2 = toy.forward([1, 2, 3, 4, 5, 6, 7], 2, cache.slot(0))
     with pytest.raises(CapacityError):
-        cache.write_back(0, step2.new_kv, 5, 2, [6, 7])
+        toy.forward([1, 2, 3, 4, 5, 6, 7], 2, cache.slot(0))
+    with pytest.raises(CapacityError):
+        cache.write_back(0, step.new_kv, 5, 2, [6, 7])
+    assert cache.valid_lens() == [5]
 
 
 def test_no_reallocation_during_decode(toy, monkeypatch):
@@ -204,37 +204,57 @@ def test_forward_writes_ahead_into_the_cache(toy):
 
 
 def test_batched_forward_matches_solo_on_any_slot_layout(toy):
-    # instances out of buffer order (a gathered read) and slots from two
-    # buffers (a per-call store) both reproduce the solo outputs
+    # instances out of buffer order (a gathered read) reproduce the solo outputs
     rng = np.random.default_rng(4)
     contexts = [[int(t) for t in rng.integers(0, 62, size=n)] for n in (6, 11, 8)]
     cached_lens = [3, 9, 5]
     block_lens = [3, 2, 1]
-    for gathered in (True, False):
-        shared, other = alloc(3, 48, toy.spec), alloc(1, 48, toy.spec)
-        if gathered:
-            slots = [shared.slot(2), shared.slot(0), shared.slot(1)]
-        else:
-            slots = [shared.slot(2), other.slot(0), None]
-        for slot, ctx, cl in zip(slots, contexts, cached_lens):
-            if slot is None:
-                continue
-            pre = toy.forward(ctx[:cl], 1, slot)
-            slot.write_back(pre.new_kv, 0, cl, ctx[:cl])
-        batched = toy.forward_batch(contexts, block_lens, slots)
-        for out, ctx, bl in zip(batched, contexts, block_lens):
-            fresh = toy.forward(ctx, bl)
-            assert np.abs(out.rows - fresh.rows).max() < 1e-6
-            assert np.abs(out.attention_summary - fresh.attention_summary).max() < 1e-6
+    cache = alloc(3, 48, toy.spec)
+    slots = [cache.slot(2), cache.slot(0), cache.slot(1)]
+    for slot, ctx, cl in zip(slots, contexts, cached_lens):
+        pre = toy.forward(ctx[:cl], 1, slot)
+        cache.write_back(slot.instance, pre.new_kv, 0, cl, ctx[:cl])
+    batched = toy.forward_batch(contexts, block_lens, slots)
+    for out, ctx, bl in zip(batched, contexts, block_lens):
+        fresh = toy.forward(ctx, bl)
+        assert np.abs(out.rows - fresh.rows).max() < 1e-6
+        assert np.abs(out.attention_summary - fresh.attention_summary).max() < 1e-6
 
 
-def test_debug_state_shapes(toy):
-    cache = alloc(2, 16, toy.spec)
-    step = toy.forward([1, 2, 3], 1)
-    cache.write_back(0, step.new_kv, 0, 3, [1, 2, 3])
-    state = cache.debug_state()
-    assert state["valid_len"] == [3, 0]
-    assert state["mask"] == [[1, 1, 1], [0, 0, 0]]
+def test_forward_refuses_slots_it_cannot_attend_in(toy):
+    # the slots of one call must be distinct instances of one buffer: no
+    # second buffer, no repeated instance, no mix of slots and None
+    cache, other = alloc(2, 16, toy.spec), alloc(1, 16, toy.spec)
+    contexts = [[1, 2, 3], [4, 5]]
+    for slots in (
+        [cache.slot(0), other.slot(0)],
+        [cache.slot(1), cache.slot(1)],
+        [cache.slot(0), None],
+        [None, cache.slot(0)],
+    ):
+        with pytest.raises(ContractError):
+            toy.forward_batch(contexts, [1, 1], slots)
+
+
+def test_block_past_capacity_refused_before_any_write(toy):
+    ctx = [3, 1, 4, 1, 5, 9, 2, 6]
+    cache = alloc(2, 8, toy.spec)
+    for i, cached in enumerate((6, 2)):
+        pre = toy.forward(ctx[:cached], 1, cache.slot(i))
+        cache.write_back(i, pre.new_kv, 0, cached, ctx[:cached])
+    before = [_committed_state(cache, i) for i in range(2)]
+    slots = [cache.slot(0), cache.slot(1)]
+    # each block fits on its own, but the padded block writes rows 6..9
+    # for instance 0
+    toy.forward(ctx[:7], 1, slots[0])
+    toy.forward(ctx[:6], 4, slots[1])
+    with pytest.raises(CapacityError):
+        toy.forward_batch([ctx[:7], ctx[:6]], [1, 4], slots)
+    with pytest.raises(CapacityError):
+        toy.forward(ctx + [5], 4, slots[1])
+    assert cache.valid_lens() == [6, 2]
+    for i in range(2):
+        _assert_same_state(before[i], _committed_state(cache, i))
 
 
 def test_cached_work_quadratic_not_cubic():

@@ -483,3 +483,95 @@ def test_sweep_window_runs_no_answer_phase(tmp_path):
     common += ["--window", "4", "--max-new-tokens", "40", "--out", str(tmp_path / "o")]
     assert run_cli("decode", *common) == 2
     assert run_cli("sweep-window", *common, "--windows", "4") == 0
+
+
+def test_sweep_reference_fits_where_the_rationale_fits(tmp_path):
+    # The c=4 rationale (8 prompt + 53 exact tokens) needs contexts of 64
+    # tokens; its last window ends at most 53 + 4 - 1 tokens in, so the
+    # reference fits max_len 64 as well.
+    prompt, c, budget = list(range(10, 18)), 4, 53
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"backend": {"kind": "toy", "seed": 1, "max_len": 64}}))
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep-window",
+        "--config", str(cfg_path),
+        "--prompt", ",".join(map(str, prompt)),
+        "--windows", str(c),
+        "--max-new-tokens", str(budget),
+        "--out", str(out),
+    )
+    assert code == 0
+    _, rows = read_csv(out / "sweep.csv")
+    # The same counts from a reference as long as any window of the run
+    # can reach, replayed over the rationale's trace.
+    backend = make_toy_transformer(1, default_toy_spec(max_len=64))
+    cfg = DecodeConfig(window_len=c, max_new_tokens=budget)
+    result = run_rationale(prompt, backend, cfg)
+    fh = io.StringIO()
+    result.trace.write_jsonl(fh)
+    reference = oracles.greedy_ar_reference(backend, prompt, budget + c - 1, cfg.repetition_penalty)
+    replay = oracles.replay_hit_report(fh.getvalue().splitlines(), reference)
+    assert replay["windows_evaluated"] == result.trace.iterations
+    assert {
+        "first_hit": sum(int(r["first_hit"]) for r in rows),
+        "total_hit": sum(int(r["total_hit"]) for r in rows),
+        "windows_evaluated": sum(int(r["windows"]) for r in rows),
+    } == {k: replay[k] for k in ("first_hit", "total_hit", "windows_evaluated")}
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['[[1, "a"]]', "[[1, 2.7]]", "[[1, true]]", "[1, 2]", '"12"', "7", '{"prompts": [[0], [1.0]]}'],
+)
+def test_prompts_file_takes_only_integer_lists(tmp_path, content):
+    # refused, not cast: [1, 2.7] is not the prompt [1, 2], nor true a 1
+    path = tmp_path / "prompts.json"
+    path.write_text(content)
+    out = tmp_path / "o"
+    code = run_cli(
+        "decode", "--backend", "counting", "--prompts-file", str(path), "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ratios, n_seeds", [("0.5,x", "1"), ("0.5,1.5", "1"), ("nan", "1"), ("0.5", "0")]
+)
+def test_corrupt_refuses_a_bad_grid_before_any_work(tmp_path, monkeypatch, ratios, n_seeds):
+    import glimpse.cli
+
+    def no_tasks(*args):
+        raise AssertionError("tasks built before the grid was checked")
+
+    monkeypatch.setattr(glimpse.cli, "make_scripted_tasks", no_tasks)
+    out = tmp_path / "o"
+    code = run_cli(
+        "corrupt", "--tasks", "1", "--n-seeds", n_seeds, "--ratios", ratios, "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"window_len": 2.5},
+        {"answer_trigger": 5},
+        {"skip": "no"},
+        {"iteration_cap": 1.5},
+        # the answer phase reuses the cache it is given; there is no switch
+        {"reuse_cache_for_answer": True},
+    ],
+)
+def test_bad_decode_section_exits_2(tmp_path, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"decode": section}))
+    out = tmp_path / "o"
+    code = run_cli(
+        "decode", "--config", str(cfg), "--backend", "counting", "--prompt", "0",
+        "--max-new-tokens", "20", "--out", str(out),
+    )
+    assert code == 2
+    assert not out.exists()

@@ -271,13 +271,11 @@ def test_answer_phase_cache_reuse_matches_fresh(toy_backend):
         answer_max_tokens=5,
     )
     reused = decode_with_answer([4, 5, 6], toy_backend, base)
-    from dataclasses import replace
-
-    fresh = decode_with_answer(
-        [4, 5, 6], toy_backend, replace(base, reuse_cache_for_answer=False)
+    # without a cache the answer phase starts from a fresh one
+    fresh = answer_phase(
+        [4, 5, 6], reused.exact_rationale, reused.approximate_tail, toy_backend, base
     )
-    assert reused.exact_rationale == fresh.exact_rationale
-    assert reused.answer == fresh.answer
+    assert reused.answer == fresh
 
 
 # ----------------------------------------------------------------------
@@ -577,8 +575,6 @@ def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
 
 
 def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows):
-    from dataclasses import replace
-
     cfg = DecodeConfig(window_len=3, max_new_tokens=10, answer_trigger=(2, 3), answer_max_tokens=6)
     res = decode_with_answer([4, 5, 6], toy_backend, cfg)
     assert all(view and n <= width for n, width, view in context_rows)
@@ -592,7 +588,7 @@ def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows)
         res.exact_rationale,
         res.approximate_tail,
         toy_backend,
-        replace(cfg, reuse_cache_for_answer=False),
+        cfg,
     )
     assert res.answer == fresh
 
@@ -734,3 +730,32 @@ def test_config_validation():
     cfg = DecodeConfig.from_dict({"window_len": 2, "answer_trigger": [4, 5]})
     assert cfg.answer_trigger == (4, 5)
     assert DecodeConfig.from_dict(cfg.to_dict()) == cfg
+    # an integer is a number where a number is due
+    cfg = DecodeConfig.from_dict({"window_len": 2, "probe_threshold": 1, "repetition_penalty": 1})
+    assert (cfg.probe_threshold, cfg.repetition_penalty) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"window_len": 2.5},
+        {"window_len": True},
+        {"skip": "no"},
+        {"skip": 1},
+        {"max_new_tokens": "8"},
+        {"iteration_cap": 1.5},
+        {"probe_threshold": "0.5"},
+        {"probe_threshold": True},
+        {"repetition_penalty": None},
+        {"repetition_penalty": float("nan")},
+        {"answer_trigger": 5},
+        {"answer_trigger": [4, 5.0]},
+        {"answer_trigger": [True]},
+        {"answer_max_tokens": 2.0},
+    ],
+)
+def test_config_refuses_wrong_types(bad):
+    # refused as a configuration error, never cast: 1.5 is not an iteration
+    # cap of 2, nor "no" a true skip flag
+    with pytest.raises(ConfigError):
+        DecodeConfig.from_dict({"window_len": 2, **bad})
