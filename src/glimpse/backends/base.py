@@ -33,17 +33,14 @@ class BackendSpec:
         vocab_size: Number of token ids; all ids are in ``[0, vocab_size)``.
         pad_id: Reserved padding token id.
         eos_id: Reserved end-of-sequence token id (distinct from ``pad_id``).
-        supports_cache: Whether ``forward`` accepts a key/value cache slot.
-        supports_attention: Whether step outputs carry an attention summary.
         n_layers / n_heads / model_dim / max_len: Transformer shape fields;
-            zero for table- or rule-based backends.
+            zero for table- or rule-based backends.  The engine gives a
+            backend with layers a key/value cache.
     """
 
     vocab_size: int
     pad_id: int
     eos_id: int
-    supports_cache: bool = False
-    supports_attention: bool = False
     n_layers: int = 0
     n_heads: int = 0
     model_dim: int = 0
@@ -87,14 +84,11 @@ class StepOutput:
             a slot.  Committing advances the pointer without a copy, and
             the next forward on the slot overwrites whatever was not
             committed, so read them before that call.
-        new_start: Context index of the first freshly computed position
-            (equals the cache slot's valid length, or 0 without a cache).
     """
 
     rows: np.ndarray
     attention_summary: np.ndarray | None = None
     new_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
-    new_start: int = 0
 
 
 @runtime_checkable

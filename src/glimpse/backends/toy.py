@@ -55,8 +55,6 @@ def default_toy_spec(
         vocab_size=vocab_size,
         pad_id=vocab_size - 2,
         eos_id=vocab_size - 1,
-        supports_cache=True,
-        supports_attention=True,
         n_layers=n_layers,
         n_heads=n_heads,
         model_dim=model_dim,
@@ -81,12 +79,9 @@ class ToyTransformer:
     def __init__(self, seed: int, spec: BackendSpec | None = None) -> None:
         if spec is None:
             spec = default_toy_spec()
-        if not spec.supports_cache or not spec.supports_attention:
-            raise ContractError("toy transformer spec must support cache and attention")
-        if spec.n_layers < 1 or spec.n_heads < 1 or spec.max_len < 1:
-            raise ContractError("toy transformer needs layers, heads and max_len")
+        if min(spec.n_layers, spec.n_heads, spec.model_dim, spec.max_len) < 1:
+            raise ContractError("toy transformer needs layers, heads, model_dim and max_len")
         self.spec = spec
-        self.seed = seed
         d, v = spec.model_dim, spec.vocab_size
         rng = np.random.default_rng(seed)
 
@@ -228,7 +223,6 @@ class ToyTransformer:
                     # One column per visible context position.
                     attention_summary=head_avg[b, n_b - bl : n_b, : v_len + n_b],
                     new_kv=[(k[row, new], v[row, new]) for k, v in zip(keys, values)],
-                    new_start=v_len,
                 )
             )
         return outputs

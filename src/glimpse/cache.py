@@ -81,15 +81,14 @@ class CacheBuffer:
     """Fixed-capacity per-layer K/V storage for a batch of decode sessions.
 
     Storage is zero-initialized at construction and mutated strictly in
-    place afterwards; ``alloc_events`` counts storage allocations so tests
-    can assert the no-reallocation contract.
+    place afterwards.  Only a backend with layers has K/V to cache.
     """
 
     def __init__(self, batch: int, max_len: int, spec: BackendSpec) -> None:
         if batch <= 0 or max_len <= 0:
             raise ConfigError("batch and max_len must be positive")
-        if not spec.supports_cache:
-            raise ConfigError("backend spec does not support caching")
+        if spec.n_layers < 1:
+            raise ConfigError("backend spec has no layers to cache")
         self.batch = batch
         self.max_len = max_len
         self.spec = spec
@@ -98,7 +97,6 @@ class CacheBuffer:
         self.values = [np.zeros(shape) for _ in range(spec.n_layers)]
         self.tokens = np.zeros((batch, max_len), dtype=np.int64)
         self.valid_len = np.zeros(batch, dtype=np.int64)
-        self.alloc_events = 1
 
     def slot(self, instance: int) -> "CacheSlot":
         if not 0 <= instance < self.batch:
@@ -145,9 +143,6 @@ class CacheBuffer:
             self.values[li][instance, start : start + count] = v[:count]
         self.tokens[instance, start : start + count] = np.asarray(tokens, dtype=np.int64)
         self.valid_len[instance] = start + count
-
-    def valid_lens(self) -> list[int]:
-        return [int(v) for v in self.valid_len]
 
 
 @dataclass

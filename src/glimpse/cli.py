@@ -34,6 +34,7 @@ from glimpse.backends import (
     make_scripted_backend,
     make_toy_transformer,
 )
+from glimpse.backends.base import check_forward_args
 from glimpse.backends.scripted import PAD
 from glimpse.corruption import (
     CorruptionSpec,
@@ -50,7 +51,6 @@ from glimpse.engine import (
 )
 from glimpse.errors import ConfigError
 from glimpse.metrics import (
-    PHASES,
     HitReport,
     WindowRecord,
     aggregate,
@@ -58,6 +58,7 @@ from glimpse.metrics import (
     score_window,
     snapshots_from_trace,
 )
+from glimpse.trace import PHASES
 
 log = logging.getLogger("glimpse")
 
@@ -96,9 +97,31 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
+_TOY_SHAPE = ("vocab_size", "n_layers", "n_heads", "model_dim", "max_len")
+# Backend settings that are seeds, ids or sizes: JSON integers, as prompts are.
+_BACKEND_INTS = ("seed", "order", "modulus", "num_keys", "rationale_len", *_TOY_SHAPE)
+
+
+def _load_config(path: str | None) -> dict:
+    """The config file: an object whose ``decode`` and ``backend`` are objects."""
+    data = _load_json(path) if path else {}
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(key, {}), dict) for key in ("decode", "backend")
+    ):
+        raise ConfigError(f"{path}: the config and its decode and backend sections must be objects")
+    for key, value in data.get("backend", {}).items():
+        if key in _BACKEND_INTS and type(value) is not int:
+            raise ConfigError(f"{path}: backend {key} must be an integer, got {value!r}")
+    return data
+
+
 def _pick(flag, section: dict, key: str, default=None):
     """A setting's value: the flag if given, else the config file's, else ``default``."""
     return flag if flag is not None else section.get(key, default)
+
+
+# The decode settings a flag can give; each flag's dest is the key it sets.
+_DECODE_FLAGS = ("window_len", "skip", "iteration_cap", "probe_threshold", "max_new_tokens")
 
 
 def _build_config(
@@ -106,15 +129,9 @@ def _build_config(
 ) -> DecodeConfig:
     """``base`` (default: ``window_len`` 0), then the file's ``decode`` section, then flags."""
     data = {**(base or {"window_len": 0}), **file_cfg.get("decode", {})}
-    flags = {
-        "window_len": args.window,
-        "skip": args.skip,
-        "iteration_cap": args.max_iters,
-        "probe_threshold": args.probe_threshold,
-        "max_new_tokens": args.max_new_tokens,
-    }
-    data.update({k: v for k, v in flags.items() if v is not None})
-    if args.answer_trigger is not None:
+    flags = vars(args)
+    data.update({key: flags[key] for key in _DECODE_FLAGS if flags.get(key) is not None})
+    if flags.get("answer_trigger") is not None:
         data["answer_trigger"] = _parse_tokens(args.answer_trigger)
     return DecodeConfig.from_dict(data)
 
@@ -127,17 +144,13 @@ def _script(args: argparse.Namespace, section: dict) -> RetrievalScript:
 
 
 def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, dict]:
-    section = dict(file_cfg.get("backend", {}))
+    section = file_cfg.get("backend", {})
     kind = _pick(args.backend, section, "kind")
     if kind is None:
         raise ConfigError("no backend selected (use --backend or config)")
-    seed = _pick(args.seed, section, "seed", 0)
     if kind == "toy":
-        spec_kwargs = {
-            k: section[k]
-            for k in ("vocab_size", "n_layers", "n_heads", "model_dim", "max_len")
-            if k in section
-        }
+        seed = _pick(args.seed, section, "seed", 0)
+        spec_kwargs = {k: section[k] for k in _TOY_SHAPE if k in section}
         backend: Backend = make_toy_transformer(seed, default_toy_spec(**spec_kwargs))
         desc = {"kind": "toy", "seed": seed, **spec_kwargs}
     elif kind == "ngram":
@@ -145,7 +158,7 @@ def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, d
         if table is None:
             raise ConfigError("ngram backend needs --table")
         order = _pick(args.order, section, "order", 2)
-        backend = make_ngram_backend(order, table)
+        backend = make_ngram_backend(order, str(table))
         desc = {"kind": "ngram", "table": str(table), "order": order}
     elif kind == "scripted":
         script = _script(args, section)
@@ -172,10 +185,7 @@ def _prompts_from_args(args: argparse.Namespace) -> list[list[int]]:
         data = _load_json(args.prompts_file)
         if isinstance(data, dict):
             data = data.get("prompts", [])
-        # JSON integers only, as the backends take ids: no floats, bools or strings.
-        if not isinstance(data, list) or not all(
-            isinstance(p, list) and all(type(t) is int for t in p) for p in data
-        ):
+        if not isinstance(data, list):
             raise ConfigError(f"{args.prompts_file}: prompts must be lists of integers")
         prompts.extend(data)
     if not prompts:
@@ -191,10 +201,18 @@ def _setup(
     The output directory is made by the first write (``_open``), so a
     configuration error leaves nothing on disk.
     """
-    file_cfg = _load_json(args.config) if args.config else {}
+    file_cfg = _load_config(args.config)
     cfg = _build_config(args, file_cfg)
-    backend, desc = _build_backend(args, file_cfg)
+    try:  # a bad seed, shape, modulus, order or table file
+        backend, desc = _build_backend(args, file_cfg)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
     prompts = _prompts_from_args(args)
+    for prompt in prompts:
+        try:  # the backends' own check: a nonempty list of integer ids in the vocabulary
+            check_forward_args(backend.spec, prompt, 1)
+        except ValueError as exc:  # numpy's, for a ragged list, too
+            raise ConfigError(f"prompt {prompt!r}: {exc}") from exc
     out = Path(args.out or "out")
     return cfg, backend, prompts, [out / n for n in names], _manifest(command, cfg, desc, names)
 
@@ -233,31 +251,31 @@ def cmd_decode(args: argparse.Namespace) -> int:
     )
     result_path, trace_path, tokens_path = paths
     decode = ar_baseline if args.method == "ar" else decode_with_answer
-    payloads = []
-    token_lines = []
-    with _open(trace_path) as tf:
-        for prompt in prompts:
-            result = decode(prompt, backend, cfg)
-            payloads.append(
-                {
-                    "prompt": prompt,
-                    "method": args.method,
-                    "exact_rationale": result.exact_rationale,
-                    "approximate_tail": result.approximate_tail,
-                    "answer": result.answer,
-                    "stop": {"reason": result.stop.reason, "value": result.stop.value},
-                    "iterations": result.trace.iterations,
-                    "exact_tokens": len(result.exact_rationale),
-                }
-            )
-            token_lines.append(" ".join(str(t) for t in result.exact_rationale))
-            result.trace.write_jsonl(tf)
+    # Every prompt is decoded before the first write, so a refused run writes nothing.
+    results = [decode(prompt, backend, cfg) for prompt in prompts]
+    payloads = [
+        {
+            "prompt": prompt,
+            "method": args.method,
+            "exact_rationale": result.exact_rationale,
+            "approximate_tail": result.approximate_tail,
+            "answer": result.answer,
+            "stop": {"reason": result.stop.reason, "value": result.stop.value},
+            "iterations": result.trace.iterations,
+            "exact_tokens": len(result.exact_rationale),
+        }
+        for prompt, result in zip(prompts, results)
+    ]
     _write_json(result_path, manifest, "results", payloads)
+    with _open(trace_path) as tf:
+        for result in results:
+            result.trace.write_jsonl(tf)
     # Exact-token file: the method flag is deliberately not part of the
     # manifest, so equivalent runs (c=0 vs the AR baseline) compare equal
     # byte for byte.
+    lines = [" ".join(str(t) for t in result.exact_rationale) for result in results]
     with _open(tokens_path) as fh:
-        fh.write(_header(manifest) + "\n".join(token_lines) + "\n")
+        fh.write(_header(manifest) + "\n".join(lines) + "\n")
     log.info("wrote %s, %s and %s", result_path, trace_path, tokens_path)
     print(f"decode: {len(prompts)} prompt(s) -> {result_path}")
     return 0
@@ -404,7 +422,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad ratio list {args.ratios!r}") from exc
     spec = CorruptionSpec(ratios=sorted(ratios), seeds=list(range(args.n_seeds)), pad_id=PAD)
-    file_cfg = _load_json(args.config) if args.config else {}
+    file_cfg = _load_config(args.config)
     section = file_cfg.get("backend", {})
     cfg = _build_config(args, file_cfg, default_answer_config().to_dict())
     script = _script(args, section)
@@ -434,26 +452,43 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument(
-        "--backend", choices=["toy", "ngram", "scripted", "counting"], default=None
-    )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--window", type=int, default=None, help="lookahead window size")
-    skip = p.add_mutually_exclusive_group()
-    skip.add_argument("--skip", dest="skip", action="store_true", default=None)
-    skip.add_argument("--no-skip", dest="skip", action="store_false")
-    p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
-    p.add_argument("--probe-threshold", type=float, default=None)
-    p.add_argument("--max-new-tokens", type=int, default=None)
-    p.add_argument("--answer-trigger", default=None, help="token list, e.g. '4,5'")
-    p.add_argument("--table", help="ngram table file")
-    p.add_argument("--order", type=int, default=None, help="ngram order")
-    p.add_argument("--keys", type=int, default=None, help="scripted key tokens")
-    p.add_argument("--rationale-len", type=int, default=None)
-    p.add_argument("--modulus", type=int, default=None, help="counting modulus")
-    p.add_argument("--out", default="out", help="output directory")
+_DECODING = "decode bench sweep-window"
+_ALL = "decode bench sweep-window corrupt"
+
+# Each flag, its argparse settings and the commands that read it: a command
+# accepts exactly the flags that change its run (README, "Flags per command").
+_FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
+    (("--config",), {"help": "JSON config file"}, _ALL),
+    (("--backend",), {"choices": ["toy", "ngram", "scripted", "counting"]}, _DECODING),
+    (("--seed",), {"type": int}, _ALL),
+    (("--window",), {"type": int, "dest": "window_len"}, "decode bench"),
+    (("--skip", "--no-skip"), {}, "decode sweep-window"),
+    (("--max-iters",), {"type": int, "dest": "iteration_cap"}, _DECODING),
+    (("--probe-threshold",), {"type": float}, _DECODING),
+    (("--max-new-tokens",), {"type": int}, _DECODING),
+    (("--answer-trigger",), {"help": "token list, e.g. '4,5'"}, "decode bench corrupt"),
+    (("--table",), {"help": "ngram table file"}, _DECODING),
+    (("--order",), {"type": int, "help": "ngram order"}, _DECODING),
+    (("--keys",), {"type": int, "help": "scripted key tokens"}, _ALL),
+    (("--rationale-len",), {"type": int}, _ALL),
+    (("--modulus",), {"type": int, "help": "counting modulus"}, _DECODING),
+    (("--out",), {"default": "out", "help": "output directory"}, _ALL),
+    (("--prompt",), {"action": "append", "help": "inline token list"}, _DECODING),
+    (("--prompts-file",), {"help": "JSON list of prompts"}, _DECODING),
+    (("--method",), {"choices": ["parallel", "ar"], "default": "parallel"}, "decode"),
+    (("--methods",), {"help": "comma list of methods"}, "bench"),
+    (("--windows",), {"required": True, "help": "window sizes, e.g. '0,2,4,8'"}, "sweep-window"),
+    (("--tasks",), {"type": int, "default": 8}, "corrupt"),
+    (("--n-seeds",), {"type": int, "default": 40}, "corrupt"),
+    (("--ratios",), {"default": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"}, "corrupt"),
+]
+
+_COMMANDS = {
+    "decode": (cmd_decode, "run one decode per prompt"),
+    "bench": (cmd_bench, "compare decode methods per prompt"),
+    "sweep-window": (cmd_sweep_window, "hit metrics per window size"),
+    "corrupt": (cmd_corrupt, "accuracy vs kept-token ratio"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,39 +497,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parallel decoding engine with verified exact commits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decode", help="run one decode per prompt")
-    _add_common(p)
-    p.add_argument("--prompt", action="append", help="inline token list")
-    p.add_argument("--prompts-file", help="JSON list of prompts")
-    p.add_argument(
-        "--method", choices=["parallel", "ar"], default="parallel"
-    )
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("bench", help="compare decode methods per prompt")
-    _add_common(p)
-    p.add_argument("--prompt", action="append")
-    p.add_argument("--prompts-file")
-    p.add_argument("--methods", help="comma list of methods", default=None)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("sweep-window", help="hit metrics per window size")
-    _add_common(p)
-    p.add_argument("--prompt", action="append")
-    p.add_argument("--prompts-file")
-    p.add_argument("--windows", required=True, help="window sizes, e.g. '0,2,4,8'")
-    p.set_defaults(func=cmd_sweep_window)
-
-    p = sub.add_parser("corrupt", help="accuracy vs kept-token ratio")
-    _add_common(p)
-    p.add_argument("--tasks", type=int, default=8)
-    p.add_argument("--n-seeds", type=int, default=40)
-    p.add_argument(
-        "--ratios", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
-    )
-    p.set_defaults(func=cmd_corrupt)
-
+    for command, (func, text) in _COMMANDS.items():
+        # No abbreviations: a prefix of a flag, such as --window for
+        # --windows, would be a flag the command does not take.
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for names, kwargs, commands in _FLAGS:
+            if command not in commands.split():
+                continue
+            if names == ("--skip", "--no-skip"):
+                skip = p.add_mutually_exclusive_group()
+                skip.add_argument("--skip", dest="skip", action="store_true", default=None)
+                skip.add_argument("--no-skip", dest="skip", action="store_false")
+            else:
+                p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -247,18 +247,16 @@ def iterate_once(
         if eos in preds[:m]:
             m = preds.index(eos) + 1
 
-        if cache is not None and step.new_kv is not None:
+        if cache is not None:
             # Persist up to (new frontier - 1): all freshly exact positions
             # except the last committed token, whose K/V is recomputed as the
-            # next iteration's frontier-1 input.
+            # next iteration's frontier-1 input.  The new K/V start at the
+            # slot's valid length.
             persist_end = frontier + m - 1
             with timer.phase("kv_cache"):
+                start = int(cache.valid_len[i])
                 cache.write_back(
-                    i,
-                    step.new_kv,
-                    step.new_start,
-                    persist_end - step.new_start,
-                    ctx[step.new_start : persist_end],
+                    i, step.new_kv, start, persist_end - start, ctx[start:persist_end]
                 )
         update(buffers, i, preds, m)
         records.append(
@@ -300,8 +298,8 @@ class _Session:
     """One batch decode run: the fused loop until every instance stops.
 
     ``cache`` continues an earlier run's cache (the answer phase extends
-    the rationale's); without it a cache is allocated for backends that
-    take one, with room for an answer phase after this run.
+    the rationale's); without it a backend with layers gets a fresh
+    cache, with room for an answer phase after this run.
     """
 
     def __init__(
@@ -331,7 +329,7 @@ class _Session:
             DecodeTrace(method=method, prompt=p.tolist(), window_len=cfg.window_len, skip=cfg.skip)
             for p in prompts
         ]
-        if cache is None and spec.supports_cache:
+        if cache is None and spec.n_layers > 0:
             rows = need + len(cfg.answer_trigger) + cfg.answer_max_tokens
             cache = alloc(len(prompts), min(rows, spec.max_len or rows), spec)
         self.cache = cache

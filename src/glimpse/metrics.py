@@ -1,4 +1,4 @@
-"""Approximate-token quality metrics, iteration savings, and time buckets.
+"""Approximate-token quality metrics and iteration savings.
 
 Window quality is scored against the autoregressive continuation of the
 same prompt (which losslessness guarantees equals the committed stream):
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from glimpse.errors import ContractError
-from glimpse.trace import (  # noqa: F401  (re-exported instrumentation surface)
-    PHASES,
-    DecodeTrace,
-    PhaseTimer,
-    TimeBreakdown,
-)
+from glimpse.trace import DecodeTrace
 
 
 @dataclass

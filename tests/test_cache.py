@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from glimpse.backends import make_toy_transformer
+from glimpse.backends import BackendSpec, make_counting_backend, make_toy_transformer
 from glimpse.cache import alloc, plan_input_padding, plan_kv_padding
-from glimpse.engine import DecodeConfig, run_rationale
+from glimpse.engine import DecodeConfig, ar_baseline, decode_with_answer, run_rationale
 from glimpse.errors import CapacityError, ConfigError, ContractError
 
 from conftest import small_toy_spec
@@ -16,8 +16,7 @@ def toy():
 
 def test_alloc_initial_state(toy):
     cache = alloc(2, 128, toy.spec)
-    assert cache.valid_lens() == [0, 0]
-    assert cache.alloc_events == 1
+    assert cache.valid_len.tolist() == [0, 0]
     assert len(cache.keys) == toy.spec.n_layers
     assert cache.keys[0].shape == (2, 128, toy.spec.n_heads, toy.spec.head_dim)
 
@@ -27,6 +26,24 @@ def test_alloc_rejects_bad_sizes(toy):
         alloc(0, 128, toy.spec)
     with pytest.raises(ConfigError):
         alloc(2, 0, toy.spec)
+
+
+def test_alloc_refuses_a_spec_without_layers():
+    # a backend has K/V to cache exactly when it has layers
+    with pytest.raises(ConfigError):
+        alloc(1, 8, make_counting_backend(10).spec)
+
+
+def test_toy_takes_a_hand_built_spec():
+    # the shape alone makes a transformer: there are no capability flags
+    spec = BackendSpec(
+        vocab_size=32, pad_id=30, eos_id=31, n_layers=1, n_heads=2, model_dim=16, max_len=64
+    )
+    toy = make_toy_transformer(3, spec)
+    cfg = DecodeConfig(window_len=2, max_new_tokens=10)
+    result = run_rationale([4, 5], toy, cfg)
+    assert result.exact_rationale == ar_baseline([4, 5], toy, cfg).exact_rationale
+    assert toy.forward([4, 5, 6], 2).attention_summary.shape == (2, 3)
 
 
 def test_plan_kv_padding_masks_shorter_instances():
@@ -58,11 +75,11 @@ def test_write_back_advances_valid_len(toy):
     cache = alloc(1, 32, toy.spec)
     step = toy.forward([1, 2, 3, 4, 5, 6, 7, 8], 1)
     cache.write_back(0, step.new_kv, 0, 8, [1, 2, 3, 4, 5, 6, 7, 8])
-    assert cache.valid_lens() == [8]
+    assert cache.valid_len.tolist() == [8]
     # contiguity: writing 3 more positions lands at valid 11
     step2 = toy.forward([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 3, cache.slot(0))
     cache.write_back(0, step2.new_kv, 8, 3, [9, 10, 11])
-    assert cache.valid_lens() == [11]
+    assert cache.valid_len.tolist() == [11]
 
 
 def test_write_back_rejects_gap_and_overlap(toy):
@@ -83,28 +100,29 @@ def test_capacity_error_not_silent_wrap(toy):
         toy.forward([1, 2, 3, 4, 5, 6, 7], 2, cache.slot(0))
     with pytest.raises(CapacityError):
         cache.write_back(0, step.new_kv, 5, 2, [6, 7])
-    assert cache.valid_lens() == [5]
+    assert cache.valid_len.tolist() == [5]
 
 
 def test_no_reallocation_during_decode(toy, monkeypatch):
-    # the engine allocates its cache once; storage arrays never change identity
+    # the engine allocates one cache per run (the answer phase extends the
+    # rationale's); storage arrays never change identity
     import glimpse.engine as engine_mod
 
-    captured = {}
+    captured = []
     original_alloc = engine_mod.alloc
 
     def spy(batch, max_len, spec):
         buf = original_alloc(batch, max_len, spec)
-        captured["buf"] = buf
-        captured["ids"] = [id(a) for a in buf.keys + buf.values]
+        captured.append((buf, [id(a) for a in buf.keys + buf.values]))
         return buf
 
     monkeypatch.setattr(engine_mod, "alloc", spy)
-    cfg = DecodeConfig(window_len=4, max_new_tokens=24)
-    run_rationale([1, 2, 3], toy, cfg)
-    buf = captured["buf"]
-    assert buf.alloc_events == 1
-    assert [id(a) for a in buf.keys + buf.values] == captured["ids"]
+    cfg = DecodeConfig(window_len=4, max_new_tokens=24, answer_trigger=(4, 5))
+    for decode in (run_rationale, ar_baseline, decode_with_answer):
+        captured.clear()
+        decode([1, 2, 3], toy, cfg)
+        [(buf, ids)] = captured
+        assert [id(a) for a in buf.keys + buf.values] == ids
 
 
 def test_cache_sound_after_mixed_iterations(toy):
@@ -149,7 +167,7 @@ def test_batched_forward_matches_solo(toy):
 
 
 def _committed_state(cache, instance):
-    v = cache.valid_lens()[instance]
+    v = int(cache.valid_len[instance])
     return (
         v,
         cache.tokens[instance, :v].copy(),
@@ -191,7 +209,6 @@ def test_forward_writes_ahead_into_the_cache(toy):
     pre = toy.forward(ctx[:3], 1, cache.slot(1))
     cache.write_back(1, pre.new_kv, 0, 3, ctx[:3])
     step = toy.forward(ctx, 2, cache.slot(1))
-    assert step.new_start == 3
     for li, (k, v) in enumerate(step.new_kv):
         assert k.shape == (2, toy.spec.n_heads, toy.spec.head_dim)
         assert np.shares_memory(k, cache.keys[li][1, 3:5])
@@ -252,7 +269,7 @@ def test_block_past_capacity_refused_before_any_write(toy):
         toy.forward_batch([ctx[:7], ctx[:6]], [1, 4], slots)
     with pytest.raises(CapacityError):
         toy.forward(ctx + [5], 4, slots[1])
-    assert cache.valid_lens() == [6, 2]
+    assert cache.valid_len.tolist() == [6, 2]
     for i in range(2):
         _assert_same_state(before[i], _committed_state(cache, i))
 

@@ -321,16 +321,10 @@ def test_corrupt_takes_decode_flags_and_file(tmp_path):
     assert manifest["config"] == default_answer_config().to_dict()
     assert rows[0]["mean"] == "1.000000"
 
-    code = run_cli(
-        *common,
-        "--answer-trigger", "9,9",
-        "--max-new-tokens", "5",
-        "--out", str(tmp_path / "f"),
-    )
+    code = run_cli(*common, "--answer-trigger", "9,9", "--out", str(tmp_path / "f"))
     assert code == 0
     manifest, rows = read_csv(tmp_path / "f/corruption.csv")
     assert manifest["config"]["answer_trigger"] == [9, 9]
-    assert manifest["config"]["max_new_tokens"] == 5
     assert rows[0]["mean"] == "0.000000"  # without the real trigger nothing answers
 
     # A file without a trigger keeps the scripted one; its other values apply.
@@ -480,8 +474,8 @@ def test_sweep_window_runs_no_answer_phase(tmp_path):
         )
     )
     common = ["--config", str(cfg), "--prompt", "10,11,12,13,14,15,16,17"]
-    common += ["--window", "4", "--max-new-tokens", "40", "--out", str(tmp_path / "o")]
-    assert run_cli("decode", *common) == 2
+    common += ["--max-new-tokens", "40", "--out", str(tmp_path / "o")]
+    assert run_cli("decode", *common, "--window", "4") == 2
     assert run_cli("sweep-window", *common, "--windows", "4") == 0
 
 
@@ -575,3 +569,127 @@ def test_bad_decode_section_exits_2(tmp_path, section):
     )
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("bench", ["--skip"]),
+        ("sweep-window", ["--window", "5"]),
+        ("sweep-window", ["--answer-trigger", "4,5"]),
+        ("corrupt", ["--backend", "scripted"]),
+        ("corrupt", ["--window", "3"]),
+        ("corrupt", ["--no-skip"]),
+        ("corrupt", ["--max-iters", "1"]),
+        ("corrupt", ["--probe-threshold", "0.1"]),
+        ("corrupt", ["--max-new-tokens", "5"]),
+        ("corrupt", ["--table", "t.txt"]),
+        ("corrupt", ["--order", "9"]),
+        ("corrupt", ["--modulus", "3"]),
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag):
+    # each of these was accepted, written to the manifest and ignored
+    rest = {
+        "bench": ["--backend", "counting", "--prompt", "0"],
+        "sweep-window": ["--backend", "counting", "--prompt", "0", "--windows", "0,2"],
+        "corrupt": ["--tasks", "1", "--n-seeds", "1", "--ratios", "1"],
+    }[command]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *rest, *flag, "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert run_cli(command, *rest, "--out", str(out)) == 0
+
+
+def _subparsers():
+    import argparse
+
+    from glimpse.cli import build_parser
+
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_readme_flag_table_is_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Flags per command", 1)[1].split("\n#", 1)[0]
+    lines = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+    head, _, *rows = lines
+    commands = [cell.strip() for cell in head[2:]]
+    documented = {c: set() for c in commands}
+    for flags, _, *ticks in rows:
+        for command, tick in zip(commands, ticks):
+            if tick.strip():
+                documented[command].update(flags.replace("`", "").replace(",", " ").split())
+    parsers = _subparsers()
+    assert commands == list(parsers)
+    accepted = {
+        command: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        for command, p in parsers.items()
+    }
+    assert documented == accepted
+    # one setting per dest: --skip and --no-skip are one
+    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 60
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("decode", ["--backend", "counting", "--prompt", ""]),
+        ("decode", ["--backend", "counting", "--prompt", "12"]),
+        ("decode", ["--backend", "counting", "--prompt", "0", "--prompt", "3,12"]),
+        ("bench", ["--backend", "counting", "--prompt", "12"]),
+        ("sweep-window", ["--backend", "counting", "--prompt", "12", "--windows", "2"]),
+        ("sweep-window", ["--backend", "counting", "--prompt", "", "--windows", "2"]),
+        # over capacity: refused by the decode itself, before anything is written
+        ("decode", ["--backend", "toy", "--seed", "1", "--prompt", "1", "--max-new-tokens", "600"]),
+        # the first prompt fits and is decoded, the second does not
+        (
+            "decode",
+            ["--backend", "toy", "--method", "ar", "--prompt", "1", "--prompt", "1,2",
+             "--max-new-tokens", "512"],
+        ),
+    ],
+)
+def test_a_refused_prompt_writes_nothing(tmp_path, command, args):
+    out = tmp_path / "o"
+    assert run_cli(command, *args, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ([1, 2], []),
+        ({"decode": [1]}, []),
+        ({"backend": "toy"}, []),
+        ({}, ["--backend", "counting", "--modulus", "1"]),
+        ({"backend": {"kind": "toy", "n_heads": 3}}, []),
+        ({"backend": {"kind": "toy", "max_len": 0}}, []),
+        ({"backend": {"kind": "toy", "max_len": "x"}}, []),
+        ({"backend": {"kind": "toy", "model_dim": 0}}, []),
+        ({"backend": {"kind": "toy", "seed": -1}}, []),
+        ({"backend": {"kind": "toy", "n_layers": 1.0}}, []),
+        ({"backend": {"kind": "counting", "modulus": "7"}}, []),
+        ({"backend": {"kind": "counting", "modulus": True}}, []),
+        ({"backend": {"kind": "ngram", "table": 5}}, []),
+        ({}, ["--backend", "ngram", "--table", "MISSING_TABLE"]),
+        ({}, ["--backend", "ngram", "--table", "BAD_TABLE"]),
+        ({}, ["--backend", "ngram", "--table", "GOOD_TABLE", "--order", "0"]),
+    ],
+)
+def test_bad_backend_settings_and_config_shapes_exit_2(tmp_path, config, flags):
+    (tmp_path / "BAD_TABLE.txt").write_text("5 -> 6\n6 ->\n")  # line 2 has no successor
+    (tmp_path / "GOOD_TABLE.txt").write_text("5 -> 6\n")
+    subst = {
+        name: str(tmp_path / f"{name}.txt") for name in ("BAD_TABLE", "GOOD_TABLE", "MISSING_TABLE")
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    for command in ("decode", "bench"):
+        argv = [command, "--config", str(cfg), "--prompt", "5", "--out", str(out)]
+        assert run_cli(*argv, *[subst.get(f, f) for f in flags]) == 2
+        assert not out.exists()

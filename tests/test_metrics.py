@@ -7,7 +7,6 @@ import pytest
 from glimpse.engine import DecodeConfig, ar_baseline, run_rationale
 from glimpse.errors import ContractError, InstrumentationError
 from glimpse.metrics import (
-    PhaseTimer,
     WindowSnapshot,
     aggregate,
     hit_report,
@@ -15,6 +14,7 @@ from glimpse.metrics import (
     score_window,
     snapshots_from_trace,
 )
+from glimpse.trace import PhaseTimer
 
 from oracles import greedy_ar_reference, replay_hit_report
 
