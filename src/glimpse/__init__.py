@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from glimpse.backends import (
     BackendSpec,
     StepOutput,
-    greedy_pick,
     make_counting_backend,
     make_ngram_backend,
     make_scripted_backend,
@@ -51,7 +50,6 @@ __all__ = [
     "calibrate_iteration_cap",
     "check_stop",
     "decode_with_answer",
-    "greedy_pick",
     "iterate_once",
     "make_counting_backend",
     "make_ngram_backend",

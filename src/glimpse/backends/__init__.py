@@ -7,7 +7,6 @@ from glimpse.backends.base import (
     SequentialBatchMixin,
     StepOutput,
     TokenSeq,
-    greedy_pick,
 )
 from glimpse.backends.counting import CountingBackend, make_counting_backend
 from glimpse.backends.ngram import NgramBackend, make_ngram_backend
@@ -31,7 +30,6 @@ __all__ = [
     "TokenSeq",
     "ToyTransformer",
     "default_toy_spec",
-    "greedy_pick",
     "make_counting_backend",
     "make_ngram_backend",
     "make_scripted_backend",

@@ -13,7 +13,7 @@ contents)`` produce bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -191,30 +191,6 @@ def penalized_scores(
     return np.where(history_mask, adjusted, scores)
 
 
-def greedy_pick(row: np.ndarray, history: Iterable[int], penalty: float = 1.0) -> int:
-    """Pick the argmax token from a score row under a repetition penalty.
-
-    Ties break to the lowest token id so that decoding is platform
-    independent.
-
-    Args:
-        row: 1-D array of ``vocab_size`` finite scores.
-        history: Token ids already visible to this position; each id present
-            gets penalized once regardless of multiplicity.
-        penalty: Repetition penalty, ``>= 1``.
-    """
-    scores = np.asarray(row, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ContractError("score row must be 1-D")
-    if not np.all(np.isfinite(scores)):
-        raise ContractError("score row contains non-finite values")
-    if penalty < 1.0:
-        raise ContractError("penalty must be >= 1")
-    mask = HistoryMask(scores.shape[0])
-    mask.extend([tok for tok in history if 0 <= tok < scores.shape[0]])
-    return mask.pick(scores[None], penalty)[0]
-
-
 @dataclass
 class HistoryMask:
     """History membership mask for greedy picking, grown as tokens commit."""
@@ -237,7 +213,7 @@ class HistoryMask:
         penalized under the history plus the whole window, and each earlier
         row under one window token fewer.  With ``len(window) == len(rows) - 1``,
         row ``j`` sees ``window[:j]``.  One penalty pass and one argmax
-        cover the block.  See :func:`greedy_pick`.
+        cover the block.
 
         The rows are not checked for non-finite values: the engine checks
         each forward's scores once, before any pick.

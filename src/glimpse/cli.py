@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from glimpse import __version__
 from glimpse.backends import (
@@ -88,18 +88,12 @@ def _parse_tokens(text: str) -> list[int]:
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
-_TOY_SHAPE = ("vocab_size", "n_layers", "n_heads", "model_dim", "max_len")
-# Backend settings that are seeds, ids or sizes: JSON integers, as prompts are.
-_BACKEND_INTS = ("seed", "order", "modulus", "num_keys", "rationale_len", *_TOY_SHAPE)
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -109,15 +103,7 @@ def _load_config(path: str | None) -> dict:
         isinstance(data.get(key, {}), dict) for key in ("decode", "backend")
     ):
         raise ConfigError(f"{path}: the config and its decode and backend sections must be objects")
-    for key, value in data.get("backend", {}).items():
-        if key in _BACKEND_INTS and type(value) is not int:
-            raise ConfigError(f"{path}: backend {key} must be an integer, got {value!r}")
     return data
-
-
-def _pick(flag, section: dict, key: str, default=None):
-    """A setting's value: the flag if given, else the config file's, else ``default``."""
-    return flag if flag is not None else section.get(key, default)
 
 
 # The decode settings a flag can give; each flag's dest is the key it sets.
@@ -136,45 +122,61 @@ def _build_config(
     return DecodeConfig.from_dict(data)
 
 
-def _script(args: argparse.Namespace, section: dict) -> RetrievalScript:
-    return RetrievalScript(
-        num_keys=_pick(args.keys, section, "num_keys", 1),
-        rationale_len=_pick(args.rationale_len, section, "rationale_len", 24),
-    )
+def _ngram(order: int, table: str | None = None) -> Backend:
+    if table is None:
+        raise ConfigError("ngram backend needs --table")
+    return make_ngram_backend(order, table)
+
+
+# Each backend kind: the settings it reads with their defaults, and its
+# constructor, called with them.  A default of None is the backend's own
+# and enters the manifest only when given.  Every setting but the n-gram
+# table is a JSON integer (README, "Backends").
+_BACKENDS: dict[str, tuple[dict, Callable[..., Backend]]] = {
+    "toy": (
+        {"seed": 0, **dict.fromkeys(("vocab_size", "n_layers", "n_heads", "model_dim", "max_len"))},
+        lambda seed, **shape: make_toy_transformer(seed, default_toy_spec(**shape)),
+    ),
+    "ngram": ({"table": None, "order": 2}, _ngram),
+    "scripted": (
+        {"num_keys": 1, "rationale_len": 24},
+        lambda **script: make_scripted_backend(RetrievalScript(**script)),
+    ),
+    "counting": ({"modulus": 10}, make_counting_backend),
+}
+# Every backend setting; a flag that gives one has it as its dest.
+_BACKEND_KEYS = {key for defaults, _ in _BACKENDS.values() for key in defaults}
+
+
+def _backend_settings(args: argparse.Namespace, section: dict, kind: str, defaults: dict) -> dict:
+    """Each setting of a ``kind`` backend: its flag, else the file's, else ``defaults``.
+
+    Settings left at None are dropped.  A setting that the kind does not
+    read is refused, from a flag or from the file.
+    """
+    flags = vars(args)
+    given = {key: value for key, value in section.items() if key != "kind"}
+    given.update({key: flags[key] for key in _BACKEND_KEYS if flags.get(key) is not None})
+    unread = sorted(set(given) - set(defaults))
+    if unread:
+        raise ConfigError(f"the {kind} backend does not read {', '.join(unread)}")
+    for key, value in given.items():
+        want = str if key == "table" else int
+        if type(value) is not want:
+            raise ConfigError(f"backend {key} must be {want.__name__}, got {value!r}")
+    return {key: value for key, value in {**defaults, **given}.items() if value is not None}
 
 
 def _build_backend(args: argparse.Namespace, file_cfg: dict) -> tuple[Backend, dict]:
     section = file_cfg.get("backend", {})
-    kind = _pick(args.backend, section, "kind")
+    kind = args.backend or section.get("kind")
     if kind is None:
         raise ConfigError("no backend selected (use --backend or config)")
-    if kind == "toy":
-        seed = _pick(args.seed, section, "seed", 0)
-        spec_kwargs = {k: section[k] for k in _TOY_SHAPE if k in section}
-        backend: Backend = make_toy_transformer(seed, default_toy_spec(**spec_kwargs))
-        desc = {"kind": "toy", "seed": seed, **spec_kwargs}
-    elif kind == "ngram":
-        table = _pick(args.table, section, "table")
-        if table is None:
-            raise ConfigError("ngram backend needs --table")
-        order = _pick(args.order, section, "order", 2)
-        backend = make_ngram_backend(order, str(table))
-        desc = {"kind": "ngram", "table": str(table), "order": order}
-    elif kind == "scripted":
-        script = _script(args, section)
-        backend = make_scripted_backend(script)
-        desc = {
-            "kind": "scripted",
-            "num_keys": script.num_keys,
-            "rationale_len": script.rationale_len,
-        }
-    elif kind == "counting":
-        modulus = _pick(args.modulus, section, "modulus", 10)
-        backend = make_counting_backend(modulus)
-        desc = {"kind": "counting", "modulus": modulus}
-    else:
+    if not isinstance(kind, str) or kind not in _BACKENDS:
         raise ConfigError(f"unknown backend {kind!r}")
-    return backend, desc
+    defaults, make = _BACKENDS[kind]
+    settings = _backend_settings(args, section, kind, defaults)
+    return make(**settings), {"kind": kind, **settings}
 
 
 def _prompts_from_args(args: argparse.Namespace) -> list[list[int]]:
@@ -250,13 +252,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
         args, "decode", ["result.json", "trace.jsonl", "tokens.txt"]
     )
     result_path, trace_path, tokens_path = paths
-    decode = ar_baseline if args.method == "ar" else decode_with_answer
     # Every prompt is decoded before the first write, so a refused run writes nothing.
-    results = [decode(prompt, backend, cfg) for prompt in prompts]
+    results = [decode_with_answer(prompt, backend, cfg) for prompt in prompts]
     payloads = [
         {
             "prompt": prompt,
-            "method": args.method,
             "exact_rationale": result.exact_rationale,
             "approximate_tail": result.approximate_tail,
             "answer": result.answer,
@@ -270,9 +270,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
     with _open(trace_path) as tf:
         for result in results:
             result.trace.write_jsonl(tf)
-    # Exact-token file: the method flag is deliberately not part of the
-    # manifest, so equivalent runs (c=0 vs the AR baseline) compare equal
-    # byte for byte.
     lines = [" ".join(str(t) for t in result.exact_rationale) for result in results]
     with _open(tokens_path) as fh:
         fh.write(_header(manifest) + "\n".join(lines) + "\n")
@@ -288,10 +285,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg, backend, prompts, (report_path, csv_path), manifest = _setup(
         args, "bench", ["bench_report.json", "bench.csv"]
     )
-    methods = list(args.methods.split(",")) if args.methods else list(_BENCH_METHODS)
+    methods = args.methods.split(",") if args.methods is not None else list(_BENCH_METHODS)
     for m in methods:
         if m not in _BENCH_METHODS:
             raise ConfigError(f"unknown method {m!r} (choose from {_BENCH_METHODS})")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"each method at most once, got {args.methods!r}")
 
     report: list[dict] = []
     for pid, prompt in enumerate(prompts):
@@ -424,19 +423,16 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     spec = CorruptionSpec(ratios=sorted(ratios), seeds=list(range(args.n_seeds)), pad_id=PAD)
     file_cfg = _load_config(args.config)
     section = file_cfg.get("backend", {})
+    if section.get("kind", "scripted") != "scripted":
+        raise ConfigError(f"corrupt runs scripted tasks, not kind {section['kind']!r}")
     cfg = _build_config(args, file_cfg, default_answer_config().to_dict())
-    script = _script(args, section)
-    task_seed = _pick(args.seed, section, "seed", 0)
-    cases, backend = make_scripted_tasks(args.tasks, task_seed, script)
+    defaults = {**_BACKENDS["scripted"][0], "seed": 0}  # the seed of the tasks
+    settings = _backend_settings(args, section, "scripted", defaults)
+    task_seed = settings.pop("seed")
+    cases, backend = make_scripted_tasks(args.tasks, task_seed, RetrievalScript(**settings))
     rows = run_overlap_experiment(cases, spec, backend, cfg)
     csv_path = Path(args.out or "out") / "corruption.csv"
-    desc = {
-        "kind": "scripted",
-        "num_keys": script.num_keys,
-        "rationale_len": script.rationale_len,
-        "tasks": args.tasks,
-        "task_seed": task_seed,
-    }
+    desc = {"kind": "scripted", **settings, "tasks": args.tasks, "task_seed": task_seed}
     _write_csv(
         csv_path,
         _manifest("corrupt", cfg, desc, [csv_path.name]),
@@ -459,7 +455,7 @@ _ALL = "decode bench sweep-window corrupt"
 # accepts exactly the flags that change its run (README, "Flags per command").
 _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--config",), {"help": "JSON config file"}, _ALL),
-    (("--backend",), {"choices": ["toy", "ngram", "scripted", "counting"]}, _DECODING),
+    (("--backend",), {"choices": list(_BACKENDS)}, _DECODING),
     (("--seed",), {"type": int}, _ALL),
     (("--window",), {"type": int, "dest": "window_len"}, "decode bench"),
     (("--skip", "--no-skip"), {}, "decode sweep-window"),
@@ -469,13 +465,12 @@ _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--answer-trigger",), {"help": "token list, e.g. '4,5'"}, "decode bench corrupt"),
     (("--table",), {"help": "ngram table file"}, _DECODING),
     (("--order",), {"type": int, "help": "ngram order"}, _DECODING),
-    (("--keys",), {"type": int, "help": "scripted key tokens"}, _ALL),
+    (("--keys",), {"type": int, "dest": "num_keys", "help": "scripted key tokens"}, _ALL),
     (("--rationale-len",), {"type": int}, _ALL),
     (("--modulus",), {"type": int, "help": "counting modulus"}, _DECODING),
     (("--out",), {"default": "out", "help": "output directory"}, _ALL),
     (("--prompt",), {"action": "append", "help": "inline token list"}, _DECODING),
     (("--prompts-file",), {"help": "JSON list of prompts"}, _DECODING),
-    (("--method",), {"choices": ["parallel", "ar"], "default": "parallel"}, "decode"),
     (("--methods",), {"help": "comma list of methods"}, "bench"),
     (("--windows",), {"required": True, "help": "window sizes, e.g. '0,2,4,8'"}, "sweep-window"),
     (("--tasks",), {"type": int, "default": 8}, "corrupt"),

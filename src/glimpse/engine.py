@@ -284,6 +284,13 @@ def _max_context(prompts: Sequence[TokenSeq], cfg: DecodeConfig) -> int:
     return max(len(p) for p in prompts) + cfg.max_new_tokens - 1 + cfg.window_len
 
 
+def _check_trigger(backend: Backend, cfg: DecodeConfig) -> None:
+    """Refuse up front an answer trigger the backend cannot read."""
+    for tok in cfg.answer_trigger:
+        if not 0 <= tok < backend.spec.vocab_size:
+            raise ConfigError(f"answer trigger token {tok} outside vocab")
+
+
 def _check_capacity(backend: Backend, need: int, what: str) -> None:
     """Refuse up front a run whose contexts would outgrow the backend."""
     limit = backend.spec.max_len
@@ -298,8 +305,8 @@ class _Session:
     """One batch decode run: the fused loop until every instance stops.
 
     ``cache`` continues an earlier run's cache (the answer phase extends
-    the rationale's); without it a backend with layers gets a fresh
-    cache, with room for an answer phase after this run.
+    the rationale's); without it a backend with layers gets a fresh cache
+    sized for this run.
     """
 
     def __init__(
@@ -314,9 +321,6 @@ class _Session:
         spec = backend.spec
         # The backends' own check: integer ids inside the vocabulary.
         prompts = [check_forward_args(spec, prompt, 1) for prompt in prompts]
-        for tok in cfg.answer_trigger:
-            if not 0 <= tok < spec.vocab_size:
-                raise ConfigError(f"answer trigger token {tok} outside vocab")
         need = _max_context(prompts, cfg)
         _check_capacity(backend, need, "decoding")
         # The last update's tail write ends at most one token past the last forward's context.
@@ -330,8 +334,7 @@ class _Session:
             for p in prompts
         ]
         if cache is None and spec.n_layers > 0:
-            rows = need + len(cfg.answer_trigger) + cfg.answer_max_tokens
-            cache = alloc(len(prompts), min(rows, spec.max_len or rows), spec)
+            cache = alloc(len(prompts), need, spec)
         self.cache = cache
 
     def run(self) -> list[DecodeResult]:
@@ -429,6 +432,7 @@ def answer_phase(
     (EOS itself is not returned).  Given ``cache`` (the rationale's,
     instance 0) it extends that cache; without it the run gets a fresh one.
     """
+    _check_trigger(backend, cfg)
     seq = [*prompt, *exact, *approx_tail, *cfg.answer_trigger]
     session = _Session(
         [seq], backend, _greedy(cfg, cfg.answer_max_tokens), "answer", cache, timer
@@ -442,10 +446,12 @@ def answer_phase(
 def _with_answer(
     prompt: TokenSeq, backend: Backend, cfg: DecodeConfig, method: str
 ) -> DecodeResult:
+    _check_trigger(backend, cfg)
     need = _max_context([prompt], cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
     _check_capacity(backend, need, "the answer phase")
     t0 = time.perf_counter()
-    session = _Session([prompt], backend, cfg, method)
+    cache = alloc(1, need, backend.spec) if backend.spec.n_layers > 0 else None
+    session = _Session([prompt], backend, cfg, method, cache)
     result = session.run()[0]
     result.answer = answer_phase(
         prompt,
@@ -464,8 +470,8 @@ def decode_with_answer(
 ) -> DecodeResult:
     """Full pipeline: rationale loop, then the answer phase.
 
-    Refused before the rationale starts when the answer would not fit the
-    backend's ``max_len``.
+    Refused before the rationale starts when the trigger is outside the
+    vocabulary or the answer would not fit the backend's ``max_len``.
     """
     return _with_answer(prompt, backend, cfg, "parallel")
 

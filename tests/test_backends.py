@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from glimpse.backends import (
     NgramBackend,
-    greedy_pick,
     make_counting_backend,
     make_ngram_backend,
     make_scripted_backend,
@@ -22,9 +21,11 @@ from glimpse.backends.scripted import (
 )
 from glimpse.backends.base import HistoryMask, check_forward_args, penalized_scores
 from glimpse.cache import alloc
+from glimpse.engine import DecodeConfig
 from glimpse.errors import (
     CacheMismatchError,
     CapacityError,
+    ConfigError,
     ContractError,
     TableParseError,
 )
@@ -34,42 +35,51 @@ from oracles import penalized_argmax
 
 
 # ----------------------------------------------------------------------
-# greedy_pick
+# greedy picks: HistoryMask.pick
 # ----------------------------------------------------------------------
 
 
+def pick_one(row, history, penalty):
+    """The single-row pick of ``row`` under ``history``."""
+    mask = HistoryMask(len(row))
+    mask.extend(history)
+    return mask.pick(np.array([row]), penalty)[0]
+
+
 def test_greedy_plain_argmax():
-    assert greedy_pick(np.array([2.0, 1.5]), [], 1.2) == 0
+    assert pick_one([2.0, 1.5], [], 1.2) == 0
 
 
 def test_greedy_penalty_keeps_leader():
     # 2.0 / 1.2 = 1.667 still beats 1.5
-    assert greedy_pick(np.array([2.0, 1.5]), [0], 1.2) == 0
+    assert pick_one([2.0, 1.5], [0], 1.2) == 0
 
 
 def test_greedy_tie_breaks_to_lowest_id():
-    assert greedy_pick(np.array([1.0, 1.0, 0.5]), [], 1.0) == 0
+    assert pick_one([1.0, 1.0, 0.5], [], 1.0) == 0
 
 
 def test_greedy_penalty_can_flip_argmax():
-    assert greedy_pick(np.array([1.5, 1.4]), [0], 1.2) == 1
+    assert pick_one([1.5, 1.4], [0], 1.2) == 1
 
 
 def test_greedy_negative_scores_multiplied():
     # -1 * 2 = -2 ties with -2: lowest id wins
-    assert greedy_pick(np.array([-1.0, -2.0]), [0], 2.0) == 0
+    assert pick_one([-1.0, -2.0], [0], 2.0) == 0
 
 
 def test_greedy_rejects_bad_inputs():
+    # a penalty below 1 never reaches a pick: the config refuses it
+    with pytest.raises(ConfigError):
+        DecodeConfig(window_len=0, repetition_penalty=0.5)
+    # two score rows are conditioned on one window token, and none is given
     with pytest.raises(ContractError):
-        greedy_pick(np.array([1.0, 2.0]), [], 0.5)
-    with pytest.raises(ContractError):
-        greedy_pick(np.array([np.inf, 0.0]), [], 1.0)
+        HistoryMask(2).pick(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.2)
 
 
 def test_greedy_history_multiplicity_irrelevant():
-    row = np.array([3.0, 2.0])
-    assert greedy_pick(row, [0], 1.2) == greedy_pick(row, [0, 0, 0], 1.2)
+    row = [3.0, 2.0]
+    assert pick_one(row, [0], 1.2) == pick_one(row, [0, 0, 0], 1.2)
 
 
 _SCORES = st.one_of(
@@ -106,7 +116,7 @@ def test_penalized_pick_matches_oracle(row, penalty, data):
     reference = _penalized_loop(row, mask, penalty)
     assert adjusted.tolist() == reference
     assert np.array_equal(np.signbit(adjusted), np.signbit(reference))
-    assert greedy_pick(scores, history, penalty) == penalized_argmax(row, history, penalty)
+    assert pick_one(scores, history, penalty) == penalized_argmax(row, history, penalty)
 
     # A block picked at once: row j is penalized under history + window[:j].
     n = data.draw(st.integers(1, 9))
@@ -215,7 +225,7 @@ def test_ngram_lookup_and_backoff():
     assert b.forward([5], 1).rows[0].argmax() == 7
     # unseen context backs off to the uniform row; greedy resolves to 0
     assert b.forward([3], 1).rows[0].argmax() == 0
-    assert greedy_pick(b.forward([3], 1).rows[0], [], 1.0) == 0
+    assert HistoryMask(10).pick(b.forward([3], 1).rows, 1.0) == [0]
 
 
 def test_ngram_longest_suffix_wins():

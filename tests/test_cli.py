@@ -91,17 +91,22 @@ def test_decode_rerun_identical_tokens(tmp_path):
 
 
 def test_window_zero_matches_ar_byte_identical(tmp_path):
-    common = [
-        "--backend", "counting",
-        "--prompt", "2",
+    # decode at --window 0 runs the loop that ar_baseline runs
+    prompts, budget = [[1, 2, 3], [9, 8]], 40
+    code = run_cli(
+        "decode",
+        "--backend", "toy",
+        "--seed", "11",
+        *[arg for p in prompts for arg in ("--prompt", ",".join(map(str, p)))],
         "--window", "0",
-        "--max-new-tokens", "15",
-    ]
-    run_cli("decode", *common, "--method", "parallel", "--out", str(tmp_path / "p"))
-    run_cli("decode", *common, "--method", "ar", "--out", str(tmp_path / "a"))
-    assert (tmp_path / "p/tokens.txt").read_bytes() == (
-        tmp_path / "a/tokens.txt"
-    ).read_bytes()
+        "--max-new-tokens", str(budget),
+        "--out", str(tmp_path / "p"),
+    )
+    assert code == 0
+    backend = make_toy_transformer(11, default_toy_spec())
+    cfg = DecodeConfig(window_len=0, max_new_tokens=budget)
+    expected = [" ".join(map(str, ar_baseline(p, backend, cfg).exact_rationale)) for p in prompts]
+    assert (tmp_path / "p/tokens.txt").read_text().splitlines()[1:] == expected
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -169,6 +174,17 @@ def test_bench_report_shape(tmp_path):
         "parallel_noskip",
         "parallel_skip",
     }
+
+
+@pytest.mark.parametrize("methods", ["", "ar,ar", "ar,truncated,ar"])
+def test_bench_takes_each_method_once(tmp_path, methods):
+    common = ["bench", "--backend", "counting", "--prompt", "0", "--max-new-tokens", "8"]
+    out = tmp_path / "o"
+    assert run_cli(*common, "--methods", methods, "--out", str(out)) == 2
+    assert not out.exists()
+    assert run_cli(*common, "--methods", "ar,truncated", "--out", str(out)) == 0
+    report = json.loads((out / "bench_report.json").read_text())
+    assert [r["method"] for r in report["rows"]] == ["ar", "truncated"]
 
 
 def test_bench_unknown_method_exits_2(tmp_path):
@@ -631,7 +647,7 @@ def test_readme_flag_table_is_the_parser():
     }
     assert documented == accepted
     # one setting per dest: --skip and --no-skip are one
-    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 60
+    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 59
 
 
 @pytest.mark.parametrize(
@@ -645,11 +661,12 @@ def test_readme_flag_table_is_the_parser():
         ("sweep-window", ["--backend", "counting", "--prompt", "", "--windows", "2"]),
         # over capacity: refused by the decode itself, before anything is written
         ("decode", ["--backend", "toy", "--seed", "1", "--prompt", "1", "--max-new-tokens", "600"]),
-        # the first prompt fits and is decoded, the second does not
+        # the first prompt and its 16-token answer fit 1 + 495 + 16 = 512 tokens
+        # and are decoded; the second prompt does not fit
         (
             "decode",
-            ["--backend", "toy", "--method", "ar", "--prompt", "1", "--prompt", "1,2",
-             "--max-new-tokens", "512"],
+            ["--backend", "toy", "--window", "0", "--prompt", "1", "--prompt", "1,2",
+             "--max-new-tokens", "496"],
         ),
     ],
 )
@@ -665,6 +682,7 @@ def test_a_refused_prompt_writes_nothing(tmp_path, command, args):
         ([1, 2], []),
         ({"decode": [1]}, []),
         ({"backend": "toy"}, []),
+        ({"backend": {"kind": ["toy"]}}, []),
         ({}, ["--backend", "counting", "--modulus", "1"]),
         ({"backend": {"kind": "toy", "n_heads": 3}}, []),
         ({"backend": {"kind": "toy", "max_len": 0}}, []),
@@ -693,3 +711,159 @@ def test_bad_backend_settings_and_config_shapes_exit_2(tmp_path, config, flags):
         argv = [command, "--config", str(cfg), "--prompt", "5", "--out", str(out)]
         assert run_cli(*argv, *[subst.get(f, f) for f in flags]) == 2
         assert not out.exists()
+
+
+def test_readme_backend_table_is_the_cli_table():
+    from glimpse.cli import _BACKENDS
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Backends", 1)[1].split("\n#", 1)[0]
+    lines = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+    head, _, *rows = lines
+    assert [cell.strip() for cell in head[:2]] == ["kind", "settings"]
+    documented = {}
+    for kind, settings, *_ in rows:
+        # each setting is `name`, or `name` = default
+        items = [item.split("=") for item in settings.replace("`", "").split(",")]
+        documented[kind.strip(" `")] = {
+            item[0].strip(): json.loads(item[1]) if len(item) > 1 else None for item in items
+        }
+    assert documented == {kind: defaults for kind, (defaults, _) in _BACKENDS.items()}
+
+
+# The backend kind that reads each setting, and a value it takes.
+_SETTINGS = {
+    "seed": ("toy", 3),
+    "vocab_size": ("toy", 64),
+    "n_layers": ("toy", 1),
+    "n_heads": ("toy", 2),
+    "model_dim": ("toy", 16),
+    "max_len": ("toy", 64),
+    "table": ("ngram", "TABLE"),
+    "order": ("ngram", 3),
+    "num_keys": ("scripted", 2),
+    "rationale_len": ("scripted", 12),
+    "modulus": ("counting", 7),
+}
+_FLAG_OF = {
+    "seed": "--seed",
+    "table": "--table",
+    "order": "--order",
+    "num_keys": "--keys",
+    "rationale_len": "--rationale-len",
+    "modulus": "--modulus",
+}
+_KINDS = ("toy", "ngram", "scripted", "counting")
+
+
+def _decode_line(tmp_path, kind):
+    """A decode of ``kind`` that exits 0, and the output directory it writes."""
+    table = tmp_path / "table.txt"
+    table.write_text("5 -> 6\n6 -> 7\n")
+    extra = ["--table", str(table)] if kind == "ngram" else []
+    out = tmp_path / "o"
+    argv = ["decode", "--backend", kind, *extra, "--prompt", "5", "--max-new-tokens", "4"]
+    return [*argv, "--out", str(out)], out
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        (kind, _FLAG_OF[key], str(value))
+        for key, (reader, value) in _SETTINGS.items()
+        if key in _FLAG_OF
+        for kind in _KINDS
+        if kind != reader
+    ],
+)
+def test_a_backend_flag_the_kind_does_not_read_exits_2(tmp_path, kind, flag, value):
+    # each was accepted, written nowhere and ignored
+    argv, out = _decode_line(tmp_path, kind)
+    assert run_cli(*argv, flag, value) == 2
+    assert not out.exists()
+    assert run_cli(*argv) == 0
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        *(
+            {"kind": kind, key: value}
+            for key, (reader, value) in _SETTINGS.items()
+            for kind in _KINDS
+            if kind != reader
+        ),
+        {"kind": "counting", "modulos": 7},
+        {"kind": "toy", "window_len": 2},
+        {"kind": "scripted", "prompt": [1]},
+    ],
+)
+def test_a_backend_key_the_kind_does_not_read_exits_2(tmp_path, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": section}))
+    argv, out = _decode_line(tmp_path, section["kind"])
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert not out.exists()
+    cfg.write_text(json.dumps({"backend": {"kind": section["kind"]}}))
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+
+
+def test_a_backend_flag_reads_its_setting_and_the_manifest_records_it(tmp_path):
+    for key, (kind, value) in _SETTINGS.items():
+        argv, out = _decode_line(tmp_path, kind)
+        cfg = tmp_path / "cfg.json"
+        value = str(tmp_path / "table.txt") if key == "table" else value
+        cfg.write_text(json.dumps({"backend": {"kind": kind, key: value}}))
+        assert run_cli(*argv, "--config", str(cfg)) == 0, key
+        manifest = json.loads((out / "result.json").read_text())["manifest"]
+        assert manifest["backend"][key] == value
+        if key in _FLAG_OF:
+            flag_value = value if key == "table" else value + 1
+            assert run_cli(*argv, "--config", str(cfg), _FLAG_OF[key], str(flag_value)) == 0
+            manifest = json.loads((out / "result.json").read_text())["manifest"]
+            assert manifest["backend"][key] == flag_value
+
+
+def test_a_flag_kind_refuses_the_file_settings_of_another(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {"kind": "toy", "seed": 3}}))
+    argv, out = _decode_line(tmp_path, "counting")
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert not out.exists()
+    cfg.write_text(json.dumps({"backend": {"kind": "toy"}}))
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+
+
+@pytest.mark.parametrize("section", [{"kind": "toy"}, {"kind": "counting"}, {"modulus": 7}])
+def test_corrupt_reads_only_scripted_settings(tmp_path, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": section}))
+    out = tmp_path / "o"
+    argv = ["corrupt", "--tasks", "1", "--n-seeds", "1", "--ratios", "1", "--out", str(out)]
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert not out.exists()
+    cfg.write_text(json.dumps({"backend": {"kind": "scripted", "seed": 2, "num_keys": 2}}))
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    manifest, _ = read_csv(out / "corruption.csv")
+    assert manifest["backend"] == {
+        "kind": "scripted", "num_keys": 2, "rationale_len": 24, "tasks": 1, "task_seed": 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["config is a directory", "prompts file is a directory", "config is not UTF-8"]
+)
+def test_a_file_the_cli_cannot_read_exits_2(tmp_path, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"backend": {"kind": "counting"}, "decode": {"window_len": "\xff"}}')
+    prompts = tmp_path / "prompts.json"
+    prompts.write_text("[[0]]")
+    files = {
+        "config is a directory": ["--config", str(tmp_path)],
+        "prompts file is a directory": ["--prompts-file", str(tmp_path)],
+        "config is not UTF-8": ["--config", str(cfg)],
+    }[case]
+    out = tmp_path / "o"
+    argv = ["decode", "--backend", "counting", "--prompts-file", str(prompts), *files]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert not out.exists()

@@ -14,6 +14,7 @@ from glimpse.backends import (
 )
 from glimpse.backends.scripted import TRIGGER, PAD as S_PAD
 from glimpse.buffer import BatchBuffers, update
+from glimpse.cache import alloc
 from glimpse.engine import (
     DecodeConfig,
     answer_phase,
@@ -31,7 +32,7 @@ from glimpse.backends.base import StepOutput
 from glimpse.errors import CapacityError, ConfigError, ContractError
 from glimpse.trace import IterationRecord
 
-from conftest import random_ngram_backend, random_prompt
+from conftest import random_ngram_backend, random_prompt, small_toy_spec
 from oracles import greedy_ar_reference, jacobi_reference
 
 
@@ -509,6 +510,45 @@ def test_answer_that_cannot_fit_refused_before_rationale():
     fits = DecodeConfig(window_len=0, max_new_tokens=40, answer_trigger=(5,))
     res = decode_with_answer(PROMPT_10_17, backend, fits)
     assert len(res.answer) <= fits.answer_max_tokens
+
+
+def test_answer_trigger_is_checked_only_by_runs_that_answer():
+    backend = _small_max_len_toy()
+    vocab = backend.spec.vocab_size
+    cfg = DecodeConfig(window_len=2, max_new_tokens=6, answer_trigger=(vocab,))
+    # these runs never read the trigger, so it cannot refuse them
+    assert len(run_rationale([1, 2, 3], backend, cfg).exact_rationale) == 6
+    assert len(ar_baseline([1, 2, 3], backend, cfg).exact_rationale) == 6
+    assert len(run_rationale_batch([[1, 2, 3], [4]], backend, cfg)) == 2
+    calls = backend.calls
+    with pytest.raises(ConfigError):
+        decode_with_answer([1, 2, 3], backend, cfg)
+    with pytest.raises(ConfigError):
+        answer_phase([1, 2, 3], [4], [], backend, cfg)
+    assert backend.calls == calls
+
+
+def test_cache_holds_the_answer_only_for_runs_that_answer(monkeypatch):
+    import glimpse.engine
+
+    rows = []
+
+    def spy(batch, max_len, spec):
+        rows.append(max_len)
+        return alloc(batch, max_len, spec)
+
+    monkeypatch.setattr(glimpse.engine, "alloc", spy)
+    backend = make_toy_transformer(1, small_toy_spec())
+    cfg = DecodeConfig(window_len=2, max_new_tokens=10, answer_trigger=(1, 2, 3))
+    run_rationale([1, 2, 3], backend, cfg)
+    run_rationale_batch([[1, 2, 3], [4, 5, 6, 7]], backend, cfg)
+    ar_baseline([1, 2, 3], backend, cfg)
+    # 3 prompt tokens + 10 new - 1 + c (2, or 0 for AR), and 4 for the longer prompt
+    assert rows == [14, 15, 12]
+    rows.clear()
+    decode_with_answer([1, 2, 3], backend, cfg)
+    # the rationale's 14, then 3 trigger and 16 answer tokens
+    assert rows == [14 + 3 + 16]
 
 
 # ----------------------------------------------------------------------
