@@ -29,7 +29,6 @@ from glimpse.engine import (
     check_stop,
     decode_with_answer,
     iterate_once,
-    probe_score,
     run_rationale,
     run_rationale_batch,
     truncated_cot,
@@ -57,7 +56,6 @@ __all__ = [
     "make_toy_transformer",
     "plan_input_padding",
     "plan_kv_padding",
-    "probe_score",
     "run_rationale",
     "run_rationale_batch",
     "truncated_cot",

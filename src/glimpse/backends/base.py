@@ -71,10 +71,6 @@ class StepOutput:
         rows: ``[block_len, vocab_size]`` float array; ``rows[j]`` scores the
             token following context position ``split + j`` where
             ``split = len(context) - block_len``.
-        attention_summary: Optional ``[block_len, len(context)]`` array of
-            head-averaged attention weights from each queried position onto
-            every visible context position; rows sum to 1 over unmasked
-            positions.  ``None`` for backends without attention.
         new_kv: For cache-capable backends, per-layer ``(keys, values)``
             arrays for the context positions computed in this call, each
             shaped ``[n_new, n_heads, head_dim]``.  The caller decides which
@@ -87,7 +83,6 @@ class StepOutput:
     """
 
     rows: np.ndarray
-    attention_summary: np.ndarray | None = None
     new_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 

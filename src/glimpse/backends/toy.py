@@ -171,9 +171,13 @@ class ToyTransformer:
         x = self.wte[padded] + self.wpe[np.minimum(new_rows, spec.max_len - 1)]
         # One visibility rule: key t is visible to query j iff t <= valid_len + j.
         # Keys before the smallest valid length pass it for every query, so
-        # the additive bias only covers the keys from there on.
+        # the additive bias only covers the keys from there on.  When every
+        # query sees every key (one query per instance at equal valid
+        # lengths, as in every AR step) there is no bias at all.
         v_min = min(valid_lens)
-        bias = np.where(np.arange(v_min, key_len) <= new_rows[:, :, None], 0.0, _NEG)[:, None]
+        bias = None
+        if key_len - 1 > v_min:
+            bias = np.where(np.arange(v_min, key_len) <= new_rows[:, :, None], 0.0, _NEG)[:, None]
         self.score_reads += len(self.layers) * sum(
             n * (v + n) for v, n in zip(valid_lens, n_lens)
         )
@@ -186,10 +190,9 @@ class ToyTransformer:
             read: slice | list[int] = slice(first, first + batch)  # a view, no gather
         else:
             read = store_rows
-        weights = sums = np.empty(0)
         for layer, k_store, v_store in zip(self.layers, keys, values):
             qkv = (_layer_norm(x) @ layer["wqkv"]).reshape(batch, n_max, 3, heads, hd)
-            q = qkv[:, :, 0].transpose(0, 2, 1, 3).copy()  # [batch, heads, n_max, hd]
+            q = qkv[:, :, 0].transpose(0, 2, 1, 3)  # [batch, heads, n_max, hd], a view
             k_store[write_at] = qkv[:, :, 1]
             v_store[write_at] = qkv[:, :, 2]
             k_all = k_store[read, :key_len]
@@ -197,21 +200,19 @@ class ToyTransformer:
             # Softmax over [batch, heads, n_max, key_len], normalized after
             # the value product, where it is n_max x hd instead of n_max x key_len.
             weights = q @ k_all.transpose(0, 2, 3, 1)
-            weights[..., v_min:] += bias
+            if bias is not None:
+                weights[..., v_min:] += bias
             weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
             np.exp(weights, out=weights)
             sums = np.add.reduce(weights, axis=-1, keepdims=True)
             attn = weights @ v_all.transpose(0, 2, 1, 3)
             attn /= sums
-            x = x + attn.transpose(0, 2, 1, 3).reshape(batch, n_max, d) @ layer["wo"]
-            h2 = _layer_norm(x)
-            x = x + np.maximum(h2 @ layer["w1"], 0.0) @ layer["w2"]
+            # x is this call's own array, so the residual adds and the ReLU run in place.
+            x += attn.transpose(0, 2, 1, 3).reshape(batch, n_max, d) @ layer["wo"]
+            h = _layer_norm(x) @ layer["w1"]
+            x += np.maximum(h, 0.0, out=h) @ layer["w2"]
 
         logits = _layer_norm(x) @ self.lm_head
-        # Head average of the last layer's normalized weights, as one
-        # weighted sum over heads per query: [batch, n_max, key_len].
-        head_scale = (1.0 / (sums * heads)).transpose(0, 2, 3, 1)  # [batch, n_max, 1, heads]
-        head_avg = (head_scale @ weights.transpose(0, 2, 1, 3))[:, :, 0]
 
         outputs: list[StepOutput] = []
         for b, (bl, v_len, n_b) in enumerate(zip(block_lens, valid_lens, n_lens)):
@@ -220,8 +221,6 @@ class ToyTransformer:
             outputs.append(
                 StepOutput(
                     rows=logits[b, n_b - bl : n_b],
-                    # One column per visible context position.
-                    attention_summary=head_avg[b, n_b - bl : n_b, : v_len + n_b],
                     new_kv=[(k[row, new], v[row, new]) for k, v in zip(keys, values)],
                 )
             )

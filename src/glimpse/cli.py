@@ -107,14 +107,21 @@ def _load_config(path: str | None) -> dict:
 
 
 # The decode settings a flag can give; each flag's dest is the key it sets.
-_DECODE_FLAGS = ("window_len", "skip", "iteration_cap", "probe_threshold", "max_new_tokens")
+_DECODE_FLAGS = ("window_len", "skip", "iteration_cap", "max_new_tokens")
 
 
 def _build_config(
     args: argparse.Namespace, file_cfg: dict, base: dict | None = None
 ) -> DecodeConfig:
-    """``base`` (default: ``window_len`` 0), then the file's ``decode`` section, then flags."""
-    data = {**(base or {"window_len": 0}), **file_cfg.get("decode", {})}
+    """``base`` (default: ``window_len`` 0), then the file's ``decode`` section, then flags.
+
+    The file may set only the decode keys that the command reads.
+    """
+    section = file_cfg.get("decode", {})
+    unread = sorted(key for key in section if args.command not in _READERS.get(key, ()))
+    if unread:
+        raise ConfigError(f"{args.command} does not read decode {', '.join(unread)}")
+    data = {**(base or {"window_len": 0}), **section}
     flags = vars(args)
     data.update({key: flags[key] for key in _DECODE_FLAGS if flags.get(key) is not None})
     if flags.get("answer_trigger") is not None:
@@ -293,10 +300,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"each method at most once, got {args.methods!r}")
 
     report: list[dict] = []
+    # Only these methods read the no-skip run.
+    needs_noskip = not {"truncated", "parallel_noskip"}.isdisjoint(methods)
     for pid, prompt in enumerate(prompts):
         # Every method is measured against AR; truncated CoT gets as many
         # iterations as the no-skip run took.
-        noskip = decode_with_answer(prompt, backend, replace(cfg, skip=False))
+        if needs_noskip:
+            noskip = decode_with_answer(prompt, backend, replace(cfg, skip=False))
         ar = ar_baseline(prompt, backend, cfg)
         for method in methods:
             if method == "truncated":
@@ -460,7 +470,6 @@ _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--window",), {"type": int, "dest": "window_len"}, "decode bench"),
     (("--skip", "--no-skip"), {}, "decode sweep-window"),
     (("--max-iters",), {"type": int, "dest": "iteration_cap"}, _DECODING),
-    (("--probe-threshold",), {"type": float}, _DECODING),
     (("--max-new-tokens",), {"type": int}, _DECODING),
     (("--answer-trigger",), {"help": "token list, e.g. '4,5'"}, "decode bench corrupt"),
     (("--table",), {"help": "ngram table file"}, _DECODING),
@@ -477,6 +486,15 @@ _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--n-seeds",), {"type": int, "default": 40}, "corrupt"),
     (("--ratios",), {"default": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"}, "corrupt"),
 ]
+
+# The commands that read each setting: those of the flag that sets it, and
+# for the two decode keys that no flag sets, every command (each pick reads
+# the penalty) and the commands that answer.  A config file's ``decode``
+# section may set only the keys that its command reads.
+_READERS = {
+    kwargs.get("dest", names[0][2:].replace("-", "_")): commands.split()
+    for names, kwargs, commands in _FLAGS
+} | {"repetition_penalty": _ALL.split(), "answer_max_tokens": "decode bench corrupt".split()}
 
 _COMMANDS = {
     "decode": (cmd_decode, "run one decode per prompt"),

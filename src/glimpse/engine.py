@@ -25,13 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from glimpse.backends.base import Backend, StepOutput, TokenSeq, check_forward_args
+from glimpse.backends.base import Backend, TokenSeq, check_forward_args
 from glimpse.buffer import BatchBuffers, update, verify
 from glimpse.cache import CacheBuffer, alloc
 from glimpse.errors import ConfigError, ContractError
 from glimpse.trace import DecodeTrace, IterationRecord, PhaseTimer
 
-STOP_REASONS = ("eos", "probe", "iteration_cap", "max_tokens")
+STOP_REASONS = ("eos", "iteration_cap", "max_tokens")
 
 
 def _is_int(value) -> bool:
@@ -52,7 +52,6 @@ _FIELD_TYPES = {
     "skip": (lambda v: isinstance(v, bool), "a bool"),
     "max_new_tokens": (_is_int, "an integer"),
     "iteration_cap": (lambda v: v is None or _is_int(v), "an integer or None"),
-    "probe_threshold": (lambda v: v is None or _is_real(v), "a number or None"),
     "repetition_penalty": (_is_real, "a number"),
     "answer_trigger": (_is_ids, "a tuple of integers"),
     "answer_max_tokens": (_is_int, "an integer"),
@@ -68,8 +67,6 @@ class DecodeConfig:
         skip: Commit ``1 + match`` tokens per iteration instead of exactly 1.
         max_new_tokens: Hard budget of exact tokens (safety net, always on).
         iteration_cap: Optional maximum number of iterations.
-        probe_threshold: Optional attention-score threshold in [0, 1] for
-            the early-answer stop; None disables the probe.
         repetition_penalty: Greedy-pick penalty, >= 1.
         answer_trigger: Token sequence appended before answer decoding.
         answer_max_tokens: Budget for the answer phase.
@@ -79,7 +76,6 @@ class DecodeConfig:
     skip: bool = True
     max_new_tokens: int = 256
     iteration_cap: int | None = None
-    probe_threshold: float | None = None
     repetition_penalty: float = 1.2
     answer_trigger: tuple[int, ...] = ()
     answer_max_tokens: int = 16
@@ -95,8 +91,6 @@ class DecodeConfig:
             raise ConfigError("max_new_tokens must be positive")
         if self.iteration_cap is not None and self.iteration_cap < 1:
             raise ConfigError("iteration_cap must be positive when set")
-        if self.probe_threshold is not None and not 0.0 <= self.probe_threshold <= 1.0:
-            raise ConfigError("probe_threshold must lie in [0, 1]")
         if not self.repetition_penalty >= 1.0:
             raise ConfigError("repetition_penalty must be >= 1")
         if self.answer_max_tokens < 1:
@@ -108,7 +102,6 @@ class DecodeConfig:
             "skip": self.skip,
             "max_new_tokens": self.max_new_tokens,
             "iteration_cap": self.iteration_cap,
-            "probe_threshold": self.probe_threshold,
             "repetition_penalty": self.repetition_penalty,
             "answer_trigger": list(self.answer_trigger),
             "answer_max_tokens": self.answer_max_tokens,
@@ -155,18 +148,6 @@ class DecodeResult:
     stop: StopDecision
 
 
-def probe_score(step: StepOutput, window_positions: Sequence[int]) -> float:
-    """Peak head-averaged attention from the last queried position onto the window.
-
-    Zero when the backend exposes no attention (probe disabled) or the
-    window is empty.
-    """
-    if step.attention_summary is None or len(window_positions) == 0:
-        return 0.0
-    last_row = step.attention_summary[-1]
-    return float(max(last_row[p] for p in window_positions))
-
-
 def check_stop(
     record: IterationRecord, n_exact: int, eos_id: int, cfg: DecodeConfig
 ) -> StopDecision | None:
@@ -174,14 +155,12 @@ def check_stop(
 
     ``record`` is the iteration that just ended and ``n_exact`` the
     instance's exact-token count after it.  Order: EOS committed this
-    iteration, probe score at threshold, iteration cap, exact-token budget.
+    iteration, iteration cap, exact-token budget.
     """
     committed = record.committed
     if eos_id in committed:
         eos_pos = record.frontier_before + committed.index(eos_id)
         return StopDecision(reason="eos", value=float(eos_pos))
-    if cfg.probe_threshold is not None and record.probe_score >= cfg.probe_threshold:
-        return StopDecision(reason="probe", value=record.probe_score)
     if cfg.iteration_cap is not None and record.iteration >= cfg.iteration_cap:
         return StopDecision(reason="iteration_cap", value=float(record.iteration))
     if n_exact >= cfg.max_new_tokens:
@@ -233,14 +212,9 @@ def iterate_once(
     for i, ctx, step in zip(instances, contexts, steps):
         frontier = buffers.frontier[i]
         window = buffers.window(i)
-        mask = buffers.histories[i]
+        # One block pick: row j is penalized under the history plus window[:j].
         with timer.phase("decode"):
-            preds = mask.pick(step.rows[:1], penalty)
-        if c:
-            # Window tokens join the history of the rows after them, for this pick only.
-            with timer.phase("context_decode"):
-                preds += mask.pick(step.rows[1:], penalty, window)
-        probe = probe_score(step, range(frontier, frontier + c)) if c else 0.0
+            preds = buffers.histories[i].pick(step.rows, penalty, window)
         window_before = window.tolist()
         outcome = verify(window_before, preds, cfg.skip)
         m = min(len(outcome.committed), cfg.max_new_tokens - (frontier - buffers.prompt_len[i]))
@@ -269,7 +243,6 @@ def iterate_once(
                 match_len=outcome.match_len,
                 committed=preds[:m],
                 window=buffers.window(i).tolist(),
-                probe_score=probe,
             )
         )
     return records
@@ -382,15 +355,8 @@ def _decode(
 
 
 def _greedy(cfg: DecodeConfig, budget: int) -> DecodeConfig:
-    """``cfg`` as plain greedy decoding of ``budget`` tokens: no window, cap or probe."""
-    return replace(
-        cfg,
-        window_len=0,
-        skip=False,
-        max_new_tokens=budget,
-        iteration_cap=None,
-        probe_threshold=None,
-    )
+    """``cfg`` as plain greedy decoding of ``budget`` tokens: no window or cap."""
+    return replace(cfg, window_len=0, skip=False, max_new_tokens=budget, iteration_cap=None)
 
 
 def run_rationale(
@@ -479,8 +445,8 @@ def decode_with_answer(
 def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
     """Greedy autoregressive decode to EOS or the token budget.
 
-    The fused loop with a zero-length window; the window, iteration cap
-    and probe threshold of ``cfg`` are ignored.
+    The fused loop with a zero-length window; the window and iteration cap
+    of ``cfg`` are ignored.
     """
     return _decode([prompt], backend, _greedy(cfg, cfg.max_new_tokens), "ar")[0]
 

@@ -18,7 +18,7 @@ from glimpse.errors import InstrumentationError
 
 #: Wall-clock categories reported in benchmark tables.  ``stop_check`` is
 #: tracked beside them (``DecodeTrace.stop_check_s``) so totals can exclude it.
-PHASES = ("infer", "decode", "context_decode", "kv_cache")
+PHASES = ("infer", "decode", "kv_cache")
 
 
 @dataclass
@@ -27,11 +27,10 @@ class TimeBreakdown:
 
     infer: float = 0.0
     decode: float = 0.0
-    context_decode: float = 0.0
     kv_cache: float = 0.0
 
     def total(self) -> float:
-        return self.infer + self.decode + self.context_decode + self.kv_cache
+        return self.infer + self.decode + self.kv_cache
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -111,7 +110,6 @@ class IterationRecord:
     match_len: int
     committed: list[int]
     window: list[int]
-    probe_score: float = 0.0
 
     def to_json(self) -> dict:
         """The JSONL object: the fields in declaration order, then ``"type"``.
@@ -128,7 +126,6 @@ class IterationRecord:
             "match_len": self.match_len,
             "committed": self.committed,
             "window": self.window,
-            "probe_score": self.probe_score,
             "type": "iteration",
         }
 

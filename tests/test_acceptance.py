@@ -330,7 +330,6 @@ def test_criterion_8_wall_clock_sanity():
     assert len(fast.exact_rationale) == tokens
     assert fast.exact_rationale == ar.exact_rationale
 
-    assert ar.trace.breakdown.context_decode == 0.0
     assert ar.trace.breakdown.kv_cache == 0.0
     for trace in (fast.trace, ar.trace):
         assert trace.breakdown.total() <= trace.wall_s * 1.05

@@ -304,13 +304,6 @@ def test_toy_different_seeds_differ():
     assert not np.array_equal(a.forward(ctx, 3).rows, b.forward(ctx, 3).rows)
 
 
-def test_toy_attention_rows_normalized(toy_backend):
-    out = toy_backend.forward([7, 9, 11, 13, 15, 17], 4)
-    sums = out.attention_summary.sum(axis=1)
-    assert np.all(out.attention_summary >= 0)
-    assert np.allclose(sums, 1.0, atol=1e-5)
-
-
 def test_toy_causality(toy_backend):
     rng = np.random.default_rng(0)
     for _ in range(10):

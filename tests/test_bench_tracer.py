@@ -54,3 +54,5 @@ def test_tracer_counts_every_layer_and_restores_names(tracer):
         "trace.records",
     ):
         assert metrics[name] > 0, name
+    # one block pick per iteration, answer iterations included
+    assert metrics["base.pick_calls"] == metrics["trace.records"]

@@ -43,7 +43,7 @@ def test_toy_takes_a_hand_built_spec():
     cfg = DecodeConfig(window_len=2, max_new_tokens=10)
     result = run_rationale([4, 5], toy, cfg)
     assert result.exact_rationale == ar_baseline([4, 5], toy, cfg).exact_rationale
-    assert toy.forward([4, 5, 6], 2).attention_summary.shape == (2, 3)
+    assert toy.forward([4, 5, 6], 2).rows.shape == (2, 32)
 
 
 def test_plan_kv_padding_masks_shorter_instances():
@@ -161,9 +161,18 @@ def test_batched_forward_matches_solo(toy):
     for i, (ctx, bl) in enumerate(zip(contexts, block_lens)):
         solo = toy.forward(ctx, bl, slots[i])
         assert np.abs(batched[i].rows - solo.rows).max() < 1e-6
-        assert np.abs(
-            batched[i].attention_summary - solo.attention_summary
-        ).max() < 1e-6
+
+    # one query per instance at equal valid lengths, as in a batched AR
+    # step: every query sees every key, and the call builds no mask
+    contexts = [[int(t) for t in rng.integers(0, 64, size=7)] for _ in range(3)]
+    cache = alloc(len(contexts), 64, toy.spec)
+    for i, ctx in enumerate(contexts):
+        pre = toy.forward(ctx[:6], 1, cache.slot(i))
+        cache.write_back(i, pre.new_kv, 0, 6, ctx[:6])
+    slots = [cache.slot(i) for i in range(len(contexts))]
+    batched = toy.forward_batch(contexts, [1] * len(contexts), slots)
+    for i, ctx in enumerate(contexts):
+        assert np.abs(batched[i].rows - toy.forward(ctx, 1).rows).max() < 1e-6
 
 
 def _committed_state(cache, instance):
@@ -198,7 +207,6 @@ def test_write_ahead_scratch_never_leaks(toy):
             _assert_same_state(before, _committed_state(cache, 0))
         fresh = toy.forward(accepted, len(accepted) - len(prefix) + 1)
         assert np.abs(fresh.rows - warm.rows).max() < 1e-6
-        assert np.abs(fresh.attention_summary - warm.attention_summary).max() < 1e-6
 
 
 def test_forward_writes_ahead_into_the_cache(toy):
@@ -235,7 +243,6 @@ def test_batched_forward_matches_solo_on_any_slot_layout(toy):
     for out, ctx, bl in zip(batched, contexts, block_lens):
         fresh = toy.forward(ctx, bl)
         assert np.abs(out.rows - fresh.rows).max() < 1e-6
-        assert np.abs(out.attention_summary - fresh.attention_summary).max() < 1e-6
 
 
 def test_forward_refuses_slots_it_cannot_attend_in(toy):

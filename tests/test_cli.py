@@ -8,8 +8,8 @@ import oracles
 import pytest
 
 from glimpse.backends import default_toy_spec, make_counting_backend, make_toy_transformer
-from glimpse.cli import main
-from glimpse.engine import DecodeConfig, ar_baseline, run_rationale
+from glimpse.cli import _BENCH_METHODS, _READERS, main
+from glimpse.engine import DecodeConfig, ar_baseline, decode_with_answer, run_rationale
 
 
 def run_cli(*argv):
@@ -345,7 +345,7 @@ def test_corrupt_takes_decode_flags_and_file(tmp_path):
 
     # A file without a trigger keeps the scripted one; its other values apply.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"decode": {"window_len": 0, "answer_max_tokens": 3}}))
+    cfg.write_text(json.dumps({"decode": {"answer_max_tokens": 3}}))
     assert run_cli(*common, "--config", str(cfg), "--out", str(tmp_path / "c")) == 0
     manifest, rows = read_csv(tmp_path / "c/corruption.csv")
     assert manifest["config"]["answer_trigger"] == [4, 5]
@@ -386,6 +386,32 @@ def test_bench_csv_is_the_report_in_print(tmp_path):
             "speedup_vs_ar": f"{entry['speedup_vs_ar']:.4f}",
         }
         assert row == expected
+
+
+def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, monkeypatch):
+    import glimpse.cli
+
+    skips = []
+
+    def spy(prompt, backend, cfg):
+        skips.append(cfg.skip)
+        return decode_with_answer(prompt, backend, cfg)
+
+    monkeypatch.setattr(glimpse.cli, "decode_with_answer", spy)
+    common = ["bench", "--backend", "counting", "--prompt", "0", "--window", "7"]
+    common += ["--max-new-tokens", "200"]
+    rows = {}
+    for methods, want in (("ar,parallel_skip", [True]), (",".join(_BENCH_METHODS), [False, True])):
+        skips.clear()
+        out = tmp_path / methods.replace(",", "_")
+        assert run_cli(*common, "--methods", methods, "--out", str(out)) == 0
+        assert skips == want
+        report = json.loads((out / "bench_report.json").read_text())
+        untimed = ("prompt_id", "iterations", "exact_tokens")
+        rows[methods] = {r["method"]: [r[key] for key in untimed] for r in report["rows"]}
+    # the rows of the methods asked for are those of a run of all four, timing aside
+    everything = rows[",".join(_BENCH_METHODS)]
+    assert rows["ar,parallel_skip"] == {m: everything[m] for m in ("ar", "parallel_skip")}
 
 
 def test_sweep_window_decodes_one_reference_per_prompt(tmp_path, monkeypatch):
@@ -481,17 +507,10 @@ def test_sweep_window_runs_no_answer_phase(tmp_path):
     # The rationale (8 + 39 + 4 tokens) and its reference fit max_len 64;
     # the answer after it (+ 2 trigger + 16 answer tokens) would not.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "backend": {"kind": "toy", "seed": 1, "max_len": 64},
-                "decode": {"window_len": 0, "answer_trigger": [4, 5]},
-            }
-        )
-    )
+    cfg.write_text(json.dumps({"backend": {"kind": "toy", "seed": 1, "max_len": 64}}))
     common = ["--config", str(cfg), "--prompt", "10,11,12,13,14,15,16,17"]
     common += ["--max-new-tokens", "40", "--out", str(tmp_path / "o")]
-    assert run_cli("decode", *common, "--window", "4") == 2
+    assert run_cli("decode", *common, "--window", "4", "--answer-trigger", "4,5") == 2
     assert run_cli("sweep-window", *common, "--windows", "4") == 0
 
 
@@ -587,6 +606,85 @@ def test_bad_decode_section_exits_2(tmp_path, section):
     assert not out.exists()
 
 
+# Each command's arguments besides its config file and output directory.
+_ARGS = {
+    "decode": ["--backend", "counting", "--prompt", "0"],
+    "bench": ["--backend", "counting", "--prompt", "0"],
+    "sweep-window": ["--backend", "counting", "--prompt", "0", "--windows", "0,2"],
+    "corrupt": ["--tasks", "1", "--n-seeds", "1", "--ratios", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("sweep-window", {"window_len": 5, "answer_trigger": [4, 5], "answer_max_tokens": 3}),
+        ("sweep-window", {"window_len": 5}),
+        ("sweep-window", {"answer_trigger": [4, 5]}),
+        ("sweep-window", {"answer_max_tokens": 3}),
+        ("bench", {"skip": False}),
+        ("corrupt", {"window_len": 0}),
+        ("corrupt", {"skip": True}),
+        ("corrupt", {"iteration_cap": 2}),
+        ("corrupt", {"max_new_tokens": 5}),
+        ("decode", {"probe_threshold": 0.5}),
+    ],
+)
+def test_a_decode_key_the_command_does_not_read_exits_2(tmp_path, command, section):
+    # keys of the command's own config that its run never reads, and one no run reads
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"decode": section}))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), *_ARGS[command], "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, output",
+    [
+        (
+            "decode",
+            {
+                "window_len": 2, "skip": False, "max_new_tokens": 10, "iteration_cap": 5,
+                "repetition_penalty": 1.0, "answer_trigger": [4, 5], "answer_max_tokens": 3,
+            },
+            "result.json",
+        ),
+        (
+            "bench",
+            {
+                "window_len": 2, "max_new_tokens": 10, "iteration_cap": 5,
+                "repetition_penalty": 1.0, "answer_trigger": [4, 5], "answer_max_tokens": 3,
+            },
+            "bench_report.json",
+        ),
+        (
+            "sweep-window",
+            {"skip": False, "max_new_tokens": 10, "iteration_cap": 5, "repetition_penalty": 1.0},
+            "sweep.json",
+        ),
+        (
+            "corrupt",
+            {"repetition_penalty": 1.0, "answer_trigger": [4, 5], "answer_max_tokens": 3},
+            "corruption.csv",
+        ),
+    ],
+)
+def test_a_decode_key_the_command_reads_enters_the_manifest(tmp_path, command, section, output):
+    # every decode key the command reads
+    read = {key for key, commands in _READERS.items() if command in commands}
+    assert set(section) == read & set(DecodeConfig.__dataclass_fields__)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"decode": section}))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), *_ARGS[command], "--out", str(out)) == 0
+    if output.endswith(".csv"):
+        manifest, _ = read_csv(out / output)
+    else:
+        manifest = json.loads((out / output).read_text())["manifest"]
+    assert {key: manifest["config"][key] for key in section} == section
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -597,7 +695,7 @@ def test_bad_decode_section_exits_2(tmp_path, section):
         ("corrupt", ["--window", "3"]),
         ("corrupt", ["--no-skip"]),
         ("corrupt", ["--max-iters", "1"]),
-        ("corrupt", ["--probe-threshold", "0.1"]),
+        ("corrupt", ["--prompt", "0"]),
         ("corrupt", ["--max-new-tokens", "5"]),
         ("corrupt", ["--table", "t.txt"]),
         ("corrupt", ["--order", "9"]),
@@ -647,7 +745,7 @@ def test_readme_flag_table_is_the_parser():
     }
     assert documented == accepted
     # one setting per dest: --skip and --no-skip are one
-    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 59
+    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 56
 
 
 @pytest.mark.parametrize(

@@ -23,12 +23,10 @@ from glimpse.engine import (
     check_stop,
     decode_with_answer,
     iterate_once,
-    probe_score,
     run_rationale,
     run_rationale_batch,
     truncated_cot,
 )
-from glimpse.backends.base import StepOutput
 from glimpse.errors import CapacityError, ConfigError, ContractError
 from glimpse.trace import IterationRecord
 
@@ -156,13 +154,6 @@ def test_stop_iteration_cap_exact(counting_backend):
     assert res.stop.value == 5
 
 
-def test_stop_probe_degenerate_threshold(toy_backend):
-    cfg = DecodeConfig(window_len=3, max_new_tokens=50, probe_threshold=0.0)
-    res = run_rationale([1, 2, 3], toy_backend, cfg)
-    assert res.trace.iterations == 1
-    assert res.stop.reason == "probe"
-
-
 def test_stop_eos_beats_cap():
     # EOS commits on iteration 1 while the cap also fires there
     backend = NgramBackend(1, {(3,): 7}, vocab_size=8)  # 7 == eos
@@ -172,7 +163,7 @@ def test_stop_eos_beats_cap():
     assert res.stop.reason == "eos"
 
 
-def _record(committed, probe=0.0, iteration=1, frontier_before=3):
+def _record(committed, iteration=1, frontier_before=3):
     return IterationRecord(
         iteration=iteration,
         frontier_before=frontier_before,
@@ -182,7 +173,6 @@ def _record(committed, probe=0.0, iteration=1, frontier_before=3):
         match_len=0,
         committed=list(committed),
         window=[],
-        probe_score=probe,
     )
 
 
@@ -192,34 +182,10 @@ def test_check_stop_returns_none_when_clear(counting_backend):
     assert check_stop(_record([1, 2], iteration=2), 9, eos, cfg) is None
     assert check_stop(_record([1, 2], iteration=3), 9, eos, cfg).reason == "iteration_cap"
     assert check_stop(_record([1, 2], iteration=2), 10, eos, cfg).reason == "max_tokens"
-    stop = check_stop(_record([1, eos, 2], probe=1.0), 10, eos, cfg)
+    assert check_stop(_record([1, 2], iteration=3), 10, eos, cfg).reason == "iteration_cap"
+    # EOS comes first, before the cap and the budget that fire with it
+    stop = check_stop(_record([1, eos, 2], iteration=3), 10, eos, cfg)
     assert (stop.reason, stop.value) == ("eos", 4.0)
-
-
-def test_check_stop_probe_at_threshold(counting_backend):
-    eos = counting_backend.spec.eos_id
-    stop = check_stop(
-        _record([1], probe=0.35), 1, eos, cfg_for(counting_backend, 2, probe_threshold=0.3)
-    )
-    assert stop is not None
-    assert stop.reason == "probe"
-    assert stop.value == pytest.approx(0.35)
-
-
-def test_probe_score_contracts():
-    # uniform attention over n positions -> 1/n
-    step = StepOutput(
-        rows=np.zeros((2, 4)),
-        attention_summary=np.full((2, 5), 0.2),
-    )
-    assert probe_score(step, [3, 4]) == pytest.approx(0.2)
-    # one-hot on a window token -> 1
-    summary = np.zeros((1, 5))
-    summary[0, 4] = 1.0
-    step = StepOutput(rows=np.zeros((1, 4)), attention_summary=summary)
-    assert probe_score(step, [4]) == 1.0
-    # no attention -> disabled
-    assert probe_score(StepOutput(rows=np.zeros((1, 4))), [0]) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +270,6 @@ def test_ar_baseline_repeat_identical(toy_backend):
 def test_ar_baseline_buckets(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=50)
     res = ar_baseline([0], counting_backend, cfg)
-    assert res.trace.breakdown.context_decode == 0.0
     assert res.trace.breakdown.kv_cache == 0.0
     assert res.trace.stop_check_s >= 0.0
 
@@ -656,7 +621,6 @@ def test_results_hold_python_ints(toy_backend, counting_backend):
                 assert type(getattr(rec, name)) is int
             for name in ("window_before", "predictions", "committed", "window"):
                 assert all(type(tok) is int for tok in getattr(rec, name))
-            assert type(rec.probe_score) is float
 
 
 def test_prompt_ids_checked_like_contexts(counting_backend):
@@ -760,8 +724,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DecodeConfig(window_len=0, max_new_tokens=0)
     with pytest.raises(ConfigError):
-        DecodeConfig(window_len=0, probe_threshold=1.5)
-    with pytest.raises(ConfigError):
         DecodeConfig(window_len=0, repetition_penalty=0.9)
     with pytest.raises(ConfigError):
         DecodeConfig.from_dict({"window_len": 1, "bogus": 2})
@@ -771,8 +733,8 @@ def test_config_validation():
     assert cfg.answer_trigger == (4, 5)
     assert DecodeConfig.from_dict(cfg.to_dict()) == cfg
     # an integer is a number where a number is due
-    cfg = DecodeConfig.from_dict({"window_len": 2, "probe_threshold": 1, "repetition_penalty": 1})
-    assert (cfg.probe_threshold, cfg.repetition_penalty) == (1, 1)
+    cfg = DecodeConfig.from_dict({"window_len": 2, "repetition_penalty": 1})
+    assert cfg.repetition_penalty == 1
 
 
 @pytest.mark.parametrize(
@@ -784,8 +746,8 @@ def test_config_validation():
         {"skip": 1},
         {"max_new_tokens": "8"},
         {"iteration_cap": 1.5},
-        {"probe_threshold": "0.5"},
-        {"probe_threshold": True},
+        {"iteration_cap": True},
+        {"answer_max_tokens": None},
         {"repetition_penalty": None},
         {"repetition_penalty": float("nan")},
         {"answer_trigger": 5},

@@ -218,7 +218,6 @@ def test_record_phase_accumulates():
     assert timer.get("infer") >= 0.005
     bd = timer.breakdown()
     assert bd.infer == timer.get("infer")
-    assert bd.context_decode == 0.0
 
 
 def test_phase_overlap_rejected():
@@ -253,6 +252,33 @@ def test_trace_jsonl_roundtrip(counting_backend):
     assert back.breakdown == res.trace.breakdown
 
 
+def test_trace_jsonl_schema(toy_backend):
+    import json
+    from dataclasses import fields
+
+    from glimpse.engine import decode_with_answer
+    from glimpse.trace import PHASES, IterationRecord, read_jsonl
+
+    cfg = DecodeConfig(window_len=3, max_new_tokens=10, answer_trigger=(4, 5), answer_max_tokens=3)
+    trace = decode_with_answer([5, 6], toy_backend, cfg).trace
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    header, *iterations, summary = (json.loads(line) for line in buf.getvalue().splitlines())
+    assert (header["type"], summary["type"]) == ("header", "summary")
+    assert len(iterations) == trace.iterations
+    for obj in iterations:
+        assert list(obj) == [f.name for f in fields(IterationRecord)] + ["type"]
+    assert list(summary["breakdown"]) == list(PHASES)
+
+    buf.seek(0)
+    back = read_jsonl(buf)
+    assert back == trace
+    # an iteration line with a key the record lacks does not read back
+    old = buf.getvalue().replace('"type": "iteration"', '"probe_score": 0.0, "type": "iteration"')
+    with pytest.raises(TypeError):
+        read_jsonl(io.StringIO(old))
+
+
 def test_iteration_record_json_bytes_pinned(counting_backend, toy_backend):
     import json
     from dataclasses import asdict
@@ -261,10 +287,9 @@ def test_iteration_record_json_bytes_pinned(counting_backend, toy_backend):
 
     records = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12)).trace.records
     records += run_rationale(
-        [5, 6], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6, probe_threshold=1.0)
+        [5, 6], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6)
     ).trace.records
-    records.append(IterationRecord(7, 3, 5, [1, 2], [1, 2, 9], 1, [1, 2], [9, 0], 0.125))
-    assert any(rec.probe_score for rec in records)
+    records.append(IterationRecord(7, 3, 5, [1, 2], [1, 2, 9], 1, [1, 2], [9, 0]))
     for rec in records:
         want = json.dumps({**asdict(rec), "type": "iteration"})
         assert json.dumps(rec.to_json()) == want
@@ -279,7 +304,6 @@ def test_ar_breakdown_structure(counting_backend):
     cfg = DecodeConfig(window_len=0, max_new_tokens=300)
     res = ar_baseline([0], counting_backend, cfg)
     bd = res.trace.breakdown
-    assert bd.context_decode == 0.0
     assert bd.kv_cache == 0.0
     assert bd.total() <= res.trace.wall_s * 1.05
 
