@@ -704,11 +704,7 @@ def test_a_decode_key_the_command_reads_enters_the_manifest(tmp_path, command, s
 )
 def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag):
     # each of these was accepted, written to the manifest and ignored
-    rest = {
-        "bench": ["--backend", "counting", "--prompt", "0"],
-        "sweep-window": ["--backend", "counting", "--prompt", "0", "--windows", "0,2"],
-        "corrupt": ["--tasks", "1", "--n-seeds", "1", "--ratios", "1"],
-    }[command]
+    rest = _ARGS[command]
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *rest, *flag, "--out", str(out))
