@@ -71,15 +71,13 @@ class StepOutput:
         rows: ``[block_len, vocab_size]`` float array; ``rows[j]`` scores the
             token following context position ``split + j`` where
             ``split = len(context) - block_len``.
-        new_kv: For cache-capable backends, per-layer ``(keys, values)``
-            arrays for the context positions computed in this call, each
-            shaped ``[n_new, n_heads, head_dim]``.  The caller decides which
-            prefix of these to commit.  They are views of a cache buffer's
-            scratch rows, from the valid length (the commit pointer)
-            onwards: the slot's buffer, or a fresh one for a call without
-            a slot.  Committing advances the pointer without a copy, and
-            the next forward on the slot overwrites whatever was not
-            committed, so read them before that call.
+        new_kv: ``None`` for a call on cache slots: its K/V already sit in
+            each slot's rows past the valid length (the commit pointer), so
+            committing them only moves the pointer, and the next forward on
+            the slot overwrites what was not committed.  A call without
+            slots hands back per-layer ``(keys, values)`` views of its fresh
+            buffer, each ``[n_new, n_heads, head_dim]``, for the caller to
+            copy in.  Backends without a cache hand back ``None``.
     """
 
     rows: np.ndarray

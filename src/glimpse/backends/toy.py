@@ -12,17 +12,22 @@ All math runs in float64 so that batched, cached, and from-scratch paths
 agree to well below argmax-flipping noise.
 
 Every call attends over a :class:`~glimpse.cache.CacheBuffer`: the one its
-slots share, or a fresh one when it is given none.  It writes the K/V of
-its new positions straight into each slot's rows past the valid length (the
-commit pointer) and attends over them in place; committing them is the
-caller's :meth:`~glimpse.cache.CacheBuffer.write_back`.  One visibility
-rule covers causality and all padding: key ``t`` is visible to query ``j``
-of an instance iff ``t <= valid_len + j``.
+slots share, or a fresh one when it is given none.  Per head, the buffer
+keeps keys as ``[head_dim, len]`` and values as ``[len, head_dim]``
+matrices, which the score and value products read in place.  A call writes
+the K/V of its new positions straight into each slot's rows past the valid
+length (the commit pointer), attends over them there and hands none back;
+the caller's :meth:`~glimpse.cache.CacheBuffer.write_back` commits them by
+moving the pointer.  Only a call without slots hands back its K/V, as views
+of its fresh buffer's rows.  One visibility rule covers causality and all
+padding: key ``t`` is visible to query ``j`` of an instance iff
+``t <= valid_len + j``.
 
-The batched path consumes the two padding plans from :mod:`glimpse.cache`:
-cache-length padding pads each instance's key range ``[0, valid_len + n)``
-to the longest in the batch, and input padding right-pads uneven input
-blocks with PAD, so every batched instance reproduces its solo output.
+A batch of several instances consumes the two padding plans from
+:mod:`glimpse.cache`: cache-length padding pads each instance's key range
+``[0, valid_len + n)`` to the longest in the batch, and input padding
+right-pads uneven input blocks with PAD, so every batched instance
+reproduces its solo output.
 """
 
 from __future__ import annotations
@@ -106,9 +111,6 @@ class ToyTransformer:
                 }
             )
         self.lm_head = draw(d, v, std=proj)
-        # Debug statistic: attention score reads (query x key pairs summed
-        # over layers).  Advisory only; outputs never depend on it.
-        self.score_reads = 0
 
     # ------------------------------------------------------------------
     # Forward
@@ -156,56 +158,58 @@ class ToyTransformer:
             valid_lens.append(v)
             blocks.append(ids[v:])
 
-        in_plan, padded = plan_input_padding(blocks, spec.pad_id)
-        batch, n_max = padded.shape
-        n_lens = [n_max - p for p in in_plan.pad_counts]
-        # Instance b attends over its store rows [0, valid_len + n_b); the
-        # key length pads to the longest of these.
-        kv_plan = plan_kv_padding([v + n for v, n in zip(valid_lens, n_lens)])
-        key_len = kv_plan.target_len
+        batch = len(blocks)
+        if batch == 1:
+            padded = blocks[0][None]
+            key_len = valid_lens[0] + len(blocks[0])
+        else:
+            _, padded = plan_input_padding(blocks, spec.pad_id)
+            # Instance b attends over its store rows [0, valid_len + n_b);
+            # the key length pads to the longest of these.
+            key_len = plan_kv_padding([v + len(b) for v, b in zip(valid_lens, blocks)]).target_len
+        n_max = padded.shape[1]
         d, heads, hd = spec.model_dim, spec.n_heads, spec.head_dim
+        buf, store_rows = self._kv_store(slots, max(valid_lens) + n_max)
+        first = store_rows[0]
+        in_order = store_rows == list(range(first, first + batch))
+        read = slice(first, first + batch) if in_order else store_rows  # a slice is a view
 
         # Input slot j of instance b sits at absolute position valid_len + j,
-        # which is also the store row its K/V are written to.
-        new_rows = np.asarray(valid_lens)[:, None] + np.arange(n_max)[None, :]
-        x = self.wte[padded] + self.wpe[np.minimum(new_rows, spec.max_len - 1)]
+        # which is also the store row its K/V are written to.  At equal
+        # valid lengths these rows are one slice for every instance.
+        v_min = min(valid_lens)
+        if v_min == max(valid_lens):
+            new_rows = v_min + np.arange(n_max)
+            pos = self.wpe[v_min : v_min + n_max]
+            write_at: tuple = (read, slice(v_min, v_min + n_max))
+        else:
+            new_rows = np.asarray(valid_lens)[:, None, None] + np.arange(n_max)  # [batch, 1, n]
+            pos = self.wpe[np.minimum(new_rows[:, 0], spec.max_len - 1)]
+            write_at = (np.asarray(store_rows)[:, None], new_rows[:, 0])
+        x = self.wte[padded] + pos
         # One visibility rule: key t is visible to query j iff t <= valid_len + j.
         # Keys before the smallest valid length pass it for every query, so
-        # the additive bias only covers the keys from there on.  When every
-        # query sees every key (one query per instance at equal valid
-        # lengths, as in every AR step) there is no bias at all.
-        v_min = min(valid_lens)
+        # the additive bias only covers the keys from there on: at equal
+        # valid lengths an n x n causal block, and none for single queries.
         bias = None
         if key_len - 1 > v_min:
-            bias = np.where(np.arange(v_min, key_len) <= new_rows[:, :, None], 0.0, _NEG)[:, None]
-        self.score_reads += len(self.layers) * sum(
-            n * (v + n) for v, n in zip(valid_lens, n_lens)
-        )
+            bias = np.where(np.arange(v_min, key_len) <= new_rows[..., None], 0.0, _NEG)
 
-        buf, store_rows = self._kv_store(slots, max(valid_lens) + n_max)
-        keys, values = buf.keys, buf.values
-        write_at = (np.asarray(store_rows)[:, None], new_rows)
-        first = store_rows[0]
-        if store_rows == list(range(first, first + batch)):
-            read: slice | list[int] = slice(first, first + batch)  # a view, no gather
-        else:
-            read = store_rows
-        for layer, k_store, v_store in zip(self.layers, keys, values):
+        for layer, k_store, v_store in zip(self.layers, buf.keys, buf.values):
             qkv = (_layer_norm(x) @ layer["wqkv"]).reshape(batch, n_max, 3, heads, hd)
             q = qkv[:, :, 0].transpose(0, 2, 1, 3)  # [batch, heads, n_max, hd], a view
-            k_store[write_at] = qkv[:, :, 1]
-            v_store[write_at] = qkv[:, :, 2]
-            k_all = k_store[read, :key_len]
-            v_all = v_store[read, :key_len]
+            # Written through [batch, max_len, heads, hd] views of the stores.
+            k_store.transpose(0, 3, 1, 2)[write_at] = qkv[:, :, 1]
+            v_store.transpose(0, 2, 1, 3)[write_at] = qkv[:, :, 2]
             # Softmax over [batch, heads, n_max, key_len], normalized after
             # the value product, where it is n_max x hd instead of n_max x key_len.
-            weights = q @ k_all.transpose(0, 2, 3, 1)
+            weights = q @ k_store[read, ..., :key_len]
             if bias is not None:
                 weights[..., v_min:] += bias
             weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
             np.exp(weights, out=weights)
             sums = np.add.reduce(weights, axis=-1, keepdims=True)
-            attn = weights @ v_all.transpose(0, 2, 1, 3)
+            attn = weights @ v_store[read, :, :key_len]
             attn /= sums
             # x is this call's own array, so the residual adds and the ReLU run in place.
             x += attn.transpose(0, 2, 1, 3).reshape(batch, n_max, d) @ layer["wo"]
@@ -214,16 +218,16 @@ class ToyTransformer:
 
         logits = _layer_norm(x) @ self.lm_head
 
-        outputs: list[StepOutput] = []
-        for b, (bl, v_len, n_b) in enumerate(zip(block_lens, valid_lens, n_lens)):
-            row = store_rows[b]
-            new = slice(v_len, v_len + n_b)
-            outputs.append(
-                StepOutput(
-                    rows=logits[b, n_b - bl : n_b],
-                    new_kv=[(k[row, new], v[row, new]) for k, v in zip(keys, values)],
-                )
-            )
+        outputs = []
+        for b, (bl, block) in enumerate(zip(block_lens, blocks)):
+            n = len(block)
+            # K/V of a call on slots already sit in the slots' rows; a call
+            # without slots hands back views of its fresh buffer's rows.
+            new_kv = None if slots[0] is not None else [
+                (k[b, ..., :n].transpose(2, 0, 1), v[b, :, :n].transpose(1, 0, 2))
+                for k, v in zip(buf.keys, buf.values)
+            ]
+            outputs.append(StepOutput(rows=logits[b, n - bl : n], new_kv=new_kv))
         return outputs
 
     def _kv_store(

@@ -1,16 +1,17 @@
 """Preallocated key/value cache with batch padding plans.
 
 The cache buffer is sized once, before decoding starts, and never grows:
-per layer it holds ``[batch, max_len, heads, head_dim]`` key and value
-arrays plus a per-instance valid length.
+per layer it holds a ``[batch, heads, head_dim, max_len]`` key array and a
+``[batch, heads, max_len, head_dim]`` value array, the shapes attention
+multiplies by, plus a per-instance valid length.
 
 The valid length is the commit pointer.  Rows before it belong to committed
 (exact) tokens and are never touched again.  Rows from it onwards are
 scratch: a cache-aware forward writes the K/V of its new positions straight
 there and attends over the rows in place, and the next call overwrites
 them.  :meth:`CacheBuffer.write_back` commits a prefix of that scratch by
-advancing the pointer; lookahead-window rows stay uncommitted because those
-tokens may still change.
+advancing the pointer, writing no K/V; lookahead-window rows stay
+uncommitted because those tokens may still change.
 
 Two padding plans support batches whose instances progress unevenly:
 
@@ -82,6 +83,9 @@ class CacheBuffer:
 
     Storage is zero-initialized at construction and mutated strictly in
     place afterwards.  Only a backend with layers has K/V to cache.
+    Position is the last axis of ``keys[l]`` and the second last of
+    ``values[l]``, so the score and value products read both as plain
+    matrices.
     """
 
     def __init__(self, batch: int, max_len: int, spec: BackendSpec) -> None:
@@ -92,9 +96,9 @@ class CacheBuffer:
         self.batch = batch
         self.max_len = max_len
         self.spec = spec
-        shape = (batch, max_len, spec.n_heads, spec.head_dim)
-        self.keys = [np.zeros(shape) for _ in range(spec.n_layers)]
-        self.values = [np.zeros(shape) for _ in range(spec.n_layers)]
+        heads, hd = spec.n_heads, spec.head_dim
+        self.keys = [np.zeros((batch, heads, hd, max_len)) for _ in range(spec.n_layers)]
+        self.values = [np.zeros((batch, heads, max_len, hd)) for _ in range(spec.n_layers)]
         self.tokens = np.zeros((batch, max_len), dtype=np.int64)
         self.valid_len = np.zeros(batch, dtype=np.int64)
 
@@ -106,19 +110,20 @@ class CacheBuffer:
     def write_back(
         self,
         instance: int,
-        new_kv: Sequence[tuple[np.ndarray, np.ndarray]],
+        new_kv: Sequence[tuple[np.ndarray, np.ndarray]] | None,
         start: int,
         count: int,
         tokens: Sequence[int],
     ) -> None:
-        """Commit K/V (and token ids) for ``count`` positions from ``start``.
+        """Commit ``count`` positions from ``start``: token ids, the pointer and K/V.
 
         ``start`` must equal the instance's current valid length: committed
-        positions are contiguous, with no overlap and no gap.  K/V that a
-        forward already wrote ahead into these rows are views of them, and
-        numpy skips an assignment of a view onto itself, so they cost no
-        copy; other arrays (say, from a forward without slots, which
-        attends in a fresh buffer of its own) are copied in.
+        positions are contiguous, with no overlap and no gap.  ``new_kv`` is
+        ``None`` when a forward on this instance's slot already wrote the
+        K/V into these rows, so the commit writes only tokens and the
+        pointer.  Otherwise it holds per-layer ``[n_new, heads, head_dim]``
+        arrays (say, from a forward without slots, which attends in a
+        fresh buffer of its own), and their first ``count`` are copied in.
         """
         if count == 0:
             return
@@ -132,15 +137,15 @@ class CacheBuffer:
             raise CapacityError(
                 f"cache capacity {self.max_len} exceeded at position {start + count}"
             )
-        if len(new_kv) != self.spec.n_layers:
+        if new_kv is not None and len(new_kv) != self.spec.n_layers:
             raise ContractError("write_back expects one (k, v) pair per layer")
         if len(tokens) != count:
             raise ContractError("write_back token count mismatch")
-        for li, (k, v) in enumerate(new_kv):
+        for li, (k, v) in enumerate(new_kv or ()):
             if k.shape[0] < count or v.shape[0] < count:
                 raise ContractError("write_back K/V shorter than count")
-            self.keys[li][instance, start : start + count] = k[:count]
-            self.values[li][instance, start : start + count] = v[:count]
+            self.keys[li][instance, ..., start : start + count] = k[:count].transpose(1, 2, 0)
+            self.values[li][instance, :, start : start + count] = v[:count].transpose(1, 0, 2)
         self.tokens[instance, start : start + count] = np.asarray(tokens, dtype=np.int64)
         self.valid_len[instance] = start + count
 

@@ -18,7 +18,9 @@ def test_alloc_initial_state(toy):
     cache = alloc(2, 128, toy.spec)
     assert cache.valid_len.tolist() == [0, 0]
     assert len(cache.keys) == toy.spec.n_layers
-    assert cache.keys[0].shape == (2, 128, toy.spec.n_heads, toy.spec.head_dim)
+    heads, hd = toy.spec.n_heads, toy.spec.head_dim
+    assert [k.shape for k in cache.keys] == [(2, heads, hd, 128)] * toy.spec.n_layers
+    assert [v.shape for v in cache.values] == [(2, heads, 128, hd)] * toy.spec.n_layers
 
 
 def test_alloc_rejects_bad_sizes(toy):
@@ -180,7 +182,8 @@ def _committed_state(cache, instance):
     return (
         v,
         cache.tokens[instance, :v].copy(),
-        [k[instance, :v].copy() for k in cache.keys + cache.values],
+        [k[instance, ..., :v].copy() for k in cache.keys]
+        + [val[instance, :, :v].copy() for val in cache.values],
     )
 
 
@@ -210,22 +213,35 @@ def test_write_ahead_scratch_never_leaks(toy):
 
 
 def test_forward_writes_ahead_into_the_cache(toy):
-    # new K/V are views of the slot's rows past its valid length, so a
-    # commit advances the pointer without a copy
+    # a forward on a slot writes its K/V into the slot's rows past the valid
+    # length and hands none back, so a commit only advances the pointer
     cache = alloc(2, 32, toy.spec)
     ctx = [5, 6, 7, 8, 9]
     pre = toy.forward(ctx[:3], 1, cache.slot(1))
     cache.write_back(1, pre.new_kv, 0, 3, ctx[:3])
     step = toy.forward(ctx, 2, cache.slot(1))
-    for li, (k, v) in enumerate(step.new_kv):
-        assert k.shape == (2, toy.spec.n_heads, toy.spec.head_dim)
-        assert np.shares_memory(k, cache.keys[li][1, 3:5])
-        assert np.shares_memory(v, cache.values[li][1, 3:5])
-    cache.write_back(1, step.new_kv, 3, 2, ctx[3:])
+    assert step.new_kv is None
     fresh = toy.forward(ctx, 5)
     for li, (k, v) in enumerate(fresh.new_kv):
-        assert np.abs(cache.keys[li][1, :5] - k).max() < 1e-9
-        assert np.abs(cache.values[li][1, :5] - v).max() < 1e-9
+        assert k.shape == v.shape == (5, toy.spec.n_heads, toy.spec.head_dim)
+        assert np.abs(cache.keys[li][1, ..., 3:5] - k[3:].transpose(1, 2, 0)).max() < 1e-9
+        assert np.abs(cache.values[li][1, :, 3:5] - v[3:].transpose(1, 0, 2)).max() < 1e-9
+    kv_bytes = [a.tobytes() for a in cache.keys + cache.values]
+    cache.write_back(1, None, 3, 2, ctx[3:])
+    assert cache.valid_len.tolist() == [0, 5]
+    assert cache.tokens[1, :5].tolist() == ctx
+    assert [a.tobytes() for a in cache.keys + cache.values] == kv_bytes
+
+
+def test_write_back_copies_handed_back_kv(toy):
+    # a forward without slots hands back its K/V; writing them into an empty
+    # cache serves the next step like the forward's own cache would
+    ctx = [12, 3, 40, 7, 7, 19]
+    cache = alloc(1, 16, toy.spec)
+    fresh = toy.forward(ctx[:-1], 1)
+    cache.write_back(0, fresh.new_kv, 0, len(ctx) - 1, ctx[:-1])
+    warm = toy.forward(ctx, 1, cache.slot(0))
+    assert np.abs(warm.rows - toy.forward(ctx, 1).rows).max() < 1e-9
 
 
 def test_batched_forward_matches_solo_on_any_slot_layout(toy):
@@ -281,20 +297,34 @@ def test_block_past_capacity_refused_before_any_write(toy):
         _assert_same_state(before[i], _committed_state(cache, i))
 
 
-def test_cached_work_quadratic_not_cubic():
-    # count attention score reads (instrumented backend), not wall clock
-    from glimpse.backends import make_toy_transformer
+def test_cached_work_quadratic_not_cubic(monkeypatch):
+    # count attention score reads (query x key pairs summed over layers) from
+    # the calls made, not wall clock: a call computes n = len(context) -
+    # valid_len new positions per instance, each reading valid_len + n keys
+    from glimpse.backends.base import HistoryMask
+    from glimpse.backends.toy import ToyTransformer
+
+    reads = [0]
+    original = ToyTransformer.forward_batch
+
+    def spy(self, contexts, block_lens, slots=None):
+        for ctx, slot in zip(contexts, slots or [None] * len(contexts)):
+            v = slot.valid_len if slot is not None else 0
+            n = len(ctx) - v
+            reads[0] += len(self.layers) * n * (v + n)
+        return original(self, contexts, block_lens, slots)
+
+    monkeypatch.setattr(ToyTransformer, "forward_batch", spy)
 
     def decode_reads(n_tokens, cached):
         backend = make_toy_transformer(3, small_toy_spec(max_len=512))
         cfg = DecodeConfig(window_len=0, max_new_tokens=n_tokens)
+        reads[0] = 0
         if cached:
             run_rationale([1], backend, cfg)
         else:
             # same decode, cache disabled: every step recomputes the context
             seq = [1]
-            from glimpse.backends.base import HistoryMask
-
             mask = HistoryMask(backend.spec.vocab_size)
             mask.extend(seq)
             for _ in range(n_tokens):
@@ -302,7 +332,7 @@ def test_cached_work_quadratic_not_cubic():
                 tok = mask.pick(out.rows, cfg.repetition_penalty)[0]
                 seq.append(tok)
                 mask.extend([tok])
-        return backend.score_reads
+        return reads[0]
 
     small, big = 24, 48
     for cached, lo, hi in ((True, 3.0, 5.5), (False, 5.5, 11.0)):

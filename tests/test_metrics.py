@@ -312,11 +312,11 @@ def test_breakdown_repeat_stability(counting_backend):
     cfg = DecodeConfig(window_len=0, max_new_tokens=800)
     ar_baseline([0], counting_backend, cfg)  # warmup
 
-    # Two sets of three runs, interleaved so that a drift in CPU speed
-    # reaches both sets alike; min-of-3 filters scheduler noise out of the
-    # smoke check.
+    # Two sets of seven runs, interleaved so that a drift in CPU speed
+    # reaches both sets alike; min-of-7 filters scheduler noise, and a few
+    # seconds of a slower CPU, out of the smoke check.
     runs: tuple[list, list] = ([], [])
-    for _ in range(3):
+    for _ in range(7):
         for out in runs:
             out.append(ar_baseline([0], counting_backend, cfg).trace.breakdown)
     a, b = (
