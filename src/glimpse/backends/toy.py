@@ -9,7 +9,16 @@ Two constructions from the same seed are therefore identical, and forward
 passes are pure functions of ``(context, block_len, cache contents)``.
 
 All math runs in float64 so that batched, cached, and from-scratch paths
-agree to well below argmax-flipping noise.
+agree to well below argmax-flipping noise.  A layer norm (eps 1e-5) is
+folded into the matmul it feeds, ``norm(x) @ W = xc @ (sqrt(d) W) /
+sqrt(|xc|^2 + d eps)`` for centred rows ``xc``, so the QKV, first MLP and
+head weights hold ``sqrt(d)``.  As ``|xc| < sqrt(|xc|^2 + d eps)``, head
+``h``'s scores are at most ``sigma_max(Wq_h) sigma_max(Wk_h)`` of its stored
+weights in magnitude.  Construction bounds each ``sigma_max^2`` by
+Gershgorin on the Gram matrix ``W_h^T W_h`` and keeps the largest product
+as ``score_bound`` (about 59 for the default shape).  Softmax subtracts no
+row max while that bound is at most :data:`EXP_LIMIT`; masked scores
+(-1e30) still exponentiate to 0, and key 0 is visible to every query.
 
 Every call attends over a :class:`~glimpse.cache.CacheBuffer`: the one its
 slots share, or a fresh one when it is given none.  Per head, the buffer
@@ -46,6 +55,9 @@ from glimpse.cache import CacheBuffer, CacheSlot, alloc, plan_input_padding, pla
 from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 
 _NEG = -1e30  # masked attention score; exp() underflows to exactly 0.0
+#: Largest score bound at which softmax skips the row max: exp() then stays
+#: in [e^-500, e^500], far from float64 underflow and overflow (e^+-709).
+EXP_LIMIT = 500.0
 
 
 def default_toy_spec(
@@ -67,17 +79,6 @@ def default_toy_spec(
     )
 
 
-def _layer_norm(x: np.ndarray) -> np.ndarray:
-    """Zero-mean, unit-variance rows (eps 1e-5), in one fresh array."""
-    n = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(np.square(xc), axis=-1, keepdims=True)
-    var *= 1.0 / n
-    var += 1e-5
-    xc /= np.sqrt(var, out=var)
-    return xc
-
-
 class ToyTransformer:
     """Deterministic desk-scale causal transformer backend."""
 
@@ -87,7 +88,7 @@ class ToyTransformer:
         if min(spec.n_layers, spec.n_heads, spec.model_dim, spec.max_len) < 1:
             raise ContractError("toy transformer needs layers, heads, model_dim and max_len")
         self.spec = spec
-        d, v = spec.model_dim, spec.vocab_size
+        d, v, heads, hd = spec.model_dim, spec.vocab_size, spec.n_heads, spec.head_dim
         rng = np.random.default_rng(seed)
 
         def draw(*shape: int, std: float) -> np.ndarray:
@@ -98,19 +99,25 @@ class ToyTransformer:
         self.wpe = draw(spec.max_len, d, std=0.5)
         self.layers = []
         for _ in range(spec.n_layers):
-            wq, wk, wv = (draw(d, d, std=proj) for _ in range(3))
+            # Weights a norm feeds hold its sqrt(d), so they draw at std 1, not 1/sqrt(d).
+            wq, wk, wv = (draw(d, d, std=1.0) for _ in range(3))
             self.layers.append(
                 {
-                    # Fused query/key/value projection, one matmul instead of
-                    # three, with the 1/sqrt(head_dim) score scale folded
-                    # into the query columns.
-                    "wqkv": np.concatenate([wq / np.sqrt(spec.head_dim), wk, wv], axis=1),
+                    # Fused QKV projection, one matmul instead of three, with
+                    # the 1/sqrt(head_dim) score scale folded into the query columns.
+                    "wqkv": np.concatenate([wq / np.sqrt(hd), wk, wv], axis=1),
                     "wo": draw(d, d, std=proj),
-                    "w1": draw(d, 4 * d, std=proj),
+                    "w1": draw(d, 4 * d, std=1.0),
                     "w2": draw(4 * d, d, std=1.0 / np.sqrt(4 * d)),
                 }
             )
-        self.lm_head = draw(d, v, std=proj)
+        self.lm_head = draw(d, v, std=1.0)
+        self._mean_col = np.full((d, 1), 1.0 / d)
+        self._ones = np.ones((spec.max_len, 1))
+        # The score bound of the module docstring: one Gram product per layer.
+        qk = [layer["wqkv"][:, : 2 * d].reshape(d, 2 * heads, hd) for layer in self.layers]
+        lam = np.abs([w.transpose(1, 2, 0) @ w.transpose(1, 0, 2) for w in qk]).sum(-1).max(-1)
+        self.score_bound = float(np.sqrt(lam[:, :heads] * lam[:, heads:]).max())
 
     # ------------------------------------------------------------------
     # Forward
@@ -196,7 +203,7 @@ class ToyTransformer:
             bias = np.where(np.arange(v_min, key_len) <= new_rows[..., None], 0.0, _NEG)
 
         for layer, k_store, v_store in zip(self.layers, buf.keys, buf.values):
-            qkv = (_layer_norm(x) @ layer["wqkv"]).reshape(batch, n_max, 3, heads, hd)
+            qkv = self._normed_matmul(x, layer["wqkv"]).reshape(batch, n_max, 3, heads, hd)
             q = qkv[:, :, 0].transpose(0, 2, 1, 3)  # [batch, heads, n_max, hd], a view
             # Written through [batch, max_len, heads, hd] views of the stores.
             k_store.transpose(0, 3, 1, 2)[write_at] = qkv[:, :, 1]
@@ -206,17 +213,17 @@ class ToyTransformer:
             weights = q @ k_store[read, ..., :key_len]
             if bias is not None:
                 weights[..., v_min:] += bias
-            weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+            if self.score_bound > EXP_LIMIT:
+                weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
             np.exp(weights, out=weights)
-            sums = np.add.reduce(weights, axis=-1, keepdims=True)
             attn = weights @ v_store[read, :, :key_len]
-            attn /= sums
+            attn /= weights @ self._ones[:key_len]
             # x is this call's own array, so the residual adds and the ReLU run in place.
             x += attn.transpose(0, 2, 1, 3).reshape(batch, n_max, d) @ layer["wo"]
-            h = _layer_norm(x) @ layer["w1"]
+            h = self._normed_matmul(x, layer["w1"])
             x += np.maximum(h, 0.0, out=h) @ layer["w2"]
 
-        logits = _layer_norm(x) @ self.lm_head
+        logits = self._normed_matmul(x, self.lm_head)
 
         outputs = []
         for b, (bl, block) in enumerate(zip(block_lens, blocks)):
@@ -229,6 +236,14 @@ class ToyTransformer:
             ]
             outputs.append(StepOutput(rows=logits[b, n - bl : n], new_kv=new_kv))
         return outputs
+
+    def _normed_matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Layer norm of ``x``'s rows times ``w / sqrt(d)``, in one fresh array."""
+        xc = x - x @ self._mean_col
+        s = np.vecdot(xc, xc, keepdims=True) + self.spec.model_dim * 1e-5
+        out = xc @ w
+        out /= np.sqrt(s, out=s)
+        return out
 
     def _kv_store(
         self, slots: Sequence[CacheSlot | None], n_rows: int

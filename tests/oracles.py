@@ -84,6 +84,57 @@ def jacobi_reference(
             return exact, commits
 
 
+class ToyReference:
+    """Textbook forward of the toy transformer, for checking its arithmetic.
+
+    Re-draws the weights from ``default_rng(seed)`` in the order the toy's
+    module docstring documents: token embedding, position embedding, per
+    layer wq/wk/wv/wo/w1/w2, then the output head; std 0.5 for embeddings
+    and ``1/sqrt(fan_in)`` otherwise.  Then runs a pre-LN causal transformer
+    over the whole context, uncached: a mean/variance layer norm (eps 1e-5),
+    one loop per head, and a softmax that subtracts each row's maximum.
+    """
+
+    def __init__(self, seed: int, spec) -> None:
+        self.spec = spec
+        d, v = spec.model_dim, spec.vocab_size
+        rng = np.random.default_rng(seed)
+        self.wte = rng.normal(0.0, 0.5, size=(v, d))
+        self.wpe = rng.normal(0.0, 0.5, size=(spec.max_len, d))
+        self.layers = []
+        for _ in range(spec.n_layers):
+            layer = {w: rng.normal(0.0, d**-0.5, size=(d, d)) for w in ("wq", "wk", "wv", "wo")}
+            layer["w1"] = rng.normal(0.0, d**-0.5, size=(d, 4 * d))
+            layer["w2"] = rng.normal(0.0, (4 * d) ** -0.5, size=(4 * d, d))
+            self.layers.append(layer)
+        self.lm_head = rng.normal(0.0, d**-0.5, size=(d, v))
+
+    @staticmethod
+    def _norm(x):
+        mean = x.mean(axis=-1, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + 1e-5)
+
+    def logits(self, context) -> np.ndarray:
+        """``[len(context), vocab]``: row ``t`` scores the token after position ``t``."""
+        n, heads = len(context), self.spec.n_heads
+        hd = self.spec.model_dim // heads
+        x = self.wte[np.asarray(context)] + self.wpe[:n]
+        visible = np.tril(np.ones((n, n), dtype=bool))
+        for layer in self.layers:
+            h = self._norm(x)
+            q, k, v = h @ layer["wq"], h @ layer["wk"], h @ layer["wv"]
+            out = []
+            for i in range(heads):
+                cols = slice(i * hd, (i + 1) * hd)
+                scores = np.where(visible, q[:, cols] @ k[:, cols].T / np.sqrt(hd), -np.inf)
+                p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+                out.append(p / p.sum(axis=-1, keepdims=True) @ v[:, cols])
+            x = x + np.concatenate(out, axis=1) @ layer["wo"]
+            x = x + np.maximum(self._norm(x) @ layer["w1"], 0.0) @ layer["w2"]
+        return self._norm(x) @ self.lm_head
+
+
 def hypergeometric_survival(length: int, kept: int, keys: int) -> float:
     """P(all ``keys`` marked positions kept) when ``kept`` of ``length`` survive."""
     if kept < keys:
