@@ -25,9 +25,9 @@ from glimpse.engine import (
     StopDecision,
     answer_phase,
     ar_baseline,
-    calibrate_iteration_cap,
     check_stop,
     decode_with_answer,
+    decode_with_answer_batch,
     iterate_once,
     run_rationale,
     run_rationale_batch,
@@ -46,9 +46,9 @@ __all__ = [
     "alloc",
     "answer_phase",
     "ar_baseline",
-    "calibrate_iteration_cap",
     "check_stop",
     "decode_with_answer",
+    "decode_with_answer_batch",
     "iterate_once",
     "make_counting_backend",
     "make_ngram_backend",

@@ -46,6 +46,7 @@ from glimpse.engine import (
     DecodeConfig,
     ar_baseline,
     decode_with_answer,
+    decode_with_answer_batch,
     run_rationale,
     truncated_cot,
 )
@@ -259,8 +260,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         args, "decode", ["result.json", "trace.jsonl", "tokens.txt"]
     )
     result_path, trace_path, tokens_path = paths
-    # Every prompt is decoded before the first write, so a refused run writes nothing.
-    results = [decode_with_answer(prompt, backend, cfg) for prompt in prompts]
+    # The prompts are decoded as one batch before the first write, so a
+    # refused run writes nothing; every trace carries the batch's totals.
+    results = decode_with_answer_batch(prompts, backend, cfg)
     payloads = [
         {
             "prompt": prompt,
@@ -497,7 +499,7 @@ _READERS = {
 } | {"repetition_penalty": _ALL.split(), "answer_max_tokens": "decode bench corrupt".split()}
 
 _COMMANDS = {
-    "decode": (cmd_decode, "run one decode per prompt"),
+    "decode": (cmd_decode, "decode the prompts as one batch"),
     "bench": (cmd_bench, "compare decode methods per prompt"),
     "sweep-window": (cmd_sweep_window, "hit metrics per window size"),
     "corrupt": (cmd_corrupt, "accuracy vs kept-token ratio"),

@@ -21,7 +21,7 @@ from glimpse.backends.scripted import (
     ScriptedBackend,
     make_scripted_backend,
 )
-from glimpse.engine import DecodeConfig, answer_phase, ar_baseline
+from glimpse.engine import DecodeConfig, answer_phase, run_rationale_batch
 from glimpse.errors import ConfigError, ContractError
 
 
@@ -109,16 +109,18 @@ def make_scripted_tasks(
     rng = np.random.default_rng(seed)
     questions = rng.choice(Q_RANGE, size=n, replace=False).tolist()
     cfg = default_answer_config()
+    prompts = [script.prompt(q) for q in questions]
+    # The answer config has a zero-length window: its rationales are the AR streams.
+    eos = backend.spec.eos_id
+    rationales = [
+        res.exact_rationale[:-1] if res.exact_rationale[-1:] == [eos] else res.exact_rationale
+        for res in run_rationale_batch(prompts, backend, cfg)
+    ]
+    produced = answer_phase(prompts, rationales, [[]] * n, backend, cfg)
     cases: list[TaskCase] = []
-    for q in questions:
-        prompt = script.prompt(q)
-        decoded = ar_baseline(prompt, backend, cfg)
-        rationale = decoded.exact_rationale
-        if rationale and rationale[-1] == backend.spec.eos_id:
-            rationale = rationale[:-1]
+    for q, prompt, rationale, answer in zip(questions, prompts, rationales, produced):
         reference = [script.answer_token(q)]
-        produced = answer_phase(prompt, rationale, [], backend, cfg)
-        if produced != reference:
+        if answer != reference:
             raise ContractError(
                 f"task for question {q} does not answer correctly uncorrupted"
             )
@@ -134,8 +136,8 @@ def run_overlap_experiment(
 ) -> list[OverlapRow]:
     """Accuracy table over (ratio, seed, case) cells.
 
-    For each cell the corrupted rationale is answered through the regular
-    answer phase and scored by exact match; rows report the mean and
+    For each (ratio, seed) one answer phase answers every case's corrupted
+    rationale, each scored by exact match; rows report the mean and
     standard deviation over per-seed accuracies.
     """
     if len(cases) == 0:
@@ -145,11 +147,11 @@ def run_overlap_experiment(
     for ratio in spec.ratios:
         per_seed: list[float] = []
         for seed in spec.seeds:
-            hits = 0
-            for case in cases:
-                damaged = corrupt(case.rationale, ratio, seed, spec.pad_id)
-                answer = answer_phase(case.prompt, damaged, [], backend, cfg)
-                hits += int(answer == case.reference)
+            damaged = [corrupt(case.rationale, ratio, seed, spec.pad_id) for case in cases]
+            answers = answer_phase(
+                [case.prompt for case in cases], damaged, [[]] * len(cases), backend, cfg
+            )
+            hits = sum(answer == case.reference for answer, case in zip(answers, cases))
             per_seed.append(hits / len(cases))
         arr = np.asarray(per_seed)
         rows.append(

@@ -8,11 +8,12 @@ the window guesses they were conditioned on match.  The uncommitted fresh
 predictions slide into the next window.  With a zero-length window the loop
 is plain greedy autoregressive decoding.
 
-There is one loop.  The autoregressive baseline, budget-truncated decoding
-and the answer phase are runs of it with a zero-length window; the answer
-phase decodes after ``prompt ‖ exact ‖ approximate tail ‖ trigger`` and
-extends the rationale's cache, letting a run answer before its rationale
-has fully resolved.
+There is one loop, and one pipeline around it that decodes a batch: a solo
+entry point is a batch of one.  The autoregressive baseline,
+budget-truncated decoding and the answer phase are runs of the loop with a
+zero-length window; the answer phase decodes after ``prompt ‖ exact ‖
+approximate tail ‖ trigger`` and extends the rationale's cache, letting a
+run answer before its rationale has fully resolved.
 """
 
 from __future__ import annotations
@@ -253,7 +254,10 @@ def _max_context(prompts: Sequence[TokenSeq], cfg: DecodeConfig) -> int:
 
     The last iteration starts with at most ``max_new_tokens - 1`` exact
     tokens and scores them behind the prompt, with the window after them.
+    Every run sizes itself with this first, so it refuses an empty batch.
     """
+    if len(prompts) == 0:
+        raise ContractError("batch must be nonempty")
     return max(len(p) for p in prompts) + cfg.max_new_tokens - 1 + cfg.window_len
 
 
@@ -346,17 +350,66 @@ def _stamp(results: list[DecodeResult], timer: PhaseTimer, t0: float) -> list[De
     return results
 
 
-def _decode(
-    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, method: str
-) -> list[DecodeResult]:
-    t0 = time.perf_counter()
-    session = _Session(prompts, backend, cfg, method)
-    return _stamp(session.run(), session.timer, t0)
-
-
 def _greedy(cfg: DecodeConfig, budget: int) -> DecodeConfig:
     """``cfg`` as plain greedy decoding of ``budget`` tokens: no window or cap."""
     return replace(cfg, window_len=0, skip=False, max_new_tokens=budget, iteration_cap=None)
+
+
+def answer_phase(
+    prompts: Sequence[TokenSeq],
+    exacts: Sequence[TokenSeq],
+    approx_tails: Sequence[TokenSeq],
+    backend: Backend,
+    cfg: DecodeConfig,
+    cache: CacheBuffer | None = None,
+    timer: PhaseTimer | None = None,
+) -> list[list[int]]:
+    """Decode each instance's answer from prompt, exact rationale, approximate tail, trigger.
+
+    One zero-window run over every ``prompt ‖ exact ‖ approx_tail ‖
+    trigger``: the approximate tail is included verbatim, PAD tokens and
+    all.  Decoding is greedy with the configured penalty, up to
+    ``answer_max_tokens`` or EOS (EOS itself is not returned).  Given
+    ``cache`` (the rationale's) instance ``i`` extends row ``i``; without
+    it the run gets a fresh one.
+    """
+    if not len(prompts) == len(exacts) == len(approx_tails):
+        raise ContractError("answer_phase needs one exact rationale and one tail per prompt")
+    _check_trigger(backend, cfg)
+    seqs = [
+        [*prompt, *exact, *tail, *cfg.answer_trigger]
+        for prompt, exact, tail in zip(prompts, exacts, approx_tails)
+    ]
+    session = _Session(seqs, backend, _greedy(cfg, cfg.answer_max_tokens), "answer", cache, timer)
+    eos = backend.spec.eos_id
+    answers = [result.exact_rationale for result in session.run()]
+    return [answer[:-1] if answer and answer[-1] == eos else answer for answer in answers]
+
+
+def _run(
+    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, method: str, answer: bool
+) -> list[DecodeResult]:
+    """The pipeline: the rationale loop over a batch, then, if ``answer``, its answer phase.
+
+    A run that answers is refused before the rationale starts when the
+    trigger is outside the vocabulary or the answer would not fit the
+    backend's ``max_len``; its cache holds the answer rows too.
+    """
+    if answer:
+        _check_trigger(backend, cfg)
+        need = _max_context(prompts, cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
+        _check_capacity(backend, need, "the answer phase")
+    t0 = time.perf_counter()
+    cache = alloc(len(prompts), need, backend.spec) if answer and backend.spec.n_layers else None
+    session = _Session(prompts, backend, cfg, method, cache)
+    results = session.run()
+    if answer:
+        exacts = [result.exact_rationale for result in results]
+        tails = [result.approximate_tail for result in results]
+        answers = answer_phase(prompts, exacts, tails, backend, cfg, session.cache, session.timer)
+        for result, tokens in zip(results, answers):
+            result.answer = tokens
+    return _stamp(results, session.timer, t0)
 
 
 def run_rationale(
@@ -367,7 +420,7 @@ def run_rationale(
     Returns the committed exact rationale, the final approximate window,
     the full trace, and the stop decision; the answer field is left empty.
     """
-    return _decode([prompt], backend, cfg, "parallel")[0]
+    return _run([prompt], backend, cfg, "parallel", answer=False)[0]
 
 
 def run_rationale_batch(
@@ -378,57 +431,7 @@ def run_rationale_batch(
     Every trace carries the batch's totals: ``wall_s`` is the wall time of
     the whole batch and ``breakdown`` its session timer's phases.
     """
-    return _decode(prompts, backend, cfg, "parallel")
-
-
-def answer_phase(
-    prompt: TokenSeq,
-    exact: TokenSeq,
-    approx_tail: TokenSeq,
-    backend: Backend,
-    cfg: DecodeConfig,
-    cache: CacheBuffer | None = None,
-    timer: PhaseTimer | None = None,
-) -> list[int]:
-    """Decode the answer from prompt, exact rationale, approximate tail, trigger.
-
-    A zero-window run over ``prompt ‖ exact ‖ approx_tail ‖ trigger``: the
-    approximate tail is included verbatim, PAD tokens and all.  Decoding is
-    greedy with the configured penalty, up to ``answer_max_tokens`` or EOS
-    (EOS itself is not returned).  Given ``cache`` (the rationale's,
-    instance 0) it extends that cache; without it the run gets a fresh one.
-    """
-    _check_trigger(backend, cfg)
-    seq = [*prompt, *exact, *approx_tail, *cfg.answer_trigger]
-    session = _Session(
-        [seq], backend, _greedy(cfg, cfg.answer_max_tokens), "answer", cache, timer
-    )
-    answer = session.run()[0].exact_rationale
-    if answer and answer[-1] == backend.spec.eos_id:
-        answer.pop()
-    return answer
-
-
-def _with_answer(
-    prompt: TokenSeq, backend: Backend, cfg: DecodeConfig, method: str
-) -> DecodeResult:
-    _check_trigger(backend, cfg)
-    need = _max_context([prompt], cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
-    _check_capacity(backend, need, "the answer phase")
-    t0 = time.perf_counter()
-    cache = alloc(1, need, backend.spec) if backend.spec.n_layers > 0 else None
-    session = _Session([prompt], backend, cfg, method, cache)
-    result = session.run()[0]
-    result.answer = answer_phase(
-        prompt,
-        result.exact_rationale,
-        result.approximate_tail,
-        backend,
-        cfg,
-        cache=session.cache,
-        timer=session.timer,
-    )
-    return _stamp([result], session.timer, t0)[0]
+    return _run(prompts, backend, cfg, "parallel", answer=False)
 
 
 def decode_with_answer(
@@ -439,7 +442,17 @@ def decode_with_answer(
     Refused before the rationale starts when the trigger is outside the
     vocabulary or the answer would not fit the backend's ``max_len``.
     """
-    return _with_answer(prompt, backend, cfg, "parallel")
+    return _run([prompt], backend, cfg, "parallel", answer=True)[0]
+
+
+def decode_with_answer_batch(
+    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig
+) -> list[DecodeResult]:
+    """Batched :func:`decode_with_answer`; per-instance results match solo runs.
+
+    Every trace carries the batch's totals, answer phase included.
+    """
+    return _run(prompts, backend, cfg, "parallel", answer=True)
 
 
 def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
@@ -448,7 +461,7 @@ def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> Decode
     The fused loop with a zero-length window; the window and iteration cap
     of ``cfg`` are ignored.
     """
-    return _decode([prompt], backend, _greedy(cfg, cfg.max_new_tokens), "ar")[0]
+    return _run([prompt], backend, _greedy(cfg, cfg.max_new_tokens), "ar", answer=False)[0]
 
 
 def truncated_cot(
@@ -470,7 +483,7 @@ def truncated_cot(
         result = DecodeResult(
             exact_rationale=[],
             approximate_tail=[],
-            answer=answer_phase(prompt, [], [], backend, cfg, timer=timer),
+            answer=answer_phase([prompt], [[]], [[]], backend, cfg, timer=timer)[0],
             trace=DecodeTrace(
                 method="truncated",
                 prompt=check_forward_args(backend.spec, prompt, 1).tolist(),
@@ -480,45 +493,7 @@ def truncated_cot(
             stop=StopDecision(reason="iteration_cap", value=0.0),
         )
         return _stamp([result], timer, t0)[0]
-    result = _with_answer(prompt, backend, _greedy(cfg, iteration_budget), "truncated")
+    result = _run([prompt], backend, _greedy(cfg, iteration_budget), "truncated", answer=True)[0]
     if result.stop.reason == "max_tokens":
         result.stop = StopDecision(reason="iteration_cap", value=float(iteration_budget))
     return result
-
-
-def calibrate_iteration_cap(
-    sample_prompts: Sequence[tuple[TokenSeq, Sequence[int]]],
-    backend: Backend,
-    cfg: DecodeConfig,
-    loss_threshold: float,
-) -> int:
-    """Smallest iteration cap whose sample accuracy is within the loss threshold.
-
-    Runs the full pipeline uncapped to establish reference accuracy, then
-    sweeps caps upward and returns the first one whose accuracy is at least
-    ``full_accuracy - loss_threshold``.  A run capped at ``k`` iterations is
-    the first ``k`` records of the uncapped one, so each cap costs only an
-    answer phase per sample that ran longer than ``k``.
-    """
-    if len(sample_prompts) == 0:
-        raise ConfigError("sample_prompts must be nonempty")
-    if not 0.0 <= loss_threshold <= 1.0:
-        raise ConfigError("loss_threshold must lie in [0, 1]")
-    base = replace(cfg, iteration_cap=None)
-    full = [decode_with_answer(p, backend, base) for p, _ in sample_prompts]
-    refs = [list(ref) for _, ref in sample_prompts]
-    full_acc = float(np.mean([res.answer == ref for res, ref in zip(full, refs)]))
-    max_cap = max(res.trace.iterations for res in full)
-    target = full_acc - loss_threshold
-    for cap in range(1, max_cap + 1):
-        hits = []
-        for (prompt, _), res, ref in zip(sample_prompts, full, refs):
-            records = res.trace.records
-            answer = res.answer
-            if cap < len(records):
-                exact = [tok for rec in records[:cap] for tok in rec.committed]
-                answer = answer_phase(prompt, exact, records[cap - 1].window, backend, cfg)
-            hits.append(answer == ref)
-        if float(np.mean(hits)) >= target:
-            return cap
-    return max_cap

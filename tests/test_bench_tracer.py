@@ -4,7 +4,7 @@
 names of the program (``ToyTransformer.forward_batch``,
 ``CacheBuffer.write_back``, the padding plans the toy calls, ...).  A
 rename or a changed signature would silently zero its per-layer metrics;
-this test runs it over three tiny decodes so that shows up here.
+these tests run it over tiny decodes so that shows up here.
 """
 
 import importlib.util
@@ -13,7 +13,12 @@ from pathlib import Path
 import pytest
 
 from glimpse.backends import default_toy_spec, make_counting_backend, make_toy_transformer
-from glimpse.engine import DecodeConfig, decode_with_answer, run_rationale_batch
+from glimpse.engine import (
+    DecodeConfig,
+    decode_with_answer,
+    decode_with_answer_batch,
+    run_rationale_batch,
+)
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "decodebench" / "tracer.py"
 
@@ -52,7 +57,23 @@ def test_tracer_counts_every_layer_and_restores_names(tracer):
         "base.pick_calls",
         "counting.context_tokens",
         "trace.records",
+        "engine.answer_phase_s",
+        "engine.check_stop_s",
     ):
         assert metrics[name] > 0, name
     # one block pick per iteration, answer iterations included
     assert metrics["base.pick_calls"] == metrics["trace.records"]
+
+
+def test_tracer_times_the_batched_answer_phase(tracer):
+    # A pipeline that answered or checked stops under another name would
+    # zero these per-layer metrics without failing anything else.
+    toy = make_toy_transformer(1, default_toy_spec(vocab_size=64, model_dim=32, max_len=96))
+    cfg = DecodeConfig(window_len=3, max_new_tokens=12, answer_trigger=(4, 5), answer_max_tokens=3)
+    tr = tracer.Tracer()
+    with tracer.installed(tr):
+        decode_with_answer_batch([[3, 4], [5, 6, 7, 8], [9]], toy, cfg)
+    metrics = tracer.layer_metrics(tr, untimed_s=0.0, trace_bytes=0)
+    assert metrics["engine.answer_phase_s"] > 0
+    assert metrics["engine.check_stop_s"] > 0
+    assert tr.calls["engine.answer_phase"] == 1

@@ -414,6 +414,42 @@ def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, m
     assert rows["ar,parallel_skip"] == {m: everything[m] for m in ("ar", "parallel_skip")}
 
 
+def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
+    import glimpse.engine
+
+    allocs, pipelines, answers = [], [], []
+    alloc, run, answer_phase = glimpse.engine.alloc, glimpse.engine._run, glimpse.engine.answer_phase
+
+    def alloc_spy(batch, max_len, spec):
+        allocs.append(batch)
+        return alloc(batch, max_len, spec)
+
+    def run_spy(prompts, *args, **kwargs):
+        pipelines.append(len(prompts))
+        return run(prompts, *args, **kwargs)
+
+    def answer_spy(prompts, *args, **kwargs):
+        answers.append(len(prompts))
+        return answer_phase(prompts, *args, **kwargs)
+
+    monkeypatch.setattr(glimpse.engine, "alloc", alloc_spy)
+    monkeypatch.setattr(glimpse.engine, "_run", run_spy)
+    monkeypatch.setattr(glimpse.engine, "answer_phase", answer_spy)
+    prompts = ["1,2,3", "9,8,7,6,5", "40", "11,12"]
+    code = run_cli(
+        "decode",
+        "--backend", "toy",
+        *[arg for p in prompts for arg in ("--prompt", p)],
+        "--window", "4",
+        "--max-new-tokens", "12",
+        "--answer-trigger", "4,5",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    # one cache with a row per prompt, one pipeline and one answer phase
+    assert (allocs, pipelines, answers) == ([4], [4], [4])
+
+
 def test_sweep_window_decodes_one_reference_per_prompt(tmp_path, monkeypatch):
     import glimpse.cli
 

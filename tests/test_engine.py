@@ -19,9 +19,9 @@ from glimpse.engine import (
     DecodeConfig,
     answer_phase,
     ar_baseline,
-    calibrate_iteration_cap,
     check_stop,
     decode_with_answer,
+    decode_with_answer_batch,
     iterate_once,
     run_rationale,
     run_rationale_batch,
@@ -215,10 +215,10 @@ def test_answer_phase_all_pad_tail_equals_exact_only():
     )
     q = 13
     rationale = script.rationale(q)
-    with_pads = answer_phase(
-        script.prompt(q), rationale, [S_PAD] * 4, backend, cfg
+    prompt = script.prompt(q)
+    with_pads, without = answer_phase(
+        [prompt, prompt], [rationale, rationale], [[S_PAD] * 4, []], backend, cfg
     )
-    without = answer_phase(script.prompt(q), rationale, [], backend, cfg)
     assert with_pads == without
 
 
@@ -226,7 +226,7 @@ def test_answer_phase_budget_of_one(toy_backend):
     cfg = DecodeConfig(
         window_len=0, answer_trigger=(1, 2), answer_max_tokens=1, max_new_tokens=8
     )
-    answer = answer_phase([5, 6], [7, 8], [], toy_backend, cfg)
+    [answer] = answer_phase([[5, 6]], [[7, 8]], [[]], toy_backend, cfg)
     assert len(answer) <= 1
 
 
@@ -239,8 +239,8 @@ def test_answer_phase_cache_reuse_matches_fresh(toy_backend):
     )
     reused = decode_with_answer([4, 5, 6], toy_backend, base)
     # without a cache the answer phase starts from a fresh one
-    fresh = answer_phase(
-        [4, 5, 6], reused.exact_rationale, reused.approximate_tail, toy_backend, base
+    [fresh] = answer_phase(
+        [[4, 5, 6]], [reused.exact_rationale], [reused.approximate_tail], toy_backend, base
     )
     assert reused.answer == fresh
 
@@ -365,22 +365,65 @@ def test_trace_matches_jacobi_oracle_and_batch_matches_solo(seed, c, skip, budge
     # EOS follows about a fifth of all ids, so most runs stop at EOS rather
     # than at the budget, and some cut a commit short at either.
     backend = random_ngram_backend(seed, eos_prob=0.2)
-    vocab = backend.spec.vocab_size
+    vocab, eos = backend.spec.vocab_size, backend.spec.eos_id
     prompt = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6)
     prompts = data.draw(st.lists(prompt, min_size=2, max_size=4))
-    cfg = DecodeConfig(window_len=c, skip=skip, max_new_tokens=budget, repetition_penalty=penalty)
-    solo = [run_rationale(p, backend, cfg) for p in prompts]
+    trigger = tuple(data.draw(st.lists(st.integers(0, vocab - 1), max_size=2)))
+    cfg = DecodeConfig(
+        window_len=c,
+        skip=skip,
+        max_new_tokens=budget,
+        repetition_penalty=penalty,
+        answer_trigger=trigger,
+        answer_max_tokens=4,
+    )
+    solo = [decode_with_answer(p, backend, cfg) for p in prompts]
     for p, res in zip(prompts, solo):
         exact, commits = jacobi_reference(backend, p, c, skip, budget, penalty)
         assert res.exact_rationale == exact
         assert [len(r.committed) for r in res.trace.records] == commits
-    for s, b in zip(solo, run_rationale_batch(prompts, backend, cfg)):
+        # The answer is greedy AR after prompt ‖ exact ‖ tail ‖ trigger, cut before EOS.
+        context = [*p, *exact, *res.approximate_tail, *trigger]
+        answer = greedy_ar_reference(backend, context, cfg.answer_max_tokens, penalty)
+        assert res.answer == (answer[: answer.index(eos)] if eos in answer else answer)
+    for s, b in zip(solo, decode_with_answer_batch(prompts, backend, cfg)):
         assert b.trace.records == s.trace.records
-        assert (b.exact_rationale, b.approximate_tail, b.stop) == (
+        assert (b.exact_rationale, b.approximate_tail, b.answer, b.stop) == (
             s.exact_rationale,
             s.approximate_tail,
+            s.answer,
             s.stop,
         )
+
+
+@pytest.mark.parametrize("c", [0, 4, 8])
+def test_toy_answer_batch_matches_solo_record_for_record(toy_backend, c):
+    rng = np.random.default_rng(c)
+    prompts = [[int(t) for t in rng.integers(0, 60, size=n)] for n in (8, 20, 1, 13, 5, 17, 3, 11)]
+    cfg = DecodeConfig(
+        window_len=c,
+        max_new_tokens=40,
+        repetition_penalty=1.0,
+        answer_trigger=(1, 2, 3),
+        answer_max_tokens=6,
+    )
+    batch = decode_with_answer_batch(prompts, toy_backend, cfg)
+    for prompt, b in zip(prompts, batch):
+        s = decode_with_answer(prompt, toy_backend, cfg)
+        assert (b.trace.method, b.trace.prompt, b.trace.records) == (
+            s.trace.method,
+            s.trace.prompt,
+            s.trace.records,
+        )
+        assert (b.exact_rationale, b.approximate_tail, b.answer, b.stop) == (
+            s.exact_rationale,
+            s.approximate_tail,
+            s.answer,
+            s.stop,
+        )
+    # every trace carries the batch's totals, answer phase included
+    assert len({b.trace.wall_s for b in batch}) == 1
+    assert all(b.trace.breakdown == batch[0].trace.breakdown for b in batch)
 
 
 def test_skip_vs_noskip_same_stream_fewer_iterations(counting_backend):
@@ -489,7 +532,7 @@ def test_answer_trigger_is_checked_only_by_runs_that_answer():
     with pytest.raises(ConfigError):
         decode_with_answer([1, 2, 3], backend, cfg)
     with pytest.raises(ConfigError):
-        answer_phase([1, 2, 3], [4], [], backend, cfg)
+        answer_phase([[1, 2, 3]], [[4]], [[]], backend, cfg)
     assert backend.calls == calls
 
 
@@ -588,12 +631,8 @@ def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows)
     first_answer = res.trace.iterations
     assert context_rows[first_answer][0] == answer_start
     assert context_rows[first_answer][1] == answer_start + cfg.answer_max_tokens
-    fresh = answer_phase(
-        [4, 5, 6],
-        res.exact_rationale,
-        res.approximate_tail,
-        toy_backend,
-        cfg,
+    [fresh] = answer_phase(
+        [[4, 5, 6]], [res.exact_rationale], [res.approximate_tail], toy_backend, cfg
     )
     assert res.answer == fresh
 
@@ -639,6 +678,24 @@ def test_prompt_ids_checked_like_contexts(counting_backend):
             ar_baseline(bad, counting_backend, cfg)
 
 
+def test_empty_batch_refused(toy_backend, counting_backend):
+    cfg = DecodeConfig(window_len=2, max_new_tokens=5, answer_trigger=(1,))
+    for backend in (toy_backend, counting_backend):
+        for run in (run_rationale_batch, decode_with_answer_batch):
+            with pytest.raises(ContractError, match="batch must be nonempty"):
+                run([], backend, cfg)
+        with pytest.raises(ContractError, match="batch must be nonempty"):
+            answer_phase([], [], [], backend, cfg)
+
+
+def test_answer_phase_refuses_unequal_lists(counting_backend):
+    cfg = DecodeConfig(window_len=0, max_new_tokens=5)
+    # zip would answer two instances and drop the third
+    for exacts, tails in (([[1], [2]], [[], [], []]), ([[1], [2], [3]], [[]])):
+        with pytest.raises(ContractError):
+            answer_phase([[0], [4], [5]], exacts, tails, counting_backend, cfg)
+
+
 @pytest.mark.parametrize("nan_at", [1, 3])
 def test_non_finite_scores_rejected(counting_backend, nan_at):
     cfg = DecodeConfig(window_len=2, max_new_tokens=10, answer_max_tokens=4)
@@ -647,70 +704,7 @@ def test_non_finite_scores_rejected(counting_backend, nan_at):
     with pytest.raises(ContractError):
         ar_baseline([0], _CountingForwards(counting_backend, nan_at), cfg)
     with pytest.raises(ContractError):
-        answer_phase([0], [1, 2], [], _CountingForwards(counting_backend, nan_at), cfg)
-
-
-# ----------------------------------------------------------------------
-# calibrate_iteration_cap
-# ----------------------------------------------------------------------
-
-
-def _calibration_fixture():
-    script = RetrievalScript(num_keys=1, rationale_len=6)
-    backend = make_scripted_backend(script)
-    cfg = DecodeConfig(
-        window_len=3,
-        max_new_tokens=30,
-        answer_trigger=TRIGGER,
-        answer_max_tokens=3,
-    )
-    samples = [
-        (script.prompt(q), [script.answer_token(q)]) for q in (1, 5, 12, 20)
-    ]
-    return backend, cfg, samples
-
-
-def test_calibrate_vacuous_threshold():
-    backend, cfg, samples = _calibration_fixture()
-    assert calibrate_iteration_cap(samples, backend, cfg, 1.0) == 1
-
-
-def test_calibrate_zero_threshold_matches_bruteforce():
-    backend, cfg, samples = _calibration_fixture()
-    got = calibrate_iteration_cap(samples, backend, cfg, 0.0)
-
-    # independent brute force over caps
-    from dataclasses import replace
-
-    full_acc = np.mean(
-        [decode_with_answer(p, backend, cfg).answer == ref for p, ref in samples]
-    )
-    want = None
-    for cap in range(1, 40):
-        acc = np.mean(
-            [
-                decode_with_answer(p, backend, replace(cfg, iteration_cap=cap)).answer
-                == ref
-                for p, ref in samples
-            ]
-        )
-        if acc >= full_acc:
-            want = cap
-            break
-    assert got == want
-
-
-def test_calibrate_monotone_in_threshold():
-    backend, cfg, samples = _calibration_fixture()
-    caps = [
-        calibrate_iteration_cap(samples, backend, cfg, t) for t in (0.0, 0.5, 1.0)
-    ]
-    assert caps[0] >= caps[1] >= caps[2]
-
-
-def test_calibrate_empty_sample_rejected(counting_backend):
-    with pytest.raises(ConfigError):
-        calibrate_iteration_cap([], counting_backend, cfg_for(counting_backend, 2), 0.5)
+        answer_phase([[0]], [[1, 2]], [[]], _CountingForwards(counting_backend, nan_at), cfg)
 
 
 # ----------------------------------------------------------------------
