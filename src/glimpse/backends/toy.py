@@ -9,16 +9,21 @@ Two constructions from the same seed are therefore identical, and forward
 passes are pure functions of ``(context, block_len, cache contents)``.
 
 All math runs in float64 so that batched, cached, and from-scratch paths
-agree to well below argmax-flipping noise.  A layer norm (eps 1e-5) is
-folded into the matmul it feeds, ``norm(x) @ W = xc @ (sqrt(d) W) /
-sqrt(|xc|^2 + d eps)`` for centred rows ``xc``, so the QKV, first MLP and
-head weights hold ``sqrt(d)``.  As ``|xc| < sqrt(|xc|^2 + d eps)``, head
-``h``'s scores are at most ``sigma_max(Wq_h) sigma_max(Wk_h)`` of its stored
-weights in magnitude.  Construction bounds each ``sigma_max^2`` by
-Gershgorin on the Gram matrix ``W_h^T W_h`` and keeps the largest product
-as ``score_bound`` (about 59 for the default shape).  Softmax subtracts no
-row max while that bound is at most :data:`EXP_LIMIT`; masked scores
-(-1e30) still exponentiate to 0, and key 0 is visible to every query.
+agree to well below argmax-flipping noise.  The residual stream is centred
+after the draw: each row of the token and position embeddings has its mean
+subtracted, and ``wo`` and ``w2`` have zero row sums, so every row of ``x``
+has mean 0 up to rounding.  A layer norm ignores each row's mean, so this
+moves the textbook model's logits by float rounding only, and the norm
+need not subtract it.  A layer norm (eps 1e-5) is folded into the matmul
+it feeds, ``norm(x) @ W = x @ (sqrt(d) W) / sqrt(|x|^2 + d eps)``, so the
+QKV, first MLP and head weights hold ``sqrt(d)``.  As ``|x| < sqrt(|x|^2 +
+d eps)``, head ``h``'s scores are at most ``sigma_max(Wq_h)
+sigma_max(Wk_h)`` of its stored weights in magnitude.  Construction bounds
+each ``sigma_max^2`` by Gershgorin on the Gram matrix ``W_h^T W_h`` and
+keeps the largest product as ``score_bound`` (about 59 for the default
+shape).  Softmax subtracts no row max while that bound is at most
+:data:`EXP_LIMIT`; masked scores (-1e30) still exponentiate to 0, and key 0
+is visible to every query.
 
 Every call attends over a :class:`~glimpse.cache.CacheBuffer`: the one its
 slots share, or a fresh one when it is given none.  Per head, the buffer
@@ -32,11 +37,18 @@ of its fresh buffer's rows.  One visibility rule covers causality and all
 padding: key ``t`` is visible to query ``j`` of an instance iff
 ``t <= valid_len + j``.
 
-A batch of several instances consumes the two padding plans from
-:mod:`glimpse.cache`: cache-length padding pads each instance's key range
-``[0, valid_len + n)`` to the longest in the batch, and input padding
-right-pads uneven input blocks with PAD, so every batched instance
-reproduces its solo output.
+A call runs its row-wise layers (embedding, QKV, ``wo``, MLP, residual
+adds and head) over one ``[rows, d]`` matrix that holds only the
+instances' real rows: instance ``b`` owns ``rows[off_b : off_b + n_b]``.
+Only attention has per-instance ``[batch, heads, n_max, key_len]``
+shapes, sized by the two padding plans of :mod:`glimpse.cache`: the key
+range ``[0, valid_len + n)`` pads to the longest in the batch, and the
+queries pad to the longest block.  At equal block lengths (every solo
+call, and every batched call after a batch's first) the rows reshape to
+that layout for free; otherwise each layer scatters its QKV rows into a
+zeroed padded layout before attention and gathers the real rows after it.
+The visibility rule hides every padded slot from every real query, so
+each batched instance reproduces its solo output.
 """
 
 from __future__ import annotations
@@ -94,9 +106,14 @@ class ToyTransformer:
         def draw(*shape: int, std: float) -> np.ndarray:
             return rng.normal(0.0, std, size=shape)
 
+        def centred(w: np.ndarray) -> np.ndarray:
+            w -= w.mean(axis=1, keepdims=True)
+            return w
+
         proj = 1.0 / np.sqrt(d)
-        self.wte = draw(v, d, std=0.5)
-        self.wpe = draw(spec.max_len, d, std=0.5)
+        # The residual stream's rows have mean 0 (see the module docstring).
+        self.wte = centred(draw(v, d, std=0.5))
+        self.wpe = centred(draw(spec.max_len, d, std=0.5))
         self.layers = []
         for _ in range(spec.n_layers):
             # Weights a norm feeds hold its sqrt(d), so they draw at std 1, not 1/sqrt(d).
@@ -106,13 +123,12 @@ class ToyTransformer:
                     # Fused QKV projection, one matmul instead of three, with
                     # the 1/sqrt(head_dim) score scale folded into the query columns.
                     "wqkv": np.concatenate([wq / np.sqrt(hd), wk, wv], axis=1),
-                    "wo": draw(d, d, std=proj),
+                    "wo": centred(draw(d, d, std=proj)),
                     "w1": draw(d, 4 * d, std=1.0),
-                    "w2": draw(4 * d, d, std=1.0 / np.sqrt(4 * d)),
+                    "w2": centred(draw(4 * d, d, std=1.0 / np.sqrt(4 * d))),
                 }
             )
         self.lm_head = draw(d, v, std=1.0)
-        self._mean_col = np.full((d, 1), 1.0 / d)
         self._ones = np.ones((spec.max_len, 1))
         # The score bound of the module docstring: one Gram product per layer.
         qk = [layer["wqkv"][:, : 2 * d].reshape(d, 2 * heads, hd) for layer in self.layers]
@@ -165,16 +181,18 @@ class ToyTransformer:
             valid_lens.append(v)
             blocks.append(ids[v:])
 
-        batch = len(blocks)
-        if batch == 1:
-            padded = blocks[0][None]
-            key_len = valid_lens[0] + len(blocks[0])
-        else:
-            _, padded = plan_input_padding(blocks, spec.pad_id)
-            # Instance b attends over its store rows [0, valid_len + n_b);
-            # the key length pads to the longest of these.
-            key_len = plan_kv_padding([v + len(b) for v, b in zip(valid_lens, blocks)]).target_len
-        n_max = padded.shape[1]
+        batch, lens = len(blocks), [len(b) for b in blocks]
+        # Instance b owns rows [off_b, off_b + n_b) of the call's [rows, d]
+        # matrix.  Attention alone runs in a padded [batch, n_max] layout:
+        # a free reshape at equal block lengths, else one scatter before
+        # it and one gather after it (``real`` marks the real slots).
+        n_max, real = lens[0], None
+        if min(lens) != max(lens):
+            n_max = plan_input_padding(blocks, spec.pad_id)[0].target_len
+            real = np.arange(n_max) < np.asarray(lens)[:, None]
+        # Instance b attends over its store rows [0, valid_len + n_b); the
+        # key length pads to the longest of these.
+        key_len = plan_kv_padding([v + n for v, n in zip(valid_lens, lens)]).target_len
         d, heads, hd = spec.model_dim, spec.n_heads, spec.head_dim
         buf, store_rows = self._kv_store(slots, max(valid_lens) + n_max)
         first = store_rows[0]
@@ -193,17 +211,28 @@ class ToyTransformer:
             new_rows = np.asarray(valid_lens)[:, None, None] + np.arange(n_max)  # [batch, 1, n]
             pos = self.wpe[np.minimum(new_rows[:, 0], spec.max_len - 1)]
             write_at = (np.asarray(store_rows)[:, None], new_rows[:, 0])
-        x = self.wte[padded] + pos
+        ids = np.concatenate(blocks)
+        rows = len(ids)
+        if real is None:
+            x = (self.wte[ids.reshape(batch, n_max)] + pos).reshape(rows, d)
+        else:
+            x = self.wte[ids] + np.broadcast_to(pos, (batch, n_max, d))[real]
         # One visibility rule: key t is visible to query j iff t <= valid_len + j.
         # Keys before the smallest valid length pass it for every query, so
         # the additive bias only covers the keys from there on: at equal
         # valid lengths an n x n causal block, and none for single queries.
+        # It also hides the padded slots, whose Q/K/V are zero, from every
+        # real query.
         bias = None
         if key_len - 1 > v_min:
             bias = np.where(np.arange(v_min, key_len) <= new_rows[..., None], 0.0, _NEG)
 
         for layer, k_store, v_store in zip(self.layers, buf.keys, buf.values):
-            qkv = self._normed_matmul(x, layer["wqkv"]).reshape(batch, n_max, 3, heads, hd)
+            qkv = self._normed_matmul(x, layer["wqkv"])
+            if real is not None:
+                qkv, packed = np.zeros((batch, n_max, 3 * d)), qkv
+                qkv[real] = packed
+            qkv = qkv.reshape(batch, n_max, 3, heads, hd)
             q = qkv[:, :, 0].transpose(0, 2, 1, 3)  # [batch, heads, n_max, hd], a view
             # Written through [batch, max_len, heads, hd] views of the stores.
             k_store.transpose(0, 3, 1, 2)[write_at] = qkv[:, :, 1]
@@ -218,30 +247,35 @@ class ToyTransformer:
             np.exp(weights, out=weights)
             attn = weights @ v_store[read, :, :key_len]
             attn /= weights @ self._ones[:key_len]
+            attn = attn.transpose(0, 2, 1, 3)  # [batch, n_max, heads, hd]
+            attn = (attn if real is None else attn[real]).reshape(rows, d)
             # x is this call's own array, so the residual adds and the ReLU run in place.
-            x += attn.transpose(0, 2, 1, 3).reshape(batch, n_max, d) @ layer["wo"]
+            x += attn @ layer["wo"]
             h = self._normed_matmul(x, layer["w1"])
             x += np.maximum(h, 0.0, out=h) @ layer["w2"]
 
         logits = self._normed_matmul(x, self.lm_head)
 
-        outputs = []
-        for b, (bl, block) in enumerate(zip(block_lens, blocks)):
-            n = len(block)
+        outputs, end = [], 0
+        for b, (bl, n) in enumerate(zip(block_lens, lens)):
+            end += n
             # K/V of a call on slots already sit in the slots' rows; a call
             # without slots hands back views of its fresh buffer's rows.
             new_kv = None if slots[0] is not None else [
                 (k[b, ..., :n].transpose(2, 0, 1), v[b, :, :n].transpose(1, 0, 2))
                 for k, v in zip(buf.keys, buf.values)
             ]
-            outputs.append(StepOutput(rows=logits[b, n - bl : n], new_kv=new_kv))
+            outputs.append(StepOutput(rows=logits[end - bl : end], new_kv=new_kv))
         return outputs
 
     def _normed_matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Layer norm of ``x``'s rows times ``w / sqrt(d)``, in one fresh array."""
-        xc = x - x @ self._mean_col
-        s = np.vecdot(xc, xc, keepdims=True) + self.spec.model_dim * 1e-5
-        out = xc @ w
+        """Layer norm of ``x``'s rows times ``w / sqrt(d)``, in one fresh array.
+
+        The rows are centred (see the module docstring), so the norm
+        subtracts no mean.
+        """
+        s = np.vecdot(x, x, keepdims=True) + self.spec.model_dim * 1e-5
+        out = x @ w
         out /= np.sqrt(s, out=s)
         return out
 

@@ -13,14 +13,17 @@ them.  :meth:`CacheBuffer.write_back` commits a prefix of that scratch by
 advancing the pointer, writing no K/V; lookahead-window rows stay
 uncommitted because those tokens may still change.
 
-Two padding plans support batches whose instances progress unevenly:
+Two padding plans size the padded layout a batched forward attends in,
+when its instances progress unevenly:
 
 * cache padding — pad the key/value length dimension to the longest valid
   length in the batch;
-* input padding — right-pad uneven input-id blocks with PAD.
+* input padding — pad uneven input blocks to the longest; the toy needs it
+  only when block lengths differ (in the engine, a batch's first call).
 
-A plan only counts the padded slots; the forward that uses it hides them
-from every real query (see :mod:`glimpse.backends.toy`).
+A plan only counts the padded slots.  The toy runs its row-wise layers
+over the real rows alone and pads only inside attention, where it hides
+the padded slots from every real query (see :mod:`glimpse.backends.toy`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def plan_kv_padding(valid_lens: Sequence[int]) -> PadPlan:
     """Plan cache-length padding to the largest valid length in the batch."""
     if len(valid_lens) == 0:
         raise ContractError("batch must be nonempty")
-    if any(v < 0 for v in valid_lens):
+    if min(valid_lens) < 0:
         raise ContractError("valid lengths must be nonnegative")
     target = max(valid_lens)
     return PadPlan(target_len=target, pad_counts=[target - v for v in valid_lens])
@@ -68,14 +71,13 @@ def plan_input_padding(
     """
     if len(blocks) == 0:
         raise ContractError("batch must be nonempty")
-    lengths = [len(b) for b in blocks]
-    if any(n == 0 for n in lengths):
+    lengths = np.array([len(b) for b in blocks])
+    if lengths.min() == 0:
         raise ContractError("input blocks must be nonempty")
-    target = max(lengths)
+    target = int(lengths.max())
     padded = np.full((len(blocks), target), pad_id, dtype=np.int64)
-    for i, block in enumerate(blocks):
-        padded[i, : lengths[i]] = block
-    return PadPlan(target_len=target, pad_counts=[target - n for n in lengths]), padded
+    padded[np.arange(target) < lengths[:, None]] = np.concatenate(blocks)
+    return PadPlan(target_len=target, pad_counts=(target - lengths).tolist()), padded
 
 
 class CacheBuffer:

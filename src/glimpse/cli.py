@@ -255,14 +255,24 @@ def _write_csv(path: Path, manifest: dict, header: list[str], rows: list[list]) 
 # ----------------------------------------------------------------------
 
 
+#: ``decode`` runs its prompts as batches of at most this many, so that its
+#: memory (one K/V cache row per prompt of a batch) does not grow with the
+#: prompts file.
+DECODE_CHUNK = 16
+
+
 def cmd_decode(args: argparse.Namespace) -> int:
     cfg, backend, prompts, paths, manifest = _setup(
         args, "decode", ["result.json", "trace.jsonl", "tokens.txt"]
     )
     result_path, trace_path, tokens_path = paths
-    # The prompts are decoded as one batch before the first write, so a
-    # refused run writes nothing; every trace carries the batch's totals.
-    results = decode_with_answer_batch(prompts, backend, cfg)
+    # Every chunk is decoded before the first write, so a refused run writes
+    # nothing; every trace carries its chunk's totals.
+    results = [
+        result
+        for start in range(0, len(prompts), DECODE_CHUNK)
+        for result in decode_with_answer_batch(prompts[start : start + DECODE_CHUNK], backend, cfg)
+    ]
     payloads = [
         {
             "prompt": prompt,

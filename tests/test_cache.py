@@ -340,3 +340,31 @@ def test_cached_work_quadratic_not_cubic(monkeypatch):
         # doubling n should ~4x quadratic work and ~8x cubic work
         assert lo <= growth <= hi, (cached, growth)
     assert decode_reads(big, True) < decode_reads(big, False) / 4
+
+
+def test_batched_forward_runs_row_wise_layers_over_real_rows_only(toy, monkeypatch):
+    # Uneven blocks pad only inside attention: QKV, MLP and head see the
+    # instances' real rows packed together, sum n_b rows, not batch x n_max.
+    from glimpse.backends.toy import ToyTransformer
+
+    rows = []
+    original = ToyTransformer._normed_matmul
+
+    def spy(self, x, w):
+        rows.append(x.size // x.shape[-1])
+        return original(self, x, w)
+
+    monkeypatch.setattr(ToyTransformer, "_normed_matmul", spy)
+    contexts = [[1, 2, 3, 4, 5, 6], [7, 8], [9, 10, 11, 12]]
+    cache = alloc(3, 16, toy.spec)
+    for i, cached in enumerate((2, 0, 1)):
+        if cached:
+            ctx = contexts[i][:cached]
+            cache.write_back(i, toy.forward(ctx, 1).new_kv, 0, cached, ctx)
+    slots = [cache.slot(i) for i in range(3)]
+    rows.clear()
+    batched = toy.forward_batch(contexts, [2, 1, 3], slots)
+    # blocks of 4, 2 and 3 rows: 9 real rows against 3 x 4 padded ones
+    assert rows == [9] * (2 * len(toy.layers) + 1)
+    for out, ctx, bl in zip(batched, contexts, (2, 1, 3)):
+        assert np.abs(out.rows - toy.forward(ctx, bl).rows).max() < 1e-6

@@ -450,6 +450,38 @@ def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
     assert (allocs, pipelines, answers) == ([4], [4], [4])
 
 
+def test_decode_allocates_one_cache_per_chunk(tmp_path, monkeypatch):
+    import glimpse.cli
+    import glimpse.engine
+
+    allocs = []
+    alloc = glimpse.engine.alloc
+
+    def alloc_spy(batch, max_len, spec):
+        allocs.append(batch)
+        return alloc(batch, max_len, spec)
+
+    monkeypatch.setattr(glimpse.engine, "alloc", alloc_spy)
+    chunk = glimpse.cli.DECODE_CHUNK
+    prompts = tmp_path / "prompts.json"
+    prompts.write_text(json.dumps([[1 + i % 60] * (1 + i % 3) for i in range(2 * chunk + 3)]))
+
+    def decode(out):
+        argv = ["decode", "--backend", "toy", "--prompts-file", str(prompts), "--window", "4",
+                "--max-new-tokens", "6", "--answer-trigger", "4,5", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        return [(out / name).read_bytes() for name in ("result.json", "tokens.txt")]
+
+    chunked = decode(tmp_path / "chunked")
+    # one cache, and so one batch, per chunk; the last chunk holds the rest
+    assert allocs == [chunk, chunk, 3]
+    monkeypatch.setattr(glimpse.cli, "DECODE_CHUNK", 2 * chunk + 3)
+    allocs.clear()
+    # the chunks write what one batch of every prompt writes
+    assert decode(tmp_path / "whole") == chunked
+    assert allocs == [2 * chunk + 3]
+
+
 def test_sweep_window_decodes_one_reference_per_prompt(tmp_path, monkeypatch):
     import glimpse.cli
 

@@ -29,11 +29,12 @@ SPECS = {
 
 
 def _toy_calls(toy):
-    """Rows of four kinds of call, each with the context and block length it scored.
+    """Rows of five kinds of call, each with the context and block length it scored.
 
     Uncached (solo and a slotless batch), cached with a window (over the
-    scratch rows a rejected window left), batched at uneven valid lengths,
-    and the same batch over out-of-order slots.
+    scratch rows a rejected window left), a batch's first call (fresh slots,
+    prompts of uneven lengths), batched at uneven valid lengths over the
+    K/V that first call wrote, and the same batch over out-of-order slots.
     """
     spec = toy.spec
     rng = np.random.default_rng(7)
@@ -58,8 +59,10 @@ def _toy_calls(toy):
 
     buf = alloc(3, spec.max_len, spec)
     prompts = [ids(n) for n in (4, 19, 10)]
+    bls = [1, 3, 2]
+    steps = toy.forward_batch(prompts, bls, [buf.slot(i) for i in range(3)])
+    calls += [(p, bl, s.rows) for p, bl, s in zip(prompts, bls, steps)]
     for i, p in enumerate(prompts):
-        toy.forward(p, 1, buf.slot(i))
         buf.write_back(i, None, 0, len(p), p)
     for order in ([0, 1, 2], [2, 0, 1]):
         ctxs = [prompts[i] + ids(1 + 2 * i) for i in order]
