@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from glimpse.backends import (
     BackendSpec,
-    StepOutput,
     make_counting_backend,
     make_ngram_backend,
     make_scripted_backend,
@@ -40,7 +39,6 @@ __all__ = [
     "CacheBuffer",
     "DecodeConfig",
     "DecodeResult",
-    "StepOutput",
     "StopDecision",
     "VerifyOutcome",
     "alloc",

@@ -5,7 +5,6 @@ from glimpse.backends.base import (
     BackendSpec,
     HistoryMask,
     SequentialBatchMixin,
-    StepOutput,
     TokenSeq,
 )
 from glimpse.backends.counting import CountingBackend, make_counting_backend
@@ -26,7 +25,6 @@ __all__ = [
     "RetrievalScript",
     "ScriptedBackend",
     "SequentialBatchMixin",
-    "StepOutput",
     "TokenSeq",
     "ToyTransformer",
     "default_toy_spec",

@@ -63,30 +63,19 @@ class BackendSpec:
         return self.model_dim // self.n_heads if self.n_heads else 0
 
 
-@dataclass
-class StepOutput:
-    """Result of one forward call.
-
-    Attributes:
-        rows: ``[block_len, vocab_size]`` float array; ``rows[j]`` scores the
-            token following context position ``split + j`` where
-            ``split = len(context) - block_len``.
-        new_kv: ``None`` for a call on cache slots: its K/V already sit in
-            each slot's rows past the valid length (the commit pointer), so
-            committing them only moves the pointer, and the next forward on
-            the slot overwrites what was not committed.  A call without
-            slots hands back per-layer ``(keys, values)`` views of its fresh
-            buffer, each ``[n_new, n_heads, head_dim]``, for the caller to
-            copy in.  Backends without a cache hand back ``None``.
-    """
-
-    rows: np.ndarray
-    new_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
-
-
 @runtime_checkable
 class Backend(Protocol):
-    """Anything that can score next tokens for the tail of a context."""
+    """Anything that can score next tokens for the tail of a context.
+
+    ``forward`` returns the ``[block_len, vocab_size]`` float64 score array:
+    row ``j`` scores the token following context position ``split + j``,
+    where ``split = len(context) - block_len``.  ``forward_batch`` returns
+    one such array per instance.  A forward on a cache slot writes the K/V
+    of its new positions into the slot's rows past the valid length (the
+    commit pointer), and :meth:`~glimpse.cache.CacheBuffer.write_back`
+    commits them by moving the pointer; backends without a cache refuse a
+    slot.
+    """
 
     spec: BackendSpec
 
@@ -95,14 +84,14 @@ class Backend(Protocol):
         context: TokenSeq,
         block_len: int,
         cache: "CacheSlot | None" = None,
-    ) -> StepOutput: ...
+    ) -> np.ndarray: ...
 
     def forward_batch(
         self,
         contexts: Sequence[TokenSeq],
         block_lens: Sequence[int],
         slots: Sequence["CacheSlot | None"] | None = None,
-    ) -> list[StepOutput]: ...
+    ) -> list[np.ndarray]: ...
 
 
 class SequentialBatchMixin:
@@ -113,7 +102,7 @@ class SequentialBatchMixin:
         contexts: Sequence[TokenSeq],
         block_lens: Sequence[int],
         slots: Sequence["CacheSlot | None"] | None = None,
-    ) -> list[StepOutput]:
+    ) -> list[np.ndarray]:
         if slots is None:
             slots = [None] * len(contexts)
         if not len(contexts) == len(block_lens) == len(slots):

@@ -18,7 +18,6 @@ import numpy as np
 from glimpse.backends.base import (
     BackendSpec,
     SequentialBatchMixin,
-    StepOutput,
     TokenSeq,
     check_forward_args,
 )
@@ -54,7 +53,7 @@ class CountingBackend(SequentialBatchMixin):
 
     def forward(
         self, context: TokenSeq, block_len: int, cache=None
-    ) -> StepOutput:
+    ) -> np.ndarray:
         if cache is not None:
             raise ContractError("counting backend does not support a cache")
         ids = check_forward_args(self.spec, context, block_len)
@@ -77,7 +76,7 @@ class CountingBackend(SequentialBatchMixin):
         gap = ends + 1 - np.where(has_digit, pos, 0)
         digits = np.where(has_digit, (ids[np.maximum(pos, 0)] + gap) % m, 0)
         rows[np.arange(block_len), digits] = 1.0
-        return StepOutput(rows=rows)
+        return rows
 
 
 def make_counting_backend(modulus: int = 10) -> CountingBackend:

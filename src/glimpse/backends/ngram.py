@@ -25,7 +25,6 @@ import numpy as np
 from glimpse.backends.base import (
     BackendSpec,
     SequentialBatchMixin,
-    StepOutput,
     TokenSeq,
     check_forward_args,
 )
@@ -96,7 +95,7 @@ class NgramBackend(SequentialBatchMixin):
                 return row
         return self._uniform
 
-    def forward(self, context: TokenSeq, block_len: int, cache=None) -> StepOutput:
+    def forward(self, context: TokenSeq, block_len: int, cache=None) -> np.ndarray:
         if cache is not None:
             raise ContractError("ngram backend does not support a cache")
         ids = check_forward_args(self.spec, context, block_len)
@@ -107,7 +106,7 @@ class NgramBackend(SequentialBatchMixin):
         rows = np.empty((block_len, self.spec.vocab_size), dtype=np.float64)
         for j in range(block_len):
             rows[j] = self._row_for(tail[: split + j + 1])
-        return StepOutput(rows=rows)
+        return rows
 
 
 def _parse_header(parts: list[str], line_no: int) -> dict[str, int]:

@@ -32,7 +32,6 @@ import numpy as np
 from glimpse.backends.base import (
     BackendSpec,
     SequentialBatchMixin,
-    StepOutput,
     TokenSeq,
     check_forward_args,
 )
@@ -130,7 +129,7 @@ class ScriptedBackend(SequentialBatchMixin):
             return EOS
         return self.script.rationale_token(question, d)
 
-    def forward(self, context: TokenSeq, block_len: int, cache=None) -> StepOutput:
+    def forward(self, context: TokenSeq, block_len: int, cache=None) -> np.ndarray:
         if cache is not None:
             raise ContractError("scripted backend does not support a cache")
         ctx = check_forward_args(self.spec, context, block_len).tolist()
@@ -138,7 +137,7 @@ class ScriptedBackend(SequentialBatchMixin):
         rows = np.zeros((block_len, VOCAB), dtype=np.float64)
         for j in range(block_len):
             rows[j, self._next_token(ctx[: split + j + 1])] = 1.0
-        return StepOutput(rows=rows)
+        return rows
 
 
 def make_scripted_backend(script: RetrievalScript | None = None) -> ScriptedBackend:

@@ -30,12 +30,12 @@ slots share, or a fresh one when it is given none.  Per head, the buffer
 keeps keys as ``[head_dim, len]`` and values as ``[len, head_dim]``
 matrices, which the score and value products read in place.  A call writes
 the K/V of its new positions straight into each slot's rows past the valid
-length (the commit pointer), attends over them there and hands none back;
-the caller's :meth:`~glimpse.cache.CacheBuffer.write_back` commits them by
-moving the pointer.  Only a call without slots hands back its K/V, as views
-of its fresh buffer's rows.  One visibility rule covers causality and all
-padding: key ``t`` is visible to query ``j`` of an instance iff
-``t <= valid_len + j``.
+length (the commit pointer) and attends over them there; the caller's
+:meth:`~glimpse.cache.CacheBuffer.write_back` commits them by moving the
+pointer.  A call without slots attends in a fresh buffer of its own, which
+it discards.  A call returns only its score rows.  One visibility rule
+covers causality and all padding: key ``t`` is visible to query ``j`` of
+an instance iff ``t <= valid_len + j``.
 
 A call runs its row-wise layers (embedding, QKV, ``wo``, MLP, residual
 adds and head) over one ``[rows, d]`` matrix that holds only the
@@ -53,16 +53,12 @@ each batched instance reproduces its solo output.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from glimpse.backends.base import (
-    BackendSpec,
-    StepOutput,
-    TokenSeq,
-    check_forward_args,
-)
+from glimpse.backends.base import BackendSpec, TokenSeq, check_forward_args
 from glimpse.cache import CacheBuffer, CacheSlot, alloc, plan_input_padding, plan_kv_padding
 from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 
@@ -141,7 +137,7 @@ class ToyTransformer:
 
     def forward(
         self, context: TokenSeq, block_len: int, cache: CacheSlot | None = None
-    ) -> StepOutput:
+    ) -> np.ndarray:
         return self.forward_batch([context], [block_len], [cache])[0]
 
     def forward_batch(
@@ -149,7 +145,7 @@ class ToyTransformer:
         contexts: Sequence[TokenSeq],
         block_lens: Sequence[int],
         slots: Sequence[CacheSlot | None] | None = None,
-    ) -> list[StepOutput]:
+    ) -> list[np.ndarray]:
         if slots is None:
             slots = [None] * len(contexts)
         if not len(contexts) == len(block_lens) == len(slots):
@@ -188,7 +184,7 @@ class ToyTransformer:
         # it and one gather after it (``real`` marks the real slots).
         n_max, real = lens[0], None
         if min(lens) != max(lens):
-            n_max = plan_input_padding(blocks, spec.pad_id)[0].target_len
+            n_max = plan_input_padding(lens).target_len
             real = np.arange(n_max) < np.asarray(lens)[:, None]
         # Instance b attends over its store rows [0, valid_len + n_b); the
         # key length pads to the longest of these.
@@ -255,18 +251,7 @@ class ToyTransformer:
             x += np.maximum(h, 0.0, out=h) @ layer["w2"]
 
         logits = self._normed_matmul(x, self.lm_head)
-
-        outputs, end = [], 0
-        for b, (bl, n) in enumerate(zip(block_lens, lens)):
-            end += n
-            # K/V of a call on slots already sit in the slots' rows; a call
-            # without slots hands back views of its fresh buffer's rows.
-            new_kv = None if slots[0] is not None else [
-                (k[b, ..., :n].transpose(2, 0, 1), v[b, :, :n].transpose(1, 0, 2))
-                for k, v in zip(buf.keys, buf.values)
-            ]
-            outputs.append(StepOutput(rows=logits[end - bl : end], new_kv=new_kv))
-        return outputs
+        return [logits[end - bl : end] for end, bl in zip(accumulate(lens), block_lens)]
 
     def _normed_matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Layer norm of ``x``'s rows times ``w / sqrt(d)``, in one fresh array.

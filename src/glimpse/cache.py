@@ -61,23 +61,14 @@ def plan_kv_padding(valid_lens: Sequence[int]) -> PadPlan:
     return PadPlan(target_len=target, pad_counts=[target - v for v in valid_lens])
 
 
-def plan_input_padding(
-    blocks: Sequence[Sequence[int]], pad_id: int
-) -> tuple[PadPlan, np.ndarray]:
-    """Right-pad uneven input-id blocks to the batch maximum.
-
-    Returns the plan and the padded ``[batch, target_len]`` int array.
-    Padded slots carry ``pad_id`` and follow each instance's real slots.
-    """
-    if len(blocks) == 0:
+def plan_input_padding(block_lens: Sequence[int]) -> PadPlan:
+    """Plan right-padding of uneven input blocks to the longest in the batch."""
+    if len(block_lens) == 0:
         raise ContractError("batch must be nonempty")
-    lengths = np.array([len(b) for b in blocks])
-    if lengths.min() == 0:
+    if min(block_lens) < 1:
         raise ContractError("input blocks must be nonempty")
-    target = int(lengths.max())
-    padded = np.full((len(blocks), target), pad_id, dtype=np.int64)
-    padded[np.arange(target) < lengths[:, None]] = np.concatenate(blocks)
-    return PadPlan(target_len=target, pad_counts=(target - lengths).tolist()), padded
+    target = max(block_lens)
+    return PadPlan(target_len=target, pad_counts=[target - n for n in block_lens])
 
 
 class CacheBuffer:
@@ -110,22 +101,16 @@ class CacheBuffer:
         return CacheSlot(self, instance)
 
     def write_back(
-        self,
-        instance: int,
-        new_kv: Sequence[tuple[np.ndarray, np.ndarray]] | None,
-        start: int,
-        count: int,
-        tokens: Sequence[int],
+        self, instance: int, context: Sequence[int], start: int, count: int
     ) -> None:
-        """Commit ``count`` positions from ``start``: token ids, the pointer and K/V.
+        """Commit positions ``[start, start + count)`` of ``context``.
 
-        ``start`` must equal the instance's current valid length: committed
-        positions are contiguous, with no overlap and no gap.  ``new_kv`` is
-        ``None`` when a forward on this instance's slot already wrote the
-        K/V into these rows, so the commit writes only tokens and the
-        pointer.  Otherwise it holds per-layer ``[n_new, heads, head_dim]``
-        arrays (say, from a forward without slots, which attends in a
-        fresh buffer of its own), and their first ``count`` are copied in.
+        The commit writes their token ids and advances the pointer; it
+        writes no K/V.  A forward on this instance's slot has already
+        written their K/V into the rows past the valid length, and
+        committing keeps them there.  ``start`` must equal the instance's
+        current valid length: committed positions are contiguous, with no
+        overlap and no gap.
         """
         if count == 0:
             return
@@ -139,16 +124,11 @@ class CacheBuffer:
             raise CapacityError(
                 f"cache capacity {self.max_len} exceeded at position {start + count}"
             )
-        if new_kv is not None and len(new_kv) != self.spec.n_layers:
-            raise ContractError("write_back expects one (k, v) pair per layer")
-        if len(tokens) != count:
-            raise ContractError("write_back token count mismatch")
-        for li, (k, v) in enumerate(new_kv or ()):
-            if k.shape[0] < count or v.shape[0] < count:
-                raise ContractError("write_back K/V shorter than count")
-            self.keys[li][instance, ..., start : start + count] = k[:count].transpose(1, 2, 0)
-            self.values[li][instance, :, start : start + count] = v[:count].transpose(1, 0, 2)
-        self.tokens[instance, start : start + count] = np.asarray(tokens, dtype=np.int64)
+        if start + count > len(context):
+            raise ContractError(
+                f"write_back of {count} positions at {start} overruns a context of {len(context)}"
+            )
+        self.tokens[instance, start : start + count] = context[start : start + count]
         self.valid_len[instance] = start + count
 
 

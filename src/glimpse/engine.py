@@ -204,18 +204,18 @@ def iterate_once(
     contexts = [buffers.context(i) for i in instances]
     slots = [cache.slot(i) for i in instances] if cache is not None else None
     with timer.phase("infer"):
-        steps = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
-    for step in steps:
-        if not np.isfinite(step.rows).all():
+        scores = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
+    for rows in scores:
+        if not np.isfinite(rows).all():
             raise ContractError("backend returned non-finite scores")
 
     records: list[IterationRecord] = []
-    for i, ctx, step in zip(instances, contexts, steps):
+    for i, ctx, rows in zip(instances, contexts, scores):
         frontier = buffers.frontier[i]
         window = buffers.window(i)
         # One block pick: row j is penalized under the history plus window[:j].
         with timer.phase("decode"):
-            preds = buffers.histories[i].pick(step.rows, penalty, window)
+            preds = buffers.histories[i].pick(rows, penalty, window)
         window_before = window.tolist()
         outcome = verify(window_before, preds, cfg.skip)
         m = min(len(outcome.committed), cfg.max_new_tokens - (frontier - buffers.prompt_len[i]))
@@ -230,9 +230,7 @@ def iterate_once(
             persist_end = frontier + m - 1
             with timer.phase("kv_cache"):
                 start = int(cache.valid_len[i])
-                cache.write_back(
-                    i, step.new_kv, start, persist_end - start, ctx[start:persist_end]
-                )
+                cache.write_back(i, ctx, start, persist_end - start)
         update(buffers, i, preds, m)
         records.append(
             IterationRecord(

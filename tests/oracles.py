@@ -31,7 +31,7 @@ def greedy_ar_reference(backend, prompt, max_new: int, penalty: float = 1.2) -> 
     out: list[int] = []
     for _ in range(max_new):
         step = backend.forward(seq, 1)
-        tok = penalized_argmax(step.rows[0], seq, penalty)
+        tok = penalized_argmax(step[0], seq, penalty)
         out.append(tok)
         seq.append(tok)
         if tok == backend.spec.eos_id:
@@ -61,7 +61,7 @@ def jacobi_reference(
         step = backend.forward(ctx, c + 1)
         split = len(ctx) - (c + 1)
         preds = [
-            penalized_argmax(step.rows[j], ctx[: split + j + 1], penalty)
+            penalized_argmax(step[j], ctx[: split + j + 1], penalty)
             for j in range(c + 1)
         ]
         k = 0

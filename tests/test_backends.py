@@ -146,28 +146,28 @@ def test_penalized_pick_matches_oracle(row, penalty, data):
 
 
 def test_counting_next_digit(counting_backend):
-    assert counting_backend.forward([3], 1).rows[0].argmax() == 4
+    assert counting_backend.forward([3], 1)[0].argmax() == 4
 
 
 def test_counting_wraps(counting_backend):
-    assert counting_backend.forward([9], 1).rows[0].argmax() == 0
+    assert counting_backend.forward([9], 1)[0].argmax() == 0
 
 
 def test_counting_pad_preserves_position(counting_backend):
     pad = counting_backend.spec.pad_id
     # digits would be 0,1,2 at positions 0,1,2 -> position 3 is 3
-    assert counting_backend.forward([0, pad, pad], 1).rows[0].argmax() == 3
+    assert counting_backend.forward([0, pad, pad], 1)[0].argmax() == 3
 
 
 def test_counting_block_rows(counting_backend):
     pad = counting_backend.spec.pad_id
     out = counting_backend.forward([5, pad, pad], 3)
-    assert [r.argmax() for r in out.rows] == [6, 7, 8]
+    assert [r.argmax() for r in out] == [6, 7, 8]
 
 
 def test_counting_deterministic(counting_backend):
-    a = counting_backend.forward([1, 2, 3], 2).rows
-    b = counting_backend.forward([1, 2, 3], 2).rows
+    a = counting_backend.forward([1, 2, 3], 2)
+    b = counting_backend.forward([1, 2, 3], 2)
     assert np.array_equal(a, b)
 
 
@@ -206,13 +206,13 @@ def test_counting_tail_forward_matches_closed_form(counting_backend):
     spec = counting_backend.spec
     for ctx in _counting_contexts(spec.pad_id, spec.eos_id):
         for block_len in sorted({1, 2, 8, len(ctx)} & set(range(1, len(ctx) + 1))):
-            rows = counting_backend.forward(ctx, block_len).rows
+            rows = counting_backend.forward(ctx, block_len)
             assert rows.shape == (block_len, spec.vocab_size)
             assert (rows.sum(axis=1) == 1.0).all()
             want = _counting_closed_form(ctx, block_len, 10)
             assert rows.argmax(axis=1).tolist() == want, (ctx, block_len)
             # The engine hands the backend an int64 view; same rows.
-            assert np.array_equal(counting_backend.forward(np.asarray(ctx), block_len).rows, rows)
+            assert np.array_equal(counting_backend.forward(np.asarray(ctx), block_len), rows)
 
 
 # ----------------------------------------------------------------------
@@ -222,23 +222,23 @@ def test_counting_tail_forward_matches_closed_form(counting_backend):
 
 def test_ngram_lookup_and_backoff():
     b = NgramBackend(1, {(5,): 7}, vocab_size=10)
-    assert b.forward([5], 1).rows[0].argmax() == 7
+    assert b.forward([5], 1)[0].argmax() == 7
     # unseen context backs off to the uniform row; greedy resolves to 0
-    assert b.forward([3], 1).rows[0].argmax() == 0
-    assert HistoryMask(10).pick(b.forward([3], 1).rows, 1.0) == [0]
+    assert b.forward([3], 1)[0].argmax() == 0
+    assert HistoryMask(10).pick(b.forward([3], 1), 1.0) == [0]
 
 
 def test_ngram_longest_suffix_wins():
     b = NgramBackend(2, {(5,): 7, (2, 5): 9}, vocab_size=12)
-    assert b.forward([2, 5], 1).rows[0].argmax() == 9
-    assert b.forward([4, 5], 1).rows[0].argmax() == 7
+    assert b.forward([2, 5], 1)[0].argmax() == 9
+    assert b.forward([4, 5], 1)[0].argmax() == 7
 
 
 def test_ngram_score_vector_rows():
     row = [0.0] * 8
     row[3] = 2.5
     b = NgramBackend(1, {(1,): row}, vocab_size=8)
-    assert b.forward([1], 1).rows[0].argmax() == 3
+    assert b.forward([1], 1)[0].argmax() == 3
 
 
 def test_ngram_file_roundtrip(tmp_path):
@@ -253,9 +253,9 @@ def test_ngram_file_roundtrip(tmp_path):
     b = make_ngram_backend(2, table)
     assert b.spec.vocab_size == 12
     assert b.spec.pad_id == 10 and b.spec.eos_id == 11
-    assert b.forward([5], 1).rows[0].argmax() == 7
-    assert b.forward([5, 7], 1).rows[0].argmax() == 9
-    assert b.forward([1], 1).rows[0].argmax() == 2
+    assert b.forward([5], 1)[0].argmax() == 7
+    assert b.forward([5, 7], 1)[0].argmax() == 9
+    assert b.forward([1], 1)[0].argmax() == 2
 
 
 def test_ngram_file_defaults_vocab(tmp_path):
@@ -294,14 +294,14 @@ def test_toy_same_seed_identical():
     a = make_toy_transformer(42, small_toy_spec())
     b = make_toy_transformer(42, small_toy_spec())
     ctx = [1, 2, 3, 4, 5]
-    assert np.array_equal(a.forward(ctx, 3).rows, b.forward(ctx, 3).rows)
+    assert np.array_equal(a.forward(ctx, 3), b.forward(ctx, 3))
 
 
 def test_toy_different_seeds_differ():
     a = make_toy_transformer(42, small_toy_spec())
     b = make_toy_transformer(43, small_toy_spec())
     ctx = [1, 2, 3, 4, 5]
-    assert not np.array_equal(a.forward(ctx, 3).rows, b.forward(ctx, 3).rows)
+    assert not np.array_equal(a.forward(ctx, 3), b.forward(ctx, 3))
 
 
 def test_toy_causality(toy_backend):
@@ -316,13 +316,13 @@ def test_toy_causality(toy_backend):
             for later in range(split + j + 1, len(ctx)):
                 mutated[later] = int((mutated[later] + 13) % 64)
             out = toy_backend.forward(mutated, block)
-            assert np.array_equal(base.rows[j], out.rows[j])
+            assert np.array_equal(base[j], out[j])
 
 
 def test_toy_block_one_equals_last_row(toy_backend):
     ctx = [3, 1, 4, 1, 5, 9, 2, 6]
-    single = toy_backend.forward(ctx, 1).rows[0]
-    multi = toy_backend.forward(ctx, 5).rows[-1]
+    single = toy_backend.forward(ctx, 1)[0]
+    multi = toy_backend.forward(ctx, 5)[-1]
     assert np.array_equal(single, multi)
 
 
@@ -334,18 +334,18 @@ def test_toy_cache_matches_fresh(toy_backend):
         cached_len = int(rng.integers(1, n - 1))
         block = int(rng.integers(1, n - cached_len + 1))
         cache = alloc(1, 64, toy_backend.spec)
-        pre = toy_backend.forward(ctx[:cached_len], 1, cache.slot(0))
-        cache.write_back(0, pre.new_kv, 0, cached_len, ctx[:cached_len])
+        toy_backend.forward(ctx[:cached_len], 1, cache.slot(0))
+        cache.write_back(0, ctx, 0, cached_len)
         fresh = toy_backend.forward(ctx, block)
         warm = toy_backend.forward(ctx, block, cache.slot(0))
-        assert np.abs(fresh.rows - warm.rows).max() < 1e-6
+        assert np.abs(fresh - warm).max() < 1e-6
 
 
 def test_toy_cache_mismatch_detected(toy_backend):
     ctx = [1, 2, 3, 4, 5, 6]
     cache = alloc(1, 32, toy_backend.spec)
-    pre = toy_backend.forward(ctx[:4], 1, cache.slot(0))
-    cache.write_back(0, pre.new_kv, 0, 4, ctx[:4])
+    toy_backend.forward(ctx[:4], 1, cache.slot(0))
+    cache.write_back(0, ctx, 0, 4)
     with pytest.raises(CacheMismatchError):
         toy_backend.forward([9, 9, 9, 9, 5, 6], 2, cache.slot(0))
     with pytest.raises(CacheMismatchError):
@@ -381,13 +381,13 @@ def test_scripted_schedule_and_answer():
     # model reproduces the schedule token by token
     seq = list(prompt)
     for d in range(script.rationale_len):
-        tok = backend.forward(seq, 1).rows[0].argmax()
+        tok = backend.forward(seq, 1)[0].argmax()
         assert tok == script.rationale_token(q, d)
         seq.append(int(tok))
-    assert backend.forward(seq, 1).rows[0].argmax() == EOS
+    assert backend.forward(seq, 1)[0].argmax() == EOS
     # trigger elicits the key's derived answer
     ctx = prompt + script.rationale(q) + list(TRIGGER)
-    assert backend.forward(ctx, 1).rows[0].argmax() == script.answer_token(q)
+    assert backend.forward(ctx, 1)[0].argmax() == script.answer_token(q)
 
 
 def test_scripted_missing_key_gives_unk():
@@ -401,10 +401,10 @@ def test_scripted_missing_key_gives_unk():
     damaged = list(rationale)
     damaged[key_pos] = PAD
     ctx = script.prompt(q) + damaged + list(TRIGGER)
-    assert backend.forward(ctx, 1).rows[0].argmax() == UNK
+    assert backend.forward(ctx, 1)[0].argmax() == UNK
     # no rationale at all -> UNK
     ctx = script.prompt(q) + list(TRIGGER)
-    assert backend.forward(ctx, 1).rows[0].argmax() == UNK
+    assert backend.forward(ctx, 1)[0].argmax() == UNK
 
 
 def test_scripted_filler_corruption_harmless():
@@ -415,7 +415,7 @@ def test_scripted_filler_corruption_harmless():
     key_pos = script.key_positions(q)[0]
     damaged = [PAD if i != key_pos else tok for i, tok in enumerate(rationale)]
     ctx = script.prompt(q) + damaged + list(TRIGGER)
-    assert backend.forward(ctx, 1).rows[0].argmax() == script.answer_token(q)
+    assert backend.forward(ctx, 1)[0].argmax() == script.answer_token(q)
 
 
 def test_scripted_eos_after_answer():
@@ -423,7 +423,7 @@ def test_scripted_eos_after_answer():
     backend = make_scripted_backend(script)
     q = 2
     ctx = script.prompt(q) + script.rationale(q) + list(TRIGGER) + [script.answer_token(q)]
-    assert backend.forward(ctx, 1).rows[0].argmax() == EOS
+    assert backend.forward(ctx, 1)[0].argmax() == EOS
 
 
 def test_scripted_multi_key_requires_all():
@@ -434,11 +434,11 @@ def test_scripted_multi_key_requires_all():
     positions = script.key_positions(q)
     assert len(positions) == 3
     ctx = script.prompt(q) + rationale + list(TRIGGER)
-    assert backend.forward(ctx, 1).rows[0].argmax() == script.answer_token(q)
+    assert backend.forward(ctx, 1)[0].argmax() == script.answer_token(q)
     damaged = list(rationale)
     damaged[positions[1]] = PAD
     ctx = script.prompt(q) + damaged + list(TRIGGER)
-    assert backend.forward(ctx, 1).rows[0].argmax() == UNK
+    assert backend.forward(ctx, 1)[0].argmax() == UNK
 
 
 # ----------------------------------------------------------------------

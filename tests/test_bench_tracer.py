@@ -77,3 +77,18 @@ def test_tracer_times_the_batched_answer_phase(tracer):
     assert metrics["engine.answer_phase_s"] > 0
     assert metrics["engine.check_stop_s"] > 0
     assert tr.calls["engine.answer_phase"] == 1
+
+
+def test_tracer_counts_the_positions_write_back_commits(tracer):
+    # The tracer reads write_back's count positionally; an argument order
+    # that put another integer there would miscount without failing above.
+    # Each instance's cache ends one short of its exact context: the last
+    # committed token is the next forward's input.
+    toy = make_toy_transformer(1, default_toy_spec(vocab_size=64, model_dim=32, max_len=96))
+    prompts = [[1, 2, 3, 4, 5], [6, 7]]
+    tr = tracer.Tracer()
+    with tracer.installed(tr):
+        results = run_rationale_batch(prompts, toy, DecodeConfig(window_len=3, max_new_tokens=12))
+    metrics = tracer.layer_metrics(tr, untimed_s=0.0, trace_bytes=0)
+    expected = sum(len(p) + len(r.exact_rationale) - 1 for p, r in zip(prompts, results))
+    assert metrics["cache.positions_written"] == expected == 29

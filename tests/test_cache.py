@@ -45,7 +45,7 @@ def test_toy_takes_a_hand_built_spec():
     cfg = DecodeConfig(window_len=2, max_new_tokens=10)
     result = run_rationale([4, 5], toy, cfg)
     assert result.exact_rationale == ar_baseline([4, 5], toy, cfg).exact_rationale
-    assert toy.forward([4, 5, 6], 2).rows.shape == (2, 32)
+    assert toy.forward([4, 5, 6], 2).shape == (2, 32)
 
 
 def test_plan_kv_padding_masks_shorter_instances():
@@ -60,48 +60,61 @@ def test_plan_kv_padding_noop_cases():
 
 
 def test_plan_input_padding_widths():
-    plan, padded = plan_input_padding([[1, 2, 3, 4], [5, 6]], pad_id=0)
+    plan = plan_input_padding([4, 2])
     assert plan.target_len == 4
     assert plan.pad_counts == [0, 2]
-    assert padded.shape == (2, 4)
-    assert padded[1].tolist() == [5, 6, 0, 0]
 
 
 def test_plan_input_padding_identity():
-    plan, padded = plan_input_padding([[1, 2], [3, 4]], pad_id=0)
+    plan = plan_input_padding([2, 2])
     assert plan.pad_counts == [0, 0]
-    assert padded.tolist() == [[1, 2], [3, 4]]
 
 
 def test_write_back_advances_valid_len(toy):
     cache = alloc(1, 32, toy.spec)
-    step = toy.forward([1, 2, 3, 4, 5, 6, 7, 8], 1)
-    cache.write_back(0, step.new_kv, 0, 8, [1, 2, 3, 4, 5, 6, 7, 8])
+    ctx = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+    toy.forward(ctx[:8], 1, cache.slot(0))
+    cache.write_back(0, ctx, 0, 8)
     assert cache.valid_len.tolist() == [8]
     # contiguity: writing 3 more positions lands at valid 11
-    step2 = toy.forward([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 3, cache.slot(0))
-    cache.write_back(0, step2.new_kv, 8, 3, [9, 10, 11])
+    toy.forward(ctx, 3, cache.slot(0))
+    cache.write_back(0, ctx, 8, 3)
     assert cache.valid_len.tolist() == [11]
+    assert cache.tokens[0, :11].tolist() == ctx
 
 
 def test_write_back_rejects_gap_and_overlap(toy):
     cache = alloc(1, 32, toy.spec)
-    step = toy.forward([1, 2, 3, 4], 1)
+    ctx = [1, 2, 3, 4]
+    toy.forward(ctx, 1, cache.slot(0))
     with pytest.raises(ContractError):
-        cache.write_back(0, step.new_kv, 1, 3, [2, 3, 4])  # gap
-    cache.write_back(0, step.new_kv, 0, 4, [1, 2, 3, 4])
+        cache.write_back(0, ctx, 1, 3)  # gap
+    cache.write_back(0, ctx, 0, 4)
     with pytest.raises(ContractError):
-        cache.write_back(0, step.new_kv, 2, 2, [3, 4])  # overlap
+        cache.write_back(0, ctx, 2, 2)  # overlap
+
+
+def test_write_back_refuses_positions_past_the_context(toy):
+    # the committed tokens are read from the context, so it must hold them
+    cache = alloc(1, 32, toy.spec)
+    ctx = [1, 2, 3, 4, 5]
+    toy.forward(ctx, 1, cache.slot(0))
+    cache.write_back(0, ctx, 0, 2)
+    with pytest.raises(ContractError):
+        cache.write_back(0, ctx, 2, 4)
+    assert cache.valid_len.tolist() == [2]
+    assert cache.tokens[0].tolist() == [1, 2] + [0] * 30
 
 
 def test_capacity_error_not_silent_wrap(toy):
     cache = alloc(1, 6, toy.spec)
-    step = toy.forward([1, 2, 3, 4, 5], 1)
-    cache.write_back(0, step.new_kv, 0, 5, [1, 2, 3, 4, 5])
+    ctx = [1, 2, 3, 4, 5, 6, 7]
+    toy.forward(ctx[:5], 1, cache.slot(0))
+    cache.write_back(0, ctx, 0, 5)
     with pytest.raises(CapacityError):
-        toy.forward([1, 2, 3, 4, 5, 6, 7], 2, cache.slot(0))
+        toy.forward(ctx, 2, cache.slot(0))
     with pytest.raises(CapacityError):
-        cache.write_back(0, step.new_kv, 5, 2, [6, 7])
+        cache.write_back(0, ctx, 5, 2)
     assert cache.valid_len.tolist() == [5]
 
 
@@ -138,10 +151,10 @@ def test_cache_sound_after_mixed_iterations(toy):
         ctx = prompt + result.exact_rationale
         fresh = toy.forward(ctx, 1)
         cache = alloc(1, 128, toy.spec)
-        pre = toy.forward(ctx[:-1], 1, cache.slot(0))
-        cache.write_back(0, pre.new_kv, 0, len(ctx) - 1, ctx[:-1])
+        toy.forward(ctx[:-1], 1, cache.slot(0))
+        cache.write_back(0, ctx, 0, len(ctx) - 1)
         warm = toy.forward(ctx, 1, cache.slot(0))
-        assert np.abs(fresh.rows - warm.rows).max() < 1e-6
+        assert np.abs(fresh - warm).max() < 1e-6
     assert total_iters >= 20
 
 
@@ -155,26 +168,26 @@ def test_batched_forward_matches_solo(toy):
     cached_lens = [2, 0, 7, 3]
     for i, (ctx, cl) in enumerate(zip(contexts, cached_lens)):
         if cl:
-            pre = toy.forward(ctx[:cl], 1, cache.slot(i))
-            cache.write_back(i, pre.new_kv, 0, cl, ctx[:cl])
+            toy.forward(ctx[:cl], 1, cache.slot(i))
+            cache.write_back(i, ctx, 0, cl)
     block_lens = [2, 4, 3, 1]
     slots = [cache.slot(i) for i in range(len(contexts))]
     batched = toy.forward_batch(contexts, block_lens, slots)
     for i, (ctx, bl) in enumerate(zip(contexts, block_lens)):
         solo = toy.forward(ctx, bl, slots[i])
-        assert np.abs(batched[i].rows - solo.rows).max() < 1e-6
+        assert np.abs(batched[i] - solo).max() < 1e-6
 
     # one query per instance at equal valid lengths, as in a batched AR
     # step: every query sees every key, and the call builds no mask
     contexts = [[int(t) for t in rng.integers(0, 64, size=7)] for _ in range(3)]
     cache = alloc(len(contexts), 64, toy.spec)
     for i, ctx in enumerate(contexts):
-        pre = toy.forward(ctx[:6], 1, cache.slot(i))
-        cache.write_back(i, pre.new_kv, 0, 6, ctx[:6])
+        toy.forward(ctx[:6], 1, cache.slot(i))
+        cache.write_back(i, ctx, 0, 6)
     slots = [cache.slot(i) for i in range(len(contexts))]
     batched = toy.forward_batch(contexts, [1] * len(contexts), slots)
     for i, ctx in enumerate(contexts):
-        assert np.abs(batched[i].rows - toy.forward(ctx, 1).rows).max() < 1e-6
+        assert np.abs(batched[i] - toy.forward(ctx, 1)).max() < 1e-6
 
 
 def _committed_state(cache, instance):
@@ -200,8 +213,8 @@ def test_write_ahead_scratch_never_leaks(toy):
     for _ in range(10):
         prefix = [int(t) for t in rng.integers(0, 62, size=int(rng.integers(2, 12)))]
         cache = alloc(1, 64, toy.spec)
-        pre = toy.forward(prefix, 1, cache.slot(0))
-        cache.write_back(0, pre.new_kv, 0, len(prefix) - 1, prefix[:-1])
+        toy.forward(prefix, 1, cache.slot(0))
+        cache.write_back(0, prefix, 0, len(prefix) - 1)
         rejected = prefix + [int(t) for t in rng.integers(0, 62, size=6)]
         accepted = prefix + [int(t) for t in rng.integers(0, 62, size=3)]
         for ctx in (rejected, accepted):
@@ -209,39 +222,28 @@ def test_write_ahead_scratch_never_leaks(toy):
             warm = toy.forward(ctx, len(ctx) - len(prefix) + 1, cache.slot(0))
             _assert_same_state(before, _committed_state(cache, 0))
         fresh = toy.forward(accepted, len(accepted) - len(prefix) + 1)
-        assert np.abs(fresh.rows - warm.rows).max() < 1e-6
+        assert np.abs(fresh - warm).max() < 1e-6
 
 
 def test_forward_writes_ahead_into_the_cache(toy):
     # a forward on a slot writes its K/V into the slot's rows past the valid
-    # length and hands none back, so a commit only advances the pointer
+    # length, so a commit only advances the pointer
     cache = alloc(2, 32, toy.spec)
     ctx = [5, 6, 7, 8, 9]
-    pre = toy.forward(ctx[:3], 1, cache.slot(1))
-    cache.write_back(1, pre.new_kv, 0, 3, ctx[:3])
-    step = toy.forward(ctx, 2, cache.slot(1))
-    assert step.new_kv is None
-    fresh = toy.forward(ctx, 5)
-    for li, (k, v) in enumerate(fresh.new_kv):
-        assert k.shape == v.shape == (5, toy.spec.n_heads, toy.spec.head_dim)
-        assert np.abs(cache.keys[li][1, ..., 3:5] - k[3:].transpose(1, 2, 0)).max() < 1e-9
-        assert np.abs(cache.values[li][1, :, 3:5] - v[3:].transpose(1, 0, 2)).max() < 1e-9
+    toy.forward(ctx[:3], 1, cache.slot(1))
+    cache.write_back(1, ctx, 0, 3)
+    toy.forward(ctx, 2, cache.slot(1))
+    # reference: the whole context in one call on a fresh cache's slot
+    ref = alloc(1, 32, toy.spec)
+    toy.forward(ctx, 5, ref.slot(0))
+    for keys, values, ref_keys, ref_values in zip(cache.keys, cache.values, ref.keys, ref.values):
+        assert np.abs(keys[1, ..., 3:5] - ref_keys[0, ..., 3:5]).max() < 1e-9
+        assert np.abs(values[1, :, 3:5] - ref_values[0, :, 3:5]).max() < 1e-9
     kv_bytes = [a.tobytes() for a in cache.keys + cache.values]
-    cache.write_back(1, None, 3, 2, ctx[3:])
+    cache.write_back(1, ctx, 3, 2)
     assert cache.valid_len.tolist() == [0, 5]
     assert cache.tokens[1, :5].tolist() == ctx
     assert [a.tobytes() for a in cache.keys + cache.values] == kv_bytes
-
-
-def test_write_back_copies_handed_back_kv(toy):
-    # a forward without slots hands back its K/V; writing them into an empty
-    # cache serves the next step like the forward's own cache would
-    ctx = [12, 3, 40, 7, 7, 19]
-    cache = alloc(1, 16, toy.spec)
-    fresh = toy.forward(ctx[:-1], 1)
-    cache.write_back(0, fresh.new_kv, 0, len(ctx) - 1, ctx[:-1])
-    warm = toy.forward(ctx, 1, cache.slot(0))
-    assert np.abs(warm.rows - toy.forward(ctx, 1).rows).max() < 1e-9
 
 
 def test_batched_forward_matches_solo_on_any_slot_layout(toy):
@@ -253,12 +255,12 @@ def test_batched_forward_matches_solo_on_any_slot_layout(toy):
     cache = alloc(3, 48, toy.spec)
     slots = [cache.slot(2), cache.slot(0), cache.slot(1)]
     for slot, ctx, cl in zip(slots, contexts, cached_lens):
-        pre = toy.forward(ctx[:cl], 1, slot)
-        cache.write_back(slot.instance, pre.new_kv, 0, cl, ctx[:cl])
+        toy.forward(ctx[:cl], 1, slot)
+        cache.write_back(slot.instance, ctx, 0, cl)
     batched = toy.forward_batch(contexts, block_lens, slots)
     for out, ctx, bl in zip(batched, contexts, block_lens):
         fresh = toy.forward(ctx, bl)
-        assert np.abs(out.rows - fresh.rows).max() < 1e-6
+        assert np.abs(out - fresh).max() < 1e-6
 
 
 def test_forward_refuses_slots_it_cannot_attend_in(toy):
@@ -280,8 +282,8 @@ def test_block_past_capacity_refused_before_any_write(toy):
     ctx = [3, 1, 4, 1, 5, 9, 2, 6]
     cache = alloc(2, 8, toy.spec)
     for i, cached in enumerate((6, 2)):
-        pre = toy.forward(ctx[:cached], 1, cache.slot(i))
-        cache.write_back(i, pre.new_kv, 0, cached, ctx[:cached])
+        toy.forward(ctx[:cached], 1, cache.slot(i))
+        cache.write_back(i, ctx, 0, cached)
     before = [_committed_state(cache, i) for i in range(2)]
     slots = [cache.slot(0), cache.slot(1)]
     # each block fits on its own, but the padded block writes rows 6..9
@@ -329,7 +331,7 @@ def test_cached_work_quadratic_not_cubic(monkeypatch):
             mask.extend(seq)
             for _ in range(n_tokens):
                 out = backend.forward(seq, 1)
-                tok = mask.pick(out.rows, cfg.repetition_penalty)[0]
+                tok = mask.pick(out, cfg.repetition_penalty)[0]
                 seq.append(tok)
                 mask.extend([tok])
         return reads[0]
@@ -359,12 +361,12 @@ def test_batched_forward_runs_row_wise_layers_over_real_rows_only(toy, monkeypat
     cache = alloc(3, 16, toy.spec)
     for i, cached in enumerate((2, 0, 1)):
         if cached:
-            ctx = contexts[i][:cached]
-            cache.write_back(i, toy.forward(ctx, 1).new_kv, 0, cached, ctx)
+            toy.forward(contexts[i][:cached], 1, cache.slot(i))
+            cache.write_back(i, contexts[i], 0, cached)
     slots = [cache.slot(i) for i in range(3)]
     rows.clear()
     batched = toy.forward_batch(contexts, [2, 1, 3], slots)
     # blocks of 4, 2 and 3 rows: 9 real rows against 3 x 4 padded ones
     assert rows == [9] * (2 * len(toy.layers) + 1)
     for out, ctx, bl in zip(batched, contexts, (2, 1, 3)):
-        assert np.abs(out.rows - toy.forward(ctx, bl).rows).max() < 1e-6
+        assert np.abs(out - toy.forward(ctx, bl)).max() < 1e-6

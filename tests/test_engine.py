@@ -465,8 +465,8 @@ class _CountingForwards:
         steps = self.inner.forward_batch(contexts, block_lens, slots)
         self.calls += 1
         if self.calls == self.nan_at:
-            steps[0].rows = steps[0].rows.copy()
-            steps[0].rows[-1, 3] = np.nan
+            steps[0] = steps[0].copy()
+            steps[0][-1, 3] = np.nan
         return steps
 
 

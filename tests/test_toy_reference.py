@@ -42,33 +42,33 @@ def _toy_calls(toy):
     def ids(n):
         return [int(t) for t in rng.integers(0, spec.vocab_size, size=n)]
 
-    calls = [(c, bl, toy.forward(c, bl).rows) for c, bl in [(ids(1), 1), (ids(23), 1), (ids(23), 6)]]
+    calls = [(c, bl, toy.forward(c, bl)) for c, bl in [(ids(1), 1), (ids(23), 1), (ids(23), 6)]]
     ctxs, bls = [ids(5), ids(17), ids(9)], [2, 5, 1]
-    calls += [(c, bl, s.rows) for c, bl, s in zip(ctxs, bls, toy.forward_batch(ctxs, bls))]
+    calls += zip(ctxs, bls, toy.forward_batch(ctxs, bls))
 
     buf = alloc(1, spec.max_len, spec)
     slot = buf.slot(0)
     prompt = ids(12)
     toy.forward(prompt, 1, slot)
-    buf.write_back(0, None, 0, len(prompt), prompt)
+    buf.write_back(0, prompt, 0, len(prompt))
     ctx = prompt + ids(5)
-    calls.append((ctx, 5, toy.forward(ctx, 5, slot).rows))
-    buf.write_back(0, None, 12, 2, ctx[12:14])
+    calls.append((ctx, 5, toy.forward(ctx, 5, slot)))
+    buf.write_back(0, ctx, 12, 2)
     ctx = ctx[:14] + ids(5)
-    calls.append((ctx, 5, toy.forward(ctx, 5, slot).rows))
+    calls.append((ctx, 5, toy.forward(ctx, 5, slot)))
 
     buf = alloc(3, spec.max_len, spec)
     prompts = [ids(n) for n in (4, 19, 10)]
     bls = [1, 3, 2]
     steps = toy.forward_batch(prompts, bls, [buf.slot(i) for i in range(3)])
-    calls += [(p, bl, s.rows) for p, bl, s in zip(prompts, bls, steps)]
+    calls += zip(prompts, bls, steps)
     for i, p in enumerate(prompts):
-        buf.write_back(i, None, 0, len(p), p)
+        buf.write_back(i, p, 0, len(p))
     for order in ([0, 1, 2], [2, 0, 1]):
         ctxs = [prompts[i] + ids(1 + 2 * i) for i in order]
         bls = [1 + 2 * i for i in order]
         steps = toy.forward_batch(ctxs, bls, [buf.slot(i) for i in order])
-        calls += [(c, bl, s.rows) for c, bl, s in zip(ctxs, bls, steps)]
+        calls += zip(ctxs, bls, steps)
     return calls
 
 
