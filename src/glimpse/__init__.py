@@ -30,7 +30,6 @@ from glimpse.engine import (
     iterate_once,
     run_rationale,
     run_rationale_batch,
-    truncated_cot,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "plan_kv_padding",
     "run_rationale",
     "run_rationale_batch",
-    "truncated_cot",
     "update",
     "verify",
 ]

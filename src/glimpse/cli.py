@@ -48,7 +48,6 @@ from glimpse.engine import (
     decode_with_answer,
     decode_with_answer_batch,
     run_rationale,
-    truncated_cot,
 )
 from glimpse.errors import ConfigError
 from glimpse.metrics import (
@@ -315,14 +314,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Only these methods read the no-skip run.
     needs_noskip = not {"truncated", "parallel_noskip"}.isdisjoint(methods)
     for pid, prompt in enumerate(prompts):
-        # Every method is measured against AR; truncated CoT gets as many
-        # iterations as the no-skip run took.
+        # Every method is measured against AR; truncated CoT is the c=0 run
+        # capped at as many iterations as the no-skip run took.
         if needs_noskip:
             noskip = decode_with_answer(prompt, backend, replace(cfg, skip=False))
         ar = ar_baseline(prompt, backend, cfg)
         for method in methods:
             if method == "truncated":
-                res = truncated_cot(prompt, backend, cfg, noskip.trace.iterations)
+                k = noskip.trace.iterations
+                res = decode_with_answer(
+                    prompt, backend, replace(cfg, window_len=0, skip=False, iteration_cap=k)
+                )
             elif method == "parallel_skip":
                 res = decode_with_answer(prompt, backend, replace(cfg, skip=True))
             else:

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from glimpse.backends.scripted import (
+    Q_RANGE,
     TRIGGER,
     RetrievalScript,
     ScriptedBackend,
@@ -102,8 +103,6 @@ def make_scripted_tasks(
         raise ConfigError("n must be >= 1")
     script = script or RetrievalScript()
     backend = make_scripted_backend(script)
-    from glimpse.backends.scripted import Q_RANGE
-
     if n > Q_RANGE:
         raise ConfigError(f"at most {Q_RANGE} distinct questions available")
     rng = np.random.default_rng(seed)
@@ -116,7 +115,9 @@ def make_scripted_tasks(
         res.exact_rationale[:-1] if res.exact_rationale[-1:] == [eos] else res.exact_rationale
         for res in run_rationale_batch(prompts, backend, cfg)
     ]
-    produced = answer_phase(prompts, rationales, [[]] * n, backend, cfg)
+    produced = answer_phase(
+        [prompt + rationale for prompt, rationale in zip(prompts, rationales)], backend, cfg
+    )
     cases: list[TaskCase] = []
     for q, prompt, rationale, answer in zip(questions, prompts, rationales, produced):
         reference = [script.answer_token(q)]
@@ -147,10 +148,10 @@ def run_overlap_experiment(
     for ratio in spec.ratios:
         per_seed: list[float] = []
         for seed in spec.seeds:
-            damaged = [corrupt(case.rationale, ratio, seed, spec.pad_id) for case in cases]
-            answers = answer_phase(
-                [case.prompt for case in cases], damaged, [[]] * len(cases), backend, cfg
-            )
+            contexts = [
+                case.prompt + corrupt(case.rationale, ratio, seed, spec.pad_id) for case in cases
+            ]
+            answers = answer_phase(contexts, backend, cfg)
             hits = sum(answer == case.reference for answer, case in zip(answers, cases))
             per_seed.append(hits / len(cases))
         arr = np.asarray(per_seed)

@@ -9,11 +9,13 @@ predictions slide into the next window.  With a zero-length window the loop
 is plain greedy autoregressive decoding.
 
 There is one loop, and one pipeline around it that decodes a batch: a solo
-entry point is a batch of one.  The autoregressive baseline,
-budget-truncated decoding and the answer phase are runs of the loop with a
-zero-length window; the answer phase decodes after ``prompt ‖ exact ‖
-approximate tail ‖ trigger`` and extends the rationale's cache, letting a
-run answer before its rationale has fully resolved.
+entry point is a batch of one.  The autoregressive baseline and the answer
+phase are runs of the loop with a zero-length window; the answer phase
+decodes after ``prompt ‖ exact ‖ approximate tail ‖ trigger`` and extends
+the rationale's cache, letting a run answer before its rationale has fully
+resolved.  Truncated chain of thought at ``k`` iterations is the pipeline
+with a zero-length window and ``iteration_cap=k``: the same call as
+FastCoT at that cap, with the other window.
 """
 
 from __future__ import annotations
@@ -276,76 +278,56 @@ def _check_capacity(backend: Backend, need: int, what: str) -> None:
         )
 
 
-class _Session:
+def _decode(
+    prompts: Sequence[TokenSeq],
+    backend: Backend,
+    cfg: DecodeConfig,
+    method: str,
+    cache: CacheBuffer | None,
+    timer: PhaseTimer,
+) -> list[DecodeResult]:
     """One batch decode run: the fused loop until every instance stops.
 
     ``cache`` continues an earlier run's cache (the answer phase extends
     the rationale's); without it a backend with layers gets a fresh cache
     sized for this run.
     """
-
-    def __init__(
-        self,
-        prompts: Sequence[TokenSeq],
-        backend: Backend,
-        cfg: DecodeConfig,
-        method: str = "parallel",
-        cache: CacheBuffer | None = None,
-        timer: PhaseTimer | None = None,
-    ) -> None:
-        spec = backend.spec
-        # The backends' own check: integer ids inside the vocabulary.
-        prompts = [check_forward_args(spec, prompt, 1) for prompt in prompts]
-        need = _max_context(prompts, cfg)
-        _check_capacity(backend, need, "decoding")
-        # The last update's tail write ends at most one token past the last forward's context.
-        self.buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
-        self.backend = backend
-        self.cfg = cfg
-        self.timer = timer or PhaseTimer()
-        self.stops: list[StopDecision | None] = [None] * len(prompts)
-        self.traces = [
-            DecodeTrace(method=method, prompt=p.tolist(), window_len=cfg.window_len, skip=cfg.skip)
-            for p in prompts
-        ]
-        if cache is None and spec.n_layers > 0:
-            cache = alloc(len(prompts), need, spec)
-        self.cache = cache
-
-    def run(self) -> list[DecodeResult]:
-        buffers, cfg, timer = self.buffers, self.cfg, self.timer
-        eos = self.backend.spec.eos_id
+    spec = backend.spec
+    # The backends' own check: integer ids inside the vocabulary.
+    prompts = [check_forward_args(spec, prompt, 1) for prompt in prompts]
+    need = _max_context(prompts, cfg)
+    _check_capacity(backend, need, "decoding")
+    # The last update's tail write ends at most one token past the last forward's context.
+    buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
+    if cache is None and spec.n_layers > 0:
+        cache = alloc(len(prompts), need, spec)
+    stops: list[StopDecision | None] = [None] * len(prompts)
+    traces = [
+        DecodeTrace(method=method, prompt=p.tolist(), window_len=cfg.window_len, skip=cfg.skip)
+        for p in prompts
+    ]
+    eos = spec.eos_id
+    active = buffers.active_indices()
+    while active:
+        records = iterate_once(buffers, backend, cache, cfg, active, timer)
+        for i, rec in zip(active, records):
+            traces[i].records.append(rec)
+            with timer.phase("stop_check"):
+                stop = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
+            if stop is not None:
+                buffers.finished[i] = True
+                stops[i] = stop
         active = buffers.active_indices()
-        while active:
-            records = iterate_once(buffers, self.backend, self.cache, cfg, active, timer)
-            for i, rec in zip(active, records):
-                self.traces[i].records.append(rec)
-                with timer.phase("stop_check"):
-                    stop = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
-                if stop is not None:
-                    buffers.finished[i] = True
-                    self.stops[i] = stop
-            active = buffers.active_indices()
-        return [
-            DecodeResult(
-                exact_rationale=buffers.exact(i).tolist(),
-                approximate_tail=buffers.window(i).tolist(),
-                answer=[],
-                trace=trace,
-                stop=stop,
-            )
-            for i, (trace, stop) in enumerate(zip(self.traces, self.stops))
-        ]
-
-
-def _stamp(results: list[DecodeResult], timer: PhaseTimer, t0: float) -> list[DecodeResult]:
-    """Give every trace the run's wall time since ``t0`` and its phase totals."""
-    wall_s = time.perf_counter() - t0
-    for result in results:
-        result.trace.wall_s = wall_s
-        result.trace.breakdown = timer.breakdown()
-        result.trace.stop_check_s = timer.get("stop_check")
-    return results
+    return [
+        DecodeResult(
+            exact_rationale=buffers.exact(i).tolist(),
+            approximate_tail=buffers.window(i).tolist(),
+            answer=[],
+            trace=trace,
+            stop=stop,
+        )
+        for i, (trace, stop) in enumerate(zip(traces, stops))
+    ]
 
 
 def _greedy(cfg: DecodeConfig, budget: int) -> DecodeConfig:
@@ -354,33 +336,27 @@ def _greedy(cfg: DecodeConfig, budget: int) -> DecodeConfig:
 
 
 def answer_phase(
-    prompts: Sequence[TokenSeq],
-    exacts: Sequence[TokenSeq],
-    approx_tails: Sequence[TokenSeq],
+    contexts: Sequence[TokenSeq],
     backend: Backend,
     cfg: DecodeConfig,
     cache: CacheBuffer | None = None,
     timer: PhaseTimer | None = None,
 ) -> list[list[int]]:
-    """Decode each instance's answer from prompt, exact rationale, approximate tail, trigger.
+    """Decode each instance's answer after its context and the trigger.
 
-    One zero-window run over every ``prompt ‖ exact ‖ approx_tail ‖
-    trigger``: the approximate tail is included verbatim, PAD tokens and
-    all.  Decoding is greedy with the configured penalty, up to
-    ``answer_max_tokens`` or EOS (EOS itself is not returned).  Given
-    ``cache`` (the rationale's) instance ``i`` extends row ``i``; without
-    it the run gets a fresh one.
+    One zero-window run over every ``context ‖ trigger``, where a
+    rationale's context is ``prompt ‖ exact ‖ approximate tail``, the tail
+    verbatim, PAD tokens and all.  Decoding is greedy with the configured
+    penalty, up to ``answer_max_tokens`` or EOS (EOS itself is not
+    returned).  Given ``cache`` (the rationale's) instance ``i`` extends
+    row ``i``; without it the run gets a fresh one.
     """
-    if not len(prompts) == len(exacts) == len(approx_tails):
-        raise ContractError("answer_phase needs one exact rationale and one tail per prompt")
     _check_trigger(backend, cfg)
-    seqs = [
-        [*prompt, *exact, *tail, *cfg.answer_trigger]
-        for prompt, exact, tail in zip(prompts, exacts, approx_tails)
-    ]
-    session = _Session(seqs, backend, _greedy(cfg, cfg.answer_max_tokens), "answer", cache, timer)
+    seqs = [[*context, *cfg.answer_trigger] for context in contexts]
+    greedy = _greedy(cfg, cfg.answer_max_tokens)
+    results = _decode(seqs, backend, greedy, "answer", cache, timer or PhaseTimer())
     eos = backend.spec.eos_id
-    answers = [result.exact_rationale for result in session.run()]
+    answers = [result.exact_rationale for result in results]
     return [answer[:-1] if answer and answer[-1] == eos else answer for answer in answers]
 
 
@@ -391,23 +367,30 @@ def _run(
 
     A run that answers is refused before the rationale starts when the
     trigger is outside the vocabulary or the answer would not fit the
-    backend's ``max_len``; its cache holds the answer rows too.
+    backend's ``max_len``; its cache holds the answer rows too.  Every
+    trace gets the run's wall time and its phase totals.
     """
     if answer:
         _check_trigger(backend, cfg)
         need = _max_context(prompts, cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
         _check_capacity(backend, need, "the answer phase")
     t0 = time.perf_counter()
+    timer = PhaseTimer()
     cache = alloc(len(prompts), need, backend.spec) if answer and backend.spec.n_layers else None
-    session = _Session(prompts, backend, cfg, method, cache)
-    results = session.run()
+    results = _decode(prompts, backend, cfg, method, cache, timer)
     if answer:
-        exacts = [result.exact_rationale for result in results]
-        tails = [result.approximate_tail for result in results]
-        answers = answer_phase(prompts, exacts, tails, backend, cfg, session.cache, session.timer)
-        for result, tokens in zip(results, answers):
+        contexts = [
+            [*prompt, *result.exact_rationale, *result.approximate_tail]
+            for prompt, result in zip(prompts, results)
+        ]
+        for result, tokens in zip(results, answer_phase(contexts, backend, cfg, cache, timer)):
             result.answer = tokens
-    return _stamp(results, session.timer, t0)
+    wall_s = time.perf_counter() - t0
+    for result in results:
+        result.trace.wall_s = wall_s
+        result.trace.breakdown = timer.breakdown()
+        result.trace.stop_check_s = timer.get("stop_check")
+    return results
 
 
 def run_rationale(
@@ -460,38 +443,3 @@ def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> Decode
     of ``cfg`` are ignored.
     """
     return _run([prompt], backend, _greedy(cfg, cfg.max_new_tokens), "ar", answer=False)[0]
-
-
-def truncated_cot(
-    prompt: TokenSeq,
-    backend: Backend,
-    cfg: DecodeConfig,
-    iteration_budget: int,
-) -> DecodeResult:
-    """Autoregressive decode of exactly ``iteration_budget`` tokens, then answer.
-
-    One token per iteration, no approximate tail: isolates what the
-    lookahead window contributes on top of the same exact prefix.
-    """
-    if iteration_budget < 0:
-        raise ContractError("iteration_budget must be nonnegative")
-    if iteration_budget == 0:
-        t0 = time.perf_counter()
-        timer = PhaseTimer()
-        result = DecodeResult(
-            exact_rationale=[],
-            approximate_tail=[],
-            answer=answer_phase([prompt], [[]], [[]], backend, cfg, timer=timer)[0],
-            trace=DecodeTrace(
-                method="truncated",
-                prompt=check_forward_args(backend.spec, prompt, 1).tolist(),
-                window_len=0,
-                skip=False,
-            ),
-            stop=StopDecision(reason="iteration_cap", value=0.0),
-        )
-        return _stamp([result], timer, t0)[0]
-    result = _run([prompt], backend, _greedy(cfg, iteration_budget), "truncated", answer=True)[0]
-    if result.stop.reason == "max_tokens":
-        result.stop = StopDecision(reason="iteration_cap", value=float(iteration_budget))
-    return result

@@ -1,6 +1,6 @@
 """Decode traces, wall-clock phase instrumentation, and JSONL serialization.
 
-Every decode run (parallel, autoregressive, or truncated) records one
+Every decode run (``parallel``, ``ar`` or ``answer``) records one
 :class:`IterationRecord` per iteration plus a :class:`TimeBreakdown` of
 where the wall clock went.  Traces are the single input to the metrics
 module and to golden-trace tests, and serialize to JSONL with one

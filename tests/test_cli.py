@@ -391,21 +391,23 @@ def test_bench_csv_is_the_report_in_print(tmp_path):
 def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, monkeypatch):
     import glimpse.cli
 
-    skips = []
+    windows = []
 
     def spy(prompt, backend, cfg):
-        skips.append(cfg.skip)
+        windows.append((cfg.window_len, cfg.skip))
         return decode_with_answer(prompt, backend, cfg)
 
     monkeypatch.setattr(glimpse.cli, "decode_with_answer", spy)
     common = ["bench", "--backend", "counting", "--prompt", "0", "--window", "7"]
     common += ["--max-new-tokens", "200"]
     rows = {}
-    for methods, want in (("ar,parallel_skip", [True]), (",".join(_BENCH_METHODS), [False, True])):
-        skips.clear()
+    # the no-skip run, the truncated row's capped c=0 run, the skip run
+    all_four = [(7, False), (0, False), (7, True)]
+    for methods, want in (("ar,parallel_skip", [(7, True)]), (",".join(_BENCH_METHODS), all_four)):
+        windows.clear()
         out = tmp_path / methods.replace(",", "_")
         assert run_cli(*common, "--methods", methods, "--out", str(out)) == 0
-        assert skips == want
+        assert windows == want
         report = json.loads((out / "bench_report.json").read_text())
         untimed = ("prompt_id", "iterations", "exact_tokens")
         rows[methods] = {r["method"]: [r[key] for key in untimed] for r in report["rows"]}
@@ -428,9 +430,9 @@ def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
         pipelines.append(len(prompts))
         return run(prompts, *args, **kwargs)
 
-    def answer_spy(prompts, *args, **kwargs):
-        answers.append(len(prompts))
-        return answer_phase(prompts, *args, **kwargs)
+    def answer_spy(contexts, *args, **kwargs):
+        answers.append(len(contexts))
+        return answer_phase(contexts, *args, **kwargs)
 
     monkeypatch.setattr(glimpse.engine, "alloc", alloc_spy)
     monkeypatch.setattr(glimpse.engine, "_run", run_spy)

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from glimpse.engine import (
     iterate_once,
     run_rationale,
     run_rationale_batch,
-    truncated_cot,
 )
 from glimpse.errors import CapacityError, ConfigError, ContractError
 from glimpse.trace import IterationRecord
@@ -217,7 +217,7 @@ def test_answer_phase_all_pad_tail_equals_exact_only():
     rationale = script.rationale(q)
     prompt = script.prompt(q)
     with_pads, without = answer_phase(
-        [prompt, prompt], [rationale, rationale], [[S_PAD] * 4, []], backend, cfg
+        [prompt + rationale + [S_PAD] * 4, prompt + rationale], backend, cfg
     )
     assert with_pads == without
 
@@ -226,7 +226,7 @@ def test_answer_phase_budget_of_one(toy_backend):
     cfg = DecodeConfig(
         window_len=0, answer_trigger=(1, 2), answer_max_tokens=1, max_new_tokens=8
     )
-    [answer] = answer_phase([[5, 6]], [[7, 8]], [[]], toy_backend, cfg)
+    [answer] = answer_phase([[5, 6, 7, 8]], toy_backend, cfg)
     assert len(answer) <= 1
 
 
@@ -240,7 +240,7 @@ def test_answer_phase_cache_reuse_matches_fresh(toy_backend):
     reused = decode_with_answer([4, 5, 6], toy_backend, base)
     # without a cache the answer phase starts from a fresh one
     [fresh] = answer_phase(
-        [[4, 5, 6]], [reused.exact_rationale], [reused.approximate_tail], toy_backend, base
+        [[4, 5, 6, *reused.exact_rationale, *reused.approximate_tail]], toy_backend, base
     )
     assert reused.answer == fresh
 
@@ -290,11 +290,18 @@ def test_batch_traces_carry_batch_totals(toy_backend):
         assert res.trace.breakdown.infer > 0.0
 
 
+def truncated(prompt, backend, cfg, k):
+    """Truncated CoT at ``k`` iterations: the zero-window pipeline capped at ``k``."""
+    return decode_with_answer(
+        prompt, backend, replace(cfg, window_len=0, skip=False, iteration_cap=k)
+    )
+
+
 def test_truncated_prefix_property(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=20)
     full = ar_baseline([2], counting_backend, cfg)
-    for k in (0, 3, 7):
-        trunc = truncated_cot([2], counting_backend, cfg, k)
+    for k in (3, 7):
+        trunc = truncated([2], counting_backend, cfg, k)
         assert trunc.exact_rationale == full.exact_rationale[:k]
 
 
@@ -304,12 +311,11 @@ def test_truncated_budget_zero_answers_from_prompt():
     cfg = DecodeConfig(
         window_len=0, answer_trigger=TRIGGER, answer_max_tokens=3, max_new_tokens=30
     )
-    res = truncated_cot(script.prompt(3), backend, cfg, 0)
-    assert res.exact_rationale == []
-    # no rationale -> no key token -> the unknown marker
+    # truncated at zero iterations the context is the prompt alone: no
+    # rationale -> no key token -> the unknown marker
     from glimpse.backends.scripted import UNK
 
-    assert res.answer == [UNK]
+    assert answer_phase([script.prompt(3)], backend, cfg) == [[UNK]]
 
 
 def test_truncated_saturates_to_full_cot():
@@ -320,8 +326,39 @@ def test_truncated_saturates_to_full_cot():
     )
     q = 10
     full = decode_with_answer(script.prompt(q), backend, cfg)
-    trunc = truncated_cot(script.prompt(q), backend, cfg, 100)
+    trunc = truncated(script.prompt(q), backend, cfg, 100)
     assert trunc.answer == full.answer == [script.answer_token(q)]
+
+
+@pytest.mark.parametrize("name", ["toy", "counting", "scripted", "ngram"])
+def test_truncated_row_is_capped_greedy_then_a_fresh_answer(name, request):
+    # bench's truncated row: greedy AR for k iterations, then the answer phase
+    script = RetrievalScript(num_keys=1, rationale_len=8)
+    backend, prompt, trigger = {
+        "toy": lambda: (request.getfixturevalue("toy_backend"), [4, 5, 6], (2, 3)),
+        "counting": lambda: (request.getfixturevalue("counting_backend"), [2], (5,)),
+        "scripted": lambda: (make_scripted_backend(script), script.prompt(10), TRIGGER),
+        "ngram": lambda: (random_ngram_backend(5), [1, 2], (3,)),
+    }[name]()
+    eos = backend.spec.eos_id
+    for penalty in (1.0, 1.2):
+        cfg = DecodeConfig(
+            window_len=4,
+            max_new_tokens=12,
+            repetition_penalty=penalty,
+            answer_trigger=trigger,
+            answer_max_tokens=4,
+        )
+        for k in (1, 2, 5, 12):
+            res = truncated(prompt, backend, cfg, k)
+            reference = greedy_ar_reference(backend, prompt, k, penalty)
+            assert res.exact_rationale == reference
+            assert res.approximate_tail == []
+            if reference[-1] == eos:
+                assert res.stop.reason == "eos"
+            else:
+                assert (res.stop.reason, res.stop.value) == ("iteration_cap", float(k))
+            assert [res.answer] == answer_phase([[*prompt, *reference]], backend, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +569,7 @@ def test_answer_trigger_is_checked_only_by_runs_that_answer():
     with pytest.raises(ConfigError):
         decode_with_answer([1, 2, 3], backend, cfg)
     with pytest.raises(ConfigError):
-        answer_phase([[1, 2, 3]], [[4]], [[]], backend, cfg)
+        answer_phase([[1, 2, 3, 4]], backend, cfg)
     assert backend.calls == calls
 
 
@@ -632,7 +669,7 @@ def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows)
     assert context_rows[first_answer][0] == answer_start
     assert context_rows[first_answer][1] == answer_start + cfg.answer_max_tokens
     [fresh] = answer_phase(
-        [[4, 5, 6]], [res.exact_rationale], [res.approximate_tail], toy_backend, cfg
+        [[4, 5, 6, *res.exact_rationale, *res.approximate_tail]], toy_backend, cfg
     )
     assert res.answer == fresh
 
@@ -643,7 +680,7 @@ def test_results_hold_python_ints(toy_backend, counting_backend):
     results = [
         decode_with_answer([4, 5, 6], toy_backend, toy_cfg),
         ar_baseline([4, 5, 6], toy_backend, toy_cfg),
-        truncated_cot([9], toy_backend, toy_cfg, 5),
+        truncated([9], toy_backend, toy_cfg, 5),
         *run_rationale_batch([[0], [1, 2, 3]], counting_backend, count_cfg),
         run_rationale(np.array([1, 0]), counting_backend, count_cfg),
     ]
@@ -685,15 +722,7 @@ def test_empty_batch_refused(toy_backend, counting_backend):
             with pytest.raises(ContractError, match="batch must be nonempty"):
                 run([], backend, cfg)
         with pytest.raises(ContractError, match="batch must be nonempty"):
-            answer_phase([], [], [], backend, cfg)
-
-
-def test_answer_phase_refuses_unequal_lists(counting_backend):
-    cfg = DecodeConfig(window_len=0, max_new_tokens=5)
-    # zip would answer two instances and drop the third
-    for exacts, tails in (([[1], [2]], [[], [], []]), ([[1], [2], [3]], [[]])):
-        with pytest.raises(ContractError):
-            answer_phase([[0], [4], [5]], exacts, tails, counting_backend, cfg)
+            answer_phase([], backend, cfg)
 
 
 @pytest.mark.parametrize("nan_at", [1, 3])
@@ -704,7 +733,7 @@ def test_non_finite_scores_rejected(counting_backend, nan_at):
     with pytest.raises(ContractError):
         ar_baseline([0], _CountingForwards(counting_backend, nan_at), cfg)
     with pytest.raises(ContractError):
-        answer_phase([[0]], [[1, 2]], [[]], _CountingForwards(counting_backend, nan_at), cfg)
+        answer_phase([[0, 1, 2]], _CountingForwards(counting_backend, nan_at), cfg)
 
 
 # ----------------------------------------------------------------------
