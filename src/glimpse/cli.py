@@ -19,7 +19,9 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -54,7 +56,6 @@ from glimpse.metrics import (
     HitReport,
     WindowRecord,
     aggregate,
-    iteration_savings,
     score_window,
     snapshots_from_trace,
 )
@@ -266,29 +267,33 @@ def cmd_decode(args: argparse.Namespace) -> int:
     )
     result_path, trace_path, tokens_path = paths
     # Every chunk is decoded before the first write, so a refused run writes
-    # nothing; every trace carries its chunk's totals.
-    results = [
-        result
-        for start in range(0, len(prompts), DECODE_CHUNK)
-        for result in decode_with_answer_batch(prompts[start : start + DECODE_CHUNK], backend, cfg)
-    ]
-    payloads = [
-        {
-            "prompt": prompt,
-            "exact_rationale": result.exact_rationale,
-            "approximate_tail": result.approximate_tail,
-            "answer": result.answer,
-            "stop": {"reason": result.stop.reason, "value": result.stop.value},
-            "iterations": result.trace.iterations,
-            "exact_tokens": len(result.exact_rationale),
-        }
-        for prompt, result in zip(prompts, results)
-    ]
-    _write_json(result_path, manifest, "results", payloads)
-    with _open(trace_path) as tf:
-        for result in results:
-            result.trace.write_jsonl(tf)
-    lines = [" ".join(str(t) for t in result.exact_rationale) for result in results]
+    # nothing; every trace carries its chunk's totals.  A chunk's results
+    # are dropped once its payloads and token lines are taken and its traces
+    # are spooled to an anonymous file, so memory does not grow with the
+    # prompts file.
+    payloads: list[dict] = []
+    lines: list[str] = []
+    with tempfile.TemporaryFile("w+", newline="") as spool:
+        for start in range(0, len(prompts), DECODE_CHUNK):
+            chunk = prompts[start : start + DECODE_CHUNK]
+            for prompt, result in zip(chunk, decode_with_answer_batch(chunk, backend, cfg)):
+                payloads.append(
+                    {
+                        "prompt": prompt,
+                        "exact_rationale": result.exact_rationale,
+                        "approximate_tail": result.approximate_tail,
+                        "answer": result.answer,
+                        "stop": {"reason": result.stop.reason, "value": result.stop.value},
+                        "iterations": result.trace.iterations,
+                        "exact_tokens": len(result.exact_rationale),
+                    }
+                )
+                lines.append(" ".join(str(t) for t in result.exact_rationale))
+                result.trace.write_jsonl(spool)
+        _write_json(result_path, manifest, "results", payloads)
+        spool.seek(0)
+        with _open(trace_path) as tf:
+            shutil.copyfileobj(spool, tf)
     with _open(tokens_path) as fh:
         fh.write(_header(manifest) + "\n".join(lines) + "\n")
     log.info("wrote %s, %s and %s", result_path, trace_path, tokens_path)
@@ -314,21 +319,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Only these methods read the no-skip run.
     needs_noskip = not {"truncated", "parallel_noskip"}.isdisjoint(methods)
     for pid, prompt in enumerate(prompts):
-        # Every method is measured against AR; truncated CoT is the c=0 run
-        # capped at as many iterations as the no-skip run took.
+        # Every row is one run of the pipeline, answer included, measured
+        # against full CoT: the c=0 run, whatever the window and cap.
+        # Truncated CoT is that run capped at the no-skip run's iterations.
+        def run(**overrides):
+            return decode_with_answer(prompt, backend, replace(cfg, **overrides))
+
+        full = run(window_len=0, skip=False, iteration_cap=None)
         if needs_noskip:
-            noskip = decode_with_answer(prompt, backend, replace(cfg, skip=False))
-        ar = ar_baseline(prompt, backend, cfg)
+            noskip = run(skip=False)
         for method in methods:
             if method == "truncated":
-                k = noskip.trace.iterations
-                res = decode_with_answer(
-                    prompt, backend, replace(cfg, window_len=0, skip=False, iteration_cap=k)
-                )
+                res = run(window_len=0, skip=False, iteration_cap=noskip.trace.iterations)
             elif method == "parallel_skip":
-                res = decode_with_answer(prompt, backend, replace(cfg, skip=True))
+                res = run(skip=True)
             else:
-                res = noskip if method == "parallel_noskip" else ar
+                res = noskip if method == "parallel_noskip" else full
             wall = res.trace.wall_s
             entry = {
                 "method": method,
@@ -337,22 +343,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "exact_tokens": len(res.exact_rationale),
                 "wall_s": wall,
                 "breakdown": res.trace.breakdown.as_dict(),
-                "stop_check_s": res.trace.stop_check_s,
-                "speedup_vs_ar": ar.trace.wall_s / wall if wall > 0 else 0.0,
+                "speedup_vs_ar": full.trace.wall_s / wall if wall > 0 else 0.0,
+                "answer_matches_full": res.answer == full.answer,
             }
-            if method in ("parallel_noskip", "parallel_skip"):
-                entry["savings"] = iteration_savings(res.trace, ar.trace).as_dict()
             report.append(entry)
     _write_csv(
         csv_path,
         manifest,
         ["method", "prompt_id", "iterations", "exact_tokens", "wall_s"]
         + [f"{phase}_s" for phase in PHASES]
-        + ["speedup_vs_ar"],
+        + ["speedup_vs_ar", "answer_matches_full"],
         [
             [e["method"], e["prompt_id"], e["iterations"], e["exact_tokens"], f"{e['wall_s']:.6f}"]
             + [f"{e['breakdown'][phase]:.6f}" for phase in PHASES]
-            + [f"{e['speedup_vs_ar']:.4f}"]
+            + [f"{e['speedup_vs_ar']:.4f}", int(e["answer_matches_full"])]
             for e in report
         ],
     )

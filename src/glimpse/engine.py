@@ -389,7 +389,6 @@ def _run(
     for result in results:
         result.trace.wall_s = wall_s
         result.trace.breakdown = timer.breakdown()
-        result.trace.stop_check_s = timer.get("stop_check")
     return results
 
 

@@ -1,4 +1,4 @@
-"""Approximate-token quality metrics and iteration savings.
+"""Approximate-token quality metrics.
 
 Window quality is scored against the autoregressive continuation of the
 same prompt (which losslessness guarantees equals the committed stream):
@@ -140,33 +140,3 @@ def hit_report(trace: DecodeTrace, reference_tokens: Sequence[int]) -> HitReport
     """End-to-end: snapshot a trace against the AR reference and aggregate."""
     snaps = snapshots_from_trace(trace, reference_tokens)
     return aggregate([score_window(s) for s in snaps])
-
-
-@dataclass
-class SavingsSummary:
-    iterations: int
-    exact_tokens: int
-    ar_iterations: int
-    saved_iterations: int
-    wall_ratio: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def iteration_savings(parallel_trace: DecodeTrace, ar_trace: DecodeTrace) -> SavingsSummary:
-    """Iterations saved and wall-clock ratio versus the AR run of the same prompt."""
-    if parallel_trace.prompt != ar_trace.prompt:
-        raise ContractError("traces come from different prompts")
-    ar_tokens = ar_trace.iterations
-    iterations = parallel_trace.iterations
-    wall_ratio = (
-        ar_trace.wall_s / parallel_trace.wall_s if parallel_trace.wall_s > 0 else 0.0
-    )
-    return SavingsSummary(
-        iterations=iterations,
-        exact_tokens=len(parallel_trace.committed_stream()),
-        ar_iterations=ar_tokens,
-        saved_iterations=ar_tokens - iterations,
-        wall_ratio=wall_ratio,
-    )

@@ -16,9 +16,8 @@ from typing import IO
 
 from glimpse.errors import InstrumentationError
 
-#: Wall-clock categories reported in benchmark tables.  ``stop_check`` is
-#: tracked beside them (``DecodeTrace.stop_check_s``) so totals can exclude it.
-PHASES = ("infer", "decode", "kv_cache")
+#: Wall-clock categories reported in benchmark tables.
+PHASES = ("infer", "decode", "kv_cache", "stop_check")
 
 
 @dataclass
@@ -28,9 +27,10 @@ class TimeBreakdown:
     infer: float = 0.0
     decode: float = 0.0
     kv_cache: float = 0.0
+    stop_check: float = 0.0
 
     def total(self) -> float:
-        return self.infer + self.decode + self.kv_cache
+        return self.infer + self.decode + self.kv_cache + self.stop_check
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -140,7 +140,6 @@ class DecodeTrace:
     skip: bool
     records: list[IterationRecord] = field(default_factory=list)
     breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
-    stop_check_s: float = 0.0
     wall_s: float = 0.0
 
     @property
@@ -167,7 +166,6 @@ class DecodeTrace:
         summary = {
             "type": "summary",
             "breakdown": self.breakdown.as_dict(),
-            "stop_check_s": self.stop_check_s,
             "wall_s": self.wall_s,
         }
         fh.write(json.dumps(summary) + "\n")
@@ -192,7 +190,6 @@ def read_jsonl(fh: IO[str]) -> DecodeTrace:
             if trace is None:
                 raise ValueError("summary line before header")
             trace.breakdown = TimeBreakdown(**obj["breakdown"])
-            trace.stop_check_s = obj["stop_check_s"]
             trace.wall_s = obj["wall_s"]
     if trace is None:
         raise ValueError("empty trace stream")

@@ -372,7 +372,7 @@ def test_bench_csv_is_the_report_in_print(tmp_path):
     assert csv_manifest == report["manifest"]
     assert list(rows[0]) == [
         "method", "prompt_id", "iterations", "exact_tokens", "wall_s",
-        *(f"{phase}_s" for phase in PHASES), "speedup_vs_ar",
+        *(f"{phase}_s" for phase in PHASES), "speedup_vs_ar", "answer_matches_full",
     ]
     assert len(rows) == len(report["rows"]) == 2 * 4
     for row, entry in zip(rows, report["rows"]):
@@ -384,8 +384,10 @@ def test_bench_csv_is_the_report_in_print(tmp_path):
             "wall_s": f"{entry['wall_s']:.6f}",
             **{f"{p}_s": f"{entry['breakdown'][p]:.6f}" for p in PHASES},
             "speedup_vs_ar": f"{entry['speedup_vs_ar']:.4f}",
+            "answer_matches_full": str(int(entry["answer_matches_full"])),
         }
         assert row == expected
+        assert type(entry["answer_matches_full"]) is bool
 
 
 def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, monkeypatch):
@@ -394,16 +396,24 @@ def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, m
     windows = []
 
     def spy(prompt, backend, cfg):
-        windows.append((cfg.window_len, cfg.skip))
+        windows.append((cfg.window_len, cfg.skip, cfg.iteration_cap))
         return decode_with_answer(prompt, backend, cfg)
 
     monkeypatch.setattr(glimpse.cli, "decode_with_answer", spy)
     common = ["bench", "--backend", "counting", "--prompt", "0", "--window", "7"]
     common += ["--max-new-tokens", "200"]
     rows = {}
-    # the no-skip run, the truncated row's capped c=0 run, the skip run
-    all_four = [(7, False), (0, False), (7, True)]
-    for methods, want in (("ar,parallel_skip", [(7, True)]), (",".join(_BENCH_METHODS), all_four)):
+    # Full CoT for the ar row and the speedups, then the no-skip run, the
+    # truncated row's c=0 run capped at the no-skip run's iterations, and
+    # the skip run.
+    full = (0, False, None)
+    noskip = DecodeConfig(window_len=7, skip=False, max_new_tokens=200)
+    k = run_rationale([0], make_counting_backend(10), noskip).trace.iterations
+    all_four = [full, (7, False, None), (0, False, k), (7, True, None)]
+    for methods, want in (
+        ("ar,parallel_skip", [full, (7, True, None)]),
+        (",".join(_BENCH_METHODS), all_four),
+    ):
         windows.clear()
         out = tmp_path / methods.replace(",", "_")
         assert run_cli(*common, "--methods", methods, "--out", str(out)) == 0
@@ -414,6 +424,61 @@ def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, m
     # the rows of the methods asked for are those of a run of all four, timing aside
     everything = rows[",".join(_BENCH_METHODS)]
     assert rows["ar,parallel_skip"] == {m: everything[m] for m in ("ar", "parallel_skip")}
+
+
+def test_bench_answers_match_full_cot_where_the_rationale_resolves(tmp_path):
+    # Scripted retrieval: an answer needs every key token in its context.
+    # Within the cap of 8 iterations the skip run commits the whole
+    # 24-token rationale, keys included; truncated CoT commits one token per
+    # iteration, too few to hold every key.
+    prompts = [f"3,{q}" for q in range(16, 80, 8)]
+    out = tmp_path / "bench"
+    code = run_cli(
+        "bench",
+        "--backend", "scripted",
+        "--keys", "2",
+        *[arg for p in prompts for arg in ("--prompt", p)],
+        "--window", "4",
+        "--max-iters", "8",
+        "--answer-trigger", "4,5",
+        "--out", str(out),
+    )
+    assert code == 0
+    rows = json.loads((out / "bench_report.json").read_text())["rows"]
+    matches = {
+        m: [r["answer_matches_full"] for r in rows if r["method"] == m] for m in _BENCH_METHODS
+    }
+    assert matches["ar"] == [True] * len(prompts)
+    assert matches["parallel_skip"] == [True] * len(prompts)
+    assert matches["truncated"] == [False] * len(prompts)
+
+
+def test_decode_frees_each_chunk_before_the_next(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    import glimpse.cli
+
+    batch = glimpse.cli.decode_with_answer_batch
+    chunks, alive = [], []
+
+    def spy(prompts, backend, cfg):
+        gc.collect()
+        # the first chunk's results still alive as this chunk starts
+        alive.append(sum(ref() is not None for ref in chunks[0]) if chunks else 0)
+        results = batch(prompts, backend, cfg)
+        chunks.append([weakref.ref(result) for result in results])
+        return results
+
+    monkeypatch.setattr(glimpse.cli, "decode_with_answer_batch", spy)
+    chunk = glimpse.cli.DECODE_CHUNK
+    prompts = tmp_path / "prompts.json"
+    prompts.write_text(json.dumps([[1 + i % 60] * (1 + i % 3) for i in range(2 * chunk + 3)]))
+    argv = ["decode", "--backend", "toy", "--prompts-file", str(prompts), "--window", "4",
+            "--max-new-tokens", "6", "--answer-trigger", "4,5", "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 0
+    assert len(chunks) == 3
+    assert alive[2] == 0, alive
 
 
 def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
@@ -837,6 +902,17 @@ def test_readme_flag_table_is_the_parser():
 def test_a_refused_prompt_writes_nothing(tmp_path, command, args):
     out = tmp_path / "o"
     assert run_cli(command, *args, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_a_refused_later_chunk_writes_nothing(tmp_path, monkeypatch):
+    import glimpse.cli
+
+    # The first chunk is decoded and its trace spooled; the second does not fit.
+    monkeypatch.setattr(glimpse.cli, "DECODE_CHUNK", 1)
+    out = tmp_path / "o"
+    args = ["--backend", "toy", "--window", "0", "--prompt", "1", "--prompt", "1,2"]
+    assert run_cli("decode", *args, "--max-new-tokens", "496", "--out", str(out)) == 2
     assert not out.exists()
 
 

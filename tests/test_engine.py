@@ -271,7 +271,7 @@ def test_ar_baseline_buckets(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=50)
     res = ar_baseline([0], counting_backend, cfg)
     assert res.trace.breakdown.kv_cache == 0.0
-    assert res.trace.stop_check_s >= 0.0
+    assert res.trace.breakdown.stop_check >= 0.0
 
 
 def test_ar_baseline_times_cache_write_back(toy_backend):

@@ -10,7 +10,6 @@ from glimpse.metrics import (
     WindowSnapshot,
     aggregate,
     hit_report,
-    iteration_savings,
     score_window,
     snapshots_from_trace,
 )
@@ -162,44 +161,6 @@ def test_first_hit_implies_multi_commit_in_skip_mode(counting_backend):
             assert len(rec.committed) >= 2
             checked += 1
     assert checked > 0
-
-
-# ----------------------------------------------------------------------
-# iteration savings
-# ----------------------------------------------------------------------
-
-
-def test_iteration_savings_counting(counting_backend):
-    cfg = DecodeConfig(window_len=7, max_new_tokens=90)
-    fast = run_rationale([0], counting_backend, cfg)
-    ar = ar_baseline([0], counting_backend, cfg)
-    summary = iteration_savings(fast.trace, ar.trace)
-    assert summary.exact_tokens == 90
-    assert summary.ar_iterations == 90
-    assert summary.saved_iterations == 90 - fast.trace.iterations
-    assert summary.saved_iterations >= 0
-    # steady state alternates 1 and c+1 commits: ~2n/(c+2) iterations
-    assert summary.iterations <= int(np.ceil(2 * 90 / 9)) + 4
-
-
-def test_savings_zero_when_no_hits():
-    # a window that never matches (degenerate c=0) saves nothing
-    from glimpse.backends import make_counting_backend
-
-    b = make_counting_backend()
-    cfg = DecodeConfig(window_len=0, max_new_tokens=12)
-    fast = run_rationale([1], b, cfg)
-    ar = ar_baseline([1], b, cfg)
-    s = iteration_savings(fast.trace, ar.trace)
-    assert s.saved_iterations == 0
-
-
-def test_savings_rejects_mismatched_prompts(counting_backend):
-    cfg = DecodeConfig(window_len=2, max_new_tokens=6)
-    a = run_rationale([1], counting_backend, cfg)
-    b = ar_baseline([2], counting_backend, cfg)
-    with pytest.raises(ContractError):
-        iteration_savings(a.trace, b.trace)
 
 
 # ----------------------------------------------------------------------
