@@ -2,9 +2,9 @@
 
 The table maps fixed-length token contexts to either a single successor
 (scored as a one-hot row) or a full score vector.  A query consults the
-longest matching context suffix of length <= order; contexts with no match
-back off to a fixed uniform row (all zeros), which the greedy picker
-resolves to token 0.
+longest matching context suffix, so the model's order is the table's longest
+context; contexts with no match back off to a fixed uniform row (all
+zeros), which the greedy picker resolves to token 0.
 
 Table file format, one record per line::
 
@@ -31,66 +31,61 @@ from glimpse.backends.base import (
 from glimpse.errors import ContractError, TableParseError
 
 
+def _table_row(
+    ctx: tuple[int, ...], entry: "int | Sequence[float]", vocab_size: int
+) -> np.ndarray:
+    """The score row of one table record, checked against the vocabulary."""
+    if not ctx:
+        raise ContractError("empty context")
+    for tok in ctx:
+        if not 0 <= tok < vocab_size:
+            raise ContractError(f"context token {tok} outside vocab")
+    if isinstance(entry, (int, np.integer)):
+        if not 0 <= entry < vocab_size:
+            raise ContractError(f"successor {entry} outside vocab")
+        row = np.zeros(vocab_size, dtype=np.float64)
+        row[entry] = 1.0
+        return row
+    row = np.asarray(entry, dtype=np.float64)
+    if row.shape != (vocab_size,):
+        raise ContractError(f"score vector has length {row.shape[0]}, expected {vocab_size}")
+    if not np.all(np.isfinite(row)):
+        raise ContractError("score vector contains non-finite values")
+    return row
+
+
 class NgramBackend(SequentialBatchMixin):
     """N-gram lookup model over integer token ids.
 
     Args:
-        order: Maximum context length consulted.
-        table: Mapping from context tuples (length 1..order) to either an
-            int successor or a score vector of length ``vocab_size``.
+        table: Mapping from nonempty context tuples to either an int
+            successor or a score vector of length ``vocab_size``.  The
+            longest context is the model's order.
         vocab_size / pad_id / eos_id: Token space; PAD and EOS default to
             the two highest ids.
     """
 
     def __init__(
         self,
-        order: int,
         table: Mapping[tuple[int, ...], "int | Sequence[float]"],
         vocab_size: int,
         pad_id: int | None = None,
         eos_id: int | None = None,
     ) -> None:
-        if order < 1:
-            raise ContractError("order must be >= 1")
         if pad_id is None:
             pad_id = vocab_size - 2
         if eos_id is None:
             eos_id = vocab_size - 1
-        self.order = order
         self.spec = BackendSpec(vocab_size=vocab_size, pad_id=pad_id, eos_id=eos_id)
-        # One dict per context length for cheap longest-suffix lookup.
-        self._by_len: list[dict[tuple[int, ...], np.ndarray]] = [
-            {} for _ in range(order + 1)
-        ]
-        for ctx, entry in table.items():
-            if not 1 <= len(ctx) <= order:
-                raise ContractError(f"context {ctx} longer than order {order}")
-            for tok in ctx:
-                if not 0 <= tok < vocab_size:
-                    raise ContractError(f"context token {tok} outside vocab")
-            row = self._entry_to_row(entry)
-            self._by_len[len(ctx)][tuple(ctx)] = row
+        self._rows = {
+            tuple(ctx): _table_row(tuple(ctx), entry, vocab_size) for ctx, entry in table.items()
+        }
+        self.order = max(map(len, self._rows), default=0)
         self._uniform = np.zeros(vocab_size, dtype=np.float64)
-
-    def _entry_to_row(self, entry: "int | Sequence[float]") -> np.ndarray:
-        if isinstance(entry, (int, np.integer)):
-            if not 0 <= entry < self.spec.vocab_size:
-                raise ContractError(f"successor {entry} outside vocab")
-            row = np.zeros(self.spec.vocab_size, dtype=np.float64)
-            row[entry] = 1.0
-            return row
-        row = np.asarray(entry, dtype=np.float64)
-        if row.shape != (self.spec.vocab_size,):
-            raise ContractError(
-                f"score vector has length {row.shape[0]}, expected {self.spec.vocab_size}"
-            )
-        if not np.all(np.isfinite(row)):
-            raise ContractError("score vector contains non-finite values")
-        return row
 
     def _row_for(self, prefix: Sequence[int]) -> np.ndarray:
         for k in range(min(self.order, len(prefix)), 0, -1):
-            row = self._by_len[k].get(tuple(prefix[-k:]))
+            row = self._rows.get(tuple(prefix[-k:]))
             if row is not None:
                 return row
         return self._uniform
@@ -109,7 +104,7 @@ class NgramBackend(SequentialBatchMixin):
         return rows
 
 
-def _parse_header(parts: list[str], line_no: int) -> dict[str, int]:
+def _parse_header(parts: list[str], line_no: int) -> BackendSpec:
     fields = {}
     if len(parts) % 2 != 0:
         raise TableParseError(line_no, "header must be key/value pairs")
@@ -122,18 +117,27 @@ def _parse_header(parts: list[str], line_no: int) -> dict[str, int]:
             raise TableParseError(line_no, f"bad header value {value!r}") from None
     if "vocab" not in fields:
         raise TableParseError(line_no, "header must define vocab")
-    return fields
+    vocab = fields["vocab"]
+    try:
+        return BackendSpec(
+            vocab_size=vocab,
+            pad_id=fields.get("pad", vocab - 2),
+            eos_id=fields.get("eos", vocab - 1),
+        )
+    except ContractError as exc:
+        raise TableParseError(line_no, str(exc)) from exc
 
 
-def make_ngram_backend(order: int, table_file: "str | Path") -> NgramBackend:
+def make_ngram_backend(table_file: "str | Path") -> NgramBackend:
     """Load an n-gram backend from a table file.
 
     Raises:
         TableParseError: On any malformed record, with its line number.
     """
     path = Path(table_file)
-    raw: dict[tuple[int, ...], "int | list[float]"] = {}
-    header: dict[str, int] | None = None
+    # Each context's entry and the line of its (last) record.
+    raw: dict[tuple[int, ...], tuple["int | list[float]", int]] = {}
+    spec: BackendSpec | None = None
     max_id = -1
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -141,8 +145,8 @@ def make_ngram_backend(order: int, table_file: "str | Path") -> NgramBackend:
             if not text:
                 continue
             parts = text.split()
-            if header is None and not raw and parts[0] == "vocab":
-                header = _parse_header(parts, line_no)
+            if spec is None and not raw and parts[0] == "vocab":
+                spec = _parse_header(parts, line_no)
                 continue
             if "->" not in parts:
                 raise TableParseError(line_no, "record missing '->' separator")
@@ -164,19 +168,15 @@ def make_ngram_backend(order: int, table_file: "str | Path") -> NgramBackend:
                     entry = [float(v) for v in right]
             except ValueError:
                 raise TableParseError(line_no, "bad successor or score vector") from None
-            if len(ctx) > order:
-                raise TableParseError(line_no, f"context longer than order {order}")
             max_id = max(max_id, *ctx)
-            raw[ctx] = entry
-    if header is not None:
-        vocab = header["vocab"]
-        pad = header.get("pad", vocab - 2)
-        eos = header.get("eos", vocab - 1)
-    else:
+            raw[ctx] = (entry, line_no)
+    if spec is None:
         # Leave room for the two reserved ids above every table id.
-        vocab = max_id + 3
-        pad, eos = vocab - 2, vocab - 1
-    try:
-        return NgramBackend(order, raw, vocab_size=vocab, pad_id=pad, eos_id=eos)
-    except ContractError as exc:
-        raise TableParseError(0, str(exc)) from exc
+        spec = BackendSpec(vocab_size=max_id + 3, pad_id=max_id + 1, eos_id=max_id + 2)
+    rows = {}
+    for ctx, (entry, line_no) in raw.items():
+        try:
+            rows[ctx] = _table_row(ctx, entry, spec.vocab_size)
+        except ContractError as exc:
+            raise TableParseError(line_no, str(exc)) from exc
+    return NgramBackend(rows, spec.vocab_size, spec.pad_id, spec.eos_id)

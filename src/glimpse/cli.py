@@ -52,13 +52,7 @@ from glimpse.engine import (
     run_rationale,
 )
 from glimpse.errors import ConfigError
-from glimpse.metrics import (
-    HitReport,
-    WindowRecord,
-    aggregate,
-    score_window,
-    snapshots_from_trace,
-)
+from glimpse.metrics import WindowRecord, aggregate, window_hits
 from glimpse.trace import PHASES
 
 log = logging.getLogger("glimpse")
@@ -130,10 +124,10 @@ def _build_config(
     return DecodeConfig.from_dict(data)
 
 
-def _ngram(order: int, table: str | None = None) -> Backend:
+def _ngram(table: str | None = None) -> Backend:
     if table is None:
         raise ConfigError("ngram backend needs --table")
-    return make_ngram_backend(order, table)
+    return make_ngram_backend(table)
 
 
 # Each backend kind: the settings it reads with their defaults, and its
@@ -145,7 +139,7 @@ _BACKENDS: dict[str, tuple[dict, Callable[..., Backend]]] = {
         {"seed": 0, **dict.fromkeys(("vocab_size", "n_layers", "n_heads", "model_dim", "max_len"))},
         lambda seed, **shape: make_toy_transformer(seed, default_toy_spec(**shape)),
     ),
-    "ngram": ({"table": None, "order": 2}, _ngram),
+    "ngram": ({"table": None}, _ngram),
     "scripted": (
         {"num_keys": 1, "rationale_len": 24},
         lambda **script: make_scripted_backend(RetrievalScript(**script)),
@@ -213,7 +207,7 @@ def _setup(
     """
     file_cfg = _load_config(args.config)
     cfg = _build_config(args, file_cfg)
-    try:  # a bad seed, shape, modulus, order or table file
+    try:  # a bad seed, shape, modulus or table file
         backend, desc = _build_backend(args, file_cfg)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -365,8 +359,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-# The hit report of an iteration in which no window was scored.
-_NO_WINDOWS = HitReport(0, 0.0, 0, 0.0, 0, 0.0, 0, 0.0, 0, 0).as_dict()
+# sweep.csv's columns: each one's header, the row key it prints and that
+# value's format spec.
+_SWEEP_COLUMNS = (
+    ("window_len", "window_len", ""),
+    ("iteration", "iteration", ""),
+    ("windows", "windows_evaluated", ""),
+    ("first_hit", "first_hit", ""),
+    ("first_hit_ratio", "first_hit_ratio", ".4f"),
+    ("total_hit", "total_hit", ""),
+    ("total_hit_ratio", "total_hit_ratio", ".4f"),
+    ("occur_guess_in_ref", "occur_guess_in_ref", ""),
+    ("occur_ref_in_guess", "occur_ref_in_guess", ""),
+    ("mean_call_s", "mean_call_s", ".6f"),
+)
 
 
 def cmd_sweep_window(args: argparse.Namespace) -> int:
@@ -377,10 +383,9 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
     if len(windows) == 0:
         raise ConfigError("no window sizes given")
 
-    # Per window size and iteration: the scored windows, and each run's
-    # rationale wall time per iteration.
-    scored: dict[int, dict[int, list[WindowRecord]]] = {c: {} for c in windows}
-    calls: dict[int, dict[int, list[float]]] = {c: {} for c in windows}
+    # Per (window size, iteration): the windows scored there, and each
+    # run's rationale wall time per iteration.
+    cells: dict[tuple[int, int], tuple[list[WindowRecord], list[float]]] = {}
     for prompt in prompts:
         runs = {c: run_rationale(prompt, backend, replace(cfg, window_len=c)) for c in windows}
         # One greedy reference covers every window span of every run (a
@@ -389,53 +394,27 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
         budget = max(1, *(len(res.exact_rationale) + c - 1 for c, res in runs.items()))
         reference = ar_baseline(prompt, backend, replace(cfg, max_new_tokens=budget))
         for c, res in runs.items():
-            for snap in snapshots_from_trace(res.trace, reference.exact_rationale):
-                scored[c].setdefault(snap.iteration, []).append(score_window(snap))
+            hits = window_hits(res.trace, reference.exact_rationale)
             mean_call = res.trace.wall_s / res.trace.iterations if res.trace.iterations else 0.0
             for rec in res.trace.records:
-                calls[c].setdefault(rec.iteration, []).append(mean_call)
-    payload = []
-    for c in windows:
-        for iteration, means in sorted(calls[c].items()):
-            recs = scored[c].get(iteration)
-            payload.append(
-                {
-                    "window_len": c,
-                    "iteration": iteration,
-                    **(aggregate(recs).as_dict() if recs else _NO_WINDOWS),
-                    "mean_call_s": sum(means) / len(means),
-                }
-            )
+                scored, means = cells.setdefault((c, rec.iteration), ([], []))
+                if rec.iteration in hits:
+                    scored.append(hits[rec.iteration])
+                means.append(mean_call)
+    payload = [
+        {
+            "window_len": c,
+            "iteration": iteration,
+            **aggregate(scored).as_dict(),
+            "mean_call_s": sum(means) / len(means),
+        }
+        for (c, iteration), (scored, means) in sorted(cells.items())
+    ]
     _write_csv(
         csv_path,
         manifest,
-        [
-            "window_len",
-            "iteration",
-            "windows",
-            "first_hit",
-            "first_hit_ratio",
-            "total_hit",
-            "total_hit_ratio",
-            "occur_guess_in_ref",
-            "occur_ref_in_guess",
-            "mean_call_s",
-        ],
-        [
-            [
-                r["window_len"],
-                r["iteration"],
-                r["windows_evaluated"],
-                r["first_hit"],
-                f"{r['first_hit_ratio']:.4f}",
-                r["total_hit"],
-                f"{r['total_hit_ratio']:.4f}",
-                r["occur_guess_in_ref"],
-                r["occur_ref_in_guess"],
-                f"{r['mean_call_s']:.6f}",
-            ]
-            for r in payload
-        ],
+        [header for header, _, _ in _SWEEP_COLUMNS],
+        [[format(r[key], spec) for _, key, spec in _SWEEP_COLUMNS] for r in payload],
     )
     _write_json(json_path, manifest, "rows", payload)
     print(f"sweep-window: {len(windows)} window size(s) -> {csv_path}")
@@ -457,6 +436,8 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
     defaults = {**_BACKENDS["scripted"][0], "seed": 0}  # the seed of the tasks
     settings = _backend_settings(args, section, "scripted", defaults)
     task_seed = settings.pop("seed")
+    if task_seed < 0:  # the tasks' numpy generator takes no negative seed
+        raise ConfigError(f"seed {task_seed}: expected non-negative integer")
     cases, backend = make_scripted_tasks(args.tasks, task_seed, RetrievalScript(**settings))
     rows = run_overlap_experiment(cases, spec, backend, cfg)
     csv_path = Path(args.out or "out") / "corruption.csv"
@@ -491,7 +472,6 @@ _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--max-new-tokens",), {"type": int}, _DECODING),
     (("--answer-trigger",), {"help": "token list, e.g. '4,5'"}, "decode bench corrupt"),
     (("--table",), {"help": "ngram table file"}, _DECODING),
-    (("--order",), {"type": int, "help": "ngram order"}, _DECODING),
     (("--keys",), {"type": int, "dest": "num_keys", "help": "scripted key tokens"}, _ALL),
     (("--rationale-len",), {"type": int}, _ALL),
     (("--modulus",), {"type": int, "help": "counting modulus"}, _DECODING),
@@ -515,7 +495,7 @@ _READERS = {
 } | {"repetition_penalty": _ALL.split(), "answer_max_tokens": "decode bench corrupt".split()}
 
 _COMMANDS = {
-    "decode": (cmd_decode, "decode the prompts as one batch"),
+    "decode": (cmd_decode, "decode the prompts, in batches"),
     "bench": (cmd_bench, "compare decode methods per prompt"),
     "sweep-window": (cmd_sweep_window, "hit metrics per window size"),
     "corrupt": (cmd_corrupt, "accuracy vs kept-token ratio"),

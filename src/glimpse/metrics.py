@@ -26,20 +26,6 @@ from glimpse.trace import DecodeTrace
 
 
 @dataclass
-class WindowSnapshot:
-    """One iteration's window guesses aligned with the AR reference.
-
-    ``reference`` must cover exactly the window span (same length, same
-    absolute positions starting at ``frontier``).
-    """
-
-    iteration: int
-    frontier: int
-    guesses: list[int]
-    reference: list[int]
-
-
-@dataclass
 class WindowRecord:
     first_hit: int
     total_hit: int
@@ -65,9 +51,9 @@ class HitReport:
         return dict(self.__dict__)
 
 
-def score_window(snap: WindowSnapshot) -> WindowRecord:
-    """Score one window against its aligned reference span."""
-    g, r = snap.guesses, snap.reference
+def score_window(guesses: Sequence[int], reference: Sequence[int]) -> WindowRecord:
+    """Score one window's guesses against the reference span they align with."""
+    g, r = guesses, reference
     if len(g) != len(r):
         raise ContractError(
             f"window of {len(g)} misaligned with reference of {len(r)}"
@@ -84,9 +70,10 @@ def score_window(snap: WindowSnapshot) -> WindowRecord:
 
 
 def aggregate(records: Sequence[WindowRecord]) -> HitReport:
-    """Sum window records into one report with the two ratio denominators."""
-    if len(records) == 0:
-        raise ContractError("cannot aggregate zero records")
+    """Sum window records into one report with the two ratio denominators.
+
+    No records give the all-zero report.
+    """
     windows = len(records)
     positions = sum(rec.positions for rec in records)
     fh = sum(rec.first_hit for rec in records)
@@ -96,7 +83,7 @@ def aggregate(records: Sequence[WindowRecord]) -> HitReport:
     pos_div = positions if positions else 1
     return HitReport(
         first_hit=fh,
-        first_hit_ratio=fh / windows,
+        first_hit_ratio=fh / windows if windows else 0.0,
         total_hit=th,
         total_hit_ratio=th / pos_div,
         occur_guess_in_ref=o_gr,
@@ -108,35 +95,24 @@ def aggregate(records: Sequence[WindowRecord]) -> HitReport:
     )
 
 
-def snapshots_from_trace(
-    trace: DecodeTrace, reference_tokens: Sequence[int]
-) -> list[WindowSnapshot]:
-    """Align each iteration's pre-forward window with the AR continuation.
+def window_hits(trace: DecodeTrace, reference_tokens: Sequence[int]) -> dict[int, WindowRecord]:
+    """Each iteration whose whole window the AR reference covers, scored.
 
-    ``reference_tokens`` is the greedy AR stream for the same prompt.  Only
-    windows whose full span the reference covers are returned.
+    ``reference_tokens`` is the greedy AR stream for the same prompt; an
+    iteration's window aligns with it from ``frontier_before - len(prompt)``.
+    Iterations with an empty or uncovered window are left out.
     """
     prompt_len = len(trace.prompt)
-    snaps: list[WindowSnapshot] = []
+    hits: dict[int, WindowRecord] = {}
     for rec in trace.records:
         width = len(rec.window_before)
-        if width == 0:
-            continue
         start = rec.frontier_before - prompt_len
-        if start < 0 or start + width > len(reference_tokens):
-            continue
-        snaps.append(
-            WindowSnapshot(
-                iteration=rec.iteration,
-                frontier=rec.frontier_before,
-                guesses=list(rec.window_before),
-                reference=list(reference_tokens[start : start + width]),
-            )
-        )
-    return snaps
+        if width and 0 <= start and start + width <= len(reference_tokens):
+            reference = reference_tokens[start : start + width]
+            hits[rec.iteration] = score_window(rec.window_before, reference)
+    return hits
 
 
 def hit_report(trace: DecodeTrace, reference_tokens: Sequence[int]) -> HitReport:
-    """End-to-end: snapshot a trace against the AR reference and aggregate."""
-    snaps = snapshots_from_trace(trace, reference_tokens)
-    return aggregate([score_window(s) for s in snaps])
+    """End-to-end: score a trace's windows against the AR reference and sum them."""
+    return aggregate(list(window_hits(trace, reference_tokens).values()))

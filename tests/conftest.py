@@ -47,7 +47,7 @@ def random_ngram_backend(seed: int, vocab: int = 12, order: int = 2, eos_prob: f
                 table[ctx] = int(rng.integers(0, vocab - 2))
             else:
                 table[ctx] = rng.normal(0, 1, size=vocab).tolist()
-    return NgramBackend(order, table, vocab_size=vocab, pad_id=pad, eos_id=eos)
+    return NgramBackend(table, vocab_size=vocab, pad_id=pad, eos_id=eos)
 
 
 def random_prompt(rng, vocab: int, max_len: int = 6) -> list[int]:

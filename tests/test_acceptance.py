@@ -24,7 +24,7 @@ from glimpse.corruption import (
     run_overlap_experiment,
 )
 from glimpse.engine import DecodeConfig, ar_baseline, run_rationale, run_rationale_batch
-from glimpse.metrics import hit_report, score_window, snapshots_from_trace
+from glimpse.metrics import hit_report, window_hits
 
 from conftest import random_ngram_backend, random_prompt, small_toy_spec
 from oracles import (
@@ -257,15 +257,14 @@ def test_criterion_6_metrics_oracle_equivalence():
         res = run_rationale(prompt, backend, cfg)
         reference = greedy_ar_reference(backend, prompt, cfg.max_new_tokens + c)
         decodes += 1
-        snaps = snapshots_from_trace(res.trace, reference)
-        for snap in snaps:
-            rec = score_window(snap)
+        hits = window_hits(res.trace, reference)
+        for rec in hits.values():
             assert rec.total_hit <= rec.occur_guess_in_ref
             assert rec.total_hit <= rec.occur_ref_in_guess
         buf = io.StringIO()
         res.trace.write_jsonl(buf)
         replay = replay_hit_report(buf.getvalue().splitlines(), reference)
-        if not snaps:
+        if not hits:
             assert replay["windows_evaluated"] == 0
             continue
         report = hit_report(res.trace, reference)

@@ -221,7 +221,7 @@ def test_counting_tail_forward_matches_closed_form(counting_backend):
 
 
 def test_ngram_lookup_and_backoff():
-    b = NgramBackend(1, {(5,): 7}, vocab_size=10)
+    b = NgramBackend({(5,): 7}, vocab_size=10)
     assert b.forward([5], 1)[0].argmax() == 7
     # unseen context backs off to the uniform row; greedy resolves to 0
     assert b.forward([3], 1)[0].argmax() == 0
@@ -229,7 +229,7 @@ def test_ngram_lookup_and_backoff():
 
 
 def test_ngram_longest_suffix_wins():
-    b = NgramBackend(2, {(5,): 7, (2, 5): 9}, vocab_size=12)
+    b = NgramBackend({(5,): 7, (2, 5): 9}, vocab_size=12)
     assert b.forward([2, 5], 1)[0].argmax() == 9
     assert b.forward([4, 5], 1)[0].argmax() == 7
 
@@ -237,7 +237,7 @@ def test_ngram_longest_suffix_wins():
 def test_ngram_score_vector_rows():
     row = [0.0] * 8
     row[3] = 2.5
-    b = NgramBackend(1, {(1,): row}, vocab_size=8)
+    b = NgramBackend({(1,): row}, vocab_size=8)
     assert b.forward([1], 1)[0].argmax() == 3
 
 
@@ -250,7 +250,7 @@ def test_ngram_file_roundtrip(tmp_path):
         "5 7 -> 9\n"
         "1 -> 0.0 0.0 3.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0\n"
     )
-    b = make_ngram_backend(2, table)
+    b = make_ngram_backend(table)
     assert b.spec.vocab_size == 12
     assert b.spec.pad_id == 10 and b.spec.eos_id == 11
     assert b.forward([5], 1)[0].argmax() == 7
@@ -261,7 +261,7 @@ def test_ngram_file_roundtrip(tmp_path):
 def test_ngram_file_defaults_vocab(tmp_path):
     table = tmp_path / "t.txt"
     table.write_text("5 -> 7\n")
-    b = make_ngram_backend(1, table)
+    b = make_ngram_backend(table)
     assert b.spec.vocab_size == 10  # max id 7 + reserved pad/eos on top
     assert b.spec.pad_id == 8 and b.spec.eos_id == 9
 
@@ -274,14 +274,17 @@ def test_ngram_file_defaults_vocab(tmp_path):
         ("5 ->\n", 1),
         ("5 -> a\n", 1),
         ("vocab x\n", 1),
-        ("1 2 3 -> 4\n", 1),
+        # found once the vocabulary is known, after the last record
+        ("1 2 -> 3\n-1 -> 3\n", 2),
+        ("vocab 6\n1 -> 9\n", 2),
+        ("vocab 6\n1 -> 0.5 0.5\n", 2),
     ],
 )
 def test_ngram_file_errors_carry_line_number(tmp_path, content, bad_line):
     table = tmp_path / "bad.txt"
     table.write_text(content)
     with pytest.raises(TableParseError) as err:
-        make_ngram_backend(2, table)
+        make_ngram_backend(table)
     assert err.value.line_no == bad_line
 
 

@@ -596,19 +596,40 @@ def test_sweep_hits_match_replayed_traces(tmp_path, backend_args, make_backend, 
     )
     assert code == 0
     _, rows = read_csv(out / "sweep.csv")
+    # Each count's column and its oracle key.
+    columns = {
+        "windows": "windows_evaluated",
+        "first_hit": "first_hit",
+        "total_hit": "total_hit",
+        "occur_guess_in_ref": "occur_guess_in_ref",
+        "occur_ref_in_guess": "occur_ref_in_guess",
+    }
     backend = make_backend()
     for c in windows:
         cfg = DecodeConfig(window_len=c, max_new_tokens=budget)
         expected = dict.fromkeys(("first_hit", "total_hit", "windows_evaluated"), 0)
+        # Per iteration: the oracle over the header and that iteration's
+        # line, summed over the prompts.
+        per_iteration: dict[str, dict[str, int]] = {}
         for prompt in prompts:
             fh = io.StringIO()
             run_rationale(prompt, backend, cfg).trace.write_jsonl(fh)
             reference = oracles.greedy_ar_reference(
                 backend, prompt, budget + c + 1, cfg.repetition_penalty
             )
-            replay = oracles.replay_hit_report(fh.getvalue().splitlines(), reference)
+            trace_lines = fh.getvalue().splitlines()
+            replay = oracles.replay_hit_report(trace_lines, reference)
             for key in expected:
                 expected[key] += replay[key]
+            header, *lines = trace_lines
+            for line in lines:
+                obj = json.loads(line)
+                if obj["type"] != "iteration":
+                    continue
+                one = oracles.replay_hit_report([header, line], reference)
+                sums = per_iteration.setdefault(str(obj["iteration"]), dict.fromkeys(columns, 0))
+                for column, key in columns.items():
+                    sums[column] += one[key]
         mine = [r for r in rows if r["window_len"] == str(c)]
         assert mine
         assert {
@@ -616,6 +637,7 @@ def test_sweep_hits_match_replayed_traces(tmp_path, backend_args, make_backend, 
             "total_hit": sum(int(r["total_hit"]) for r in mine),
             "windows_evaluated": sum(int(r["windows"]) for r in mine),
         } == expected
+        assert {r["iteration"]: {col: int(r[col]) for col in columns} for r in mine} == per_iteration
     assert expected["windows_evaluated"] > 0
 
 
@@ -701,9 +723,12 @@ def test_prompts_file_takes_only_integer_lists(tmp_path, content):
 
 
 @pytest.mark.parametrize(
-    "ratios, n_seeds", [("0.5,x", "1"), ("0.5,1.5", "1"), ("nan", "1"), ("0.5", "0")]
+    "ratios, n_seeds, seed",
+    [("0.5,x", "1", "0"), ("0.5,1.5", "1", "0"), ("nan", "1", "0"), ("0.5", "0", "0"),
+     ("0.5", "1", "-1")],
+    ids=["0.5,x-1", "0.5,1.5-1", "nan-1", "0.5-0", "seed-1"],
 )
-def test_corrupt_refuses_a_bad_grid_before_any_work(tmp_path, monkeypatch, ratios, n_seeds):
+def test_corrupt_refuses_a_bad_grid_before_any_work(tmp_path, monkeypatch, ratios, n_seeds, seed):
     import glimpse.cli
 
     def no_tasks(*args):
@@ -712,7 +737,8 @@ def test_corrupt_refuses_a_bad_grid_before_any_work(tmp_path, monkeypatch, ratio
     monkeypatch.setattr(glimpse.cli, "make_scripted_tasks", no_tasks)
     out = tmp_path / "o"
     code = run_cli(
-        "corrupt", "--tasks", "1", "--n-seeds", n_seeds, "--ratios", ratios, "--out", str(out)
+        "corrupt", "--tasks", "1", "--n-seeds", n_seeds, "--ratios", ratios, "--seed", seed,
+        "--out", str(out),
     )
     assert code == 2
     assert not out.exists()
@@ -833,7 +859,7 @@ def test_a_decode_key_the_command_reads_enters_the_manifest(tmp_path, command, s
         ("corrupt", ["--prompt", "0"]),
         ("corrupt", ["--max-new-tokens", "5"]),
         ("corrupt", ["--table", "t.txt"]),
-        ("corrupt", ["--order", "9"]),
+        ("corrupt", ["--prompts-file", "p.json"]),
         ("corrupt", ["--modulus", "3"]),
     ],
 )
@@ -876,7 +902,7 @@ def test_readme_flag_table_is_the_parser():
     }
     assert documented == accepted
     # one setting per dest: --skip and --no-skip are one
-    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 56
+    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 53
 
 
 @pytest.mark.parametrize(
@@ -935,7 +961,8 @@ def test_a_refused_later_chunk_writes_nothing(tmp_path, monkeypatch):
         ({"backend": {"kind": "ngram", "table": 5}}, []),
         ({}, ["--backend", "ngram", "--table", "MISSING_TABLE"]),
         ({}, ["--backend", "ngram", "--table", "BAD_TABLE"]),
-        ({}, ["--backend", "ngram", "--table", "GOOD_TABLE", "--order", "0"]),
+        # the n-gram order is the table's longest context, not a setting
+        ({"backend": {"kind": "ngram", "order": 2}}, ["--table", "GOOD_TABLE"]),
     ],
 )
 def test_bad_backend_settings_and_config_shapes_exit_2(tmp_path, config, flags):
@@ -980,7 +1007,6 @@ _SETTINGS = {
     "model_dim": ("toy", 16),
     "max_len": ("toy", 64),
     "table": ("ngram", "TABLE"),
-    "order": ("ngram", 3),
     "num_keys": ("scripted", 2),
     "rationale_len": ("scripted", 12),
     "modulus": ("counting", 7),
@@ -988,7 +1014,6 @@ _SETTINGS = {
 _FLAG_OF = {
     "seed": "--seed",
     "table": "--table",
-    "order": "--order",
     "num_keys": "--keys",
     "rationale_len": "--rationale-len",
     "modulus": "--modulus",

@@ -156,7 +156,7 @@ def test_stop_iteration_cap_exact(counting_backend):
 
 def test_stop_eos_beats_cap():
     # EOS commits on iteration 1 while the cap also fires there
-    backend = NgramBackend(1, {(3,): 7}, vocab_size=8)  # 7 == eos
+    backend = NgramBackend({(3,): 7}, vocab_size=8)  # 7 == eos
     assert backend.spec.eos_id == 7
     cfg = DecodeConfig(window_len=0, max_new_tokens=10, iteration_cap=1)
     res = run_rationale([3], backend, cfg)
