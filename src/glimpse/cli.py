@@ -37,13 +37,7 @@ from glimpse.backends import (
     make_toy_transformer,
 )
 from glimpse.backends.base import check_forward_args
-from glimpse.backends.scripted import PAD
-from glimpse.corruption import (
-    CorruptionSpec,
-    default_answer_config,
-    make_scripted_tasks,
-    run_overlap_experiment,
-)
+from glimpse.corruption import check_grid, make_scripted_tasks, run_overlap_experiment, task_config
 from glimpse.engine import (
     DecodeConfig,
     ar_baseline,
@@ -64,10 +58,11 @@ def _manifest(command: str, cfg: DecodeConfig, backend_desc: dict, names: list[s
     ``names`` are basenames only: identical runs into different
     directories stay byte-identical.
     """
+    config = cfg.to_dict()
     return {
         "command": command,
-        "config": cfg.to_dict(),
-        "config_digest": hashlib.sha256(cfg.digest_payload().encode()).hexdigest(),
+        "config": config,
+        "config_digest": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "backend": backend_desc,
         "version": __version__,
         "outputs": names,
@@ -105,10 +100,8 @@ def _load_config(path: str | None) -> dict:
 _DECODE_FLAGS = ("window_len", "skip", "iteration_cap", "max_new_tokens")
 
 
-def _build_config(
-    args: argparse.Namespace, file_cfg: dict, base: dict | None = None
-) -> DecodeConfig:
-    """``base`` (default: ``window_len`` 0), then the file's ``decode`` section, then flags.
+def _build_config(args: argparse.Namespace, file_cfg: dict) -> DecodeConfig:
+    """``window_len`` 0, then the file's ``decode`` section, then flags.
 
     The file may set only the decode keys that the command reads.
     """
@@ -116,7 +109,7 @@ def _build_config(
     unread = sorted(key for key in section if args.command not in _READERS.get(key, ()))
     if unread:
         raise ConfigError(f"{args.command} does not read decode {', '.join(unread)}")
-    data = {**(base or {"window_len": 0}), **section}
+    data = {"window_len": 0, **section}
     flags = vars(args)
     data.update({key: flags[key] for key in _DECODE_FLAGS if flags.get(key) is not None})
     if flags.get("answer_trigger") is not None:
@@ -427,24 +420,27 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
         ratios = [float(r) for r in args.ratios.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"bad ratio list {args.ratios!r}") from exc
-    spec = CorruptionSpec(ratios=sorted(ratios), seeds=list(range(args.n_seeds)), pad_id=PAD)
+    check_grid(ratios, args.n_seeds)
     file_cfg = _load_config(args.config)
+    # The tasks' config is the script's own (corruption.task_config).
+    if file_cfg.get("decode"):
+        raise ConfigError(f"corrupt reads no decode settings, got {sorted(file_cfg['decode'])}")
     section = file_cfg.get("backend", {})
     if section.get("kind", "scripted") != "scripted":
         raise ConfigError(f"corrupt runs scripted tasks, not kind {section['kind']!r}")
-    cfg = _build_config(args, file_cfg, default_answer_config().to_dict())
     defaults = {**_BACKENDS["scripted"][0], "seed": 0}  # the seed of the tasks
     settings = _backend_settings(args, section, "scripted", defaults)
     task_seed = settings.pop("seed")
     if task_seed < 0:  # the tasks' numpy generator takes no negative seed
         raise ConfigError(f"seed {task_seed}: expected non-negative integer")
-    cases, backend = make_scripted_tasks(args.tasks, task_seed, RetrievalScript(**settings))
-    rows = run_overlap_experiment(cases, spec, backend, cfg)
+    script = RetrievalScript(**settings)
+    cases, backend = make_scripted_tasks(args.tasks, task_seed, script)
+    rows = run_overlap_experiment(cases, ratios, args.n_seeds, backend)
     csv_path = Path(args.out or "out") / "corruption.csv"
     desc = {"kind": "scripted", **settings, "tasks": args.tasks, "task_seed": task_seed}
     _write_csv(
         csv_path,
-        _manifest("corrupt", cfg, desc, [csv_path.name]),
+        _manifest("corrupt", task_config(script), desc, [csv_path.name]),
         ["ratio", "mean", "stddev", "n"],
         [[f"{r.ratio:.4f}", f"{r.mean:.6f}", f"{r.stddev:.6f}", r.n_seeds] for r in rows],
     )
@@ -470,7 +466,7 @@ _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--skip", "--no-skip"), {}, "decode sweep-window"),
     (("--max-iters",), {"type": int, "dest": "iteration_cap"}, _DECODING),
     (("--max-new-tokens",), {"type": int}, _DECODING),
-    (("--answer-trigger",), {"help": "token list, e.g. '4,5'"}, "decode bench corrupt"),
+    (("--answer-trigger",), {"help": "token list, e.g. '4,5'"}, "decode bench"),
     (("--table",), {"help": "ngram table file"}, _DECODING),
     (("--keys",), {"type": int, "dest": "num_keys", "help": "scripted key tokens"}, _ALL),
     (("--rationale-len",), {"type": int}, _ALL),
@@ -485,14 +481,17 @@ _FLAGS: list[tuple[tuple[str, ...], dict, str]] = [
     (("--ratios",), {"default": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"}, "corrupt"),
 ]
 
-# The commands that read each setting: those of the flag that sets it, and
-# for the two decode keys that no flag sets, every command (each pick reads
-# the penalty) and the commands that answer.  A config file's ``decode``
-# section may set only the keys that its command reads.
+# The commands that read each decode key: those of the flag that sets it,
+# and for the two keys that no flag sets, every decoding command (each pick
+# reads the penalty) and the commands that answer.  A config file's
+# ``decode`` section may set only the keys that its command reads; corrupt
+# reads none, as its config is the script's (corruption.task_config).
 _READERS = {
-    kwargs.get("dest", names[0][2:].replace("-", "_")): commands.split()
+    dest: commands.split()
     for names, kwargs, commands in _FLAGS
-} | {"repetition_penalty": _ALL.split(), "answer_max_tokens": "decode bench corrupt".split()}
+    if (dest := kwargs.get("dest", names[0][2:].replace("-", "_")))
+    in DecodeConfig.__dataclass_fields__
+} | {"repetition_penalty": _DECODING.split(), "answer_max_tokens": "decode bench".split()}
 
 _COMMANDS = {
     "decode": (cmd_decode, "decode the prompts, in batches"),

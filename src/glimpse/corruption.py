@@ -5,7 +5,8 @@ preserved), answers from the corrupted rationale, and aggregates accuracy
 per keep ratio across seeds.  On the scripted retrieval tasks the answer
 survives iff every key token survives, so the expected curve is exactly
 hypergeometric and anchors at the no-rationale floor (ratio 0) and the
-uncorrupted ceiling (ratio 1).
+uncorrupted ceiling (ratio 1).  The experiment has one config, derived from
+the script (:func:`task_config`); it takes no decode settings.
 """
 
 from __future__ import annotations
@@ -22,27 +23,8 @@ from glimpse.backends.scripted import (
     ScriptedBackend,
     make_scripted_backend,
 )
-from glimpse.engine import DecodeConfig, answer_phase, run_rationale_batch
+from glimpse.engine import DecodeConfig, answer_phase, decode_with_answer_batch
 from glimpse.errors import ConfigError, ContractError
-
-
-@dataclass
-class CorruptionSpec:
-    """Experiment grid: keep ratios (ascending), distinct seeds, PAD token."""
-
-    ratios: list[float]
-    seeds: list[int]
-    pad_id: int
-
-    def __post_init__(self) -> None:
-        if not self.ratios or not self.seeds:
-            raise ConfigError("ratios and seeds must be nonempty")
-        if any(not 0.0 <= r <= 1.0 for r in self.ratios):
-            raise ConfigError("ratios must lie in [0, 1]")
-        if sorted(self.ratios) != list(self.ratios):
-            raise ConfigError("ratios must be sorted ascending")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
 
 
 @dataclass
@@ -62,6 +44,16 @@ class OverlapRow:
     n_seeds: int
 
 
+def check_grid(ratios: Sequence[float], n_seeds: int) -> None:
+    """Refuse an empty ratio list, a ratio outside [0, 1] (NaN too), or no seeds."""
+    if not ratios:
+        raise ConfigError("need at least one keep ratio")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ConfigError(f"keep ratios must lie in [0, 1], got {list(ratios)}")
+    if n_seeds < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
+
+
 def corrupt(
     rationale: Sequence[int], keep_ratio: float, seed: int, pad_id: int
 ) -> list[int]:
@@ -79,19 +71,18 @@ def corrupt(
     return [tok if i in kept else pad_id for i, tok in enumerate(rationale)]
 
 
-def default_answer_config() -> DecodeConfig:
+def task_config(script: RetrievalScript) -> DecodeConfig:
+    """The tasks' one config: greedy to the rationale's EOS, then answer token and EOS."""
     return DecodeConfig(
         window_len=0,
-        max_new_tokens=64,
+        max_new_tokens=script.rationale_len + 1,
         answer_trigger=TRIGGER,
-        answer_max_tokens=4,
+        answer_max_tokens=2,
     )
 
 
 def make_scripted_tasks(
-    n: int,
-    seed: int,
-    script: RetrievalScript | None = None,
+    n: int, seed: int, script: RetrievalScript | None = None
 ) -> tuple[list[TaskCase], ScriptedBackend]:
     """Generate ``n`` retrieval tasks whose answers hinge on key-token survival.
 
@@ -99,68 +90,48 @@ def make_scripted_tasks(
     each case is checked at build time: answering from the uncorrupted
     rationale must reproduce the reference answer.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    if not 1 <= n <= Q_RANGE:
+        raise ConfigError(f"n must be in [1, {Q_RANGE}] (the distinct questions), got {n}")
     script = script or RetrievalScript()
     backend = make_scripted_backend(script)
-    if n > Q_RANGE:
-        raise ConfigError(f"at most {Q_RANGE} distinct questions available")
     rng = np.random.default_rng(seed)
     questions = rng.choice(Q_RANGE, size=n, replace=False).tolist()
-    cfg = default_answer_config()
     prompts = [script.prompt(q) for q in questions]
-    # The answer config has a zero-length window: its rationales are the AR streams.
-    eos = backend.spec.eos_id
-    rationales = [
-        res.exact_rationale[:-1] if res.exact_rationale[-1:] == [eos] else res.exact_rationale
-        for res in run_rationale_batch(prompts, backend, cfg)
-    ]
-    produced = answer_phase(
-        [prompt + rationale for prompt, rationale in zip(prompts, rationales)], backend, cfg
-    )
+    # A zero-length window: the rationales are the AR streams, each ending
+    # in the EOS that the budget leaves room for.
+    results = decode_with_answer_batch(prompts, backend, task_config(script))
     cases: list[TaskCase] = []
-    for q, prompt, rationale, answer in zip(questions, prompts, rationales, produced):
+    for q, prompt, res in zip(questions, prompts, results):
         reference = [script.answer_token(q)]
-        if answer != reference:
-            raise ContractError(
-                f"task for question {q} does not answer correctly uncorrupted"
-            )
-        cases.append(TaskCase(prompt=prompt, reference=reference, rationale=rationale))
+        if res.answer != reference:
+            raise ContractError(f"task for question {q} does not answer correctly uncorrupted")
+        cases.append(TaskCase(prompt, reference, res.exact_rationale[:-1]))
     return cases, backend
 
 
 def run_overlap_experiment(
-    cases: Sequence[TaskCase],
-    spec: CorruptionSpec,
-    backend: ScriptedBackend,
-    cfg: DecodeConfig | None = None,
+    cases: Sequence[TaskCase], ratios: Sequence[float], n_seeds: int, backend: ScriptedBackend
 ) -> list[OverlapRow]:
-    """Accuracy table over (ratio, seed, case) cells.
+    """Accuracy table over (ratio, seed, case) cells, in ascending ratio order.
 
-    For each (ratio, seed) one answer phase answers every case's corrupted
-    rationale, each scored by exact match; rows report the mean and
-    standard deviation over per-seed accuracies.
+    The seeds are ``0 .. n_seeds - 1``.  For each (ratio, seed) one answer
+    phase answers every case's corrupted rationale, each scored by exact
+    match; rows report the mean and standard deviation over per-seed
+    accuracies.
     """
     if len(cases) == 0:
         raise ConfigError("need at least one task case")
-    cfg = cfg or default_answer_config()
+    check_grid(ratios, n_seeds)
+    cfg = task_config(backend.script)
+    pad = backend.spec.pad_id
     rows: list[OverlapRow] = []
-    for ratio in spec.ratios:
+    for ratio in sorted(ratios):
         per_seed: list[float] = []
-        for seed in spec.seeds:
-            contexts = [
-                case.prompt + corrupt(case.rationale, ratio, seed, spec.pad_id) for case in cases
-            ]
+        for seed in range(n_seeds):
+            contexts = [case.prompt + corrupt(case.rationale, ratio, seed, pad) for case in cases]
             answers = answer_phase(contexts, backend, cfg)
             hits = sum(answer == case.reference for answer, case in zip(answers, cases))
             per_seed.append(hits / len(cases))
         arr = np.asarray(per_seed)
-        rows.append(
-            OverlapRow(
-                ratio=ratio,
-                mean=float(arr.mean()),
-                stddev=float(arr.std()),
-                n_seeds=len(spec.seeds),
-            )
-        )
+        rows.append(OverlapRow(ratio, float(arr.mean()), float(arr.std()), n_seeds))
     return rows

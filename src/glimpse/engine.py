@@ -20,10 +20,9 @@ FastCoT at that cap, with the other window.
 
 from __future__ import annotations
 
-import json
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -100,20 +99,11 @@ class DecodeConfig:
             raise ConfigError("answer_max_tokens must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "window_len": self.window_len,
-            "skip": self.skip,
-            "max_new_tokens": self.max_new_tokens,
-            "iteration_cap": self.iteration_cap,
-            "repetition_penalty": self.repetition_penalty,
-            "answer_trigger": list(self.answer_trigger),
-            "answer_max_tokens": self.answer_max_tokens,
-        }
+        return {**asdict(self), "answer_trigger": list(self.answer_trigger)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecodeConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         if "window_len" not in data:
@@ -125,9 +115,6 @@ class DecodeConfig:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def digest_payload(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO
 
 from glimpse.errors import InstrumentationError
@@ -171,26 +171,48 @@ class DecodeTrace:
         fh.write(json.dumps(summary) + "\n")
 
 
+# The keys of each line type besides ``"type"``, as ``write_jsonl`` writes them.
+_LINE_KEYS = {
+    "header": {"method", "prompt", "window_len", "skip"},
+    "iteration": {f.name for f in fields(IterationRecord)},
+    "summary": {"breakdown", "wall_s"},
+}
+
+
 def read_jsonl(fh: IO[str]) -> DecodeTrace:
-    """Rebuild a trace from its JSONL form (inverse of ``write_jsonl``)."""
+    """Rebuild the one trace of a JSONL stream (inverse of ``write_jsonl``).
+
+    A second header or a malformed line raises ``ValueError`` naming its 1-based line.
+    """
     trace: DecodeTrace | None = None
-    for line in fh:
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(fh, 1):
+        if not line.strip():
             continue
-        obj = json.loads(line)
-        kind = obj.pop("type")
-        if kind == "header":
-            trace = DecodeTrace(**obj)
-        elif kind == "iteration":
-            if trace is None:
-                raise ValueError("iteration line before header")
-            trace.records.append(IterationRecord(**obj))
-        elif kind == "summary":
-            if trace is None:
-                raise ValueError("summary line before header")
-            trace.breakdown = TimeBreakdown(**obj["breakdown"])
-            trace.wall_s = obj["wall_s"]
+        try:
+            obj = json.loads(line)  # a JSONDecodeError is a ValueError
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            kind = obj.pop("type", None)
+            if kind not in _LINE_KEYS:
+                raise ValueError(f"unknown line type {kind!r}")
+            if set(obj) != _LINE_KEYS[kind]:
+                raise ValueError(f"{kind} keys {sorted(obj)}, expected {sorted(_LINE_KEYS[kind])}")
+            if kind == "header":
+                if trace is not None:
+                    raise ValueError("a second header: one trace per stream")
+                trace = DecodeTrace(**obj)
+            elif trace is None:
+                raise ValueError(f"{kind} line before header")
+            elif kind == "iteration":
+                trace.records.append(IterationRecord(**obj))
+            else:
+                breakdown = obj["breakdown"]
+                if not isinstance(breakdown, dict) or set(breakdown) != set(PHASES):
+                    raise ValueError(f"breakdown {breakdown!r}, expected the phases {PHASES}")
+                trace.breakdown = TimeBreakdown(**breakdown)
+                trace.wall_s = obj["wall_s"]
+        except ValueError as exc:
+            raise ValueError(f"trace line {number}: {exc}") from exc
     if trace is None:
         raise ValueError("empty trace stream")
     return trace

@@ -19,7 +19,6 @@ from glimpse.backends import (
 from glimpse.buffer import verify
 from glimpse.cache import alloc
 from glimpse.corruption import (
-    CorruptionSpec,
     make_scripted_tasks,
     run_overlap_experiment,
 )
@@ -289,11 +288,10 @@ def test_criterion_7_corruption_curve():
     script = RetrievalScript(num_keys=1, rationale_len=20)
     cases, backend = make_scripted_tasks(6, seed=7, script=script)
     ratios = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    seeds = list(range(40))
-    spec = CorruptionSpec(ratios=ratios, seeds=seeds, pad_id=backend.spec.pad_id)
-    rows = run_overlap_experiment(cases, spec, backend)
+    n_seeds = 40
+    rows = run_overlap_experiment(cases, ratios, n_seeds, backend)
     length = script.rationale_len
-    n = len(seeds) * len(cases)
+    n = n_seeds * len(cases)
     for row in rows:
         kept = round(row.ratio * length)
         expected = hypergeometric_survival(length, kept, 1)

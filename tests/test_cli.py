@@ -328,28 +328,26 @@ def test_config_file_values_not_hidden_by_flag_defaults(tmp_path):
         assert payload["manifest"]["backend"]["modulus"] == modulus
 
 
-def test_corrupt_takes_decode_flags_and_file(tmp_path):
-    from glimpse.corruption import default_answer_config
+def test_corrupt_reads_no_decode_settings(tmp_path):
+    from glimpse.backends import RetrievalScript
+    from glimpse.corruption import task_config
 
     common = ["corrupt", "--tasks", "2", "--n-seeds", "2", "--ratios", "1.0"]
     assert run_cli(*common, "--out", str(tmp_path / "d")) == 0
     manifest, rows = read_csv(tmp_path / "d/corruption.csv")
-    assert manifest["config"] == default_answer_config().to_dict()
+    assert manifest["config"] == task_config(RetrievalScript()).to_dict()
     assert rows[0]["mean"] == "1.000000"
 
-    code = run_cli(*common, "--answer-trigger", "9,9", "--out", str(tmp_path / "f"))
+    # The budget is the script's: a rationale longer than 64 tokens is whole.
+    out = tmp_path / "long"
+    code = run_cli(
+        "corrupt", "--tasks", "8", "--n-seeds", "2", "--rationale-len", "100", "--ratios", "1",
+        "--out", str(out),
+    )
     assert code == 0
-    manifest, rows = read_csv(tmp_path / "f/corruption.csv")
-    assert manifest["config"]["answer_trigger"] == [9, 9]
-    assert rows[0]["mean"] == "0.000000"  # without the real trigger nothing answers
-
-    # A file without a trigger keeps the scripted one; its other values apply.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"decode": {"answer_max_tokens": 3}}))
-    assert run_cli(*common, "--config", str(cfg), "--out", str(tmp_path / "c")) == 0
-    manifest, rows = read_csv(tmp_path / "c/corruption.csv")
-    assert manifest["config"]["answer_trigger"] == [4, 5]
-    assert manifest["config"]["answer_max_tokens"] == 3
+    manifest, rows = read_csv(out / "corruption.csv")
+    assert manifest["config"] == task_config(RetrievalScript(rationale_len=100)).to_dict()
+    assert manifest["config"]["max_new_tokens"] == 101
     assert rows[0]["mean"] == "1.000000"
 
 
@@ -789,6 +787,9 @@ _ARGS = {
         ("corrupt", {"iteration_cap": 2}),
         ("corrupt", {"max_new_tokens": 5}),
         ("decode", {"probe_threshold": 0.5}),
+        ("corrupt", {"answer_trigger": [4, 5]}),
+        ("corrupt", {"repetition_penalty": 1.0}),
+        ("corrupt", {"answer_max_tokens": 3}),
     ],
 )
 def test_a_decode_key_the_command_does_not_read_exits_2(tmp_path, command, section):
@@ -824,11 +825,6 @@ def test_a_decode_key_the_command_does_not_read_exits_2(tmp_path, command, secti
             {"skip": False, "max_new_tokens": 10, "iteration_cap": 5, "repetition_penalty": 1.0},
             "sweep.json",
         ),
-        (
-            "corrupt",
-            {"repetition_penalty": 1.0, "answer_trigger": [4, 5], "answer_max_tokens": 3},
-            "corruption.csv",
-        ),
     ],
 )
 def test_a_decode_key_the_command_reads_enters_the_manifest(tmp_path, command, section, output):
@@ -839,10 +835,7 @@ def test_a_decode_key_the_command_reads_enters_the_manifest(tmp_path, command, s
     cfg.write_text(json.dumps({"decode": section}))
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(cfg), *_ARGS[command], "--out", str(out)) == 0
-    if output.endswith(".csv"):
-        manifest, _ = read_csv(out / output)
-    else:
-        manifest = json.loads((out / output).read_text())["manifest"]
+    manifest = json.loads((out / output).read_text())["manifest"]
     assert {key: manifest["config"][key] for key in section} == section
 
 
@@ -861,6 +854,7 @@ def test_a_decode_key_the_command_reads_enters_the_manifest(tmp_path, command, s
         ("corrupt", ["--table", "t.txt"]),
         ("corrupt", ["--prompts-file", "p.json"]),
         ("corrupt", ["--modulus", "3"]),
+        ("corrupt", ["--answer-trigger", "4,5"]),
     ],
 )
 def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag):
@@ -902,7 +896,7 @@ def test_readme_flag_table_is_the_parser():
     }
     assert documented == accepted
     # one setting per dest: --skip and --no-skip are one
-    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 53
+    assert sum(len({a.dest for a in p._actions} - {"help"}) for p in parsers.values()) == 52
 
 
 @pytest.mark.parametrize(

@@ -218,8 +218,55 @@ def test_trace_jsonl_schema(toy_backend):
     assert back == trace
     # an iteration line with a key the record lacks does not read back
     old = buf.getvalue().replace('"type": "iteration"', '"probe_score": 0.0, "type": "iteration"')
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="trace line 2"):
         read_jsonl(io.StringIO(old))
+
+
+def _edit(line: str, **changes) -> str:
+    """``line``'s object with ``changes`` applied; a change to None drops the key."""
+    import json
+
+    obj = json.loads(line)
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps(obj)
+
+
+# Each fault: the stream's lines made from a valid trace's, and the bad line's number.
+_TRACE_FAULTS = {
+    "second-header": lambda h, it, s: ([h, *it, s, h, *it, s], len(it) + 3),
+    "not-json": lambda h, it, s: ([h, "{", *it, s], 2),
+    "not-an-object": lambda h, it, s: ([h, "[1]", *it, s], 2),
+    "no-type": lambda h, it, s: ([h, "{}", *it, s], 2),
+    "unknown-type": lambda h, it, s: ([h, '{"type": "probe"}', *it, s], 2),
+    "iteration-before-header": lambda h, it, s: ([*it, s], 1),
+    "summary-before-header": lambda h, it, s: ([s], 1),
+    "header-missing-field": lambda h, it, s: ([_edit(h, skip=None), *it, s], 1),
+    "header-extra-field": lambda h, it, s: ([_edit(h, records=[]), *it, s], 1),
+    "iteration-missing-field": lambda h, it, s: ([h, _edit(it[0], window=None), *it[1:], s], 2),
+    "summary-without-breakdown": lambda h, it, s: ([h, *it, _edit(s, breakdown=None)], len(it) + 2),
+    "summary-extra-field": lambda h, it, s: ([h, *it, _edit(s, tokens=3)], len(it) + 2),
+    "breakdown-missing-phase": lambda h, it, s: (
+        [h, *it, _edit(s, breakdown={"infer": 0.0})], len(it) + 2
+    ),
+    "breakdown-not-an-object": lambda h, it, s: ([h, *it, _edit(s, breakdown=3)], len(it) + 2),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TRACE_FAULTS))
+def test_a_malformed_trace_line_is_refused_with_its_number(counting_backend, fault):
+    from glimpse.trace import read_jsonl
+
+    trace = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=6)).trace
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    header, *iterations, summary = buf.getvalue().splitlines()
+    lines, number = _TRACE_FAULTS[fault](header, iterations, summary)
+    with pytest.raises(ValueError, match=f"^trace line {number}: "):
+        read_jsonl(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_iteration_record_json_bytes_pinned(counting_backend, toy_backend):
