@@ -70,21 +70,17 @@ class Backend(Protocol):
     ``forward`` returns the ``[block_len, vocab_size]`` float64 score array:
     row ``j`` scores the token following context position ``split + j``,
     where ``split = len(context) - block_len``.  ``forward_batch`` returns
-    one such array per instance.  A forward on a cache slot writes the K/V
-    of its new positions into the slot's rows past the valid length (the
-    commit pointer), and :meth:`~glimpse.cache.CacheBuffer.write_back`
-    commits them by moving the pointer; backends without a cache refuse a
-    slot.
+    one such array per instance.  The toy's forward also takes a cache
+    slot: it writes the K/V of its new positions into the slot's rows past
+    the valid length (the commit pointer), and
+    :meth:`~glimpse.cache.CacheBuffer.write_back` commits them by moving
+    the pointer.  Cacheless backends refuse a slot in
+    :class:`SequentialBatchMixin`.
     """
 
     spec: BackendSpec
 
-    def forward(
-        self,
-        context: TokenSeq,
-        block_len: int,
-        cache: "CacheSlot | None" = None,
-    ) -> np.ndarray: ...
+    def forward(self, context: TokenSeq, block_len: int) -> np.ndarray: ...
 
     def forward_batch(
         self,
@@ -95,7 +91,7 @@ class Backend(Protocol):
 
 
 class SequentialBatchMixin:
-    """Default batch path: one independent forward per instance."""
+    """Batch path of the cacheless backends: one forward per instance, and no cache slot."""
 
     def forward_batch(
         self,
@@ -107,9 +103,11 @@ class SequentialBatchMixin:
             slots = [None] * len(contexts)
         if not len(contexts) == len(block_lens) == len(slots):
             raise ContractError("forward_batch arguments must have equal lengths")
+        if any(slot is not None for slot in slots):
+            raise ContractError(f"{type(self).__name__} has no K/V cache: it takes no cache slot")
         return [
-            self.forward(ctx, bl, slot)  # type: ignore[attr-defined]
-            for ctx, bl, slot in zip(contexts, block_lens, slots)
+            self.forward(ctx, bl)  # type: ignore[attr-defined]
+            for ctx, bl in zip(contexts, block_lens)
         ]
 
 

@@ -51,11 +51,7 @@ class CountingBackend(SequentialBatchMixin):
             eos_id=modulus + 1,
         )
 
-    def forward(
-        self, context: TokenSeq, block_len: int, cache=None
-    ) -> np.ndarray:
-        if cache is not None:
-            raise ContractError("counting backend does not support a cache")
+    def forward(self, context: TokenSeq, block_len: int) -> np.ndarray:
         ids = check_forward_args(self.spec, context, block_len)
         m = self.modulus
         n = ids.shape[0]

@@ -90,9 +90,7 @@ class NgramBackend(SequentialBatchMixin):
                 return row
         return self._uniform
 
-    def forward(self, context: TokenSeq, block_len: int, cache=None) -> np.ndarray:
-        if cache is not None:
-            raise ContractError("ngram backend does not support a cache")
+    def forward(self, context: TokenSeq, block_len: int) -> np.ndarray:
         ids = check_forward_args(self.spec, context, block_len)
         # No lookup reaches further back than ``order`` tokens before the block.
         lo = max(len(ids) - block_len + 1 - self.order, 0)

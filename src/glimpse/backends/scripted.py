@@ -35,7 +35,7 @@ from glimpse.backends.base import (
     TokenSeq,
     check_forward_args,
 )
-from glimpse.errors import ConfigError, ContractError
+from glimpse.errors import ConfigError
 
 PAD = 0
 EOS = 1
@@ -129,9 +129,7 @@ class ScriptedBackend(SequentialBatchMixin):
             return EOS
         return self.script.rationale_token(question, d)
 
-    def forward(self, context: TokenSeq, block_len: int, cache=None) -> np.ndarray:
-        if cache is not None:
-            raise ContractError("scripted backend does not support a cache")
+    def forward(self, context: TokenSeq, block_len: int) -> np.ndarray:
         ctx = check_forward_args(self.spec, context, block_len).tolist()
         split = len(ctx) - block_len
         rows = np.zeros((block_len, VOCAB), dtype=np.float64)

@@ -8,10 +8,13 @@ first guess (prompt length + committed count).  The window length ``c`` is
 fixed per batch, so a context is always ``frontier + c`` tokens long.
 
 Verification compares the window's previous guesses against the fresh
-predictions from the fused forward call.  The first fresh prediction is
-conditioned only on exact context and is therefore always exact; each
-further prediction inherits exactness while the guess it was conditioned
-on matches.  Commits are append-only and never re-verified.
+predictions from the fused forward call and reports the length K of the
+confirmed guess prefix.  The first fresh prediction is conditioned only on
+exact context and is therefore always exact; each further prediction
+inherits exactness while the guess it was conditioned on matches, so the
+first ``1 + K`` predictions are exact.  How many of them commit (``1 + K``
+with skip, else 1, cut at the token budget and after EOS) is the engine's
+decision.  Commits are append-only and never re-verified.
 
 Whatever the commit count ``m`` (a full match, a miss, a cut at the token
 budget or at EOS), the next window is ``preds[m:] ‖ PAD^(m-1)``: the
@@ -32,22 +35,15 @@ from glimpse.errors import CapacityError, ContractError
 
 @dataclass
 class VerifyOutcome:
-    """Result of one verification step.
+    """Result of one verification step: ``match_len`` leading window guesses confirmed."""
 
-    ``committed[0]`` is always the autoregressive token at the frontier;
-    ``match_len`` counts how many leading window guesses the fresh
-    predictions confirmed.
-    """
-
-    committed: list[int]
     match_len: int
 
 
-def verify(window: Sequence[int], preds: Sequence[int], skip: bool) -> VerifyOutcome:
-    """Accept the guaranteed exact token plus any confirmed guess prefix.
+def verify(window: Sequence[int], preds: Sequence[int]) -> VerifyOutcome:
+    """Count the window guesses the fresh predictions confirm.
 
-    ``match_len`` is the longest k with ``window[:k] == preds[:k]``.  In
-    skip mode ``1 + match_len`` tokens commit; otherwise exactly one.
+    ``match_len`` is the longest k with ``window[:k] == preds[:k]``.
     """
     c = len(window)
     if len(preds) != c + 1:
@@ -55,7 +51,7 @@ def verify(window: Sequence[int], preds: Sequence[int], skip: bool) -> VerifyOut
     k = 0
     while k < c and window[k] == preds[k]:
         k += 1
-    return VerifyOutcome(committed=list(preds[: 1 + k if skip else 1]), match_len=k)
+    return VerifyOutcome(match_len=k)
 
 
 class BatchBuffers:

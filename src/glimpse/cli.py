@@ -46,7 +46,7 @@ from glimpse.engine import (
     run_rationale,
 )
 from glimpse.errors import ConfigError
-from glimpse.metrics import WindowRecord, aggregate, window_hits
+from glimpse.metrics import HitReport, aggregate, window_hits
 from glimpse.trace import PHASES
 
 log = logging.getLogger("glimpse")
@@ -77,7 +77,7 @@ def _parse_tokens(text: str) -> list[int]:
         raise ConfigError(f"bad token list {text!r}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -180,8 +180,6 @@ def _prompts_from_args(args: argparse.Namespace) -> list[list[int]]:
         prompts.extend(_parse_tokens(p) for p in args.prompt)
     if args.prompts_file:
         data = _load_json(args.prompts_file)
-        if isinstance(data, dict):
-            data = data.get("prompts", [])
         if not isinstance(data, list):
             raise ConfigError(f"{args.prompts_file}: prompts must be lists of integers")
         prompts.extend(data)
@@ -378,7 +376,7 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
 
     # Per (window size, iteration): the windows scored there, and each
     # run's rationale wall time per iteration.
-    cells: dict[tuple[int, int], tuple[list[WindowRecord], list[float]]] = {}
+    cells: dict[tuple[int, int], tuple[list[HitReport], list[float]]] = {}
     for prompt in prompts:
         runs = {c: run_rationale(prompt, backend, replace(cfg, window_len=c)) for c in windows}
         # One greedy reference covers every window span of every run (a

@@ -172,13 +172,14 @@ def iterate_once(
     forward call over ``[cached prefix | frontier-1 token | window]`` with
     a query block of ``window_len + 1`` (the first call also computes the
     uncached prompt); the cache is extended by the newly exact positions
-    only.  The commit count is ``1 + match_len`` with skip (else 1), cut at
-    the token budget and after the first EOS.  The forward for the whole
-    batch happens, and its scores are checked to be finite, before any
-    instance is updated, so a backend error or a non-finite score leaves
-    every buffer untouched.  Cache write-back and update then run instance
-    by instance and are not rolled back: a write-back error on one instance
-    leaves the earlier ones advanced.  Returns one record per instance.
+    only.  The commit count is decided here alone: ``1 + match_len`` with
+    skip (else 1), cut at the token budget and after the first EOS.  The
+    forward for the whole batch happens, and its scores are checked to be
+    finite, before any instance is updated, so a backend error or a
+    non-finite score leaves every buffer untouched.  Cache write-back and
+    update then run instance by instance and are not rolled back: a
+    write-back error on one instance leaves the earlier ones advanced.
+    Returns one record per instance.
     """
     if instances is None:
         instances = range(len(buffers))
@@ -206,8 +207,9 @@ def iterate_once(
         with timer.phase("decode"):
             preds = buffers.histories[i].pick(rows, penalty, window)
         window_before = window.tolist()
-        outcome = verify(window_before, preds, cfg.skip)
-        m = min(len(outcome.committed), cfg.max_new_tokens - (frontier - buffers.prompt_len[i]))
+        outcome = verify(window_before, preds)
+        m = 1 + outcome.match_len if cfg.skip else 1
+        m = min(m, cfg.max_new_tokens - (frontier - buffers.prompt_len[i]))
         if eos in preds[:m]:
             m = preds.index(eos) + 1
 

@@ -14,44 +14,52 @@ First-hit ratios are per window, the other three per window position, so
 the first-hit percentage can exceed the total-hit percentage.  A positional
 match is also an occurrence in both directions, so total hit never exceeds
 either occurrence count.
+
+A window's score and a sum of scores are one type, :class:`HitReport`,
+whose ratios are computed only when it is written out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from glimpse.errors import ContractError
 from glimpse.trace import DecodeTrace
 
 
-@dataclass
-class WindowRecord:
-    first_hit: int
-    total_hit: int
-    occur_guess_in_ref: int
-    occur_ref_in_guess: int
-    positions: int
-
-
-@dataclass
+@dataclass(frozen=True)
 class HitReport:
-    first_hit: int
-    first_hit_ratio: float
-    total_hit: int
-    total_hit_ratio: float
-    occur_guess_in_ref: int
-    occur_guess_in_ref_ratio: float
-    occur_ref_in_guess: int
-    occur_ref_in_guess_ratio: float
-    windows_evaluated: int
-    positions_evaluated: int
+    """Hit counts over some windows; ``+`` sums two reports.
+
+    One scored window is a report with ``windows_evaluated == 1``, and the
+    empty report ``HitReport()`` scores no window.
+    """
+
+    first_hit: int = 0
+    total_hit: int = 0
+    occur_guess_in_ref: int = 0
+    occur_ref_in_guess: int = 0
+    windows_evaluated: int = 0
+    positions_evaluated: int = 0
+
+    def __add__(self, other: "HitReport") -> "HitReport":
+        return HitReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        """The counts and their four ratios, each 0 where its denominator is 0."""
+        windows = max(self.windows_evaluated, 1)
+        positions = max(self.positions_evaluated, 1)
+        return {
+            **self.__dict__,
+            "first_hit_ratio": self.first_hit / windows,
+            "total_hit_ratio": self.total_hit / positions,
+            "occur_guess_in_ref_ratio": self.occur_guess_in_ref / positions,
+            "occur_ref_in_guess_ratio": self.occur_ref_in_guess / positions,
+        }
 
 
-def score_window(guesses: Sequence[int], reference: Sequence[int]) -> WindowRecord:
+def score_window(guesses: Sequence[int], reference: Sequence[int]) -> HitReport:
     """Score one window's guesses against the reference span they align with."""
     g, r = guesses, reference
     if len(g) != len(r):
@@ -60,42 +68,22 @@ def score_window(guesses: Sequence[int], reference: Sequence[int]) -> WindowReco
         )
     ref_set = set(r)
     guess_set = set(g)
-    return WindowRecord(
+    return HitReport(
         first_hit=int(bool(g) and g[0] == r[0]),
         total_hit=sum(1 for a, b in zip(g, r) if a == b),
         occur_guess_in_ref=sum(1 for t in g if t in ref_set),
         occur_ref_in_guess=sum(1 for t in r if t in guess_set),
-        positions=len(g),
+        windows_evaluated=1,
+        positions_evaluated=len(g),
     )
 
 
-def aggregate(records: Sequence[WindowRecord]) -> HitReport:
-    """Sum window records into one report with the two ratio denominators.
-
-    No records give the all-zero report.
-    """
-    windows = len(records)
-    positions = sum(rec.positions for rec in records)
-    fh = sum(rec.first_hit for rec in records)
-    th = sum(rec.total_hit for rec in records)
-    o_gr = sum(rec.occur_guess_in_ref for rec in records)
-    o_rg = sum(rec.occur_ref_in_guess for rec in records)
-    pos_div = positions if positions else 1
-    return HitReport(
-        first_hit=fh,
-        first_hit_ratio=fh / windows if windows else 0.0,
-        total_hit=th,
-        total_hit_ratio=th / pos_div,
-        occur_guess_in_ref=o_gr,
-        occur_guess_in_ref_ratio=o_gr / pos_div,
-        occur_ref_in_guess=o_rg,
-        occur_ref_in_guess_ratio=o_rg / pos_div,
-        windows_evaluated=windows,
-        positions_evaluated=positions,
-    )
+def aggregate(reports: Sequence[HitReport]) -> HitReport:
+    """Sum reports into one; no reports give the empty report."""
+    return sum(reports, HitReport())
 
 
-def window_hits(trace: DecodeTrace, reference_tokens: Sequence[int]) -> dict[int, WindowRecord]:
+def window_hits(trace: DecodeTrace, reference_tokens: Sequence[int]) -> dict[int, HitReport]:
     """Each iteration whose whole window the AR reference covers, scored.
 
     ``reference_tokens`` is the greedy AR stream for the same prompt; an
@@ -103,7 +91,7 @@ def window_hits(trace: DecodeTrace, reference_tokens: Sequence[int]) -> dict[int
     Iterations with an empty or uncovered window are left out.
     """
     prompt_len = len(trace.prompt)
-    hits: dict[int, WindowRecord] = {}
+    hits: dict[int, HitReport] = {}
     for rec in trace.records:
         width = len(rec.window_before)
         start = rec.frontier_before - prompt_len

@@ -179,12 +179,25 @@ _LINE_KEYS = {
 }
 
 
+def read_traces(fh: IO[str]) -> list[DecodeTrace]:
+    """Rebuild every trace of a JSONL stream in order: each header starts the next one.
+
+    This reads ``glimpse decode``'s ``trace.jsonl``, one trace per prompt.
+    A malformed line raises ``ValueError`` naming its 1-based line.
+    """
+    return _read(fh, one=False)
+
+
 def read_jsonl(fh: IO[str]) -> DecodeTrace:
     """Rebuild the one trace of a JSONL stream (inverse of ``write_jsonl``).
 
     A second header or a malformed line raises ``ValueError`` naming its 1-based line.
     """
-    trace: DecodeTrace | None = None
+    return _read(fh, one=True)[0]
+
+
+def _read(fh: IO[str], one: bool) -> list[DecodeTrace]:
+    traces: list[DecodeTrace] = []
     for number, line in enumerate(fh, 1):
         if not line.strip():
             continue
@@ -198,21 +211,21 @@ def read_jsonl(fh: IO[str]) -> DecodeTrace:
             if set(obj) != _LINE_KEYS[kind]:
                 raise ValueError(f"{kind} keys {sorted(obj)}, expected {sorted(_LINE_KEYS[kind])}")
             if kind == "header":
-                if trace is not None:
+                if one and traces:
                     raise ValueError("a second header: one trace per stream")
-                trace = DecodeTrace(**obj)
-            elif trace is None:
+                traces.append(DecodeTrace(**obj))
+            elif not traces:
                 raise ValueError(f"{kind} line before header")
             elif kind == "iteration":
-                trace.records.append(IterationRecord(**obj))
+                traces[-1].records.append(IterationRecord(**obj))
             else:
                 breakdown = obj["breakdown"]
                 if not isinstance(breakdown, dict) or set(breakdown) != set(PHASES):
                     raise ValueError(f"breakdown {breakdown!r}, expected the phases {PHASES}")
-                trace.breakdown = TimeBreakdown(**breakdown)
-                trace.wall_s = obj["wall_s"]
+                traces[-1].breakdown = TimeBreakdown(**breakdown)
+                traces[-1].wall_s = obj["wall_s"]
         except ValueError as exc:
             raise ValueError(f"trace line {number}: {exc}") from exc
-    if trace is None:
+    if not traces:
         raise ValueError("empty trace stream")
-    return trace
+    return traces

@@ -496,3 +496,19 @@ def test_empty_context_and_bad_block_rejected(kind):
     for block_len in (0, -1, 4):
         with pytest.raises(ContractError):
             backend.forward([pad] * 3, block_len)
+
+
+@pytest.mark.parametrize("kind", ["counting", "ngram", "scripted"])
+def test_the_sequential_batch_path_refuses_a_cache_slot(kind):
+    import inspect
+
+    backend = _BACKENDS[kind]()
+    assert list(inspect.signature(backend.forward).parameters) == ["context", "block_len"]
+    pad = backend.spec.pad_id
+    slot = alloc(2, 8, small_toy_spec()).slot(1)
+    with pytest.raises(ContractError, match=f"^{type(backend).__name__} has no K/V cache"):
+        backend.forward_batch([[pad], [pad]], [1, 1], [None, slot])
+    # no slots, or only None ones, is the cacheless call
+    for slots in (None, [None, None]):
+        rows = backend.forward_batch([[pad], [pad, pad]], [1, 2], slots)
+        assert [r.shape[0] for r in rows] == [1, 2]

@@ -38,52 +38,49 @@ def test_init_rejects_negative_window():
 
 
 def test_verify_skip_commits_matched_prefix():
-    out = verify([5, 7, 9], [5, 7, 8, 4], skip=True)
-    assert out.committed == [5, 7, 8]
+    out = verify([5, 7, 9], [5, 7, 8, 4])
     assert out.match_len == 2
     assert _slide([5, 7, 8, 4], 3) == ([5, 7, 8], [4, PAD, PAD])
 
 
 def test_verify_skip_first_guess_misses():
-    out = verify([5, 7, 9], [6, 7, 9, 4], skip=True)
-    assert out.committed == [6]
+    out = verify([5, 7, 9], [6, 7, 9, 4])
     assert out.match_len == 0
     assert _slide([6, 7, 9, 4], 1) == ([6], [7, 9, 4])
 
 
 def test_verify_no_skip_commits_one():
-    out = verify([5, 7, 9], [5, 7, 8, 4], skip=False)
-    assert out.committed == [5]
+    # verify reports the match; the engine commits one token without skip
+    out = verify([5, 7, 9], [5, 7, 8, 4])
     assert out.match_len == 2
     assert _slide([5, 7, 8, 4], 1) == ([5], [7, 8, 4])
 
 
 def test_verify_empty_window():
-    out = verify([], [3], skip=True)
-    assert out.committed == [3]
+    out = verify([], [3])
     assert out.match_len == 0
     assert _slide([3], 1) == ([3], [])
 
 
 def test_verify_full_match_refills_with_pad():
-    out = verify([1, 2], [1, 2, 3], skip=True)
-    assert out.committed == [1, 2, 3]
+    out = verify([1, 2], [1, 2, 3])
+    assert out.match_len == 2
     assert _slide([1, 2, 3], 3) == ([1, 2, 3], [PAD, PAD])
 
 
 def test_verify_length_mismatch_rejected():
     with pytest.raises(ContractError):
-        verify([1, 2, 3], [1, 2, 3], skip=True)
+        verify([1, 2, 3], [1, 2, 3])
 
 
 def test_update_advances_frontier_and_iteration():
     b = BatchBuffers([list(range(10))], 3, SPEC, capacity=20)
     preds = [4, 5, 6, 7]
-    update(b, 0, preds, len(verify(b.window(0), preds, skip=True).committed))
+    update(b, 0, preds, 1 + verify(b.window(0), preds).match_len)
     # PAD window: only the AR token commits
     assert _state(b) == ([4], [5, 6, 7], 11, 1)
     preds = b.window(0).tolist() + [8]
-    update(b, 0, preds, len(verify(b.window(0), preds, skip=True).committed))
+    update(b, 0, preds, 1 + verify(b.window(0), preds).match_len)
     # full match commits 1 + 3
     assert _state(b) == ([4, 5, 6, 7, 8], [PAD, PAD, PAD], 15, 2)
     assert b.histories[0].mask[[4, 5, 6, 7, 8]].all()
@@ -94,21 +91,18 @@ def test_verify_properties_random():
     rng = np.random.default_rng(0)
     for _ in range(500):
         c = int(rng.integers(0, 8))
-        skip = bool(rng.integers(0, 2))
         old = [int(t) for t in rng.integers(0, 5, size=c)]
         new = [int(t) for t in rng.integers(0, 5, size=c + 1)]
-        out = verify(old, new, skip=skip)
-        # committed[0] is always the frontier prediction
-        assert out.committed[0] == new[0]
+        out = verify(old, new)
         # match_len is the longest equal prefix
         k = 0
         while k < c and old[k] == new[k]:
             k += 1
         assert out.match_len == k
-        assert len(out.committed) == (1 + k if skip else 1)
         assert out.match_len <= c
-        # any commit count, cut or not, slides the rest into the window
-        for m in range(1, len(out.committed) + 1):
+        # any commit count up to 1 + match_len, cut or not, slides the rest
+        # into the window
+        for m in range(1, k + 2):
             committed, window = _slide(new, m)
             assert committed == new[:m]
             assert window == new[m:] + [PAD] * (m - 1)
@@ -120,8 +114,8 @@ def test_exact_stream_append_only():
     seen: list[int] = []
     for _ in range(50):
         preds = [int(t) for t in rng.integers(0, 6, size=5)]
-        out = verify(b.window(0), preds, skip=True)
-        update(b, 0, preds, len(out.committed))
+        out = verify(b.window(0), preds)
+        update(b, 0, preds, 1 + out.match_len)
         exact = b.exact(0).tolist()
         assert exact[: len(seen)] == seen
         assert b.frontier[0] == 4 + len(exact)

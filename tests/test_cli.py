@@ -42,6 +42,32 @@ def test_decode_writes_outputs(tmp_path):
     assert (out / "tokens.txt").exists()
 
 
+def test_decode_trace_file_reads_back_one_trace_per_prompt(tmp_path):
+    from glimpse.trace import read_traces
+
+    out = tmp_path / "run"
+    args = ["--prompt", "0", "--prompt", "5", "--prompt", "3,4", "--window", "3"]
+    assert run_cli("decode", "--backend", "counting", *args, "--out", str(out)) == 0
+    results = json.loads((out / "result.json").read_text())["results"]
+    with (out / "trace.jsonl").open() as fh:
+        traces = read_traces(fh)
+    assert [t.prompt for t in traces] == [[0], [5], [3, 4]]
+    assert [t.committed_stream() for t in traces] == [r["exact_rationale"] for r in results]
+
+
+def test_a_failing_decode_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    import glimpse.cli
+
+    def fail(prompts, backend, cfg):
+        raise RuntimeError("backend went away")
+
+    monkeypatch.setattr(glimpse.cli, "decode_with_answer_batch", fail)
+    out = tmp_path / "o"
+    assert run_cli("decode", "--backend", "counting", "--prompt", "0", "--out", str(out)) == 1
+    assert "error: backend went away" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decode_missing_config_exits_2(tmp_path):
     code = run_cli(
         "decode",
@@ -706,7 +732,8 @@ def test_sweep_reference_fits_where_the_rationale_fits(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ['[[1, "a"]]', "[[1, 2.7]]", "[[1, true]]", "[1, 2]", '"12"', "7", '{"prompts": [[0], [1.0]]}'],
+    ['[[1, "a"]]', "[[1, 2.7]]", "[[1, true]]", "[1, 2]", '"12"', "7", '{"prompts": [[0], [1.0]]}',
+     '{"prompts": [[0]]}'],
 )
 def test_prompts_file_takes_only_integer_lists(tmp_path, content):
     # refused, not cast: [1, 2.7] is not the prompt [1, 2], nor true a 1
@@ -717,6 +744,16 @@ def test_prompts_file_takes_only_integer_lists(tmp_path, content):
         "decode", "--backend", "counting", "--prompts-file", str(path), "--out", str(out)
     )
     assert code == 2
+    assert not out.exists()
+
+
+def test_a_prompts_file_that_is_not_a_list_drops_no_prompt(tmp_path):
+    # an object is refused, not read as a list under some key
+    path = tmp_path / "prompts.json"
+    path.write_text('{"prompt": [[5, 6]]}')
+    out = tmp_path / "o"
+    argv = ["decode", "--backend", "counting", "--prompt", "1", "--prompts-file", str(path)]
+    assert run_cli(*argv, "--out", str(out)) == 2
     assert not out.exists()
 
 

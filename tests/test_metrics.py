@@ -49,11 +49,11 @@ def test_aggregate_ratio_denominators():
     # adjust: build the exact counts from the statement instead
     w2 = score_window([8, 5, 7], [4, 5, 9])
     assert (w2.first_hit, w2.total_hit) == (0, 1)
-    report = aggregate([w1, w2])
-    assert report.windows_evaluated == 2
-    assert report.positions_evaluated == 6
-    assert report.first_hit == 1 and report.first_hit_ratio == pytest.approx(0.5)
-    assert report.total_hit == 3 and report.total_hit_ratio == pytest.approx(0.5)
+    report = aggregate([w1, w2]).as_dict()
+    assert report["windows_evaluated"] == 2
+    assert report["positions_evaluated"] == 6
+    assert report["first_hit"] == 1 and report["first_hit_ratio"] == pytest.approx(0.5)
+    assert report["total_hit"] == 3 and report["total_hit_ratio"] == pytest.approx(0.5)
 
 
 def test_aggregate_single_window_echoes_record():
@@ -65,7 +65,12 @@ def test_aggregate_single_window_echoes_record():
 
 
 def test_aggregate_of_no_windows_is_zero():
-    assert aggregate([]) == HitReport(0, 0.0, 0, 0.0, 0, 0.0, 0, 0.0, 0, 0)
+    assert aggregate([]) == HitReport()
+    # the ten keys of a sweep row, each count and ratio 0
+    counts = ["first_hit", "total_hit", "occur_guess_in_ref", "occur_ref_in_guess"]
+    assert HitReport().as_dict() == dict.fromkeys(
+        [*counts, *(f"{c}_ratio" for c in counts), "windows_evaluated", "positions_evaluated"], 0
+    )
 
 
 def test_aggregate_order_independent():
@@ -180,7 +185,8 @@ def test_unclosed_phase_rejected():
         timer.breakdown()
 
 
-def test_trace_jsonl_roundtrip(counting_backend):
+def test_trace_jsonl_roundtrip(counting_backend, toy_backend):
+    from glimpse.engine import decode_with_answer, run_rationale_batch
     from glimpse.trace import read_jsonl
 
     cfg = DecodeConfig(window_len=3, max_new_tokens=10)
@@ -193,6 +199,35 @@ def test_trace_jsonl_roundtrip(counting_backend):
     assert back.window_len == res.trace.window_len
     assert back.records == res.trace.records
     assert back.breakdown == res.trace.breakdown
+    # the committed stream reads back as the exact rationale: solo, batch
+    # and answering runs
+    answering = DecodeConfig(
+        window_len=3, max_new_tokens=10, answer_trigger=(4, 5), answer_max_tokens=3
+    )
+    batch = run_rationale_batch([[5, 6], [1, 2, 3, 4, 5], [9]], toy_backend, cfg)
+    answer = decode_with_answer([5, 6], toy_backend, answering)
+    for run in (res, *batch, answer):
+        buf = io.StringIO()
+        run.trace.write_jsonl(buf)
+        buf.seek(0)
+        assert read_jsonl(buf).committed_stream() == run.exact_rationale
+
+
+def test_read_traces_starts_a_trace_at_each_header(counting_backend):
+    from glimpse.trace import read_traces
+
+    cfg = DecodeConfig(window_len=3, max_new_tokens=6)
+    traces = [run_rationale(prompt, counting_backend, cfg).trace for prompt in ([0], [5], [1, 2])]
+    buf = io.StringIO()
+    for trace in traces:
+        trace.write_jsonl(buf)
+    assert read_traces(io.StringIO(buf.getvalue())) == traces
+    # a malformed line in a later trace is named by its line in the stream
+    lines = buf.getvalue().splitlines()
+    bad = len(lines) - 1
+    lines[bad - 1] = "{"
+    with pytest.raises(ValueError, match=f"^trace line {bad}: "):
+        read_traces(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_trace_jsonl_schema(toy_backend):
@@ -253,6 +288,8 @@ _TRACE_FAULTS = {
         [h, *it, _edit(s, breakdown={"infer": 0.0})], len(it) + 2
     ),
     "breakdown-not-an-object": lambda h, it, s: ([h, *it, _edit(s, breakdown=3)], len(it) + 2),
+    # no line to name: a stream of blank lines holds no trace
+    "empty": lambda h, it, s: ([""], None),
 }
 
 
@@ -265,7 +302,8 @@ def test_a_malformed_trace_line_is_refused_with_its_number(counting_backend, fau
     trace.write_jsonl(buf)
     header, *iterations, summary = buf.getvalue().splitlines()
     lines, number = _TRACE_FAULTS[fault](header, iterations, summary)
-    with pytest.raises(ValueError, match=f"^trace line {number}: "):
+    match = f"^trace line {number}: " if number else "^empty trace stream$"
+    with pytest.raises(ValueError, match=match):
         read_jsonl(io.StringIO("\n".join(lines) + "\n"))
 
 
