@@ -7,11 +7,16 @@ non-digit tokens (PAD, EOS) preserve the position count instead of
 restarting it, so the chain keeps counting across masked-out filler.  A
 context with no digit at all scores token 0.
 
+A forward finds the last digit at or before the block's first position by
+a vectorized scan backwards, then walks the block in Python, so its Python
+work grows with ``block_len`` only, not with the context or a filler run.
 Deterministic and cheap, which makes it the workhorse for long-generation
 benchmarks and loop-convergence tests.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -42,9 +47,11 @@ def _last_digit(ids: np.ndarray, end: int, modulus: int) -> int:
 
 class CountingBackend(SequentialBatchMixin):
     def __init__(self, modulus: int = 10) -> None:
+        if isinstance(modulus, bool) or not isinstance(modulus, numbers.Integral):
+            raise ContractError(f"modulus must be an integer, got {modulus!r}")
         if modulus < 2:
             raise ContractError("modulus must be >= 2")
-        self.modulus = modulus
+        self.modulus = modulus = int(modulus)
         self.spec = BackendSpec(
             vocab_size=modulus + 2,
             pad_id=modulus,
@@ -54,23 +61,19 @@ class CountingBackend(SequentialBatchMixin):
     def forward(self, context: TokenSeq, block_len: int) -> np.ndarray:
         ids = check_forward_args(self.spec, context, block_len)
         m = self.modulus
-        n = ids.shape[0]
-        split = n - block_len
-        # Only the tail from the last digit at or before the block's first
-        # position matters: every later digit search stops there.
-        start = max(_last_digit(ids, split, m), 0)
-        # last_pos[s]: index of the most recent digit at or before position
-        # start + s; -1 when none exists.
-        idx = np.where(ids[start:] < m, np.arange(start, n), -1)
-        last_pos = np.maximum.accumulate(idx)
+        split = ids.shape[0] - block_len
+        # (pos, val): the last digit at or before the current position;
+        # pos is -1 while there is none.
+        pos = _last_digit(ids, split, m)
+        val = int(ids[pos]) if pos >= 0 else 0
+        digits = []
+        for end, tok in enumerate(ids[split:].tolist(), split):
+            if tok < m:
+                pos, val = end, tok
+            # Predicting position end + 1, so the gap from the last digit
+            # is end + 1 - pos.
+            digits.append((val + end + 1 - pos) % m if pos >= 0 else 0)
         rows = np.zeros((block_len, self.spec.vocab_size), dtype=np.float64)
-        ends = np.arange(split, n)
-        pos = last_pos[split - start :]
-        has_digit = pos >= 0
-        # Predicting position end+1, so the gap from the last digit is
-        # (end + 1) - its position.
-        gap = ends + 1 - np.where(has_digit, pos, 0)
-        digits = np.where(has_digit, (ids[np.maximum(pos, 0)] + gap) % m, 0)
         rows[np.arange(block_len), digits] = 1.0
         return rows
 

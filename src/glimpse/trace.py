@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import IO
 
 from glimpse.errors import InstrumentationError
@@ -111,23 +112,21 @@ class IterationRecord:
     committed: list[int]
     window: list[int]
 
-    def to_json(self) -> dict:
-        """The JSONL object: the fields in declaration order, then ``"type"``.
 
-        Built field by field rather than with ``dataclasses.asdict``, which
-        deep-copies every list; the lists are shared, not copied.
-        """
-        return {
-            "iteration": self.iteration,
-            "frontier_before": self.frontier_before,
-            "frontier": self.frontier,
-            "window_before": self.window_before,
-            "predictions": self.predictions,
-            "match_len": self.match_len,
-            "committed": self.committed,
-            "window": self.window,
-            "type": "iteration",
-        }
+# One iteration line: the bytes ``json.dumps`` gives for the record's fields
+# in declaration order, then ``"type"``, because the repr of a Python int and
+# of a list of them is its JSON text.
+_ITERATION_LINE = (
+    '{"iteration": %r, "frontier_before": %r, "frontier": %r, "window_before": %r, '
+    '"predictions": %r, "match_len": %r, "committed": %r, "window": %r, '
+    '"type": "iteration"}\n'
+)
+_ITERATION_FIELDS = attrgetter(*(f.name for f in fields(IterationRecord)))
+# Deleting these bytes from a line leaves only its keys.  Any other value
+# leaves more: the repr of a bool, a float, a string, None or a numpy scalar
+# holds a letter, a point or a quote.
+_INT_TEXT = b"0123456789-, []"
+_ITERATION_KEYS = (_ITERATION_LINE % ((0,) * 8)).encode().translate(None, _INT_TEXT)
 
 
 @dataclass
@@ -153,6 +152,14 @@ class DecodeTrace:
         return out
 
     def write_jsonl(self, fh: IO[str]) -> None:
+        """Write the header line, one line per record, then the summary line.
+
+        Each line holds the bytes ``json.dumps`` gives for its object.  An
+        iteration line is formatted from the record's ints, not encoded, and
+        written on its own, so the trace is never held twice in memory.  A
+        record value that is not an int or a list of ints, such as a bool or
+        a numpy integer, raises ``TypeError`` and writes no line.
+        """
         header = {
             "type": "header",
             "method": self.method,
@@ -161,8 +168,11 @@ class DecodeTrace:
             "skip": self.skip,
         }
         fh.write(json.dumps(header) + "\n")
-        for rec in self.records:
-            fh.write(json.dumps(rec.to_json()) + "\n")
+        for values in map(_ITERATION_FIELDS, self.records):
+            line = _ITERATION_LINE % values
+            if line.encode().translate(None, _INT_TEXT) != _ITERATION_KEYS:
+                raise TypeError(f"iteration record {values!r}: values must be ints or lists of ints")
+            fh.write(line)
         summary = {
             "type": "summary",
             "breakdown": self.breakdown.as_dict(),
@@ -171,11 +181,46 @@ class DecodeTrace:
         fh.write(json.dumps(summary) + "\n")
 
 
-# The keys of each line type besides ``"type"``, as ``write_jsonl`` writes them.
-_LINE_KEYS = {
-    "header": {"method", "prompt", "window_len", "skip"},
-    "iteration": {f.name for f in fields(IterationRecord)},
-    "summary": {"breakdown", "wall_s"},
+def _is_real(value: object) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_tokens(value: object) -> bool:
+    return type(value) is list and all(type(t) is int for t in value)
+
+
+def _is_breakdown(value: object) -> bool:
+    return type(value) is dict and set(value) == set(PHASES) and all(map(_is_real, value.values()))
+
+
+# JSON reads back exact Python types, so ``true`` is a bool and not an int,
+# and ``1.0`` is a float and not a token.
+_INT = (lambda v: type(v) is int, "an int")
+_TOKENS = (_is_tokens, "a list of ints")
+
+# Each line type's keys besides ``"type"``, as ``write_jsonl`` writes them,
+# with the test its value must pass and what that test asks for.
+_LINE_FIELDS = {
+    "header": {
+        "method": (lambda v: type(v) is str, "a string"),
+        "prompt": _TOKENS,
+        "window_len": _INT,
+        "skip": (lambda v: type(v) is bool, "a bool"),
+    },
+    "iteration": {
+        "iteration": _INT,
+        "frontier_before": _INT,
+        "frontier": _INT,
+        "window_before": _TOKENS,
+        "predictions": _TOKENS,
+        "match_len": _INT,
+        "committed": _TOKENS,
+        "window": _TOKENS,
+    },
+    "summary": {
+        "breakdown": (_is_breakdown, f"an object of numbers keyed by the phases {PHASES}"),
+        "wall_s": (_is_real, "a number"),
+    },
 }
 
 
@@ -206,10 +251,14 @@ def _read(fh: IO[str], one: bool) -> list[DecodeTrace]:
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
             kind = obj.pop("type", None)
-            if kind not in _LINE_KEYS:
+            if kind not in _LINE_FIELDS:
                 raise ValueError(f"unknown line type {kind!r}")
-            if set(obj) != _LINE_KEYS[kind]:
-                raise ValueError(f"{kind} keys {sorted(obj)}, expected {sorted(_LINE_KEYS[kind])}")
+            tests = _LINE_FIELDS[kind]
+            if set(obj) != set(tests):
+                raise ValueError(f"{kind} keys {sorted(obj)}, expected {sorted(tests)}")
+            for key, (test, want) in tests.items():
+                if not test(obj[key]):
+                    raise ValueError(f"{kind} {key} {obj[key]!r}, expected {want}")
             if kind == "header":
                 if one and traces:
                     raise ValueError("a second header: one trace per stream")
@@ -219,10 +268,7 @@ def _read(fh: IO[str], one: bool) -> list[DecodeTrace]:
             elif kind == "iteration":
                 traces[-1].records.append(IterationRecord(**obj))
             else:
-                breakdown = obj["breakdown"]
-                if not isinstance(breakdown, dict) or set(breakdown) != set(PHASES):
-                    raise ValueError(f"breakdown {breakdown!r}, expected the phases {PHASES}")
-                traces[-1].breakdown = TimeBreakdown(**breakdown)
+                traces[-1].breakdown = TimeBreakdown(**obj["breakdown"])
                 traces[-1].wall_s = obj["wall_s"]
         except ValueError as exc:
             raise ValueError(f"trace line {number}: {exc}") from exc

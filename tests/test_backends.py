@@ -215,6 +215,45 @@ def test_counting_tail_forward_matches_closed_form(counting_backend):
             assert np.array_equal(counting_backend.forward(np.asarray(ctx), block_len), rows)
 
 
+@st.composite
+def _counting_cases(draw):
+    """A modulus, a context of digit and filler runs, and a block length.
+
+    Filler runs (PAD and EOS) reach past 16 tokens, the first chunk of the
+    backwards scan, so its doubling steps run.
+    """
+    m = draw(st.sampled_from([2, 3, 10, 37]))
+    digits = st.lists(st.integers(0, m - 1), min_size=1, max_size=6)
+    filler = st.integers(1, 120).flatmap(
+        lambda n: st.lists(st.sampled_from([m, m + 1]), min_size=n, max_size=n)
+    )
+    runs = draw(st.lists(st.one_of(digits, filler), min_size=1, max_size=6))
+    ctx = [tok for run in runs for tok in run]
+    return m, ctx, draw(st.integers(1, len(ctx)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_counting_cases(), as_array=st.booleans())
+def test_counting_forward_matches_closed_form_property(case, as_array):
+    m, ctx, block_len = case
+    backend = make_counting_backend(m)
+    context = np.asarray(ctx, dtype=np.int64) if as_array else ctx
+    rows = backend.forward(context, block_len)
+    want = np.zeros((block_len, m + 2))
+    want[np.arange(block_len), _counting_closed_form(ctx, block_len, m)] = 1.0
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, want)
+
+
+def test_counting_refuses_a_modulus_that_is_not_an_integer():
+    for modulus in (2.5, 10.0, True, "10", None):
+        with pytest.raises(ContractError, match="modulus must be an integer"):
+            make_counting_backend(modulus)
+    # a numpy integer is an integer, kept as a Python int
+    backend = make_counting_backend(np.int64(7))
+    assert type(backend.modulus) is int and backend.spec.vocab_size == 9
+
+
 # ----------------------------------------------------------------------
 # ngram backend
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import json
 import time
 
 import numpy as np
@@ -231,7 +232,6 @@ def test_read_traces_starts_a_trace_at_each_header(counting_backend):
 
 
 def test_trace_jsonl_schema(toy_backend):
-    import json
     from dataclasses import fields
 
     from glimpse.engine import decode_with_answer
@@ -257,17 +257,12 @@ def test_trace_jsonl_schema(toy_backend):
         read_jsonl(io.StringIO(old))
 
 
-def _edit(line: str, **changes) -> str:
-    """``line``'s object with ``changes`` applied; a change to None drops the key."""
-    import json
-
+def _edit(line: str, drop: tuple[str, ...] = (), **changes) -> str:
+    """``line``'s object without the keys in ``drop`` and with ``changes`` applied."""
     obj = json.loads(line)
-    for key, value in changes.items():
-        if value is None:
-            del obj[key]
-        else:
-            obj[key] = value
-    return json.dumps(obj)
+    for key in drop:
+        del obj[key]
+    return json.dumps({**obj, **changes})
 
 
 # Each fault: the stream's lines made from a valid trace's, and the bad line's number.
@@ -279,15 +274,32 @@ _TRACE_FAULTS = {
     "unknown-type": lambda h, it, s: ([h, '{"type": "probe"}', *it, s], 2),
     "iteration-before-header": lambda h, it, s: ([*it, s], 1),
     "summary-before-header": lambda h, it, s: ([s], 1),
-    "header-missing-field": lambda h, it, s: ([_edit(h, skip=None), *it, s], 1),
+    "header-missing-field": lambda h, it, s: ([_edit(h, drop=("skip",)), *it, s], 1),
     "header-extra-field": lambda h, it, s: ([_edit(h, records=[]), *it, s], 1),
-    "iteration-missing-field": lambda h, it, s: ([h, _edit(it[0], window=None), *it[1:], s], 2),
-    "summary-without-breakdown": lambda h, it, s: ([h, *it, _edit(s, breakdown=None)], len(it) + 2),
+    "iteration-missing-field": lambda h, it, s: ([h, _edit(it[0], drop=("window",)), *it[1:], s], 2),
+    "summary-without-breakdown": lambda h, it, s: ([h, *it, _edit(s, drop=("breakdown",))], len(it) + 2),
     "summary-extra-field": lambda h, it, s: ([h, *it, _edit(s, tokens=3)], len(it) + 2),
     "breakdown-missing-phase": lambda h, it, s: (
         [h, *it, _edit(s, breakdown={"infer": 0.0})], len(it) + 2
     ),
     "breakdown-not-an-object": lambda h, it, s: ([h, *it, _edit(s, breakdown=3)], len(it) + 2),
+    # a value of the wrong type: JSON's true is no int, 1.0 no token
+    "method-not-a-string": lambda h, it, s: ([_edit(h, method=3), *it, s], 1),
+    "prompt-holds-a-bool": lambda h, it, s: ([_edit(h, prompt=[0, True]), *it, s], 1),
+    "window-len-a-float": lambda h, it, s: ([_edit(h, window_len=3.0), *it, s], 1),
+    "skip-not-a-bool": lambda h, it, s: ([_edit(h, skip=1), *it, s], 1),
+    "iteration-a-string": lambda h, it, s: ([h, _edit(it[0], iteration="one"), *it[1:], s], 2),
+    "iteration-a-bool": lambda h, it, s: ([h, it[0], _edit(it[1], iteration=True), *it[2:], s], 3),
+    "match-len-null": lambda h, it, s: ([h, _edit(it[0], match_len=None), *it[1:], s], 2),
+    "committed-a-string": lambda h, it, s: ([h, _edit(it[0], committed="ab"), *it[1:], s], 2),
+    "committed-holds-a-float": lambda h, it, s: ([h, _edit(it[0], committed=[1.0]), *it[1:], s], 2),
+    "window-holds-a-list": lambda h, it, s: ([h, *it[:-1], _edit(it[-1], window=[[1]]), s], len(it) + 1),
+    "predictions-an-object": lambda h, it, s: ([h, _edit(it[0], predictions={}), *it[1:], s], 2),
+    "wall-s-a-string": lambda h, it, s: ([h, *it, _edit(s, wall_s="fast")], len(it) + 2),
+    "wall-s-a-bool": lambda h, it, s: ([h, *it, _edit(s, wall_s=False)], len(it) + 2),
+    "breakdown-phase-a-string": lambda h, it, s: (
+        [h, *it, _edit(s, breakdown={**json.loads(s)["breakdown"], "decode": "0.1"})], len(it) + 2
+    ),
     # no line to name: a stream of blank lines holds no trace
     "empty": lambda h, it, s: ([""], None),
 }
@@ -307,25 +319,74 @@ def test_a_malformed_trace_line_is_refused_with_its_number(counting_backend, fau
         read_jsonl(io.StringIO("\n".join(lines) + "\n"))
 
 
-def test_iteration_record_json_bytes_pinned(counting_backend, toy_backend):
-    import json
+def _traces_of_every_kind(monkeypatch, counting_backend, toy_backend):
+    """Windowed, AR and answer-phase traces of the counting, toy, n-gram and scripted backends."""
+    from dataclasses import replace
+
+    from glimpse import engine
+    from glimpse.backends import make_scripted_backend
+    from glimpse.backends.scripted import RetrievalScript
+    from glimpse.corruption import task_config
+    from glimpse.engine import decode_with_answer
+
+    from conftest import random_ngram_backend
+
+    traces = []
+    decode = engine._decode
+
+    def keep(*args):
+        results = decode(*args)
+        traces.extend(r.trace for r in results)
+        return results
+
+    # every run's traces, the answer phase's ("answer" method) among them
+    monkeypatch.setattr(engine, "_decode", keep)
+    run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12))
+    ar_baseline([4], counting_backend, DecodeConfig(window_len=0, max_new_tokens=12))
+    decode_with_answer([5, 6], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6))
+    ar_baseline([5, 6], toy_backend, DecodeConfig(window_len=0, max_new_tokens=6))
+    run_rationale([1, 2], random_ngram_backend(3), DecodeConfig(window_len=4, max_new_tokens=20))
+    script = RetrievalScript()
+    scripted, cfg = make_scripted_backend(script), task_config(script)
+    for window_len in (0, 3):
+        decode_with_answer(script.prompt(3), scripted, replace(cfg, window_len=window_len))
+    assert {t.method for t in traces} == {"parallel", "ar", "answer"}
+    return traces
+
+
+def test_iteration_record_json_bytes_pinned(monkeypatch, counting_backend, toy_backend):
     from dataclasses import asdict
 
-    from glimpse.trace import IterationRecord
+    from glimpse.trace import DecodeTrace, IterationRecord
 
-    records = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12)).trace.records
-    records += run_rationale(
-        [5, 6], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6)
-    ).trace.records
-    records.append(IterationRecord(7, 3, 5, [1, 2], [1, 2, 9], 1, [1, 2], [9, 0]))
-    for rec in records:
-        want = json.dumps({**asdict(rec), "type": "iteration"})
-        assert json.dumps(rec.to_json()) == want
-    buf = io.StringIO()
-    trace = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12)).trace
-    trace.write_jsonl(buf)
-    lines = buf.getvalue().splitlines()[1:-1]
-    assert lines == [json.dumps({**asdict(rec), "type": "iteration"}) for rec in trace.records]
+    traces = _traces_of_every_kind(monkeypatch, counting_backend, toy_backend)
+    assert any(rec.window == [] for t in traces for rec in t.records)  # AR records
+    by_hand = DecodeTrace(method="parallel", prompt=[1], window_len=2, skip=True)
+    by_hand.records += [
+        IterationRecord(7, 3, 5, [1, 2], [1, 2, 9], 1, [1, 2], [9, 0]),
+        IterationRecord(-1, -20, 0, [-3, 0], [-1], -5, [], [-10**30, 2**63]),
+        IterationRecord(2**64, 10**40, -(2**70), [], [0, -0, 10**19], 0, [0], []),
+    ]
+    for trace in [*traces, by_hand]:
+        buf = io.StringIO()
+        trace.write_jsonl(buf)
+        lines = buf.getvalue().splitlines()[1:-1]
+        assert lines == [json.dumps({**asdict(rec), "type": "iteration"}) for rec in trace.records]
+
+    # anything but an int writes no line: read_jsonl would refuse or misread it
+    for bad in (True, np.int64(3), np.bool_(False), 1.0, "1", None):
+        for record in (
+            IterationRecord(bad, 0, 1, [], [1], 0, [1], []),
+            IterationRecord(1, 0, bad, [], [1], 0, [1], []),
+            IterationRecord(1, 0, 1, [], [1], bad, [1], []),
+            IterationRecord(1, 0, 1, [2, bad], [1], 0, [1], []),
+            IterationRecord(1, 0, 1, [], [1], 0, [1], [0, 0, bad]),
+        ):
+            trace = DecodeTrace(method="ar", prompt=[1], window_len=0, skip=True, records=[record])
+            buf = io.StringIO()
+            with pytest.raises(TypeError):
+                trace.write_jsonl(buf)
+            assert '"iteration"}' not in buf.getvalue()
 
 
 def test_ar_breakdown_structure(counting_backend):
