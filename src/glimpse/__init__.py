@@ -17,7 +17,7 @@ from glimpse.backends import (
     make_toy_transformer,
 )
 from glimpse.buffer import BatchBuffers, VerifyOutcome, update, verify
-from glimpse.cache import CacheBuffer, alloc, plan_input_padding, plan_kv_padding
+from glimpse.cache import CacheBuffer, plan_input_padding, plan_kv_padding
 from glimpse.engine import (
     DecodeConfig,
     DecodeResult,
@@ -40,7 +40,6 @@ __all__ = [
     "DecodeResult",
     "StopDecision",
     "VerifyOutcome",
-    "alloc",
     "answer_phase",
     "ar_baseline",
     "check_stop",

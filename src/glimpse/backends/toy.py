@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from glimpse.backends.base import BackendSpec, TokenSeq, check_forward_args
-from glimpse.cache import CacheBuffer, CacheSlot, alloc, plan_input_padding, plan_kv_padding
+from glimpse.cache import CacheBuffer, CacheSlot, plan_input_padding, plan_kv_padding
 from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 
 _NEG = -1e30  # masked attention score; exp() underflows to exactly 0.0
@@ -273,7 +273,7 @@ class ToyTransformer:
         rows of room; a call without slots gets a fresh buffer of that size.
         """
         if all(s is None for s in slots):
-            return alloc(len(slots), n_rows, self.spec), list(range(len(slots)))
+            return CacheBuffer(len(slots), n_rows, self.spec), list(range(len(slots)))
         buf = slots[0].buffer if slots[0] is not None else None
         rows = [s.instance for s in slots if s is not None and s.buffer is buf]
         if len(rows) != len(slots) or len(set(rows)) != len(rows):

@@ -146,8 +146,3 @@ class CacheSlot:
     @property
     def tokens(self) -> np.ndarray:
         return self.buffer.tokens[self.instance, : self.valid_len]
-
-
-def alloc(batch: int, max_len: int, spec: BackendSpec) -> CacheBuffer:
-    """Allocate the whole cache up front; see :class:`CacheBuffer`."""
-    return CacheBuffer(batch, max_len, spec)

@@ -5,7 +5,8 @@ flag if given, else from the file, else a default), builds a deterministic
 backend, and writes machine-readable outputs (JSON report, JSONL traces,
 CSV tables).  Each output embeds the run manifest so results are
 replayable; reruns with the same manifest produce identical token outputs
-(wall-clock fields excepted).
+(wall-clock fields excepted).  The methods that ``bench`` compares are
+configs of one decode loop, and each distinct config decodes once per prompt.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 Set GLIMPSE_LOG=DEBUG|INFO|WARNING for log verbosity.
@@ -286,7 +287,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENCH_METHODS = ("ar", "truncated", "parallel_noskip", "parallel_skip")
+# Each bench method as overrides of the run's config.  ``truncated`` is AR at
+# the run's own iteration cap, so without one it is the ``ar`` run: full CoT.
+_BENCH_METHODS = {
+    "ar": {"window_len": 0, "skip": False, "iteration_cap": None},
+    "truncated": {"window_len": 0, "skip": False},
+    "parallel_noskip": {"skip": False},
+    "parallel_skip": {"skip": True},
+}
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -296,30 +304,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     methods = args.methods.split(",") if args.methods is not None else list(_BENCH_METHODS)
     for m in methods:
         if m not in _BENCH_METHODS:
-            raise ConfigError(f"unknown method {m!r} (choose from {_BENCH_METHODS})")
+            raise ConfigError(f"unknown method {m!r} (choose from {tuple(_BENCH_METHODS)})")
     if len(set(methods)) < len(methods):
         raise ConfigError(f"each method at most once, got {args.methods!r}")
 
     report: list[dict] = []
-    # Only these methods read the no-skip run.
-    needs_noskip = not {"truncated", "parallel_noskip"}.isdisjoint(methods)
     for pid, prompt in enumerate(prompts):
         # Every row is one run of the pipeline, answer included, measured
-        # against full CoT: the c=0 run, whatever the window and cap.
-        # Truncated CoT is that run capped at the no-skip run's iterations.
-        def run(**overrides):
-            return decode_with_answer(prompt, backend, replace(cfg, **overrides))
-
-        full = run(window_len=0, skip=False, iteration_cap=None)
-        if needs_noskip:
-            noskip = run(skip=False)
+        # against full CoT; each distinct config decodes once.
+        configs = {m: replace(cfg, **_BENCH_METHODS[m]) for m in ("ar", *methods)}
+        runs = {c: decode_with_answer(prompt, backend, c) for c in dict.fromkeys(configs.values())}
+        full = runs[configs["ar"]]
         for method in methods:
-            if method == "truncated":
-                res = run(window_len=0, skip=False, iteration_cap=noskip.trace.iterations)
-            elif method == "parallel_skip":
-                res = run(skip=True)
-            else:
-                res = noskip if method == "parallel_noskip" else full
+            res = runs[configs[method]]
             wall = res.trace.wall_s
             entry = {
                 "method": method,

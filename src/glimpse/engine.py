@@ -29,11 +29,9 @@ import numpy as np
 
 from glimpse.backends.base import Backend, TokenSeq, check_forward_args
 from glimpse.buffer import BatchBuffers, update, verify
-from glimpse.cache import CacheBuffer, alloc
+from glimpse.cache import CacheBuffer
 from glimpse.errors import ConfigError, ContractError
 from glimpse.trace import DecodeTrace, IterationRecord, PhaseTimer
-
-STOP_REASONS = ("eos", "iteration_cap", "max_tokens")
 
 
 def _is_int(value) -> bool:
@@ -58,6 +56,15 @@ _FIELD_TYPES = {
     "answer_trigger": (_is_ids, "a tuple of integers"),
     "answer_max_tokens": (_is_int, "an integer"),
 }
+
+
+def _plain(value):
+    """A checked field value as plain Python: a numpy scalar cannot be written as JSON."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if value is None or isinstance(value, bool):
+        return value
+    return int(value) if _is_int(value) else float(value)
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,7 @@ class DecodeConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
+            object.__setattr__(self, name, _plain(value))
         if self.window_len < 0:
             raise ConfigError("window_len must be nonnegative")
         if self.max_new_tokens < 1:
@@ -123,10 +131,6 @@ class StopDecision:
 
     reason: str
     value: float
-
-    def __post_init__(self) -> None:
-        if self.reason not in STOP_REASONS:
-            raise ContractError(f"unknown stop reason {self.reason!r}")
 
 
 @dataclass
@@ -271,7 +275,6 @@ def _decode(
     prompts: Sequence[TokenSeq],
     backend: Backend,
     cfg: DecodeConfig,
-    method: str,
     cache: CacheBuffer | None,
     timer: PhaseTimer,
 ) -> list[DecodeResult]:
@@ -279,7 +282,8 @@ def _decode(
 
     ``cache`` continues an earlier run's cache (the answer phase extends
     the rationale's); without it a backend with layers gets a fresh cache
-    sized for this run.
+    sized for this run.  Each trace is labelled by the config alone:
+    ``"ar"`` for a zero-length window, else ``"parallel"``.
     """
     spec = backend.spec
     # The backends' own check: integer ids inside the vocabulary.
@@ -289,8 +293,9 @@ def _decode(
     # The last update's tail write ends at most one token past the last forward's context.
     buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
     if cache is None and spec.n_layers > 0:
-        cache = alloc(len(prompts), need, spec)
+        cache = CacheBuffer(len(prompts), need, spec)
     stops: list[StopDecision | None] = [None] * len(prompts)
+    method = "parallel" if cfg.window_len else "ar"
     traces = [
         DecodeTrace(method=method, prompt=p.tolist(), window_len=cfg.window_len, skip=cfg.skip)
         for p in prompts
@@ -343,14 +348,14 @@ def answer_phase(
     _check_trigger(backend, cfg)
     seqs = [[*context, *cfg.answer_trigger] for context in contexts]
     greedy = _greedy(cfg, cfg.answer_max_tokens)
-    results = _decode(seqs, backend, greedy, "answer", cache, timer or PhaseTimer())
+    results = _decode(seqs, backend, greedy, cache, timer or PhaseTimer())
     eos = backend.spec.eos_id
     answers = [result.exact_rationale for result in results]
     return [answer[:-1] if answer and answer[-1] == eos else answer for answer in answers]
 
 
 def _run(
-    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, method: str, answer: bool
+    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, answer: bool
 ) -> list[DecodeResult]:
     """The pipeline: the rationale loop over a batch, then, if ``answer``, its answer phase.
 
@@ -365,8 +370,9 @@ def _run(
         _check_capacity(backend, need, "the answer phase")
     t0 = time.perf_counter()
     timer = PhaseTimer()
-    cache = alloc(len(prompts), need, backend.spec) if answer and backend.spec.n_layers else None
-    results = _decode(prompts, backend, cfg, method, cache, timer)
+    spec = backend.spec
+    cache = CacheBuffer(len(prompts), need, spec) if answer and spec.n_layers else None
+    results = _decode(prompts, backend, cfg, cache, timer)
     if answer:
         contexts = [
             [*prompt, *result.exact_rationale, *result.approximate_tail]
@@ -389,7 +395,7 @@ def run_rationale(
     Returns the committed exact rationale, the final approximate window,
     the full trace, and the stop decision; the answer field is left empty.
     """
-    return _run([prompt], backend, cfg, "parallel", answer=False)[0]
+    return _run([prompt], backend, cfg, answer=False)[0]
 
 
 def run_rationale_batch(
@@ -400,7 +406,7 @@ def run_rationale_batch(
     Every trace carries the batch's totals: ``wall_s`` is the wall time of
     the whole batch and ``breakdown`` its session timer's phases.
     """
-    return _run(prompts, backend, cfg, "parallel", answer=False)
+    return _run(prompts, backend, cfg, answer=False)
 
 
 def decode_with_answer(
@@ -411,7 +417,7 @@ def decode_with_answer(
     Refused before the rationale starts when the trigger is outside the
     vocabulary or the answer would not fit the backend's ``max_len``.
     """
-    return _run([prompt], backend, cfg, "parallel", answer=True)[0]
+    return _run([prompt], backend, cfg, answer=True)[0]
 
 
 def decode_with_answer_batch(
@@ -421,7 +427,7 @@ def decode_with_answer_batch(
 
     Every trace carries the batch's totals, answer phase included.
     """
-    return _run(prompts, backend, cfg, "parallel", answer=True)
+    return _run(prompts, backend, cfg, answer=True)
 
 
 def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
@@ -430,4 +436,4 @@ def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> Decode
     The fused loop with a zero-length window; the window and iteration cap
     of ``cfg`` are ignored.
     """
-    return _run([prompt], backend, _greedy(cfg, cfg.max_new_tokens), "ar", answer=False)[0]
+    return _run([prompt], backend, _greedy(cfg, cfg.max_new_tokens), answer=False)[0]

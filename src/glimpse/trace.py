@@ -1,24 +1,22 @@
 """Decode traces, wall-clock phase instrumentation, and JSONL serialization.
 
-Every decode run (``parallel``, ``ar`` or ``answer``) records one
-:class:`IterationRecord` per iteration plus a :class:`TimeBreakdown` of
-where the wall clock went.  Traces are the single input to the metrics
-module and to golden-trace tests, and serialize to JSONL with one
-iteration per line.
+Every decode run records one :class:`IterationRecord` per iteration plus a
+:class:`TimeBreakdown` of where the wall clock went.  A trace's method is
+its config's: ``"ar"`` for a zero-length window, else ``"parallel"``.
+Traces are the single input to the metrics module and to golden-trace
+tests, and serialize to JSONL with one iteration per line; each line's keys
+are its dataclass's fields.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import IO
 
 from glimpse.errors import InstrumentationError
-
-#: Wall-clock categories reported in benchmark tables.
-PHASES = ("infer", "decode", "kv_cache", "stop_check")
 
 
 @dataclass
@@ -31,67 +29,50 @@ class TimeBreakdown:
     stop_check: float = 0.0
 
     def total(self) -> float:
-        return self.infer + self.decode + self.kv_cache + self.stop_check
+        return sum(self.as_dict().values())
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
 
-class PhaseTimer:
-    """Accumulates monotone-clock durations per category.
+#: Wall-clock categories reported in benchmark tables.
+PHASES = tuple(f.name for f in fields(TimeBreakdown))
 
-    Phases may not overlap: beginning a phase while another is active, or
-    ending one that is not active, raises :class:`InstrumentationError`.
-    This makes double counting impossible by construction.
+
+class PhaseTimer:
+    """Accumulates monotone-clock durations per phase of :data:`PHASES`.
+
+    ``with timer.phase(name):`` times its block; the timer is its own context
+    manager, as a generator-based one costs three times as much per entry.
+    Entering a phase while another is active, or taking the breakdown inside
+    one, raises :class:`InstrumentationError`, so nothing is counted twice;
+    an unknown phase raises ``KeyError`` before its block runs.
     """
 
     def __init__(self) -> None:
-        self.totals: dict[str, float] = {}
+        self.totals = dict.fromkeys(PHASES, 0.0)
         self._active: str | None = None
-        self._entering = ""
         self._start = 0.0
 
-    def begin(self, category: str) -> None:
-        if self._active is not None:
-            raise InstrumentationError(
-                f"cannot begin {category!r}: phase {self._active!r} still active"
-            )
-        self._active = category
-        self._start = time.perf_counter()
-
-    def end(self, category: str) -> None:
-        if self._active != category:
-            raise InstrumentationError(
-                f"cannot end {category!r}: active phase is {self._active!r}"
-            )
-        self.totals[category] = self.totals.get(category, 0.0) + (
-            time.perf_counter() - self._start
-        )
-        self._active = None
-
     def phase(self, category: str) -> "PhaseTimer":
-        """``with timer.phase(category):`` times the block (begin/end around it).
-
-        The timer is its own context manager, not a generator-based one: the
-        decode loop enters several phases per iteration, and this costs a
-        third as much per entry.
-        """
-        self._entering = category
+        if self._active is not None:
+            raise InstrumentationError(f"cannot enter {category!r}: {self._active!r} is active")
+        if category not in self.totals:
+            raise KeyError(f"unknown phase {category!r}, expected one of {PHASES}")
+        self._active = category
         return self
 
     def __enter__(self) -> None:
-        self.begin(self._entering)
+        self._start = time.perf_counter()
 
     def __exit__(self, *exc: object) -> None:
-        self.end(self._active)  # type: ignore[arg-type]
-
-    def get(self, category: str) -> float:
-        return self.totals.get(category, 0.0)
+        self.totals[self._active] += time.perf_counter() - self._start  # type: ignore[index]
+        self._active = None
 
     def breakdown(self) -> TimeBreakdown:
         if self._active is not None:
             raise InstrumentationError(f"phase {self._active!r} never ended")
-        return TimeBreakdown(**{name: self.get(name) for name in PHASES})
+        return TimeBreakdown(**self.totals)
 
 
 @dataclass
@@ -116,17 +97,18 @@ class IterationRecord:
 # One iteration line: the bytes ``json.dumps`` gives for the record's fields
 # in declaration order, then ``"type"``, because the repr of a Python int and
 # of a list of them is its JSON text.
-_ITERATION_LINE = (
-    '{"iteration": %r, "frontier_before": %r, "frontier": %r, "window_before": %r, '
-    '"predictions": %r, "match_len": %r, "committed": %r, "window": %r, '
-    '"type": "iteration"}\n'
+_ITERATION_NAMES = tuple(f.name for f in fields(IterationRecord))
+_ITERATION_LINE = '{%s"type": "iteration"}\n' % "".join(
+    f'"{name}": %r, ' for name in _ITERATION_NAMES
 )
-_ITERATION_FIELDS = attrgetter(*(f.name for f in fields(IterationRecord)))
+_ITERATION_FIELDS = attrgetter(*_ITERATION_NAMES)
 # Deleting these bytes from a line leaves only its keys.  Any other value
 # leaves more: the repr of a bool, a float, a string, None or a numpy scalar
 # holds a letter, a point or a quote.
 _INT_TEXT = b"0123456789-, []"
-_ITERATION_KEYS = (_ITERATION_LINE % ((0,) * 8)).encode().translate(None, _INT_TEXT)
+_ITERATION_KEYS = (_ITERATION_LINE % ((0,) * len(_ITERATION_NAMES))).encode().translate(
+    None, _INT_TEXT
+)
 
 
 @dataclass
@@ -160,13 +142,7 @@ class DecodeTrace:
         record value that is not an int or a list of ints, such as a bool or
         a numpy integer, raises ``TypeError`` and writes no line.
         """
-        header = {
-            "type": "header",
-            "method": self.method,
-            "prompt": self.prompt,
-            "window_len": self.window_len,
-            "skip": self.skip,
-        }
+        header = {"type": "header", **{f.name: getattr(self, f.name) for f in _HEADER}}
         fh.write(json.dumps(header) + "\n")
         for values in map(_ITERATION_FIELDS, self.records):
             line = _ITERATION_LINE % values
@@ -181,6 +157,10 @@ class DecodeTrace:
         fh.write(json.dumps(summary) + "\n")
 
 
+# A header holds the trace's fields that have no default.
+_HEADER = [f for f in fields(DecodeTrace) if f.default is MISSING is f.default_factory]
+
+
 def _is_real(value: object) -> bool:
     return type(value) in (int, float)
 
@@ -193,30 +173,22 @@ def _is_breakdown(value: object) -> bool:
     return type(value) is dict and set(value) == set(PHASES) and all(map(_is_real, value.values()))
 
 
-# JSON reads back exact Python types, so ``true`` is a bool and not an int,
-# and ``1.0`` is a float and not a token.
-_INT = (lambda v: type(v) is int, "an int")
-_TOKENS = (_is_tokens, "a list of ints")
+# The test for a value of each field annotation (a string, as this module
+# postpones annotations) and what that test asks for.  JSON reads back exact
+# Python types, so ``true`` is a bool and not an int, and ``1.0`` is a float
+# and not a token.
+_TESTS = {
+    "int": (lambda v: type(v) is int, "an int"),
+    "list[int]": (_is_tokens, "a list of ints"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "bool": (lambda v: type(v) is bool, "a bool"),
+}
 
 # Each line type's keys besides ``"type"``, as ``write_jsonl`` writes them,
 # with the test its value must pass and what that test asks for.
 _LINE_FIELDS = {
-    "header": {
-        "method": (lambda v: type(v) is str, "a string"),
-        "prompt": _TOKENS,
-        "window_len": _INT,
-        "skip": (lambda v: type(v) is bool, "a bool"),
-    },
-    "iteration": {
-        "iteration": _INT,
-        "frontier_before": _INT,
-        "frontier": _INT,
-        "window_before": _TOKENS,
-        "predictions": _TOKENS,
-        "match_len": _INT,
-        "committed": _TOKENS,
-        "window": _TOKENS,
-    },
+    "header": {f.name: _TESTS[f.type] for f in _HEADER},
+    "iteration": {f.name: _TESTS[f.type] for f in fields(IterationRecord)},
     "summary": {
         "breakdown": (_is_breakdown, f"an object of numbers keyed by the phases {PHASES}"),
         "wall_s": (_is_real, "a number"),

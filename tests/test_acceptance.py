@@ -17,7 +17,7 @@ from glimpse.backends import (
     make_toy_transformer,
 )
 from glimpse.buffer import verify
-from glimpse.cache import alloc
+from glimpse.cache import CacheBuffer
 from glimpse.corruption import (
     make_scripted_tasks,
     run_overlap_experiment,
@@ -207,7 +207,7 @@ def test_criterion_5_cache_and_padding_soundness():
         ctx = [int(t) for t in rng.integers(0, 64, size=n)]
         cached = int(rng.integers(1, n))
         block = int(rng.integers(1, n - cached + 1))
-        cache = alloc(1, 64, toy.spec)
+        cache = CacheBuffer(1, 64, toy.spec)
         toy.forward(ctx[:cached], 1, cache.slot(0))
         cache.write_back(0, ctx, 0, cached)
         fresh = toy.forward(ctx, block)

@@ -20,7 +20,7 @@ from glimpse.backends.scripted import (
     UNK,
 )
 from glimpse.backends.base import HistoryMask, check_forward_args, penalized_scores
-from glimpse.cache import alloc
+from glimpse.cache import CacheBuffer
 from glimpse.engine import DecodeConfig
 from glimpse.errors import (
     CacheMismatchError,
@@ -375,7 +375,7 @@ def test_toy_cache_matches_fresh(toy_backend):
         ctx = [int(t) for t in rng.integers(0, 64, size=n)]
         cached_len = int(rng.integers(1, n - 1))
         block = int(rng.integers(1, n - cached_len + 1))
-        cache = alloc(1, 64, toy_backend.spec)
+        cache = CacheBuffer(1, 64, toy_backend.spec)
         toy_backend.forward(ctx[:cached_len], 1, cache.slot(0))
         cache.write_back(0, ctx, 0, cached_len)
         fresh = toy_backend.forward(ctx, block)
@@ -385,7 +385,7 @@ def test_toy_cache_matches_fresh(toy_backend):
 
 def test_toy_cache_mismatch_detected(toy_backend):
     ctx = [1, 2, 3, 4, 5, 6]
-    cache = alloc(1, 32, toy_backend.spec)
+    cache = CacheBuffer(1, 32, toy_backend.spec)
     toy_backend.forward(ctx[:4], 1, cache.slot(0))
     cache.write_back(0, ctx, 0, 4)
     with pytest.raises(CacheMismatchError):
@@ -544,7 +544,7 @@ def test_the_sequential_batch_path_refuses_a_cache_slot(kind):
     backend = _BACKENDS[kind]()
     assert list(inspect.signature(backend.forward).parameters) == ["context", "block_len"]
     pad = backend.spec.pad_id
-    slot = alloc(2, 8, small_toy_spec()).slot(1)
+    slot = CacheBuffer(2, 8, small_toy_spec()).slot(1)
     with pytest.raises(ContractError, match=f"^{type(backend).__name__} has no K/V cache"):
         backend.forward_batch([[pad], [pad]], [1, 1], [None, slot])
     # no slots, or only None ones, is the cacheless call

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glimpse.backends import BackendSpec, make_counting_backend, make_toy_transformer
-from glimpse.cache import alloc, plan_input_padding, plan_kv_padding
+from glimpse.cache import CacheBuffer, plan_input_padding, plan_kv_padding
 from glimpse.engine import DecodeConfig, ar_baseline, decode_with_answer, run_rationale
 from glimpse.errors import CapacityError, ConfigError, ContractError
 
@@ -15,7 +15,7 @@ def toy():
 
 
 def test_alloc_initial_state(toy):
-    cache = alloc(2, 128, toy.spec)
+    cache = CacheBuffer(2, 128, toy.spec)
     assert cache.valid_len.tolist() == [0, 0]
     assert len(cache.keys) == toy.spec.n_layers
     heads, hd = toy.spec.n_heads, toy.spec.head_dim
@@ -25,15 +25,15 @@ def test_alloc_initial_state(toy):
 
 def test_alloc_rejects_bad_sizes(toy):
     with pytest.raises(ConfigError):
-        alloc(0, 128, toy.spec)
+        CacheBuffer(0, 128, toy.spec)
     with pytest.raises(ConfigError):
-        alloc(2, 0, toy.spec)
+        CacheBuffer(2, 0, toy.spec)
 
 
 def test_alloc_refuses_a_spec_without_layers():
     # a backend has K/V to cache exactly when it has layers
     with pytest.raises(ConfigError):
-        alloc(1, 8, make_counting_backend(10).spec)
+        CacheBuffer(1, 8, make_counting_backend(10).spec)
 
 
 def test_toy_takes_a_hand_built_spec():
@@ -71,7 +71,7 @@ def test_plan_input_padding_identity():
 
 
 def test_write_back_advances_valid_len(toy):
-    cache = alloc(1, 32, toy.spec)
+    cache = CacheBuffer(1, 32, toy.spec)
     ctx = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
     toy.forward(ctx[:8], 1, cache.slot(0))
     cache.write_back(0, ctx, 0, 8)
@@ -84,7 +84,7 @@ def test_write_back_advances_valid_len(toy):
 
 
 def test_write_back_rejects_gap_and_overlap(toy):
-    cache = alloc(1, 32, toy.spec)
+    cache = CacheBuffer(1, 32, toy.spec)
     ctx = [1, 2, 3, 4]
     toy.forward(ctx, 1, cache.slot(0))
     with pytest.raises(ContractError):
@@ -96,7 +96,7 @@ def test_write_back_rejects_gap_and_overlap(toy):
 
 def test_write_back_refuses_positions_past_the_context(toy):
     # the committed tokens are read from the context, so it must hold them
-    cache = alloc(1, 32, toy.spec)
+    cache = CacheBuffer(1, 32, toy.spec)
     ctx = [1, 2, 3, 4, 5]
     toy.forward(ctx, 1, cache.slot(0))
     cache.write_back(0, ctx, 0, 2)
@@ -107,7 +107,7 @@ def test_write_back_refuses_positions_past_the_context(toy):
 
 
 def test_capacity_error_not_silent_wrap(toy):
-    cache = alloc(1, 6, toy.spec)
+    cache = CacheBuffer(1, 6, toy.spec)
     ctx = [1, 2, 3, 4, 5, 6, 7]
     toy.forward(ctx[:5], 1, cache.slot(0))
     cache.write_back(0, ctx, 0, 5)
@@ -124,14 +124,14 @@ def test_no_reallocation_during_decode(toy, monkeypatch):
     import glimpse.engine as engine_mod
 
     captured = []
-    original_alloc = engine_mod.alloc
+    original = engine_mod.CacheBuffer
 
     def spy(batch, max_len, spec):
-        buf = original_alloc(batch, max_len, spec)
+        buf = original(batch, max_len, spec)
         captured.append((buf, [id(a) for a in buf.keys + buf.values]))
         return buf
 
-    monkeypatch.setattr(engine_mod, "alloc", spy)
+    monkeypatch.setattr(engine_mod, "CacheBuffer", spy)
     cfg = DecodeConfig(window_len=4, max_new_tokens=24, answer_trigger=(4, 5))
     for decode in (run_rationale, ar_baseline, decode_with_answer):
         captured.clear()
@@ -150,7 +150,7 @@ def test_cache_sound_after_mixed_iterations(toy):
         total_iters += result.trace.iterations
         ctx = prompt + result.exact_rationale
         fresh = toy.forward(ctx, 1)
-        cache = alloc(1, 128, toy.spec)
+        cache = CacheBuffer(1, 128, toy.spec)
         toy.forward(ctx[:-1], 1, cache.slot(0))
         cache.write_back(0, ctx, 0, len(ctx) - 1)
         warm = toy.forward(ctx, 1, cache.slot(0))
@@ -164,7 +164,7 @@ def test_batched_forward_matches_solo(toy):
     contexts = [
         [int(t) for t in rng.integers(0, 64, size=n)] for n in (5, 9, 12, 7)
     ]
-    cache = alloc(len(contexts), 64, toy.spec)
+    cache = CacheBuffer(len(contexts), 64, toy.spec)
     cached_lens = [2, 0, 7, 3]
     for i, (ctx, cl) in enumerate(zip(contexts, cached_lens)):
         if cl:
@@ -180,7 +180,7 @@ def test_batched_forward_matches_solo(toy):
     # one query per instance at equal valid lengths, as in a batched AR
     # step: every query sees every key, and the call builds no mask
     contexts = [[int(t) for t in rng.integers(0, 64, size=7)] for _ in range(3)]
-    cache = alloc(len(contexts), 64, toy.spec)
+    cache = CacheBuffer(len(contexts), 64, toy.spec)
     for i, ctx in enumerate(contexts):
         toy.forward(ctx[:6], 1, cache.slot(i))
         cache.write_back(i, ctx, 0, 6)
@@ -212,7 +212,7 @@ def test_write_ahead_scratch_never_leaks(toy):
     rng = np.random.default_rng(11)
     for _ in range(10):
         prefix = [int(t) for t in rng.integers(0, 62, size=int(rng.integers(2, 12)))]
-        cache = alloc(1, 64, toy.spec)
+        cache = CacheBuffer(1, 64, toy.spec)
         toy.forward(prefix, 1, cache.slot(0))
         cache.write_back(0, prefix, 0, len(prefix) - 1)
         rejected = prefix + [int(t) for t in rng.integers(0, 62, size=6)]
@@ -228,13 +228,13 @@ def test_write_ahead_scratch_never_leaks(toy):
 def test_forward_writes_ahead_into_the_cache(toy):
     # a forward on a slot writes its K/V into the slot's rows past the valid
     # length, so a commit only advances the pointer
-    cache = alloc(2, 32, toy.spec)
+    cache = CacheBuffer(2, 32, toy.spec)
     ctx = [5, 6, 7, 8, 9]
     toy.forward(ctx[:3], 1, cache.slot(1))
     cache.write_back(1, ctx, 0, 3)
     toy.forward(ctx, 2, cache.slot(1))
     # reference: the whole context in one call on a fresh cache's slot
-    ref = alloc(1, 32, toy.spec)
+    ref = CacheBuffer(1, 32, toy.spec)
     toy.forward(ctx, 5, ref.slot(0))
     for keys, values, ref_keys, ref_values in zip(cache.keys, cache.values, ref.keys, ref.values):
         assert np.abs(keys[1, ..., 3:5] - ref_keys[0, ..., 3:5]).max() < 1e-9
@@ -252,7 +252,7 @@ def test_batched_forward_matches_solo_on_any_slot_layout(toy):
     contexts = [[int(t) for t in rng.integers(0, 62, size=n)] for n in (6, 11, 8)]
     cached_lens = [3, 9, 5]
     block_lens = [3, 2, 1]
-    cache = alloc(3, 48, toy.spec)
+    cache = CacheBuffer(3, 48, toy.spec)
     slots = [cache.slot(2), cache.slot(0), cache.slot(1)]
     for slot, ctx, cl in zip(slots, contexts, cached_lens):
         toy.forward(ctx[:cl], 1, slot)
@@ -266,7 +266,7 @@ def test_batched_forward_matches_solo_on_any_slot_layout(toy):
 def test_forward_refuses_slots_it_cannot_attend_in(toy):
     # the slots of one call must be distinct instances of one buffer: no
     # second buffer, no repeated instance, no mix of slots and None
-    cache, other = alloc(2, 16, toy.spec), alloc(1, 16, toy.spec)
+    cache, other = CacheBuffer(2, 16, toy.spec), CacheBuffer(1, 16, toy.spec)
     contexts = [[1, 2, 3], [4, 5]]
     for slots in (
         [cache.slot(0), other.slot(0)],
@@ -280,7 +280,7 @@ def test_forward_refuses_slots_it_cannot_attend_in(toy):
 
 def test_block_past_capacity_refused_before_any_write(toy):
     ctx = [3, 1, 4, 1, 5, 9, 2, 6]
-    cache = alloc(2, 8, toy.spec)
+    cache = CacheBuffer(2, 8, toy.spec)
     for i, cached in enumerate((6, 2)):
         toy.forward(ctx[:cached], 1, cache.slot(i))
         cache.write_back(i, ctx, 0, cached)
@@ -358,7 +358,7 @@ def test_batched_forward_runs_row_wise_layers_over_real_rows_only(toy, monkeypat
 
     monkeypatch.setattr(ToyTransformer, "_normed_matmul", spy)
     contexts = [[1, 2, 3, 4, 5, 6], [7, 8], [9, 10, 11, 12]]
-    cache = alloc(3, 16, toy.spec)
+    cache = CacheBuffer(3, 16, toy.spec)
     for i, cached in enumerate((2, 0, 1)):
         if cached:
             toy.forward(contexts[i][:cached], 1, cache.slot(i))

@@ -414,40 +414,45 @@ def test_bench_csv_is_the_report_in_print(tmp_path):
         assert type(entry["answer_matches_full"]) is bool
 
 
-def test_bench_runs_the_no_skip_decode_only_for_methods_that_read_it(tmp_path, monkeypatch):
+def test_bench_decodes_each_distinct_config_once(tmp_path, monkeypatch):
     import glimpse.cli
 
-    windows = []
+    decodes = []
 
     def spy(prompt, backend, cfg):
-        windows.append((cfg.window_len, cfg.skip, cfg.iteration_cap))
+        decodes.append((cfg.window_len, cfg.skip, cfg.iteration_cap))
         return decode_with_answer(prompt, backend, cfg)
 
     monkeypatch.setattr(glimpse.cli, "decode_with_answer", spy)
     common = ["bench", "--backend", "counting", "--prompt", "0", "--window", "7"]
     common += ["--max-new-tokens", "200"]
+    everything = ",".join(_BENCH_METHODS)
+    ar, noskip, skip = (0, False, None), (7, False, None), (7, True, None)
+    capped = [ar, (0, False, 5), (7, False, 5), (7, True, 5)]
     rows = {}
-    # Full CoT for the ar row and the speedups, then the no-skip run, the
-    # truncated row's c=0 run capped at the no-skip run's iterations, and
-    # the skip run.
-    full = (0, False, None)
-    noskip = DecodeConfig(window_len=7, skip=False, max_new_tokens=200)
-    k = run_rationale([0], make_counting_backend(10), noskip).trace.iterations
-    all_four = [full, (7, False, None), (0, False, k), (7, True, None)]
-    for methods, want in (
-        ("ar,parallel_skip", [full, (7, True, None)]),
-        (",".join(_BENCH_METHODS), all_four),
+    for methods, cap, want in (
+        ("ar,parallel_skip", (), [ar, skip]),
+        # without a cap, truncated CoT is the ar run
+        ("truncated", (), [ar]),
+        (everything, (), [ar, noskip, skip]),
+        # with one, it is its own capped run
+        (everything, ("--max-iters", "5"), capped),
     ):
-        windows.clear()
-        out = tmp_path / methods.replace(",", "_")
-        assert run_cli(*common, "--methods", methods, "--out", str(out)) == 0
-        assert windows == want
+        decodes.clear()
+        out = tmp_path / f"{methods.replace(',', '_')}{len(cap)}"
+        assert run_cli(*common, *cap, "--methods", methods, "--out", str(out)) == 0
+        assert decodes == want
         report = json.loads((out / "bench_report.json").read_text())
-        untimed = ("prompt_id", "iterations", "exact_tokens")
-        rows[methods] = {r["method"]: [r[key] for key in untimed] for r in report["rows"]}
+        untimed = ("prompt_id", "iterations", "exact_tokens", "answer_matches_full")
+        rows[methods, cap] = {r["method"]: [r[key] for key in untimed] for r in report["rows"]}
+        if methods == "truncated":
+            assert report["rows"][0]["speedup_vs_ar"] == 1.0
     # the rows of the methods asked for are those of a run of all four, timing aside
-    everything = rows[",".join(_BENCH_METHODS)]
-    assert rows["ar,parallel_skip"] == {m: everything[m] for m in ("ar", "parallel_skip")}
+    full = rows[everything, ()]
+    assert rows["ar,parallel_skip", ()] == {m: full[m] for m in ("ar", "parallel_skip")}
+    assert rows["truncated", ()] == {"truncated": full["truncated"]} == {"truncated": full["ar"]}
+    # a capped truncated row is AR at the cap: one exact token per iteration
+    assert rows[everything, ("--max-iters", "5")]["truncated"] == [0, 5, 5, False]
 
 
 def test_bench_answers_match_full_cot_where_the_rationale_resolves(tmp_path):
@@ -509,11 +514,12 @@ def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
     import glimpse.engine
 
     allocs, pipelines, answers = [], [], []
-    alloc, run, answer_phase = glimpse.engine.alloc, glimpse.engine._run, glimpse.engine.answer_phase
+    cache, run = glimpse.engine.CacheBuffer, glimpse.engine._run
+    answer_phase = glimpse.engine.answer_phase
 
     def alloc_spy(batch, max_len, spec):
         allocs.append(batch)
-        return alloc(batch, max_len, spec)
+        return cache(batch, max_len, spec)
 
     def run_spy(prompts, *args, **kwargs):
         pipelines.append(len(prompts))
@@ -523,7 +529,7 @@ def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
         answers.append(len(contexts))
         return answer_phase(contexts, *args, **kwargs)
 
-    monkeypatch.setattr(glimpse.engine, "alloc", alloc_spy)
+    monkeypatch.setattr(glimpse.engine, "CacheBuffer", alloc_spy)
     monkeypatch.setattr(glimpse.engine, "_run", run_spy)
     monkeypatch.setattr(glimpse.engine, "answer_phase", answer_spy)
     prompts = ["1,2,3", "9,8,7,6,5", "40", "11,12"]
@@ -546,13 +552,13 @@ def test_decode_allocates_one_cache_per_chunk(tmp_path, monkeypatch):
     import glimpse.engine
 
     allocs = []
-    alloc = glimpse.engine.alloc
+    cache = glimpse.engine.CacheBuffer
 
     def alloc_spy(batch, max_len, spec):
         allocs.append(batch)
-        return alloc(batch, max_len, spec)
+        return cache(batch, max_len, spec)
 
-    monkeypatch.setattr(glimpse.engine, "alloc", alloc_spy)
+    monkeypatch.setattr(glimpse.engine, "CacheBuffer", alloc_spy)
     chunk = glimpse.cli.DECODE_CHUNK
     prompts = tmp_path / "prompts.json"
     prompts.write_text(json.dumps([[1 + i % 60] * (1 + i % 3) for i in range(2 * chunk + 3)]))

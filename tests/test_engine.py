@@ -1,4 +1,5 @@
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from glimpse.backends import (
 )
 from glimpse.backends.scripted import TRIGGER, PAD as S_PAD
 from glimpse.buffer import BatchBuffers, update
-from glimpse.cache import alloc
+from glimpse.cache import CacheBuffer
 from glimpse.engine import (
     DecodeConfig,
     answer_phase,
@@ -265,6 +266,16 @@ def test_ar_baseline_repeat_identical(toy_backend):
     assert [r.committed for r in a.trace.records] == [
         r.committed for r in b.trace.records
     ]
+
+
+def test_trace_method_follows_the_window(counting_backend):
+    for c, method in ((0, "ar"), (1, "parallel"), (3, "parallel")):
+        cfg = DecodeConfig(window_len=c, max_new_tokens=8)
+        assert decode_with_answer([1], counting_backend, cfg).trace.method == method
+        batch = run_rationale_batch([[1], [2, 3]], counting_backend, cfg)
+        assert [res.trace.method for res in batch] == [method, method]
+    # the baseline decodes with no window, whatever the config's
+    assert ar_baseline([1], counting_backend, DecodeConfig(window_len=3)).trace.method == "ar"
 
 
 def test_ar_baseline_buckets(counting_backend):
@@ -580,9 +591,9 @@ def test_cache_holds_the_answer_only_for_runs_that_answer(monkeypatch):
 
     def spy(batch, max_len, spec):
         rows.append(max_len)
-        return alloc(batch, max_len, spec)
+        return CacheBuffer(batch, max_len, spec)
 
-    monkeypatch.setattr(glimpse.engine, "alloc", spy)
+    monkeypatch.setattr(glimpse.engine, "CacheBuffer", spy)
     backend = make_toy_transformer(1, small_toy_spec())
     cfg = DecodeConfig(window_len=2, max_new_tokens=10, answer_trigger=(1, 2, 3))
     run_rationale([1, 2, 3], backend, cfg)
@@ -758,6 +769,32 @@ def test_config_validation():
     # an integer is a number where a number is due
     cfg = DecodeConfig.from_dict({"window_len": 2, "repetition_penalty": 1})
     assert cfg.repetition_penalty == 1
+
+
+def test_config_stores_plain_python_values(counting_backend):
+    # a numpy scalar passes the type checks and is stored as the plain int or
+    # float it holds, so the run's trace and its manifest can be written
+    cfg = DecodeConfig(
+        window_len=np.int64(2),
+        max_new_tokens=np.int64(6),
+        iteration_cap=np.int32(4),
+        repetition_penalty=np.float32(1.5),
+        answer_trigger=(np.int64(3), 4),
+        answer_max_tokens=np.uint8(2),
+    )
+    for name in ("window_len", "max_new_tokens", "iteration_cap", "answer_max_tokens"):
+        assert type(getattr(cfg, name)) is int
+    assert type(cfg.repetition_penalty) is float
+    assert list(map(type, cfg.answer_trigger)) == [int, int]
+    assert cfg == DecodeConfig(
+        window_len=2, max_new_tokens=6, iteration_cap=4, repetition_penalty=1.5,
+        answer_trigger=(3, 4), answer_max_tokens=2,
+    )
+    json.dumps(cfg.to_dict())
+    run_rationale([1], counting_backend, cfg).trace.write_jsonl(io.StringIO())
+    # an integer penalty stays an integer, so a manifest keeps its bytes
+    for penalty in (1, np.int64(2)):
+        assert type(DecodeConfig(window_len=0, repetition_penalty=penalty).repetition_penalty) is int
 
 
 @pytest.mark.parametrize(

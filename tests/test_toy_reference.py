@@ -16,7 +16,7 @@ import pytest
 
 from glimpse.backends import default_toy_spec, make_toy_transformer
 from glimpse.backends import toy as toy_module
-from glimpse.cache import alloc
+from glimpse.cache import CacheBuffer
 
 from conftest import small_toy_spec
 from oracles import ToyReference
@@ -46,7 +46,7 @@ def _toy_calls(toy):
     ctxs, bls = [ids(5), ids(17), ids(9)], [2, 5, 1]
     calls += zip(ctxs, bls, toy.forward_batch(ctxs, bls))
 
-    buf = alloc(1, spec.max_len, spec)
+    buf = CacheBuffer(1, spec.max_len, spec)
     slot = buf.slot(0)
     prompt = ids(12)
     toy.forward(prompt, 1, slot)
@@ -57,7 +57,7 @@ def _toy_calls(toy):
     ctx = ctx[:14] + ids(5)
     calls.append((ctx, 5, toy.forward(ctx, 5, slot)))
 
-    buf = alloc(3, spec.max_len, spec)
+    buf = CacheBuffer(3, spec.max_len, spec)
     prompts = [ids(n) for n in (4, 19, 10)]
     bls = [1, 3, 2]
     steps = toy.forward_batch(prompts, bls, [buf.slot(i) for i in range(3)])
