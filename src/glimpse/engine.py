@@ -21,6 +21,7 @@ FastCoT at that cap, with the other window.
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -31,7 +32,7 @@ from glimpse.backends.base import Backend, TokenSeq, check_forward_args
 from glimpse.buffer import BatchBuffers, update, verify
 from glimpse.cache import CacheBuffer
 from glimpse.errors import ConfigError, ContractError
-from glimpse.trace import DecodeTrace, IterationRecord, PhaseTimer
+from glimpse.trace import DecodeTrace, IterationRecord, TimeBreakdown
 
 
 def _is_int(value) -> bool:
@@ -76,7 +77,7 @@ class DecodeConfig:
         skip: Commit ``1 + match`` tokens per iteration instead of exactly 1.
         max_new_tokens: Hard budget of exact tokens (safety net, always on).
         iteration_cap: Optional maximum number of iterations.
-        repetition_penalty: Greedy-pick penalty, >= 1.
+        repetition_penalty: Greedy-pick penalty, finite and >= 1.
         answer_trigger: Token sequence appended before answer decoding.
         answer_max_tokens: Budget for the answer phase.
     """
@@ -101,8 +102,9 @@ class DecodeConfig:
             raise ConfigError("max_new_tokens must be positive")
         if self.iteration_cap is not None and self.iteration_cap < 1:
             raise ConfigError("iteration_cap must be positive when set")
-        if not self.repetition_penalty >= 1.0:
-            raise ConfigError("repetition_penalty must be >= 1")
+        # A bound, not math.isfinite, which raises OverflowError on a huge int.
+        if not 1.0 <= self.repetition_penalty <= sys.float_info.max:
+            raise ConfigError("repetition_penalty must be finite and >= 1")
         if self.answer_max_tokens < 1:
             raise ConfigError("answer_max_tokens must be positive")
 
@@ -168,7 +170,7 @@ def iterate_once(
     cache: CacheBuffer | None,
     cfg: DecodeConfig,
     instances: Sequence[int] | None = None,
-    timer: PhaseTimer | None = None,
+    times: TimeBreakdown | None = None,
 ) -> list[IterationRecord]:
     """Run one fused forward + pick + verify + update over the given instances.
 
@@ -183,33 +185,37 @@ def iterate_once(
     non-finite score leaves every buffer untouched.  Cache write-back and
     update then run instance by instance and are not rolled back: a
     write-back error on one instance leaves the earlier ones advanced.
-    Returns one record per instance.
+    ``times`` gains the ``infer``, ``decode`` and ``kv_cache`` segments
+    (see :class:`TimeBreakdown`).  Returns one record per instance.
     """
+    clock = time.perf_counter
+    t = clock()
     if instances is None:
         instances = range(len(buffers))
     for i in instances:
         if buffers.finished[i]:
             raise ContractError(f"instance {i} already finished")
-    timer = timer or PhaseTimer()
+    times = times or TimeBreakdown()
     eos = backend.spec.eos_id
     c = buffers.window_len
     penalty = cfg.repetition_penalty
 
     contexts = [buffers.context(i) for i in instances]
     slots = [cache.slot(i) for i in instances] if cache is not None else None
-    with timer.phase("infer"):
-        scores = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
+    scores = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
     for rows in scores:
         if not np.isfinite(rows).all():
             raise ContractError("backend returned non-finite scores")
+    now = clock()
+    times.infer += now - t
+    t = now
 
     records: list[IterationRecord] = []
     for i, ctx, rows in zip(instances, contexts, scores):
         frontier = buffers.frontier[i]
         window = buffers.window(i)
         # One block pick: row j is penalized under the history plus window[:j].
-        with timer.phase("decode"):
-            preds = buffers.histories[i].pick(rows, penalty, window)
+        preds = buffers.histories[i].pick(rows, penalty, window)
         window_before = window.tolist()
         outcome = verify(window_before, preds)
         m = 1 + outcome.match_len if cfg.skip else 1
@@ -223,9 +229,12 @@ def iterate_once(
             # next iteration's frontier-1 input.  The new K/V start at the
             # slot's valid length.
             persist_end = frontier + m - 1
-            with timer.phase("kv_cache"):
-                start = int(cache.valid_len[i])
-                cache.write_back(i, ctx, start, persist_end - start)
+            start = int(cache.valid_len[i])
+            now = clock()
+            times.decode += now - t
+            cache.write_back(i, ctx, start, persist_end - start)
+            t = clock()
+            times.kv_cache += t - now
         update(buffers, i, preds, m)
         records.append(
             IterationRecord(
@@ -239,6 +248,7 @@ def iterate_once(
                 window=buffers.window(i).tolist(),
             )
         )
+    times.decode += clock() - t
     return records
 
 
@@ -276,7 +286,7 @@ def _decode(
     backend: Backend,
     cfg: DecodeConfig,
     cache: CacheBuffer | None,
-    timer: PhaseTimer,
+    times: TimeBreakdown,
 ) -> list[DecodeResult]:
     """One batch decode run: the fused loop until every instance stops.
 
@@ -301,17 +311,19 @@ def _decode(
         for p in prompts
     ]
     eos = spec.eos_id
+    clock = time.perf_counter
     active = buffers.active_indices()
     while active:
-        records = iterate_once(buffers, backend, cache, cfg, active, timer)
+        records = iterate_once(buffers, backend, cache, cfg, active, times)
+        t = clock()
         for i, rec in zip(active, records):
             traces[i].records.append(rec)
-            with timer.phase("stop_check"):
-                stop = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
+            stop = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
             if stop is not None:
                 buffers.finished[i] = True
                 stops[i] = stop
         active = buffers.active_indices()
+        times.stop_check += clock() - t
     return [
         DecodeResult(
             exact_rationale=buffers.exact(i).tolist(),
@@ -334,7 +346,7 @@ def answer_phase(
     backend: Backend,
     cfg: DecodeConfig,
     cache: CacheBuffer | None = None,
-    timer: PhaseTimer | None = None,
+    times: TimeBreakdown | None = None,
 ) -> list[list[int]]:
     """Decode each instance's answer after its context and the trigger.
 
@@ -343,12 +355,13 @@ def answer_phase(
     verbatim, PAD tokens and all.  Decoding is greedy with the configured
     penalty, up to ``answer_max_tokens`` or EOS (EOS itself is not
     returned).  Given ``cache`` (the rationale's) instance ``i`` extends
-    row ``i``; without it the run gets a fresh one.
+    row ``i``; without it the run gets a fresh one.  ``times`` gains the
+    loop's phases.
     """
     _check_trigger(backend, cfg)
     seqs = [[*context, *cfg.answer_trigger] for context in contexts]
     greedy = _greedy(cfg, cfg.answer_max_tokens)
-    results = _decode(seqs, backend, greedy, cache, timer or PhaseTimer())
+    results = _decode(seqs, backend, greedy, cache, times or TimeBreakdown())
     eos = backend.spec.eos_id
     answers = [result.exact_rationale for result in results]
     return [answer[:-1] if answer and answer[-1] == eos else answer for answer in answers]
@@ -369,21 +382,21 @@ def _run(
         need = _max_context(prompts, cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
         _check_capacity(backend, need, "the answer phase")
     t0 = time.perf_counter()
-    timer = PhaseTimer()
+    times = TimeBreakdown()
     spec = backend.spec
     cache = CacheBuffer(len(prompts), need, spec) if answer and spec.n_layers else None
-    results = _decode(prompts, backend, cfg, cache, timer)
+    results = _decode(prompts, backend, cfg, cache, times)
     if answer:
         contexts = [
             [*prompt, *result.exact_rationale, *result.approximate_tail]
             for prompt, result in zip(prompts, results)
         ]
-        for result, tokens in zip(results, answer_phase(contexts, backend, cfg, cache, timer)):
+        for result, tokens in zip(results, answer_phase(contexts, backend, cfg, cache, times)):
             result.answer = tokens
     wall_s = time.perf_counter() - t0
     for result in results:
         result.trace.wall_s = wall_s
-        result.trace.breakdown = timer.breakdown()
+        result.trace.breakdown = replace(times)
     return results
 
 
@@ -404,7 +417,7 @@ def run_rationale_batch(
     """Batched :func:`run_rationale`; per-instance results match solo runs.
 
     Every trace carries the batch's totals: ``wall_s`` is the wall time of
-    the whole batch and ``breakdown`` its session timer's phases.
+    the whole batch and ``breakdown`` the phases of its decode loop.
     """
     return _run(prompts, backend, cfg, answer=False)
 

@@ -26,7 +26,3 @@ class TableParseError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad file, unknown method, bad value)."""
-
-
-class InstrumentationError(RuntimeError):
-    """Unbalanced or overlapping begin/end calls on a phase timer."""

@@ -22,7 +22,7 @@ whose ratios are computed only when it is written out.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from glimpse.errors import ContractError
 from glimpse.trace import DecodeTrace
@@ -78,7 +78,7 @@ def score_window(guesses: Sequence[int], reference: Sequence[int]) -> HitReport:
     )
 
 
-def aggregate(reports: Sequence[HitReport]) -> HitReport:
+def aggregate(reports: Iterable[HitReport]) -> HitReport:
     """Sum reports into one; no reports give the empty report."""
     return sum(reports, HitReport())
 
@@ -99,8 +99,3 @@ def window_hits(trace: DecodeTrace, reference_tokens: Sequence[int]) -> dict[int
             reference = reference_tokens[start : start + width]
             hits[rec.iteration] = score_window(rec.window_before, reference)
     return hits
-
-
-def hit_report(trace: DecodeTrace, reference_tokens: Sequence[int]) -> HitReport:
-    """End-to-end: score a trace's windows against the AR reference and sum them."""
-    return aggregate(list(window_hits(trace, reference_tokens).values()))

@@ -1,4 +1,4 @@
-"""Decode traces, wall-clock phase instrumentation, and JSONL serialization.
+"""Decode traces, their wall-clock phase totals, and JSONL serialization.
 
 Every decode run records one :class:`IterationRecord` per iteration plus a
 :class:`TimeBreakdown` of where the wall clock went.  A trace's method is
@@ -11,17 +11,20 @@ are its dataclass's fields.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import IO
 
-from glimpse.errors import InstrumentationError
-
 
 @dataclass
 class TimeBreakdown:
-    """Disjoint wall-clock totals in seconds; they sum to <= total elapsed."""
+    """Wall-clock seconds of the consecutive segments of a run's iterations.
+
+    ``infer`` runs through the forward call and its finiteness check;
+    ``decode`` is each instance's pick, verify, commit count, update and
+    record; ``kv_cache`` the cache write-back alone; ``stop_check`` the
+    trace appends, stop conditions and next active set.  The rest is set-up.
+    """
 
     infer: float = 0.0
     decode: float = 0.0
@@ -37,42 +40,6 @@ class TimeBreakdown:
 
 #: Wall-clock categories reported in benchmark tables.
 PHASES = tuple(f.name for f in fields(TimeBreakdown))
-
-
-class PhaseTimer:
-    """Accumulates monotone-clock durations per phase of :data:`PHASES`.
-
-    ``with timer.phase(name):`` times its block; the timer is its own context
-    manager, as a generator-based one costs three times as much per entry.
-    Entering a phase while another is active, or taking the breakdown inside
-    one, raises :class:`InstrumentationError`, so nothing is counted twice;
-    an unknown phase raises ``KeyError`` before its block runs.
-    """
-
-    def __init__(self) -> None:
-        self.totals = dict.fromkeys(PHASES, 0.0)
-        self._active: str | None = None
-        self._start = 0.0
-
-    def phase(self, category: str) -> "PhaseTimer":
-        if self._active is not None:
-            raise InstrumentationError(f"cannot enter {category!r}: {self._active!r} is active")
-        if category not in self.totals:
-            raise KeyError(f"unknown phase {category!r}, expected one of {PHASES}")
-        self._active = category
-        return self
-
-    def __enter__(self) -> None:
-        self._start = time.perf_counter()
-
-    def __exit__(self, *exc: object) -> None:
-        self.totals[self._active] += time.perf_counter() - self._start  # type: ignore[index]
-        self._active = None
-
-    def breakdown(self) -> TimeBreakdown:
-        if self._active is not None:
-            raise InstrumentationError(f"phase {self._active!r} never ended")
-        return TimeBreakdown(**self.totals)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from glimpse.corruption import (
     run_overlap_experiment,
 )
 from glimpse.engine import DecodeConfig, ar_baseline, run_rationale, run_rationale_batch
-from glimpse.metrics import hit_report, window_hits
+from glimpse.metrics import aggregate, window_hits
 
 from conftest import random_ngram_backend, random_prompt, small_toy_spec
 from oracles import (
@@ -265,7 +265,7 @@ def test_criterion_6_metrics_oracle_equivalence():
         if not hits:
             assert replay["windows_evaluated"] == 0
             continue
-        report = hit_report(res.trace, reference)
+        report = aggregate(hits.values())
         assert report.first_hit == replay["first_hit"]
         assert report.total_hit == replay["total_hit"]
         assert report.occur_guess_in_ref == replay["occur_guess_in_ref"]

@@ -794,6 +794,11 @@ def test_corrupt_refuses_a_bad_grid_before_any_work(tmp_path, monkeypatch, ratio
         {"iteration_cap": 1.5},
         # the answer phase reuses the cache it is given; there is no switch
         {"reuse_cache_for_answer": True},
+        # a penalty no float holds: inf would reach the manifest as Infinity,
+        # which is not JSON, and a 401-digit int would overflow mid-decode
+        {"repetition_penalty": float("inf")},
+        {"repetition_penalty": float("nan")},
+        {"repetition_penalty": 10**400},
     ],
 )
 def test_bad_decode_section_exits_2(tmp_path, section):

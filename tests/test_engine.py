@@ -757,8 +757,10 @@ def test_config_validation():
         DecodeConfig(window_len=-1)
     with pytest.raises(ConfigError):
         DecodeConfig(window_len=0, max_new_tokens=0)
-    with pytest.raises(ConfigError):
-        DecodeConfig(window_len=0, repetition_penalty=0.9)
+    # a penalty is a finite float: inf, nan, and an int no float holds are refused
+    for penalty in (0.9, float("inf"), float("nan"), 10**400):
+        with pytest.raises(ConfigError):
+            DecodeConfig(window_len=0, repetition_penalty=penalty)
     with pytest.raises(ConfigError):
         DecodeConfig.from_dict({"window_len": 1, "bogus": 2})
     with pytest.raises(ConfigError):

@@ -1,14 +1,18 @@
 import io
 import json
-import time
 
 import numpy as np
 import pytest
 
-from glimpse.engine import DecodeConfig, ar_baseline, run_rationale
-from glimpse.errors import ContractError, InstrumentationError
-from glimpse.metrics import HitReport, aggregate, hit_report, score_window, window_hits
-from glimpse.trace import PhaseTimer
+from glimpse.engine import (
+    DecodeConfig,
+    ar_baseline,
+    decode_with_answer_batch,
+    run_rationale,
+    run_rationale_batch,
+)
+from glimpse.errors import ContractError
+from glimpse.metrics import HitReport, aggregate, score_window, window_hits
 
 from oracles import greedy_ar_reference, replay_hit_report
 
@@ -125,7 +129,7 @@ def test_engine_report_matches_jsonl_replay(counting_backend, toy_backend):
                 assert replay["windows_evaluated"] == 0
                 continue
             covered += 1
-            engine_report = hit_report(res.trace, reference)
+            engine_report = aggregate(window_hits(res.trace, reference).values())
             assert engine_report.first_hit == replay["first_hit"]
             assert engine_report.total_hit == replay["total_hit"]
             assert engine_report.occur_guess_in_ref == replay["occur_guess_in_ref"]
@@ -156,48 +160,27 @@ def test_first_hit_implies_multi_commit_in_skip_mode(counting_backend):
 # ----------------------------------------------------------------------
 
 
-def test_record_phase_accumulates():
-    timer = PhaseTimer()
-    with timer.phase("infer"):
-        time.sleep(0.003)
-    with timer.phase("infer"):
-        time.sleep(0.003)
-    with timer.phase("decode"):
-        pass
-    bd = timer.breakdown()
-    assert bd.infer >= 0.005
-    assert bd.decode < bd.infer
-    assert bd.total() == bd.infer + bd.decode + bd.kv_cache + bd.stop_check
-
-
-def test_phase_overlap_rejected():
-    timer = PhaseTimer()
-    with timer.phase("infer"):
-        with pytest.raises(InstrumentationError):
-            with timer.phase("decode"):
-                pass
-    # the outer phase still ended, and the refused one timed nothing
-    assert timer.breakdown().decode == 0.0
-    with timer.phase("decode"):
-        pass
-    # an unknown phase is refused before its block runs
-    ran = []
-    with pytest.raises(KeyError, match="infre"):
-        with timer.phase("infre"):
-            ran.append(True)
-    assert ran == []
-    timer.breakdown()
-
-
-def test_unclosed_phase_rejected():
-    timer = PhaseTimer()
-    with timer.phase("infer"):
-        with pytest.raises(InstrumentationError):
-            timer.breakdown()
+def test_phases_cover_the_decode_loop(counting_backend, toy_backend):
+    # Each segment of an iteration is timed, so the phases leave out of
+    # wall_s only set-up and result assembly: counting runs of 4000 tokens
+    # plus an answer, and a toy batch of eight.  Best of three runs, so that
+    # one scheduler pause does not decide it.
+    rng = np.random.default_rng(0)
+    batch = [[int(t) for t in rng.integers(0, 62, size=k)] for k in range(4, 48, 6)]
+    runs = [
+        (decode_with_answer_batch, [[3]], counting_backend, DecodeConfig(c, max_new_tokens=4000))
+        for c in (7, 0)
+    ]
+    toy_cfg = DecodeConfig(window_len=0, max_new_tokens=96, repetition_penalty=1.0)
+    runs.append((run_rationale_batch, batch, toy_backend, toy_cfg))
+    for run, prompts, backend, cfg in runs:
+        traces = [run(prompts, backend, cfg)[0].trace for _ in range(3)]
+        best = max(trace.breakdown.total() / trace.wall_s for trace in traces)
+        assert best >= 0.9, (run.__name__, cfg.window_len, best)
 
 
 def test_trace_jsonl_roundtrip(counting_backend, toy_backend):
-    from glimpse.engine import decode_with_answer, run_rationale_batch
+    from glimpse.engine import decode_with_answer
     from glimpse.trace import read_jsonl
 
     cfg = DecodeConfig(window_len=3, max_new_tokens=10)
