@@ -39,13 +39,7 @@ from glimpse.backends import (
 )
 from glimpse.backends.base import check_forward_args
 from glimpse.corruption import check_grid, make_scripted_tasks, run_overlap_experiment, task_config
-from glimpse.engine import (
-    DecodeConfig,
-    ar_baseline,
-    decode_with_answer,
-    decode_with_answer_batch,
-    run_rationale,
-)
+from glimpse.engine import DecodeConfig, decode
 from glimpse.errors import ConfigError
 from glimpse.metrics import HitReport, aggregate, window_hits
 from glimpse.trace import PHASES
@@ -262,7 +256,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     with tempfile.TemporaryFile("w+", newline="") as spool:
         for start in range(0, len(prompts), DECODE_CHUNK):
             chunk = prompts[start : start + DECODE_CHUNK]
-            for prompt, result in zip(chunk, decode_with_answer_batch(chunk, backend, cfg)):
+            for prompt, result in zip(chunk, decode(chunk, backend, cfg, answer=True)):
                 payloads.append(
                     {
                         "prompt": prompt,
@@ -287,8 +281,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each bench method as overrides of the run's config.  ``truncated`` is AR at
-# the run's own iteration cap, so without one it is the ``ar`` run: full CoT.
+# Each bench method as overrides of the run's config (``ar`` is also sweep-window's
+# reference).  ``truncated`` is AR at the run's own iteration cap, so without one it
+# is the ``ar`` run: full CoT.
 _BENCH_METHODS = {
     "ar": {"window_len": 0, "skip": False, "iteration_cap": None},
     "truncated": {"window_len": 0, "skip": False},
@@ -313,7 +308,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # Every row is one run of the pipeline, answer included, measured
         # against full CoT; each distinct config decodes once.
         configs = {m: replace(cfg, **_BENCH_METHODS[m]) for m in ("ar", *methods)}
-        runs = {c: decode_with_answer(prompt, backend, c) for c in dict.fromkeys(configs.values())}
+        distinct = dict.fromkeys(configs.values())
+        runs = {c: decode([prompt], backend, c, answer=True)[0] for c in distinct}
         full = runs[configs["ar"]]
         for method in methods:
             res = runs[configs[method]]
@@ -375,12 +371,13 @@ def cmd_sweep_window(args: argparse.Namespace) -> int:
     # run's rationale wall time per iteration.
     cells: dict[tuple[int, int], tuple[list[HitReport], list[float]]] = {}
     for prompt in prompts:
-        runs = {c: run_rationale(prompt, backend, replace(cfg, window_len=c)) for c in windows}
+        runs = {c: decode([prompt], backend, replace(cfg, window_len=c))[0] for c in windows}
         # One greedy reference covers every window span of every run (a
         # larger budget only extends the greedy stream).  A window starts at
         # most len(exact) - 1 tokens in, so it ends by len(exact) + c - 1.
         budget = max(1, *(len(res.exact_rationale) + c - 1 for c, res in runs.items()))
-        reference = ar_baseline(prompt, backend, replace(cfg, max_new_tokens=budget))
+        ar = replace(cfg, **_BENCH_METHODS["ar"], max_new_tokens=budget)
+        reference = decode([prompt], backend, ar)[0]
         for c, res in runs.items():
             hits = window_hits(res.trace, reference.exact_rationale)
             mean_call = res.trace.wall_s / res.trace.iterations if res.trace.iterations else 0.0

@@ -23,7 +23,7 @@ from glimpse.backends.scripted import (
     ScriptedBackend,
     make_scripted_backend,
 )
-from glimpse.engine import DecodeConfig, answer_phase, decode_with_answer_batch
+from glimpse.engine import DecodeConfig, answer_phase, decode
 from glimpse.errors import ConfigError, ContractError
 
 
@@ -99,7 +99,7 @@ def make_scripted_tasks(
     prompts = [script.prompt(q) for q in questions]
     # A zero-length window: the rationales are the AR streams, each ending
     # in the EOS that the budget leaves room for.
-    results = decode_with_answer_batch(prompts, backend, task_config(script))
+    results = decode(prompts, backend, task_config(script), answer=True)
     cases: list[TaskCase] = []
     for q, prompt, res in zip(questions, prompts, results):
         reference = [script.answer_token(q)]

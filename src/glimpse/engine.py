@@ -8,14 +8,15 @@ the window guesses they were conditioned on match.  The uncommitted fresh
 predictions slide into the next window.  With a zero-length window the loop
 is plain greedy autoregressive decoding.
 
-There is one loop, and one pipeline around it that decodes a batch: a solo
-entry point is a batch of one.  The autoregressive baseline and the answer
-phase are runs of the loop with a zero-length window; the answer phase
-decodes after ``prompt ‖ exact ‖ approximate tail ‖ trigger`` and extends
-the rationale's cache, letting a run answer before its rationale has fully
-resolved.  Truncated chain of thought at ``k`` iterations is the pipeline
-with a zero-length window and ``iteration_cap=k``: the same call as
-FastCoT at that cap, with the other window.
+There is one loop, and one call around it, :func:`decode`, which decodes a
+batch and, given ``answer=True``, answers it; a solo run is a batch of one.
+Autoregressive decoding is a config, ``window_len=0, skip=False,
+iteration_cap=None``.  The answer phase is a run of the loop with a
+zero-length window after ``prompt ‖ exact ‖ approximate tail ‖ trigger``
+that extends the rationale's cache, letting a run answer before its
+rationale has fully resolved.  Truncated chain of thought at ``k``
+iterations is AR with ``iteration_cap=k``: the same call as FastCoT at
+that cap, with the other window.
 """
 
 from __future__ import annotations
@@ -271,14 +272,17 @@ def _check_trigger(backend: Backend, cfg: DecodeConfig) -> None:
             raise ConfigError(f"answer trigger token {tok} outside vocab")
 
 
-def _check_capacity(backend: Backend, need: int, what: str) -> None:
-    """Refuse up front a run whose contexts would outgrow the backend."""
+def _check_capacity(backend: Backend, rows: int, need: int, what: str) -> None:
+    """Refuse up front a run whose ``rows`` contexts would outgrow the backend or any array."""
     limit = backend.spec.max_len
     if limit and need > limit:
         raise ConfigError(
             f"{what} needs contexts of up to {need} tokens,"
             f" over the backend's max_len {limit}"
         )
+    # numpy refuses an array of more than sys.maxsize bytes; a row holds need + 1 int64s.
+    if 8 * rows * (need + 1) > sys.maxsize:
+        raise ConfigError(f"{what} needs contexts of up to {need} tokens, more than an array holds")
 
 
 def _decode(
@@ -299,7 +303,7 @@ def _decode(
     # The backends' own check: integer ids inside the vocabulary.
     prompts = [check_forward_args(spec, prompt, 1) for prompt in prompts]
     need = _max_context(prompts, cfg)
-    _check_capacity(backend, need, "decoding")
+    _check_capacity(backend, len(prompts), need, "decoding")
     # The last update's tail write ends at most one token past the last forward's context.
     buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
     if cache is None and spec.n_layers > 0:
@@ -367,20 +371,23 @@ def answer_phase(
     return [answer[:-1] if answer and answer[-1] == eos else answer for answer in answers]
 
 
-def _run(
-    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, answer: bool
+def decode(
+    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig, *, answer: bool = False
 ) -> list[DecodeResult]:
-    """The pipeline: the rationale loop over a batch, then, if ``answer``, its answer phase.
+    """Decode a batch: the rationale loop, then, if ``answer``, its answer phase.
 
-    A run that answers is refused before the rationale starts when the
-    trigger is outside the vocabulary or the answer would not fit the
-    backend's ``max_len``; its cache holds the answer rows too.  Every
-    trace gets the run's wall time and its phase totals.
+    Per-instance results match solo runs (a batch of one).  Without
+    ``answer`` each result's answer is empty.  A run that answers is
+    refused before the rationale starts when the trigger is outside the
+    vocabulary or the answer would not fit the backend's ``max_len``; its
+    cache holds the answer rows too.  Every trace carries the batch's
+    totals: ``wall_s`` is the wall time of the whole call and
+    ``breakdown`` the phases of its loops.
     """
     if answer:
         _check_trigger(backend, cfg)
         need = _max_context(prompts, cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
-        _check_capacity(backend, need, "the answer phase")
+        _check_capacity(backend, len(prompts), need, "the answer phase")
     t0 = time.perf_counter()
     times = TimeBreakdown()
     spec = backend.spec
@@ -400,53 +407,17 @@ def _run(
     return results
 
 
-def run_rationale(
-    prompt: TokenSeq, backend: Backend, cfg: DecodeConfig
-) -> DecodeResult:
-    """Iterate the fused decode loop until a stop condition fires.
+# The benchmark's names for three calls of ``decode`` (decodebench/workloads.py);
+# they go when the benchmark calls ``decode`` itself.
+def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
+    return decode([prompt], backend, _greedy(cfg, cfg.max_new_tokens))[0]
 
-    Returns the committed exact rationale, the final approximate window,
-    the full trace, and the stop decision; the answer field is left empty.
-    """
-    return _run([prompt], backend, cfg, answer=False)[0]
+
+def decode_with_answer(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
+    return decode([prompt], backend, cfg, answer=True)[0]
 
 
 def run_rationale_batch(
     prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig
 ) -> list[DecodeResult]:
-    """Batched :func:`run_rationale`; per-instance results match solo runs.
-
-    Every trace carries the batch's totals: ``wall_s`` is the wall time of
-    the whole batch and ``breakdown`` the phases of its decode loop.
-    """
-    return _run(prompts, backend, cfg, answer=False)
-
-
-def decode_with_answer(
-    prompt: TokenSeq, backend: Backend, cfg: DecodeConfig
-) -> DecodeResult:
-    """Full pipeline: rationale loop, then the answer phase.
-
-    Refused before the rationale starts when the trigger is outside the
-    vocabulary or the answer would not fit the backend's ``max_len``.
-    """
-    return _run([prompt], backend, cfg, answer=True)[0]
-
-
-def decode_with_answer_batch(
-    prompts: Sequence[TokenSeq], backend: Backend, cfg: DecodeConfig
-) -> list[DecodeResult]:
-    """Batched :func:`decode_with_answer`; per-instance results match solo runs.
-
-    Every trace carries the batch's totals, answer phase included.
-    """
-    return _run(prompts, backend, cfg, answer=True)
-
-
-def ar_baseline(prompt: TokenSeq, backend: Backend, cfg: DecodeConfig) -> DecodeResult:
-    """Greedy autoregressive decode to EOS or the token budget.
-
-    The fused loop with a zero-length window; the window and iteration cap
-    of ``cfg`` are ignored.
-    """
-    return _run([prompt], backend, _greedy(cfg, cfg.max_new_tokens), answer=False)[0]
+    return decode(prompts, backend, cfg)

@@ -181,7 +181,10 @@ def read_jsonl(fh: IO[str]) -> DecodeTrace:
 
 
 def _read(fh: IO[str], one: bool) -> list[DecodeTrace]:
+    # Each trace as write_jsonl lays it out: its header, iterations 1, 2, ...
+    # in order, then one summary.  A stream cut short or reordered is refused.
     traces: list[DecodeTrace] = []
+    summarized = True  # whether the last trace has its summary
     for number, line in enumerate(fh, 1):
         if not line.strip():
             continue
@@ -199,18 +202,29 @@ def _read(fh: IO[str], one: bool) -> list[DecodeTrace]:
                 if not test(obj[key]):
                     raise ValueError(f"{kind} {key} {obj[key]!r}, expected {want}")
             if kind == "header":
+                if not summarized:
+                    raise ValueError("header before the previous trace's summary")
                 if one and traces:
                     raise ValueError("a second header: one trace per stream")
                 traces.append(DecodeTrace(**obj))
+                summarized = False
             elif not traces:
                 raise ValueError(f"{kind} line before header")
+            elif summarized:
+                raise ValueError(f"{kind} line after the trace's summary")
             elif kind == "iteration":
-                traces[-1].records.append(IterationRecord(**obj))
+                records = traces[-1].records
+                if obj["iteration"] != len(records) + 1:
+                    raise ValueError(f"iteration {obj['iteration']}, expected {len(records) + 1}")
+                records.append(IterationRecord(**obj))
             else:
                 traces[-1].breakdown = TimeBreakdown(**obj["breakdown"])
                 traces[-1].wall_s = obj["wall_s"]
+                summarized = True
         except ValueError as exc:
             raise ValueError(f"trace line {number}: {exc}") from exc
     if not traces:
         raise ValueError("empty trace stream")
+    if not summarized:
+        raise ValueError(f"trace line {number}: the stream ends before the trace's summary")
     return traces

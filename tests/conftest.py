@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,12 @@ from glimpse.backends import (
     make_counting_backend,
     make_toy_transformer,
 )
+from glimpse.cli import _BENCH_METHODS
+
+
+def as_ar(cfg):
+    """``cfg`` as plain greedy decoding, full chain of thought: ``glimpse bench``'s ``ar``."""
+    return replace(cfg, **_BENCH_METHODS["ar"])
 
 
 def small_toy_spec(vocab_size=64, max_len=160):

@@ -22,10 +22,10 @@ from glimpse.corruption import (
     make_scripted_tasks,
     run_overlap_experiment,
 )
-from glimpse.engine import DecodeConfig, ar_baseline, run_rationale, run_rationale_batch
+from glimpse.engine import DecodeConfig, decode
 from glimpse.metrics import aggregate, window_hits
 
-from conftest import random_ngram_backend, random_prompt, small_toy_spec
+from conftest import as_ar, random_ngram_backend, random_prompt, small_toy_spec
 from oracles import (
     greedy_ar_reference,
     hypergeometric_survival,
@@ -67,7 +67,7 @@ def test_criterion_1_losslessness_suite():
             prompt = random_prompt(rng, backend.spec.vocab_size)
             max_new = int(rng.integers(1, 13 if kind == "toy" else 25))
             cfg = DecodeConfig(window_len=c, skip=skip, max_new_tokens=max_new)
-            got = run_rationale(prompt, backend, cfg).exact_rationale
+            got = decode([prompt], backend, cfg)[0].exact_rationale
             want = greedy_ar_reference(backend, prompt, max_new)
             assert got == want, (kind, prompt, c, skip, max_new, got, want)
             cases += 1
@@ -83,7 +83,7 @@ def test_criterion_1_losslessness_suite():
 
 
 def test_criterion_2_degenerate_equivalence():
-    # ar_baseline is the c=0 loop itself, so both are checked against the
+    # AR is the c=0 loop itself, so both are checked against the
     # independent greedy oracle rather than against each other.
     backends = [
         make_counting_backend(10),
@@ -98,7 +98,7 @@ def test_criterion_2_degenerate_equivalence():
             cfg = DecodeConfig(window_len=0, max_new_tokens=15)
             want = greedy_ar_reference(backend, prompt, 15, cfg.repetition_penalty)
             want_stop = "eos" if eos in want else "max_tokens"
-            for res in (run_rationale(prompt, backend, cfg), ar_baseline(prompt, backend, cfg)):
+            for res in (*decode([prompt], backend, cfg), *decode([prompt], backend, as_ar(cfg))):
                 assert res.exact_rationale == want
                 assert res.stop.reason == want_stop
                 assert res.trace.iterations == len(want)
@@ -144,7 +144,7 @@ C_4 = 7
 def _counting_run(tokens: int = TOKENS_4, c: int = C_4):
     backend = make_counting_backend(10)
     cfg = DecodeConfig(window_len=c, skip=True, max_new_tokens=tokens)
-    result = run_rationale([0], backend, cfg)
+    result = decode([[0]], backend, cfg)[0]
     oracle_exact, oracle_commits = jacobi_reference(backend, [0], c, True, tokens)
     return result, oracle_exact, oracle_commits
 
@@ -220,8 +220,8 @@ def test_criterion_5_cache_and_padding_soundness():
         prompts = [
             random_prompt(rng, 64, max_len=7) for _ in range(batch_size)
         ]
-        solo = [run_rationale(p, toy, cfg) for p in prompts]
-        batch = run_rationale_batch(prompts, toy, cfg)
+        solo = [decode([p], toy, cfg)[0] for p in prompts]
+        batch = decode(prompts, toy, cfg)
         for s, b in zip(solo, batch):
             assert s.exact_rationale == b.exact_rationale
             assert [r.committed for r in s.trace.records] == [
@@ -252,7 +252,7 @@ def test_criterion_6_metrics_oracle_equivalence():
         prompt = random_prompt(rng, backend.spec.vocab_size, max_len=4)
         c = int(rng.integers(1, 7))
         cfg = DecodeConfig(window_len=c, max_new_tokens=16)
-        res = run_rationale(prompt, backend, cfg)
+        res = decode([prompt], backend, cfg)[0]
         reference = greedy_ar_reference(backend, prompt, cfg.max_new_tokens + c)
         decodes += 1
         hits = window_hits(res.trace, reference)
@@ -318,11 +318,11 @@ def test_criterion_8_wall_clock_sanity():
     tokens = 2000
     cfg = DecodeConfig(window_len=7, skip=True, max_new_tokens=tokens)
     # warmup to stabilize allocator and interpreter caches
-    run_rationale([0], backend, replace(cfg, max_new_tokens=64))
-    ar_baseline([0], backend, replace(cfg, max_new_tokens=64))
+    decode([[0]], backend, replace(cfg, max_new_tokens=64))
+    decode([[0]], backend, as_ar(replace(cfg, max_new_tokens=64)))
 
-    fast = run_rationale([0], backend, cfg)
-    ar = ar_baseline([0], backend, cfg)
+    fast = decode([[0]], backend, cfg)[0]
+    ar = decode([[0]], backend, as_ar(cfg))[0]
     assert len(fast.exact_rationale) == tokens
     assert fast.exact_rationale == ar.exact_rationale
 

@@ -13,12 +13,7 @@ from pathlib import Path
 import pytest
 
 from glimpse.backends import default_toy_spec, make_counting_backend, make_toy_transformer
-from glimpse.engine import (
-    DecodeConfig,
-    decode_with_answer,
-    decode_with_answer_batch,
-    run_rationale_batch,
-)
+from glimpse.engine import DecodeConfig, decode
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "decodebench" / "tracer.py"
 
@@ -43,9 +38,9 @@ def test_tracer_counts_every_layer_and_restores_names(tracer):
     cfg = DecodeConfig(window_len=3, max_new_tokens=12, answer_trigger=(4, 5), answer_max_tokens=3)
     tr = tracer.Tracer()
     with tracer.installed(tr):
-        decode_with_answer([7, 8, 9], toy, cfg)
-        run_rationale_batch([[1, 2, 3, 4, 5], [6, 7]], toy, cfg)
-        decode_with_answer([0], make_counting_backend(10), cfg)
+        decode([[7, 8, 9]], toy, cfg, answer=True)
+        decode([[1, 2, 3, 4, 5], [6, 7]], toy, cfg)
+        decode([[0]], make_counting_backend(10), cfg, answer=True)
     assert wrapped_names() == originals
 
     metrics = tracer.layer_metrics(tr, untimed_s=0.0, trace_bytes=0)
@@ -72,7 +67,7 @@ def test_tracer_times_the_batched_answer_phase(tracer):
     cfg = DecodeConfig(window_len=3, max_new_tokens=12, answer_trigger=(4, 5), answer_max_tokens=3)
     tr = tracer.Tracer()
     with tracer.installed(tr):
-        decode_with_answer_batch([[3, 4], [5, 6, 7, 8], [9]], toy, cfg)
+        decode([[3, 4], [5, 6, 7, 8], [9]], toy, cfg, answer=True)
     metrics = tracer.layer_metrics(tr, untimed_s=0.0, trace_bytes=0)
     assert metrics["engine.answer_phase_s"] > 0
     assert metrics["engine.check_stop_s"] > 0
@@ -88,7 +83,7 @@ def test_tracer_counts_the_positions_write_back_commits(tracer):
     prompts = [[1, 2, 3, 4, 5], [6, 7]]
     tr = tracer.Tracer()
     with tracer.installed(tr):
-        results = run_rationale_batch(prompts, toy, DecodeConfig(window_len=3, max_new_tokens=12))
+        results = decode(prompts, toy, DecodeConfig(window_len=3, max_new_tokens=12))
     metrics = tracer.layer_metrics(tr, untimed_s=0.0, trace_bytes=0)
     expected = sum(len(p) + len(r.exact_rationale) - 1 for p, r in zip(prompts, results))
     assert metrics["cache.positions_written"] == expected == 29

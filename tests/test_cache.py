@@ -3,10 +3,10 @@ import pytest
 
 from glimpse.backends import BackendSpec, make_counting_backend, make_toy_transformer
 from glimpse.cache import CacheBuffer, plan_input_padding, plan_kv_padding
-from glimpse.engine import DecodeConfig, ar_baseline, decode_with_answer, run_rationale
+from glimpse.engine import DecodeConfig, decode
 from glimpse.errors import CapacityError, ConfigError, ContractError
 
-from conftest import small_toy_spec
+from conftest import as_ar, small_toy_spec
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +43,8 @@ def test_toy_takes_a_hand_built_spec():
     )
     toy = make_toy_transformer(3, spec)
     cfg = DecodeConfig(window_len=2, max_new_tokens=10)
-    result = run_rationale([4, 5], toy, cfg)
-    assert result.exact_rationale == ar_baseline([4, 5], toy, cfg).exact_rationale
+    result = decode([[4, 5]], toy, cfg)[0]
+    assert result.exact_rationale == decode([[4, 5]], toy, as_ar(cfg))[0].exact_rationale
     assert toy.forward([4, 5, 6], 2).shape == (2, 32)
 
 
@@ -133,9 +133,9 @@ def test_no_reallocation_during_decode(toy, monkeypatch):
 
     monkeypatch.setattr(engine_mod, "CacheBuffer", spy)
     cfg = DecodeConfig(window_len=4, max_new_tokens=24, answer_trigger=(4, 5))
-    for decode in (run_rationale, ar_baseline, decode_with_answer):
+    for run_cfg, answer in ((cfg, False), (as_ar(cfg), False), (cfg, True)):
         captured.clear()
-        decode([1, 2, 3], toy, cfg)
+        decode([[1, 2, 3]], toy, run_cfg, answer=answer)
         [(buf, ids)] = captured
         assert [id(a) for a in buf.keys + buf.values] == ids
 
@@ -146,7 +146,7 @@ def test_cache_sound_after_mixed_iterations(toy):
     cfg = DecodeConfig(window_len=3, max_new_tokens=50)
     total_iters = 0
     for prompt in ([9, 4, 7], [1, 2], [30, 31, 32, 33]):
-        result = run_rationale(prompt, toy, cfg)
+        result = decode([prompt], toy, cfg)[0]
         total_iters += result.trace.iterations
         ctx = prompt + result.exact_rationale
         fresh = toy.forward(ctx, 1)
@@ -323,7 +323,7 @@ def test_cached_work_quadratic_not_cubic(monkeypatch):
         cfg = DecodeConfig(window_len=0, max_new_tokens=n_tokens)
         reads[0] = 0
         if cached:
-            run_rationale([1], backend, cfg)
+            decode([[1]], backend, cfg)
         else:
             # same decode, cache disabled: every step recomputes the context
             seq = [1]

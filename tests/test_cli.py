@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import oracles
@@ -9,7 +10,9 @@ import pytest
 
 from glimpse.backends import default_toy_spec, make_counting_backend, make_toy_transformer
 from glimpse.cli import _BENCH_METHODS, _READERS, main
-from glimpse.engine import DecodeConfig, ar_baseline, decode_with_answer, run_rationale
+from glimpse.engine import DecodeConfig, decode
+
+from conftest import as_ar
 
 
 def run_cli(*argv):
@@ -58,10 +61,10 @@ def test_decode_trace_file_reads_back_one_trace_per_prompt(tmp_path):
 def test_a_failing_decode_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
     import glimpse.cli
 
-    def fail(prompts, backend, cfg):
+    def fail(prompts, backend, cfg, *, answer=False):
         raise RuntimeError("backend went away")
 
-    monkeypatch.setattr(glimpse.cli, "decode_with_answer_batch", fail)
+    monkeypatch.setattr(glimpse.cli, "decode", fail)
     out = tmp_path / "o"
     assert run_cli("decode", "--backend", "counting", "--prompt", "0", "--out", str(out)) == 1
     assert "error: backend went away" in capsys.readouterr().err
@@ -117,7 +120,7 @@ def test_decode_rerun_identical_tokens(tmp_path):
 
 
 def test_window_zero_matches_ar_byte_identical(tmp_path):
-    # decode at --window 0 runs the loop that ar_baseline runs
+    # decode at --window 0 runs the loop that AR runs
     prompts, budget = [[1, 2, 3], [9, 8]], 40
     code = run_cli(
         "decode",
@@ -131,7 +134,8 @@ def test_window_zero_matches_ar_byte_identical(tmp_path):
     assert code == 0
     backend = make_toy_transformer(11, default_toy_spec())
     cfg = DecodeConfig(window_len=0, max_new_tokens=budget)
-    expected = [" ".join(map(str, ar_baseline(p, backend, cfg).exact_rationale)) for p in prompts]
+    solo = [decode([p], backend, as_ar(cfg))[0] for p in prompts]
+    expected = [" ".join(map(str, r.exact_rationale)) for r in solo]
     assert (tmp_path / "p/tokens.txt").read_text().splitlines()[1:] == expected
 
 
@@ -419,11 +423,12 @@ def test_bench_decodes_each_distinct_config_once(tmp_path, monkeypatch):
 
     decodes = []
 
-    def spy(prompt, backend, cfg):
+    def spy(prompts, backend, cfg, *, answer=False):
+        assert answer and len(prompts) == 1
         decodes.append((cfg.window_len, cfg.skip, cfg.iteration_cap))
-        return decode_with_answer(prompt, backend, cfg)
+        return decode(prompts, backend, cfg, answer=answer)
 
-    monkeypatch.setattr(glimpse.cli, "decode_with_answer", spy)
+    monkeypatch.setattr(glimpse.cli, "decode", spy)
     common = ["bench", "--backend", "counting", "--prompt", "0", "--window", "7"]
     common += ["--max-new-tokens", "200"]
     everything = ",".join(_BENCH_METHODS)
@@ -488,18 +493,17 @@ def test_decode_frees_each_chunk_before_the_next(tmp_path, monkeypatch):
 
     import glimpse.cli
 
-    batch = glimpse.cli.decode_with_answer_batch
     chunks, alive = [], []
 
-    def spy(prompts, backend, cfg):
+    def spy(prompts, backend, cfg, *, answer=False):
         gc.collect()
         # the first chunk's results still alive as this chunk starts
         alive.append(sum(ref() is not None for ref in chunks[0]) if chunks else 0)
-        results = batch(prompts, backend, cfg)
+        results = decode(prompts, backend, cfg, answer=answer)
         chunks.append([weakref.ref(result) for result in results])
         return results
 
-    monkeypatch.setattr(glimpse.cli, "decode_with_answer_batch", spy)
+    monkeypatch.setattr(glimpse.cli, "decode", spy)
     chunk = glimpse.cli.DECODE_CHUNK
     prompts = tmp_path / "prompts.json"
     prompts.write_text(json.dumps([[1 + i % 60] * (1 + i % 3) for i in range(2 * chunk + 3)]))
@@ -511,10 +515,11 @@ def test_decode_frees_each_chunk_before_the_next(tmp_path, monkeypatch):
 
 
 def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
+    import glimpse.cli
     import glimpse.engine
 
     allocs, pipelines, answers = [], [], []
-    cache, run = glimpse.engine.CacheBuffer, glimpse.engine._run
+    cache = glimpse.engine.CacheBuffer
     answer_phase = glimpse.engine.answer_phase
 
     def alloc_spy(batch, max_len, spec):
@@ -523,14 +528,14 @@ def test_decode_runs_its_prompts_as_one_batch(tmp_path, monkeypatch):
 
     def run_spy(prompts, *args, **kwargs):
         pipelines.append(len(prompts))
-        return run(prompts, *args, **kwargs)
+        return decode(prompts, *args, **kwargs)
 
     def answer_spy(contexts, *args, **kwargs):
         answers.append(len(contexts))
         return answer_phase(contexts, *args, **kwargs)
 
     monkeypatch.setattr(glimpse.engine, "CacheBuffer", alloc_spy)
-    monkeypatch.setattr(glimpse.engine, "_run", run_spy)
+    monkeypatch.setattr(glimpse.cli, "decode", run_spy)
     monkeypatch.setattr(glimpse.engine, "answer_phase", answer_spy)
     prompts = ["1,2,3", "9,8,7,6,5", "40", "11,12"]
     code = run_cli(
@@ -563,19 +568,19 @@ def test_decode_allocates_one_cache_per_chunk(tmp_path, monkeypatch):
     prompts = tmp_path / "prompts.json"
     prompts.write_text(json.dumps([[1 + i % 60] * (1 + i % 3) for i in range(2 * chunk + 3)]))
 
-    def decode(out):
+    def run(out):
         argv = ["decode", "--backend", "toy", "--prompts-file", str(prompts), "--window", "4",
                 "--max-new-tokens", "6", "--answer-trigger", "4,5", "--out", str(out)]
         assert run_cli(*argv) == 0
         return [(out / name).read_bytes() for name in ("result.json", "tokens.txt")]
 
-    chunked = decode(tmp_path / "chunked")
+    chunked = run(tmp_path / "chunked")
     # one cache, and so one batch, per chunk; the last chunk holds the rest
     assert allocs == [chunk, chunk, 3]
     monkeypatch.setattr(glimpse.cli, "DECODE_CHUNK", 2 * chunk + 3)
     allocs.clear()
     # the chunks write what one batch of every prompt writes
-    assert decode(tmp_path / "whole") == chunked
+    assert run(tmp_path / "whole") == chunked
     assert allocs == [2 * chunk + 3]
 
 
@@ -584,11 +589,11 @@ def test_sweep_window_decodes_one_reference_per_prompt(tmp_path, monkeypatch):
 
     calls = []
 
-    def spy(prompt, backend, cfg):
-        calls.append(list(prompt))
-        return ar_baseline(prompt, backend, cfg)
+    def spy(prompts, backend, cfg, *, answer=False):
+        calls.append((prompts, cfg.window_len, cfg.skip))
+        return decode(prompts, backend, cfg, answer=answer)
 
-    monkeypatch.setattr(glimpse.cli, "ar_baseline", spy)
+    monkeypatch.setattr(glimpse.cli, "decode", spy)
     code = run_cli(
         "sweep-window",
         "--backend", "counting",
@@ -599,7 +604,11 @@ def test_sweep_window_decodes_one_reference_per_prompt(tmp_path, monkeypatch):
         "--out", str(tmp_path / "o"),
     )
     assert code == 0
-    assert calls == [[0], [4, 2]]
+    # per prompt, a rationale run per window size, then one greedy reference
+    want = []
+    for prompt in ([0], [4, 2]):
+        want += [([prompt], c, True) for c in (0, 2, 4, 8)] + [([prompt], 0, False)]
+    assert calls == want
 
 
 @pytest.mark.parametrize(
@@ -643,7 +652,7 @@ def test_sweep_hits_match_replayed_traces(tmp_path, backend_args, make_backend, 
         per_iteration: dict[str, dict[str, int]] = {}
         for prompt in prompts:
             fh = io.StringIO()
-            run_rationale(prompt, backend, cfg).trace.write_jsonl(fh)
+            decode([prompt], backend, cfg)[0].trace.write_jsonl(fh)
             reference = oracles.greedy_ar_reference(
                 backend, prompt, budget + c + 1, cfg.repetition_penalty
             )
@@ -723,7 +732,7 @@ def test_sweep_reference_fits_where_the_rationale_fits(tmp_path):
     # can reach, replayed over the rationale's trace.
     backend = make_toy_transformer(1, default_toy_spec(max_len=64))
     cfg = DecodeConfig(window_len=c, max_new_tokens=budget)
-    result = run_rationale(prompt, backend, cfg)
+    result = decode([prompt], backend, cfg)[0]
     fh = io.StringIO()
     result.trace.write_jsonl(fh)
     reference = oracles.greedy_ar_reference(backend, prompt, budget + c - 1, cfg.repetition_penalty)
@@ -981,6 +990,34 @@ def test_a_refused_later_chunk_writes_nothing(tmp_path, monkeypatch):
     out = tmp_path / "o"
     args = ["--backend", "toy", "--window", "0", "--prompt", "1", "--prompt", "1,2"]
     assert run_cli("decode", *args, "--max-new-tokens", "496", "--out", str(out)) == 2
+    assert not out.exists()
+
+
+# A size that no numpy array can hold, in a config file or a flag.
+_HUGE = 99999999999999999999
+
+
+@pytest.mark.parametrize(
+    "command, flags, section",
+    [
+        ("decode", ["--max-new-tokens", str(_HUGE)], {}),
+        ("decode", ["--window", str(_HUGE)], {}),
+        ("decode", [], {"answer_max_tokens": _HUGE}),
+        ("sweep-window", ["--windows", str(_HUGE)], {}),
+        # each row fits, the two of a batch do not
+        ("decode", ["--prompt", "4", "--max-new-tokens", str(sys.maxsize // 8 - 20)], {}),
+    ],
+)
+def test_a_size_no_array_holds_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, flags, section
+):
+    # the counting backend has no max_len to refuse it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"decode": section}))
+    out = tmp_path / "o"
+    args = ["--config", str(cfg), "--backend", "counting", "--prompt", "3", *flags]
+    assert run_cli(command, *args, "--out", str(out)) == 2
+    assert "more than an array holds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,18 +20,14 @@ from glimpse.cache import CacheBuffer
 from glimpse.engine import (
     DecodeConfig,
     answer_phase,
-    ar_baseline,
     check_stop,
-    decode_with_answer,
-    decode_with_answer_batch,
+    decode,
     iterate_once,
-    run_rationale,
-    run_rationale_batch,
 )
 from glimpse.errors import CapacityError, ConfigError, ContractError
 from glimpse.trace import IterationRecord
 
-from conftest import random_ngram_backend, random_prompt, small_toy_spec
+from conftest import as_ar, random_ngram_backend, random_prompt, small_toy_spec
 from oracles import greedy_ar_reference, jacobi_reference
 
 
@@ -46,7 +42,7 @@ def cfg_for(backend, c, skip=True, max_new=24, **kw):
 
 def test_counting_trace_matches_jacobi_oracle(counting_backend):
     cfg = cfg_for(counting_backend, 3, max_new=24)
-    result = run_rationale([0], counting_backend, cfg)
+    result = decode([[0]], counting_backend, cfg)[0]
     oracle_exact, oracle_commits = jacobi_reference(
         counting_backend, [0], 3, True, 24
     )
@@ -63,8 +59,8 @@ def test_counting_trace_matches_jacobi_oracle(counting_backend):
 
 def test_window_zero_is_ar_trace_identical(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=15)
-    par = run_rationale([4], counting_backend, cfg)
-    ar = ar_baseline([4], counting_backend, cfg)
+    par = decode([[4]], counting_backend, cfg)[0]
+    ar = decode([[4]], counting_backend, as_ar(cfg))[0]
     assert par.exact_rationale == ar.exact_rationale
     assert par.trace.iterations == ar.trace.iterations
     for a, b in zip(par.trace.records, ar.trace.records):
@@ -80,8 +76,8 @@ def test_window_zero_is_ar_trace_identical(counting_backend):
 def test_batch_matches_solo_runs(toy_backend):
     cfg = cfg_for(toy_backend, 4, max_new=16)
     prompts = [[1, 2, 3], [9, 8, 7, 6, 5], [40]]
-    solo = [run_rationale(p, toy_backend, cfg) for p in prompts]
-    batch = run_rationale_batch(prompts, toy_backend, cfg)
+    solo = [decode([p], toy_backend, cfg)[0] for p in prompts]
+    batch = decode(prompts, toy_backend, cfg)
     for s, b in zip(solo, batch):
         assert s.exact_rationale == b.exact_rationale
         assert s.stop.reason == b.stop.reason
@@ -126,7 +122,7 @@ def test_max_new_tokens_never_exceeded(counting_backend):
     # skip mode commits in bursts; the budget must still cut exactly
     for max_new in (5, 8, 9, 17):
         cfg = cfg_for(counting_backend, 7, max_new=max_new)
-        res = run_rationale([0], counting_backend, cfg)
+        res = decode([[0]], counting_backend, cfg)[0]
         assert len(res.exact_rationale) == max_new
         assert res.stop.reason == "max_tokens"
 
@@ -140,7 +136,7 @@ def test_stop_eos_at_scripted_position():
     script = RetrievalScript(num_keys=1, rationale_len=6)
     backend = make_scripted_backend(script)
     cfg = DecodeConfig(window_len=3, max_new_tokens=40)
-    res = run_rationale(script.prompt(9), backend, cfg)
+    res = decode([script.prompt(9)], backend, cfg)[0]
     # schedule: 6 rationale tokens then EOS
     assert res.stop.reason == "eos"
     assert res.exact_rationale == script.rationale(9) + [backend.spec.eos_id]
@@ -149,7 +145,7 @@ def test_stop_eos_at_scripted_position():
 
 def test_stop_iteration_cap_exact(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=100, iteration_cap=5)
-    res = run_rationale([1], counting_backend, cfg)
+    res = decode([[1]], counting_backend, cfg)[0]
     assert res.trace.iterations == 5
     assert res.stop.reason == "iteration_cap"
     assert res.stop.value == 5
@@ -160,7 +156,7 @@ def test_stop_eos_beats_cap():
     backend = NgramBackend({(3,): 7}, vocab_size=8)  # 7 == eos
     assert backend.spec.eos_id == 7
     cfg = DecodeConfig(window_len=0, max_new_tokens=10, iteration_cap=1)
-    res = run_rationale([3], backend, cfg)
+    res = decode([[3]], backend, cfg)[0]
     assert res.stop.reason == "eos"
 
 
@@ -204,7 +200,7 @@ def test_answer_phase_scripted_retrieval():
         answer_max_tokens=3,
     )
     q = 6
-    res = decode_with_answer(script.prompt(q), backend, cfg)
+    res = decode([script.prompt(q)], backend, cfg, answer=True)[0]
     assert res.answer == [script.answer_token(q)]
 
 
@@ -238,7 +234,7 @@ def test_answer_phase_cache_reuse_matches_fresh(toy_backend):
         answer_trigger=(2, 3),
         answer_max_tokens=5,
     )
-    reused = decode_with_answer([4, 5, 6], toy_backend, base)
+    reused = decode([[4, 5, 6]], toy_backend, base, answer=True)[0]
     # without a cache the answer phase starts from a fresh one
     [fresh] = answer_phase(
         [[4, 5, 6, *reused.exact_rationale, *reused.approximate_tail]], toy_backend, base
@@ -253,15 +249,15 @@ def test_answer_phase_cache_reuse_matches_fresh(toy_backend):
 
 def test_ar_baseline_counting(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=5)
-    res = ar_baseline([0], counting_backend, cfg)
+    res = decode([[0]], counting_backend, as_ar(cfg))[0]
     assert res.exact_rationale == [1, 2, 3, 4, 5]
     assert res.stop.reason == "max_tokens"
 
 
 def test_ar_baseline_repeat_identical(toy_backend):
     cfg = cfg_for(toy_backend, 0, max_new=10)
-    a = ar_baseline([3, 1, 4], toy_backend, cfg)
-    b = ar_baseline([3, 1, 4], toy_backend, cfg)
+    a = decode([[3, 1, 4]], toy_backend, as_ar(cfg))[0]
+    b = decode([[3, 1, 4]], toy_backend, as_ar(cfg))[0]
     assert a.exact_rationale == b.exact_rationale
     assert [r.committed for r in a.trace.records] == [
         r.committed for r in b.trace.records
@@ -271,30 +267,31 @@ def test_ar_baseline_repeat_identical(toy_backend):
 def test_trace_method_follows_the_window(counting_backend):
     for c, method in ((0, "ar"), (1, "parallel"), (3, "parallel")):
         cfg = DecodeConfig(window_len=c, max_new_tokens=8)
-        assert decode_with_answer([1], counting_backend, cfg).trace.method == method
-        batch = run_rationale_batch([[1], [2, 3]], counting_backend, cfg)
+        assert decode([[1]], counting_backend, cfg, answer=True)[0].trace.method == method
+        batch = decode([[1], [2, 3]], counting_backend, cfg)
         assert [res.trace.method for res in batch] == [method, method]
     # the baseline decodes with no window, whatever the config's
-    assert ar_baseline([1], counting_backend, DecodeConfig(window_len=3)).trace.method == "ar"
+    [res] = decode([[1]], counting_backend, as_ar(DecodeConfig(window_len=3)))
+    assert res.trace.method == "ar"
 
 
 def test_ar_baseline_buckets(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=50)
-    res = ar_baseline([0], counting_backend, cfg)
+    res = decode([[0]], counting_backend, as_ar(cfg))[0]
     assert res.trace.breakdown.kv_cache == 0.0
     assert res.trace.breakdown.stop_check >= 0.0
 
 
 def test_ar_baseline_times_cache_write_back(toy_backend):
     cfg = cfg_for(toy_backend, 0, max_new=20)
-    res = ar_baseline([3, 1, 4, 1, 5], toy_backend, cfg)
+    res = decode([[3, 1, 4, 1, 5]], toy_backend, as_ar(cfg))[0]
     assert res.trace.breakdown.kv_cache > 0.0
     assert res.trace.breakdown.total() <= res.trace.wall_s * 1.05
 
 
 def test_batch_traces_carry_batch_totals(toy_backend):
     cfg = cfg_for(toy_backend, 3, max_new=20)
-    results = run_rationale_batch([[9, 4, 7], [1, 2, 3, 4, 5]], toy_backend, cfg)
+    results = decode([[9, 4, 7], [1, 2, 3, 4, 5]], toy_backend, cfg)
     for res in results:
         assert res.trace.wall_s > 0.0
         assert res.trace.breakdown.total() <= res.trace.wall_s * 1.05
@@ -303,14 +300,14 @@ def test_batch_traces_carry_batch_totals(toy_backend):
 
 def truncated(prompt, backend, cfg, k):
     """Truncated CoT at ``k`` iterations: the zero-window pipeline capped at ``k``."""
-    return decode_with_answer(
-        prompt, backend, replace(cfg, window_len=0, skip=False, iteration_cap=k)
-    )
+    return decode(
+        [prompt], backend, replace(cfg, window_len=0, skip=False, iteration_cap=k), answer=True
+    )[0]
 
 
 def test_truncated_prefix_property(counting_backend):
     cfg = cfg_for(counting_backend, 0, max_new=20)
-    full = ar_baseline([2], counting_backend, cfg)
+    full = decode([[2]], counting_backend, as_ar(cfg))[0]
     for k in (3, 7):
         trunc = truncated([2], counting_backend, cfg, k)
         assert trunc.exact_rationale == full.exact_rationale[:k]
@@ -336,7 +333,7 @@ def test_truncated_saturates_to_full_cot():
         window_len=0, answer_trigger=TRIGGER, answer_max_tokens=3, max_new_tokens=30
     )
     q = 10
-    full = decode_with_answer(script.prompt(q), backend, cfg)
+    full = decode([script.prompt(q)], backend, cfg, answer=True)[0]
     trunc = truncated(script.prompt(q), backend, cfg, 100)
     assert trunc.answer == full.answer == [script.answer_token(q)]
 
@@ -393,7 +390,7 @@ def test_losslessness_random_sample(toy_backend, counting_backend):
         prompt = random_prompt(rng, backend.spec.vocab_size)
         max_new = int(rng.integers(1, 20))
         cfg = DecodeConfig(window_len=c, skip=skip, max_new_tokens=max_new)
-        got = run_rationale(prompt, backend, cfg).exact_rationale
+        got = decode([prompt], backend, cfg)[0].exact_rationale
         want = greedy_ar_reference(backend, prompt, max_new)
         assert got == want, (backend.__class__.__name__, prompt, c, skip, max_new)
         cases += 1
@@ -425,7 +422,7 @@ def test_trace_matches_jacobi_oracle_and_batch_matches_solo(seed, c, skip, budge
         answer_trigger=trigger,
         answer_max_tokens=4,
     )
-    solo = [decode_with_answer(p, backend, cfg) for p in prompts]
+    solo = [decode([p], backend, cfg, answer=True)[0] for p in prompts]
     for p, res in zip(prompts, solo):
         exact, commits = jacobi_reference(backend, p, c, skip, budget, penalty)
         assert res.exact_rationale == exact
@@ -434,7 +431,7 @@ def test_trace_matches_jacobi_oracle_and_batch_matches_solo(seed, c, skip, budge
         context = [*p, *exact, *res.approximate_tail, *trigger]
         answer = greedy_ar_reference(backend, context, cfg.answer_max_tokens, penalty)
         assert res.answer == (answer[: answer.index(eos)] if eos in answer else answer)
-    for s, b in zip(solo, decode_with_answer_batch(prompts, backend, cfg)):
+    for s, b in zip(solo, decode(prompts, backend, cfg, answer=True)):
         assert b.trace.records == s.trace.records
         assert (b.exact_rationale, b.approximate_tail, b.answer, b.stop) == (
             s.exact_rationale,
@@ -455,9 +452,9 @@ def test_toy_answer_batch_matches_solo_record_for_record(toy_backend, c):
         answer_trigger=(1, 2, 3),
         answer_max_tokens=6,
     )
-    batch = decode_with_answer_batch(prompts, toy_backend, cfg)
+    batch = decode(prompts, toy_backend, cfg, answer=True)
     for prompt, b in zip(prompts, batch):
-        s = decode_with_answer(prompt, toy_backend, cfg)
+        s = decode([prompt], toy_backend, cfg, answer=True)[0]
         assert (b.trace.method, b.trace.prompt, b.trace.records) == (
             s.trace.method,
             s.trace.prompt,
@@ -477,8 +474,8 @@ def test_toy_answer_batch_matches_solo_record_for_record(toy_backend, c):
 def test_skip_vs_noskip_same_stream_fewer_iterations(counting_backend):
     cfg_s = cfg_for(counting_backend, 5, skip=True, max_new=30)
     cfg_n = cfg_for(counting_backend, 5, skip=False, max_new=30)
-    with_skip = run_rationale([0], counting_backend, cfg_s)
-    without = run_rationale([0], counting_backend, cfg_n)
+    with_skip = decode([[0]], counting_backend, cfg_s)[0]
+    without = decode([[0]], counting_backend, cfg_n)[0]
     assert with_skip.exact_rationale == without.exact_rationale
     assert with_skip.trace.iterations <= without.trace.iterations
     assert without.trace.iterations == len(without.exact_rationale)
@@ -486,7 +483,7 @@ def test_skip_vs_noskip_same_stream_fewer_iterations(counting_backend):
 
 def test_monotone_frontier(toy_backend):
     cfg = cfg_for(toy_backend, 4, max_new=16)
-    res = run_rationale([8, 9], toy_backend, cfg)
+    res = decode([[8, 9]], toy_backend, cfg)[0]
     frontiers = [r.frontier for r in res.trace.records]
     assert all(b > a for a, b in zip(frontiers, frontiers[1:]))
     assert all(len(r.committed) >= 1 for r in res.trace.records)
@@ -529,17 +526,17 @@ def test_over_capacity_window_run_refused_before_decoding():
     backend = _small_max_len_toy()
     # 8 + (55 - 1) + 4 = 66 context tokens at the last iteration, max_len 64
     with pytest.raises(ConfigError):
-        run_rationale(PROMPT_10_17, backend, DecodeConfig(window_len=4, max_new_tokens=55))
+        decode([PROMPT_10_17], backend, DecodeConfig(window_len=4, max_new_tokens=55))
     with pytest.raises(ConfigError):
-        run_rationale(PROMPT_10_17, backend, DecodeConfig(window_len=4, max_new_tokens=54))
+        decode([PROMPT_10_17], backend, DecodeConfig(window_len=4, max_new_tokens=54))
     assert backend.calls == 0
 
 
 def test_largest_accepted_budget_runs_to_completion():
     backend = _small_max_len_toy()
     cfg = DecodeConfig(window_len=4, max_new_tokens=53, repetition_penalty=1.0)
-    res = run_rationale(PROMPT_10_17, backend, cfg)
-    ar = ar_baseline(PROMPT_10_17, backend, cfg)
+    res = decode([PROMPT_10_17], backend, cfg)[0]
+    ar = decode([PROMPT_10_17], backend, as_ar(cfg))[0]
     assert res.exact_rationale == ar.exact_rationale
     assert res.stop.reason == ar.stop.reason == "max_tokens"
     assert len(res.exact_rationale) == 53
@@ -548,11 +545,11 @@ def test_largest_accepted_budget_runs_to_completion():
 def test_ar_baseline_fills_max_len():
     backend = _small_max_len_toy()
     cfg = DecodeConfig(window_len=0, max_new_tokens=56, repetition_penalty=1.0)
-    res = ar_baseline(PROMPT_10_17, backend, cfg)
+    res = decode([PROMPT_10_17], backend, as_ar(cfg))[0]
     assert res.stop.reason == "max_tokens"
     assert len(res.exact_rationale) == 56
     with pytest.raises(ConfigError):
-        ar_baseline(PROMPT_10_17, backend, DecodeConfig(window_len=0, max_new_tokens=58))
+        decode([PROMPT_10_17], backend, as_ar(DecodeConfig(window_len=0, max_new_tokens=58)))
 
 
 def test_answer_that_cannot_fit_refused_before_rationale():
@@ -560,11 +557,11 @@ def test_answer_that_cannot_fit_refused_before_rationale():
     # the 56-token rationale fits, but its 16-token answer would not
     cfg = DecodeConfig(window_len=0, max_new_tokens=56)
     with pytest.raises(ConfigError):
-        decode_with_answer(PROMPT_10_17, backend, cfg)
+        decode([PROMPT_10_17], backend, cfg, answer=True)
     assert backend.calls == 0
     # 8 + 40 - 1 + 0 + 1 trigger + 16 answer = 64 fits exactly
     fits = DecodeConfig(window_len=0, max_new_tokens=40, answer_trigger=(5,))
-    res = decode_with_answer(PROMPT_10_17, backend, fits)
+    res = decode([PROMPT_10_17], backend, fits, answer=True)[0]
     assert len(res.answer) <= fits.answer_max_tokens
 
 
@@ -573,12 +570,12 @@ def test_answer_trigger_is_checked_only_by_runs_that_answer():
     vocab = backend.spec.vocab_size
     cfg = DecodeConfig(window_len=2, max_new_tokens=6, answer_trigger=(vocab,))
     # these runs never read the trigger, so it cannot refuse them
-    assert len(run_rationale([1, 2, 3], backend, cfg).exact_rationale) == 6
-    assert len(ar_baseline([1, 2, 3], backend, cfg).exact_rationale) == 6
-    assert len(run_rationale_batch([[1, 2, 3], [4]], backend, cfg)) == 2
+    assert len(decode([[1, 2, 3]], backend, cfg)[0].exact_rationale) == 6
+    assert len(decode([[1, 2, 3]], backend, as_ar(cfg))[0].exact_rationale) == 6
+    assert len(decode([[1, 2, 3], [4]], backend, cfg)) == 2
     calls = backend.calls
     with pytest.raises(ConfigError):
-        decode_with_answer([1, 2, 3], backend, cfg)
+        decode([[1, 2, 3]], backend, cfg, answer=True)
     with pytest.raises(ConfigError):
         answer_phase([[1, 2, 3, 4]], backend, cfg)
     assert backend.calls == calls
@@ -596,13 +593,13 @@ def test_cache_holds_the_answer_only_for_runs_that_answer(monkeypatch):
     monkeypatch.setattr(glimpse.engine, "CacheBuffer", spy)
     backend = make_toy_transformer(1, small_toy_spec())
     cfg = DecodeConfig(window_len=2, max_new_tokens=10, answer_trigger=(1, 2, 3))
-    run_rationale([1, 2, 3], backend, cfg)
-    run_rationale_batch([[1, 2, 3], [4, 5, 6, 7]], backend, cfg)
-    ar_baseline([1, 2, 3], backend, cfg)
+    decode([[1, 2, 3]], backend, cfg)
+    decode([[1, 2, 3], [4, 5, 6, 7]], backend, cfg)
+    decode([[1, 2, 3]], backend, as_ar(cfg))
     # 3 prompt tokens + 10 new - 1 + c (2, or 0 for AR), and 4 for the longer prompt
     assert rows == [14, 15, 12]
     rows.clear()
-    decode_with_answer([1, 2, 3], backend, cfg)
+    decode([[1, 2, 3]], backend, cfg, answer=True)
     # the rationale's 14, then 3 trigger and 16 answer tokens
     assert rows == [14 + 3 + 16]
 
@@ -632,13 +629,13 @@ def test_mixed_batch_reaches_max_context_exactly(counting_backend, context_rows)
     # go 1, 4, 1, 4, ...) and sees 5 + (17 - 1) + 3 = 24 tokens.
     prompts = [[1], [2, 3, 4, 5, 6], [7, 8]]
     cfg = DecodeConfig(window_len=3, max_new_tokens=17)
-    results = run_rationale_batch(prompts, counting_backend, cfg)
+    results = decode(prompts, counting_backend, cfg)
     assert [len(r.exact_rationale) for r in results] == [17, 17, 17]
     assert max(n for n, _, _ in context_rows) == 24
     assert {width for _, width, _ in context_rows} == {25}
     assert all(view and n <= width for n, width, view in context_rows)
     for prompt, res in zip(prompts, results):
-        assert res.exact_rationale == run_rationale(prompt, counting_backend, cfg).exact_rationale
+        assert res.exact_rationale == decode([prompt], counting_backend, cfg)[0].exact_rationale
 
 
 def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
@@ -672,7 +669,7 @@ def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
 
 def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows):
     cfg = DecodeConfig(window_len=3, max_new_tokens=10, answer_trigger=(2, 3), answer_max_tokens=6)
-    res = decode_with_answer([4, 5, 6], toy_backend, cfg)
+    res = decode([[4, 5, 6]], toy_backend, cfg, answer=True)[0]
     assert all(view and n <= width for n, width, view in context_rows)
     # The answer session's first context is prompt ‖ exact ‖ approx ‖ trigger.
     answer_start = 3 + len(res.exact_rationale) + len(res.approximate_tail) + 2
@@ -689,11 +686,11 @@ def test_results_hold_python_ints(toy_backend, counting_backend):
     toy_cfg = DecodeConfig(window_len=3, max_new_tokens=12, answer_trigger=(2, 3))
     count_cfg = DecodeConfig(window_len=4, max_new_tokens=13)
     results = [
-        decode_with_answer([4, 5, 6], toy_backend, toy_cfg),
-        ar_baseline([4, 5, 6], toy_backend, toy_cfg),
+        decode([[4, 5, 6]], toy_backend, toy_cfg, answer=True)[0],
+        decode([[4, 5, 6]], toy_backend, as_ar(toy_cfg))[0],
         truncated([9], toy_backend, toy_cfg, 5),
-        *run_rationale_batch([[0], [1, 2, 3]], counting_backend, count_cfg),
-        run_rationale(np.array([1, 0]), counting_backend, count_cfg),
+        *decode([[0], [1, 2, 3]], counting_backend, count_cfg),
+        decode([np.array([1, 0])], counting_backend, count_cfg)[0],
     ]
     assert results[-1].trace.prompt == [1, 0]
     for res in results:
@@ -719,19 +716,19 @@ def test_prompt_ids_checked_like_contexts(counting_backend):
     )
     for bad in bad_prompts:
         with pytest.raises(ContractError):
-            run_rationale(bad, counting_backend, cfg)
+            decode([bad], counting_backend, cfg)
         with pytest.raises(ContractError):
-            run_rationale_batch([[0], bad], counting_backend, cfg)
+            decode([[0], bad], counting_backend, cfg)
         with pytest.raises(ContractError):
-            ar_baseline(bad, counting_backend, cfg)
+            decode([bad], counting_backend, as_ar(cfg))
 
 
 def test_empty_batch_refused(toy_backend, counting_backend):
     cfg = DecodeConfig(window_len=2, max_new_tokens=5, answer_trigger=(1,))
     for backend in (toy_backend, counting_backend):
-        for run in (run_rationale_batch, decode_with_answer_batch):
+        for answer in (False, True):
             with pytest.raises(ContractError, match="batch must be nonempty"):
-                run([], backend, cfg)
+                decode([], backend, cfg, answer=answer)
         with pytest.raises(ContractError, match="batch must be nonempty"):
             answer_phase([], backend, cfg)
 
@@ -740,9 +737,9 @@ def test_empty_batch_refused(toy_backend, counting_backend):
 def test_non_finite_scores_rejected(counting_backend, nan_at):
     cfg = DecodeConfig(window_len=2, max_new_tokens=10, answer_max_tokens=4)
     with pytest.raises(ContractError):
-        run_rationale([0], _CountingForwards(counting_backend, nan_at), cfg)
+        decode([[0]], _CountingForwards(counting_backend, nan_at), cfg)
     with pytest.raises(ContractError):
-        ar_baseline([0], _CountingForwards(counting_backend, nan_at), cfg)
+        decode([[0]], _CountingForwards(counting_backend, nan_at), as_ar(cfg))
     with pytest.raises(ContractError):
         answer_phase([[0, 1, 2]], _CountingForwards(counting_backend, nan_at), cfg)
 
@@ -793,7 +790,7 @@ def test_config_stores_plain_python_values(counting_backend):
         answer_trigger=(3, 4), answer_max_tokens=2,
     )
     json.dumps(cfg.to_dict())
-    run_rationale([1], counting_backend, cfg).trace.write_jsonl(io.StringIO())
+    decode([[1]], counting_backend, cfg)[0].trace.write_jsonl(io.StringIO())
     # an integer penalty stays an integer, so a manifest keeps its bytes
     for penalty in (1, np.int64(2)):
         assert type(DecodeConfig(window_len=0, repetition_penalty=penalty).repetition_penalty) is int

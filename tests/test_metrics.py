@@ -4,16 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from glimpse.engine import (
-    DecodeConfig,
-    ar_baseline,
-    decode_with_answer_batch,
-    run_rationale,
-    run_rationale_batch,
-)
+from glimpse.engine import DecodeConfig, decode
 from glimpse.errors import ContractError
 from glimpse.metrics import HitReport, aggregate, score_window, window_hits
 
+from conftest import as_ar
 from oracles import greedy_ar_reference, replay_hit_report
 
 
@@ -117,7 +112,7 @@ def test_engine_report_matches_jsonl_replay(counting_backend, toy_backend):
         for _ in range(5):
             prompt = [int(t) for t in rng.integers(0, 9, size=3)]
             cfg = DecodeConfig(window_len=4, max_new_tokens=16)
-            res = run_rationale(prompt, backend, cfg)
+            res = decode([prompt], backend, cfg)[0]
             reference = greedy_ar_reference(
                 backend, prompt, cfg.max_new_tokens + cfg.window_len
             )
@@ -141,7 +136,7 @@ def test_engine_report_matches_jsonl_replay(counting_backend, toy_backend):
 
 def test_first_hit_implies_multi_commit_in_skip_mode(counting_backend):
     cfg = DecodeConfig(window_len=5, skip=True, max_new_tokens=40)
-    res = run_rationale([0], counting_backend, cfg)
+    res = decode([[0]], counting_backend, cfg)[0]
     reference = greedy_ar_reference(counting_backend, [0], 60)
     by_iter = {rec.iteration: rec for rec in res.trace.records}
     checked = 0
@@ -167,24 +162,20 @@ def test_phases_cover_the_decode_loop(counting_backend, toy_backend):
     # one scheduler pause does not decide it.
     rng = np.random.default_rng(0)
     batch = [[int(t) for t in rng.integers(0, 62, size=k)] for k in range(4, 48, 6)]
-    runs = [
-        (decode_with_answer_batch, [[3]], counting_backend, DecodeConfig(c, max_new_tokens=4000))
-        for c in (7, 0)
-    ]
+    runs = [(True, [[3]], counting_backend, DecodeConfig(c, max_new_tokens=4000)) for c in (7, 0)]
     toy_cfg = DecodeConfig(window_len=0, max_new_tokens=96, repetition_penalty=1.0)
-    runs.append((run_rationale_batch, batch, toy_backend, toy_cfg))
-    for run, prompts, backend, cfg in runs:
-        traces = [run(prompts, backend, cfg)[0].trace for _ in range(3)]
+    runs.append((False, batch, toy_backend, toy_cfg))
+    for answer, prompts, backend, cfg in runs:
+        traces = [decode(prompts, backend, cfg, answer=answer)[0].trace for _ in range(3)]
         best = max(trace.breakdown.total() / trace.wall_s for trace in traces)
-        assert best >= 0.9, (run.__name__, cfg.window_len, best)
+        assert best >= 0.9, (answer, cfg.window_len, best)
 
 
 def test_trace_jsonl_roundtrip(counting_backend, toy_backend):
-    from glimpse.engine import decode_with_answer
     from glimpse.trace import read_jsonl
 
     cfg = DecodeConfig(window_len=3, max_new_tokens=10)
-    res = run_rationale([0], counting_backend, cfg)
+    res = decode([[0]], counting_backend, cfg)[0]
     buf = io.StringIO()
     res.trace.write_jsonl(buf)
     buf.seek(0)
@@ -198,8 +189,8 @@ def test_trace_jsonl_roundtrip(counting_backend, toy_backend):
     answering = DecodeConfig(
         window_len=3, max_new_tokens=10, answer_trigger=(4, 5), answer_max_tokens=3
     )
-    batch = run_rationale_batch([[5, 6], [1, 2, 3, 4, 5], [9]], toy_backend, cfg)
-    answer = decode_with_answer([5, 6], toy_backend, answering)
+    batch = decode([[5, 6], [1, 2, 3, 4, 5], [9]], toy_backend, cfg)
+    answer = decode([[5, 6]], toy_backend, answering, answer=True)[0]
     for run in (res, *batch, answer):
         buf = io.StringIO()
         run.trace.write_jsonl(buf)
@@ -211,7 +202,7 @@ def test_read_traces_starts_a_trace_at_each_header(counting_backend):
     from glimpse.trace import read_traces
 
     cfg = DecodeConfig(window_len=3, max_new_tokens=6)
-    traces = [run_rationale(prompt, counting_backend, cfg).trace for prompt in ([0], [5], [1, 2])]
+    traces = [decode([prompt], counting_backend, cfg)[0].trace for prompt in ([0], [5], [1, 2])]
     buf = io.StringIO()
     for trace in traces:
         trace.write_jsonl(buf)
@@ -222,16 +213,21 @@ def test_read_traces_starts_a_trace_at_each_header(counting_backend):
     lines[bad - 1] = "{"
     with pytest.raises(ValueError, match=f"^trace line {bad}: "):
         read_traces(io.StringIO("\n".join(lines) + "\n"))
+    # a trace without its summary: the next header, moved up to its line, is refused
+    lines = buf.getvalue().splitlines()
+    summary = traces[0].iterations + 2
+    del lines[summary - 1]
+    with pytest.raises(ValueError, match=f"^trace line {summary}: header before the previous"):
+        read_traces(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_trace_jsonl_schema(toy_backend):
     from dataclasses import fields
 
-    from glimpse.engine import decode_with_answer
     from glimpse.trace import PHASES, IterationRecord, read_jsonl
 
     cfg = DecodeConfig(window_len=3, max_new_tokens=10, answer_trigger=(4, 5), answer_max_tokens=3)
-    trace = decode_with_answer([5, 6], toy_backend, cfg).trace
+    trace = decode([[5, 6]], toy_backend, cfg, answer=True)[0].trace
     buf = io.StringIO()
     trace.write_jsonl(buf)
     header, *iterations, summary = (json.loads(line) for line in buf.getvalue().splitlines())
@@ -295,6 +291,14 @@ _TRACE_FAULTS = {
     ),
     # no line to name: a stream of blank lines holds no trace
     "empty": lambda h, it, s: ([""], None),
+    # cut short or reordered: read back, each would be a shorter or longer run
+    "no-summary": lambda h, it, s: ([h, *it], len(it) + 1),
+    "cut-after-the-first-iteration": lambda h, it, s: ([h, it[0]], 2),
+    "two-summaries": lambda h, it, s: ([h, *it, s, s], len(it) + 3),
+    "an-iteration-twice": lambda h, it, s: ([h, *it, it[-1], s], len(it) + 2),
+    "summary-before-the-iterations": lambda h, it, s: ([h, s, *it], 3),
+    "iterations-swapped": lambda h, it, s: ([h, it[1], it[0], *it[2:], s], 2),
+    "first-iteration-missing": lambda h, it, s: ([h, *it[1:], s], 2),
 }
 
 
@@ -302,7 +306,7 @@ _TRACE_FAULTS = {
 def test_a_malformed_trace_line_is_refused_with_its_number(counting_backend, fault):
     from glimpse.trace import read_jsonl
 
-    trace = run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=6)).trace
+    trace = decode([[0]], counting_backend, DecodeConfig(window_len=3, max_new_tokens=6))[0].trace
     buf = io.StringIO()
     trace.write_jsonl(buf)
     header, *iterations, summary = buf.getvalue().splitlines()
@@ -320,29 +324,28 @@ def _traces_of_every_kind(monkeypatch, counting_backend, toy_backend):
     from glimpse.backends import make_scripted_backend
     from glimpse.backends.scripted import RetrievalScript
     from glimpse.corruption import task_config
-    from glimpse.engine import decode_with_answer
 
     from conftest import random_ngram_backend
 
     traces = []
-    decode = engine._decode
+    loop = engine._decode
 
     def keep(*args):
-        results = decode(*args)
+        results = loop(*args)
         traces.extend(r.trace for r in results)
         return results
 
     # every run's traces, the answer phase's (an "ar" run) among them
     monkeypatch.setattr(engine, "_decode", keep)
-    run_rationale([0], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12))
-    ar_baseline([4], counting_backend, DecodeConfig(window_len=0, max_new_tokens=12))
-    decode_with_answer([5, 6], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6))
-    ar_baseline([5, 6], toy_backend, DecodeConfig(window_len=0, max_new_tokens=6))
-    run_rationale([1, 2], random_ngram_backend(3), DecodeConfig(window_len=4, max_new_tokens=20))
+    decode([[0]], counting_backend, DecodeConfig(window_len=3, max_new_tokens=12))
+    decode([[4]], counting_backend, as_ar(DecodeConfig(window_len=0, max_new_tokens=12)))
+    decode([[5, 6]], toy_backend, DecodeConfig(window_len=2, max_new_tokens=6), answer=True)
+    decode([[5, 6]], toy_backend, as_ar(DecodeConfig(window_len=0, max_new_tokens=6)))
+    decode([[1, 2]], random_ngram_backend(3), DecodeConfig(window_len=4, max_new_tokens=20))
     script = RetrievalScript()
     scripted, cfg = make_scripted_backend(script), task_config(script)
     for window_len in (0, 3):
-        decode_with_answer(script.prompt(3), scripted, replace(cfg, window_len=window_len))
+        decode([script.prompt(3)], scripted, replace(cfg, window_len=window_len), answer=True)
     assert {t.method for t in traces} == {"parallel", "ar"}
     return traces
 
@@ -384,7 +387,7 @@ def test_iteration_record_json_bytes_pinned(monkeypatch, counting_backend, toy_b
 
 def test_ar_breakdown_structure(counting_backend):
     cfg = DecodeConfig(window_len=0, max_new_tokens=300)
-    res = ar_baseline([0], counting_backend, cfg)
+    res = decode([[0]], counting_backend, as_ar(cfg))[0]
     bd = res.trace.breakdown
     assert bd.kv_cache == 0.0
     assert bd.total() <= res.trace.wall_s * 1.05
@@ -392,7 +395,7 @@ def test_ar_breakdown_structure(counting_backend):
 
 def test_breakdown_repeat_stability(counting_backend):
     cfg = DecodeConfig(window_len=0, max_new_tokens=800)
-    ar_baseline([0], counting_backend, cfg)  # warmup
+    decode([[0]], counting_backend, as_ar(cfg))[0]  # warmup
 
     # Two sets of seven runs, interleaved so that a drift in CPU speed
     # reaches both sets alike; min-of-7 filters scheduler noise, and a few
@@ -400,7 +403,7 @@ def test_breakdown_repeat_stability(counting_backend):
     runs: tuple[list, list] = ([], [])
     for _ in range(7):
         for out in runs:
-            out.append(ar_baseline([0], counting_backend, cfg).trace.breakdown)
+            out.append(decode([[0]], counting_backend, as_ar(cfg))[0].trace.breakdown)
     a, b = (
         {name: min(getattr(r, name) for r in out) for name in ("infer", "decode")}
         for out in runs
