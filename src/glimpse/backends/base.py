@@ -13,6 +13,7 @@ contents)`` produce bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -99,16 +100,12 @@ class SequentialBatchMixin:
         block_lens: Sequence[int],
         slots: Sequence["CacheSlot | None"] | None = None,
     ) -> list[np.ndarray]:
-        if slots is None:
-            slots = [None] * len(contexts)
-        if not len(contexts) == len(block_lens) == len(slots):
+        n = len(contexts)
+        if len(block_lens) != n or (slots is not None and len(slots) != n):
             raise ContractError("forward_batch arguments must have equal lengths")
-        if any(slot is not None for slot in slots):
+        if slots is not None and any(slot is not None for slot in slots):
             raise ContractError(f"{type(self).__name__} has no K/V cache: it takes no cache slot")
-        return [
-            self.forward(ctx, bl)  # type: ignore[attr-defined]
-            for ctx, bl in zip(contexts, block_lens)
-        ]
+        return list(map(self.forward, contexts, block_lens))  # type: ignore[attr-defined]
 
 
 _BOOLS = frozenset({bool, np.bool_})
@@ -153,22 +150,32 @@ def check_forward_args(
     return ids
 
 
-def penalized_scores(
-    scores: np.ndarray, history_mask: np.ndarray, penalty: float
-) -> np.ndarray:
-    """Apply a repetition penalty to ``scores``, returning a new array.
+def penalized_scores(scores: np.ndarray, penalty: float) -> np.ndarray:
+    """``scores`` with every entry penalized, as a new array.
 
-    For every token marked in ``history_mask``, a positive score is divided
-    by ``penalty`` and a negative score multiplied by it; zeros are left
-    alone.  ``penalty = 1`` is the identity.
+    A positive score is divided by ``penalty`` and a negative score
+    multiplied by it; zeros are left alone.  A pick takes these scores for
+    the tokens in its history and the rest unchanged.
     """
-    if penalty == 1.0:
-        return scores
-    scores = np.asarray(scores, dtype=np.float64)
     # Zeros divide to zeros, so only the negatives need the product.
     adjusted = scores / penalty
     np.multiply(scores, penalty, out=adjusted, where=scores < 0)
-    return np.where(history_mask, adjusted, scores)
+    return adjusted
+
+
+@lru_cache(maxsize=64)
+def _window_cells(c: int, lead: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, ks)``: each pair of a score row and a window index the row sees.
+
+    Of the ``c + 1`` positions of a block after a window of ``c`` tokens the
+    rows score the last ``c + 1 - lead``; row ``r`` scores position
+    ``j = r + lead``, which sees ``window[:j]``.  The arrays are read-only,
+    since every caller shares them.
+    """
+    rows = np.repeat(np.arange(c + 1 - lead), np.arange(lead, c + 1))
+    ks = np.concatenate([np.arange(j) for j in range(lead, c + 1)])
+    rows.flags.writeable = ks.flags.writeable = False
+    return rows, ks
 
 
 @dataclass
@@ -192,8 +199,10 @@ class HistoryMask:
         block that follows the history and then ``window``: the last row is
         penalized under the history plus the whole window, and each earlier
         row under one window token fewer.  With ``len(window) == len(rows) - 1``,
-        row ``j`` sees ``window[:j]``.  One penalty pass and one argmax
-        cover the block.
+        row ``j`` sees ``window[:j]``.  The block is penalized once under
+        the history; then, in each row, only the cells of the window tokens
+        that row sees take their penalized score.  One argmax covers the
+        block.
 
         The rows are not checked for non-finite values: the engine checks
         each forward's scores once, before any pick.
@@ -207,11 +216,11 @@ class HistoryMask:
                 f" window tokens, got {c}"
             )
         if penalty != 1.0:
-            mask = self.mask
+            adjusted = penalized_scores(scores, penalty)
+            picked = np.where(self.mask, adjusted, scores)
             if c:
-                # seen[k] marks window[:k]: a cumulative one-hot.
-                seen = np.zeros((c + 1, self.vocab_size), dtype=bool)
-                seen[np.arange(1, c + 1), window] = True
-                mask = np.logical_or.accumulate(seen)[lead:] | mask
-            scores = penalized_scores(scores, mask, penalty)
+                r, k = _window_cells(c, lead)
+                cols = np.asarray(window)[k]
+                picked[r, cols] = adjusted[r, cols]
+            scores = picked
         return scores.argmax(axis=-1).tolist()

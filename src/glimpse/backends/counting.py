@@ -7,9 +7,11 @@ non-digit tokens (PAD, EOS) preserve the position count instead of
 restarting it, so the chain keeps counting across masked-out filler.  A
 context with no digit at all scores token 0.
 
-A forward finds the last digit at or before the block's first position by
-a vectorized scan backwards, then walks the block in Python, so its Python
-work grows with ``block_len`` only, not with the context or a filler run.
+A forward finds the last digit at or before the block's first position,
+by a vectorized scan backwards when that position holds no digit, then
+walks the block in Python, so its Python work grows with ``block_len``
+only, not with the context or a filler run.  Its rows are one-hot rows
+copied from an identity table.
 Deterministic and cheap, which makes it the workhorse for long-generation
 benchmarks and loop-convergence tests.
 """
@@ -57,25 +59,31 @@ class CountingBackend(SequentialBatchMixin):
             pad_id=modulus,
             eos_id=modulus + 1,
         )
+        self._eye = np.eye(self.spec.vocab_size)
+        self._eye.flags.writeable = False
 
     def forward(self, context: TokenSeq, block_len: int) -> np.ndarray:
         ids = check_forward_args(self.spec, context, block_len)
         m = self.modulus
         split = ids.shape[0] - block_len
+        block = ids[split:].tolist()
         # (pos, val): the last digit at or before the current position;
-        # pos is -1 while there is none.
-        pos = _last_digit(ids, split, m)
-        val = int(ids[pos]) if pos >= 0 else 0
+        # pos is -1 while there is none.  The scan runs only when the
+        # block does not start with a digit.
+        if block[0] < m:
+            pos, val = split, block[0]
+        else:
+            pos = _last_digit(ids, split, m)
+            val = int(ids[pos]) if pos >= 0 else 0
         digits = []
-        for end, tok in enumerate(ids[split:].tolist(), split):
+        for end, tok in enumerate(block, split):
             if tok < m:
                 pos, val = end, tok
             # Predicting position end + 1, so the gap from the last digit
             # is end + 1 - pos.
             digits.append((val + end + 1 - pos) % m if pos >= 0 else 0)
-        rows = np.zeros((block_len, self.spec.vocab_size), dtype=np.float64)
-        rows[np.arange(block_len), digits] = 1.0
-        return rows
+        # Indexing the table copies its rows: each call returns a fresh array.
+        return self._eye[digits]
 
 
 def make_counting_backend(modulus: int = 10) -> CountingBackend:

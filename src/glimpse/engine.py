@@ -197,7 +197,7 @@ def iterate_once(
         if buffers.finished[i]:
             raise ContractError(f"instance {i} already finished")
     times = times or TimeBreakdown()
-    eos = backend.spec.eos_id
+    eos, pad = backend.spec.eos_id, backend.spec.pad_id
     c = buffers.window_len
     penalty = cfg.repetition_penalty
 
@@ -221,8 +221,10 @@ def iterate_once(
         outcome = verify(window_before, preds)
         m = 1 + outcome.match_len if cfg.skip else 1
         m = min(m, cfg.max_new_tokens - (frontier - buffers.prompt_len[i]))
-        if eos in preds[:m]:
-            m = preds.index(eos) + 1
+        committed = preds[:m]
+        if eos in committed:
+            m = committed.index(eos) + 1
+            committed = preds[:m]
 
         if cache is not None:
             # Persist up to (new frontier - 1): all freshly exact positions
@@ -245,8 +247,9 @@ def iterate_once(
                 window_before=window_before,
                 predictions=preds,
                 match_len=outcome.match_len,
-                committed=preds[:m],
-                window=buffers.window(i).tolist(),
+                committed=committed,
+                # The next window, as update wrote it.
+                window=preds[m:] + [pad] * (m - 1),
             )
         )
     times.decode += clock() - t
@@ -305,7 +308,14 @@ def _decode(
     need = _max_context(prompts, cfg)
     _check_capacity(backend, len(prompts), need, "decoding")
     # The last update's tail write ends at most one token past the last forward's context.
-    buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
+    try:
+        buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
+    except MemoryError as exc:
+        # The rows are sized for the whole budget before the first iteration.
+        raise ConfigError(
+            f"a budget of {cfg.max_new_tokens} new tokens needs {len(prompts)} x {need + 1}"
+            " context tokens, more than this machine can allocate"
+        ) from exc
     if cache is None and spec.n_layers > 0:
         cache = CacheBuffer(len(prompts), need, spec)
     stops: list[StopDecision | None] = [None] * len(prompts)
@@ -326,7 +336,8 @@ def _decode(
             if stop is not None:
                 buffers.finished[i] = True
                 stops[i] = stop
-        active = buffers.active_indices()
+        if stops.count(None) < len(active):
+            active = buffers.active_indices()
         times.stop_check += clock() - t
     return [
         DecodeResult(

@@ -112,7 +112,8 @@ def test_penalized_pick_matches_oracle(row, penalty, data):
     mask = data.draw(st.lists(st.booleans(), min_size=vocab, max_size=vocab))
     history = [tok for tok, marked in enumerate(mask) if marked]
     scores = np.asarray(row, dtype=np.float64)
-    adjusted = penalized_scores(scores, np.asarray(mask), penalty)
+    # A pick's history pass: penalized scores for marked tokens, the rest as they are.
+    adjusted = np.where(mask, penalized_scores(scores, penalty), scores)
     reference = _penalized_loop(row, mask, penalty)
     assert adjusted.tolist() == reference
     assert np.array_equal(np.signbit(adjusted), np.signbit(reference))
@@ -130,14 +131,33 @@ def test_penalized_pick_matches_oracle(row, penalty, data):
     hist = HistoryMask(vocab)
     hist.extend(history)
     block = np.asarray(rows, dtype=np.float64)
-    picks = hist.pick(block, penalty, window)
-    assert picks == [penalized_argmax(rows[j], history + window[:j], penalty) for j in range(n)]
-    # Rows score the block's last positions: without row 0, row j still sees window[:j + 1].
-    assert hist.pick(block[1:], penalty, window) == picks[1:]
+    # Rows score the block's last positions: without its first `lead` rows,
+    # the block's row j still sees window[:j].
+    for lead in range(n):
+        assert hist.pick(block[lead:], penalty, window) == [
+            penalized_argmax(rows[j], history + window[:j], penalty) for j in range(lead, n)
+        ]
     assert hist.mask.tolist() == mask
     if n > 1:
         with pytest.raises(ContractError):
             hist.pick(block, penalty, window[:-1])
+
+
+@pytest.mark.parametrize("penalty", [1.2, 2.0])
+def test_block_pick_at_every_lead_matches_oracle(penalty):
+    # The window repeats token 2, holds history tokens 0 and 1, and PAD (5)
+    # twice; every cell of every row scores 2.4, -2.4, 1.2, -1.2 or 0, so
+    # penalties make ties that must break to the lowest id.
+    vocab, history, window = 6, [0, 1], [2, 2, 5, 0, 2, 5, 1]
+    rng = np.random.default_rng(7)
+    rows = rng.choice([2.4, -2.4, 1.2, -1.2, 0.0], size=(len(window) + 1, vocab))
+    hist = HistoryMask(vocab)
+    hist.extend(history)
+    for lead in range(len(window) + 1):
+        assert hist.pick(rows[lead:], penalty, window) == [
+            penalized_argmax(rows[j], history + window[:j], penalty)
+            for j in range(lead, len(window) + 1)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +189,25 @@ def test_counting_deterministic(counting_backend):
     a = counting_backend.forward([1, 2, 3], 2)
     b = counting_backend.forward([1, 2, 3], 2)
     assert np.array_equal(a, b)
+
+
+def test_counting_forward_returns_fresh_rows(counting_backend):
+    pad, eos = counting_backend.spec.pad_id, counting_backend.spec.eos_id
+    one_hot = np.eye(counting_backend.spec.vocab_size)
+    table = counting_backend._eye.copy()
+    # Each block starts at PAD or EOS, so the forward scans back for the last
+    # digit d and scores (d + gap) mod 10; with no digit it scores 0.
+    cases = [
+        ([3, 5, pad, eos], 2, [7, 8]),
+        ([eos, 9, eos, pad, pad], 3, [1, 2, 3]),
+        ([pad, eos], 1, [0]),
+    ]
+    for ctx, block_len, digits in cases:
+        rows = counting_backend.forward(ctx, block_len)
+        assert np.array_equal(rows, one_hot[digits])
+        rows[:] = -1.0
+        assert np.array_equal(counting_backend.forward(ctx, block_len), one_hot[digits])
+    assert np.array_equal(counting_backend._eye, table)
 
 
 def test_counting_rejects_oversized_block(counting_backend):

@@ -1021,6 +1021,18 @@ def test_a_size_no_array_holds_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
+def test_a_budget_no_machine_can_allocate_exits_2_and_writes_nothing(tmp_path, capsys):
+    # The rows fit numpy's index but take 8 EiB, which the allocator refuses
+    # at once, before any page is touched.
+    budget = 1152921504606846956
+    out = tmp_path / "o"
+    args = ["--backend", "counting", "--prompt", "3", "--max-new-tokens", str(budget)]
+    assert run_cli("decode", *args, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"a budget of {budget} new tokens" in err and "can allocate" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, flags",
     [

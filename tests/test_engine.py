@@ -1,10 +1,11 @@
 import io
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from glimpse.backends import (
@@ -15,6 +16,7 @@ from glimpse.backends import (
     RetrievalScript,
 )
 from glimpse.backends.scripted import TRIGGER, PAD as S_PAD
+import glimpse.engine as engine_mod
 from glimpse.buffer import BatchBuffers, update
 from glimpse.cache import CacheBuffer
 from glimpse.engine import (
@@ -665,6 +667,47 @@ def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
     assert [len(bufs.context(i)) for i in range(2)] == [1 + budget + c, 3 + budget + c]
     with pytest.raises(CapacityError):
         update(bufs, 1, [0] * (c + 1), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["counting", "toy", "ngram"]),
+    seed=st.integers(0, 10_000),
+    c=st.integers(0, 5),
+    skip=st.booleans(),
+    budget=st.integers(1, 30),
+    penalty=st.sampled_from([1.0, 1.2]),
+    prompts=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=3),
+)
+# The budget cuts two commits short: 1, 4, 1, then 2 of 4.
+@example(kind="counting", seed=0, c=3, skip=True, budget=8, penalty=1.2, prompts=[[0], [4, 5, 6]])
+# EOS cuts the third iteration's commit to 1 of 2 matched tokens.
+@example(kind="ngram", seed=25, c=3, skip=True, budget=30, penalty=1.2, prompts=[[5]])
+def test_each_record_window_is_the_window_update_wrote(
+    toy_backend, counting_backend, kind, seed, c, skip, budget, penalty, prompts
+):
+    # The engine builds a record's window from the predictions, not from
+    # the buffer; read the buffer's window right after each update.
+    backend = {"counting": counting_backend, "toy": toy_backend}.get(kind)
+    backend = backend or random_ngram_backend(seed, eos_prob=0.2)
+    eos = backend.spec.eos_id
+    cfg = DecodeConfig(
+        window_len=c, skip=skip, max_new_tokens=budget, repetition_penalty=penalty
+    )
+    written = [[] for _ in prompts]
+
+    def update_then_read(buffers, i, preds, m):
+        update(buffers, i, preds, m)
+        written[i].append(buffers.window(i).tolist())
+
+    with mock.patch.object(engine_mod, "update", update_then_read):
+        results = decode(prompts, backend, cfg)
+    for res, windows in zip(results, written):
+        records = res.trace.records
+        assert [rec.window for rec in records] == windows
+        for rec in records:
+            if len(rec.committed) < (1 + rec.match_len if skip else 1):
+                event("a commit cut at " + ("EOS" if rec.committed[-1] == eos else "the budget"))
 
 
 def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows):
