@@ -15,15 +15,27 @@ subtracted, and ``wo`` and ``w2`` have zero row sums, so every row of ``x``
 has mean 0 up to rounding.  A layer norm ignores each row's mean, so this
 moves the textbook model's logits by float rounding only, and the norm
 need not subtract it.  A layer norm (eps 1e-5) is folded into the matmul
-it feeds, ``norm(x) @ W = x @ (sqrt(d) W) / sqrt(|x|^2 + d eps)``, so the
-QKV, first MLP and head weights hold ``sqrt(d)``.  As ``|x| < sqrt(|x|^2 +
-d eps)``, head ``h``'s scores are at most ``sigma_max(Wq_h)
+it feeds, ``norm(x) @ W = (x / sqrt(|x|^2 + d eps)) @ (sqrt(d) W)``, so the
+QKV, first MLP and head weights hold ``sqrt(d)``, and the division runs
+over the d-wide input rather than the wider product.  As ``|x| <
+sqrt(|x|^2 + d eps)``, head ``h``'s scores are at most ``sigma_max(Wq_h)
 sigma_max(Wk_h)`` of its stored weights in magnitude.  Construction bounds
 each ``sigma_max^2`` by Gershgorin on the Gram matrix ``W_h^T W_h`` and
 keeps the largest product as ``score_bound`` (about 59 for the default
-shape).  Softmax subtracts no row max while that bound is at most
-:data:`EXP_LIMIT`; masked scores (-1e30) still exponentiate to 0, and key 0
-is visible to every query.
+shape).
+
+That bound covers every score a call computes, visible or not, because
+every stored key is a key of this model or a zero: padded slots hold zero
+K/V, and the scratch rows past a slot's valid length were written by
+earlier calls of the same model.  While the bound is at most
+:data:`EXP_LIMIT`, softmax subtracts no row max and ``exp`` stays finite
+on every entry.  Visibility is then a 0/1 multiplier applied after
+``exp``: ``exp(s) * 1 == exp(s)`` and ``exp(s) * 0 == 0`` exactly, so a
+hidden key weighs nothing, and no hidden score reaches ``exp`` as a huge
+negative that would underflow (a slow path of numpy's ``exp``).  Above
+the bound, hidden scores become ``-inf`` before the row max over visible
+keys is subtracted, so none can overflow.  Key 0 is visible to every
+query, so no row's weights sum to 0.
 
 Every call attends over a :class:`~glimpse.cache.CacheBuffer`: the one its
 slots share, or a fresh one when it is given none.  Per head, the buffer
@@ -62,7 +74,6 @@ from glimpse.backends.base import BackendSpec, TokenSeq, check_forward_args
 from glimpse.cache import CacheBuffer, CacheSlot, plan_input_padding, plan_kv_padding
 from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 
-_NEG = -1e30  # masked attention score; exp() underflows to exactly 0.0
 #: Largest score bound at which softmax skips the row max: exp() then stays
 #: in [e^-500, e^500], far from float64 underflow and overflow (e^+-709).
 EXP_LIMIT = 500.0
@@ -198,30 +209,31 @@ class ToyTransformer:
         # Input slot j of instance b sits at absolute position valid_len + j,
         # which is also the store row its K/V are written to.  At equal
         # valid lengths these rows are one slice for every instance.
+        # One visibility rule: key t is visible to query j iff t <= valid_len + j.
+        # Attention applies it as a 0/1 multiplier ``mult`` on the
+        # exponentiated scores of the keys ``seen``; it also hides the
+        # padded slots, whose Q/K/V are zero, from every real query.
         v_min = min(valid_lens)
         if v_min == max(valid_lens):
-            new_rows = v_min + np.arange(n_max)
             pos = self.wpe[v_min : v_min + n_max]
             write_at: tuple = (read, slice(v_min, v_min + n_max))
+            # Every query sees the keys before v_min, so the multiplier is an
+            # n x n lower triangle over the last n_max keys (none for one query).
+            mult = np.tri(n_max) if n_max > 1 else None
+            seen = slice(v_min, None)
         else:
-            new_rows = np.asarray(valid_lens)[:, None, None] + np.arange(n_max)  # [batch, 1, n]
-            pos = self.wpe[np.minimum(new_rows[:, 0], spec.max_len - 1)]
-            write_at = (np.asarray(store_rows)[:, None], new_rows[:, 0])
+            new_rows = np.asarray(valid_lens)[:, None] + np.arange(n_max)  # [batch, n]
+            pos = self.wpe[np.minimum(new_rows, spec.max_len - 1)]
+            write_at = (np.asarray(store_rows)[:, None], new_rows)
+            # [batch, 1, n_max, key_len], over every key.
+            mult = (np.arange(key_len) <= new_rows[:, None, :, None]).astype(float)
+            seen = slice(None)
         ids = np.concatenate(blocks)
         rows = len(ids)
         if real is None:
             x = (self.wte[ids.reshape(batch, n_max)] + pos).reshape(rows, d)
         else:
             x = self.wte[ids] + np.broadcast_to(pos, (batch, n_max, d))[real]
-        # One visibility rule: key t is visible to query j iff t <= valid_len + j.
-        # Keys before the smallest valid length pass it for every query, so
-        # the additive bias only covers the keys from there on: at equal
-        # valid lengths an n x n causal block, and none for single queries.
-        # It also hides the padded slots, whose Q/K/V are zero, from every
-        # real query.
-        bias = None
-        if key_len - 1 > v_min:
-            bias = np.where(np.arange(v_min, key_len) <= new_rows[..., None], 0.0, _NEG)
 
         for layer, k_store, v_store in zip(self.layers, buf.keys, buf.values):
             qkv = self._normed_matmul(x, layer["wqkv"])
@@ -236,11 +248,16 @@ class ToyTransformer:
             # Softmax over [batch, heads, n_max, key_len], normalized after
             # the value product, where it is n_max x hd instead of n_max x key_len.
             weights = q @ k_store[read, ..., :key_len]
-            if bias is not None:
-                weights[..., v_min:] += bias
+            masked = weights[..., seen]  # a view
             if self.score_bound > EXP_LIMIT:
+                # The row max is over visible keys, and no hidden key reaches
+                # exp unbounded: an overflow times 0 would be NaN.
+                if mult is not None:
+                    np.copyto(masked, -np.inf, where=mult == 0)
                 weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
             np.exp(weights, out=weights)
+            if mult is not None:
+                np.multiply(masked, mult, out=masked)
             attn = weights @ v_store[read, :, :key_len]
             attn /= weights @ self._ones[:key_len]
             attn = attn.transpose(0, 2, 1, 3)  # [batch, n_max, heads, hd]
@@ -257,12 +274,12 @@ class ToyTransformer:
         """Layer norm of ``x``'s rows times ``w / sqrt(d)``, in one fresh array.
 
         The rows are centred (see the module docstring), so the norm
-        subtracts no mean.
+        subtracts no mean.  It divides the d-wide input, not the product,
+        which for QKV, the first MLP and the head is 3, 4 and vocab/d times
+        wider.
         """
         s = np.vecdot(x, x, keepdims=True) + self.spec.model_dim * 1e-5
-        out = x @ w
-        out /= np.sqrt(s, out=s)
-        return out
+        return (x / np.sqrt(s, out=s)) @ w
 
     def _kv_store(
         self, slots: Sequence[CacheSlot | None], n_rows: int

@@ -95,6 +95,56 @@ def test_both_softmax_paths_agree(name, monkeypatch):
         np.testing.assert_allclose(rows_a, rows_b, rtol=0, atol=TOL)
 
 
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("row_max", [False, True], ids=["raw-exp", "row-max"])
+def test_toy_calls_raise_no_floating_point_exception(name, row_max, monkeypatch):
+    """Hidden keys never reach exp as huge negatives, so nothing underflows.
+
+    A row-max softmax may underflow legitimately, so that path ignores
+    underflow alone.
+    """
+    seed, spec = SPECS[name]
+    errors = {"all": "raise"}
+    if row_max:
+        monkeypatch.setattr(toy_module, "EXP_LIMIT", 0.0)
+        errors["under"] = "ignore"
+    toy = make_toy_transformer(seed, spec)
+    with np.errstate(**errors):
+        _toy_calls(toy)
+
+
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("row_max", [False, True], ids=["raw-exp", "row-max"])
+def test_batch_that_is_mostly_padding(name, row_max, monkeypatch):
+    """Eight instances, valid lengths 2..120, blocks of 5, slots out of order.
+
+    Row 4 of the buffer sits out, and each prefill leaves 8 scratch
+    positions past the committed prompt, so most keys of the short
+    instances are padding or scratch that the visibility rule must hide.
+    """
+    seed, spec = SPECS[name]
+    if row_max:
+        monkeypatch.setattr(toy_module, "EXP_LIMIT", 0.0)
+    toy, ref = make_toy_transformer(seed, spec), ToyReference(seed, spec)
+    rng = np.random.default_rng(11)
+
+    def ids(n):
+        return [int(t) for t in rng.integers(0, spec.vocab_size, size=n)]
+
+    buf = CacheBuffer(9, spec.max_len, spec)
+    order = [7, 0, 5, 2, 8, 1, 6, 3]
+    ctxs = []
+    for i, v in zip(order, np.linspace(2, 120, len(order)).astype(int)):
+        prefill = ids(v + 8)
+        toy.forward(prefill, 1, buf.slot(i))
+        buf.write_back(i, prefill, 0, v)
+        ctxs.append(prefill[:v] + ids(5))
+    steps = toy.forward_batch(ctxs, [5] * len(order), [buf.slot(i) for i in order])
+    for ctx, rows in zip(ctxs, steps):
+        np.testing.assert_allclose(rows, toy.forward(ctx, 5), rtol=0, atol=TOL)
+        np.testing.assert_allclose(rows, ref.logits(ctx)[-5:], rtol=0, atol=TOL)
+
+
 def _benchmark_toy(monkeypatch):
     """The toy ``decodebench/workloads.py`` decodes with."""
     bench_dir = Path(__file__).resolve().parents[1] / "decodebench"
