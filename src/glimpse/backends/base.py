@@ -164,16 +164,15 @@ def penalized_scores(scores: np.ndarray, penalty: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _window_cells(c: int, lead: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_cells(c: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, ks)``: each pair of a score row and a window index the row sees.
 
-    Of the ``c + 1`` positions of a block after a window of ``c`` tokens the
-    rows score the last ``c + 1 - lead``; row ``r`` scores position
-    ``j = r + lead``, which sees ``window[:j]``.  The arrays are read-only,
-    since every caller shares them.
+    In a block of ``c + 1`` rows after a window of ``c`` tokens, row ``j``
+    sees ``window[:j]``.  The arrays are read-only, since every caller
+    shares them.
     """
-    rows = np.repeat(np.arange(c + 1 - lead), np.arange(lead, c + 1))
-    ks = np.concatenate([np.arange(j) for j in range(lead, c + 1)])
+    rows = np.repeat(np.arange(c + 1), np.arange(c + 1))
+    ks = np.concatenate([np.arange(j) for j in range(c + 1)])
     rows.flags.writeable = ks.flags.writeable = False
     return rows, ks
 
@@ -195,31 +194,27 @@ class HistoryMask:
     def pick(self, rows: np.ndarray, penalty: float, window: Sequence[int] = ()) -> list[int]:
         """Penalized argmax of each score row, ties to the lowest id.
 
-        Like a backend's score rows, ``rows`` score the last positions of a
-        block that follows the history and then ``window``: the last row is
-        penalized under the history plus the whole window, and each earlier
-        row under one window token fewer.  With ``len(window) == len(rows) - 1``,
-        row ``j`` sees ``window[:j]``.  The block is penalized once under
-        the history; then, in each row, only the cells of the window tokens
-        that row sees take their penalized score.  One argmax covers the
-        block.
+        Like a backend's score rows, ``rows`` score a block that follows
+        the history and then ``window``: exactly ``len(window) + 1`` rows,
+        of which row ``j`` is penalized under the history plus
+        ``window[:j]``.  The block is penalized once under the history;
+        then, in each row, only the cells of the window tokens that row
+        sees take their penalized score.  One argmax covers the block.
 
         The rows are not checked for non-finite values: the engine checks
         each forward's scores once, before any pick.
         """
         scores = np.asarray(rows, dtype=np.float64)
         c = len(window)
-        lead = c + 1 - scores.shape[0]
-        if lead < 0:
+        if scores.shape[0] != c + 1:
             raise ContractError(
-                f"{scores.shape[0]} score rows need at least {scores.shape[0] - 1}"
-                f" window tokens, got {c}"
+                f"a window of {c} tokens needs {c + 1} score rows, got {scores.shape[0]}"
             )
         if penalty != 1.0:
             adjusted = penalized_scores(scores, penalty)
             picked = np.where(self.mask, adjusted, scores)
             if c:
-                r, k = _window_cells(c, lead)
+                r, k = _window_cells(c)
                 cols = np.asarray(window)[k]
                 picked[r, cols] = adjusted[r, cols]
             scores = picked

@@ -10,8 +10,9 @@ context with no digit at all scores token 0.
 A forward finds the last digit at or before the block's first position,
 by a vectorized scan backwards when that position holds no digit, then
 walks the block in Python, so its Python work grows with ``block_len``
-only, not with the context or a filler run.  Its rows are one-hot rows
-copied from an identity table.
+only, not with the context or a filler run.  It writes each one-hot row's
+1 as the walk reaches the row, into zeros sized to the block, so its
+memory grows with the block, not with the square of the vocabulary.
 Deterministic and cheap, which makes it the workhorse for long-generation
 benchmarks and loop-convergence tests.
 """
@@ -59,8 +60,6 @@ class CountingBackend(SequentialBatchMixin):
             pad_id=modulus,
             eos_id=modulus + 1,
         )
-        self._eye = np.eye(self.spec.vocab_size)
-        self._eye.flags.writeable = False
 
     def forward(self, context: TokenSeq, block_len: int) -> np.ndarray:
         ids = check_forward_args(self.spec, context, block_len)
@@ -75,15 +74,15 @@ class CountingBackend(SequentialBatchMixin):
         else:
             pos = _last_digit(ids, split, m)
             val = int(ids[pos]) if pos >= 0 else 0
-        digits = []
-        for end, tok in enumerate(block, split):
+        rows = np.zeros((block_len, self.spec.vocab_size))
+        for j, tok in enumerate(block):
+            end = split + j
             if tok < m:
                 pos, val = end, tok
             # Predicting position end + 1, so the gap from the last digit
             # is end + 1 - pos.
-            digits.append((val + end + 1 - pos) % m if pos >= 0 else 0)
-        # Indexing the table copies its rows: each call returns a fresh array.
-        return self._eye[digits]
+            rows[j, (val + end + 1 - pos) % m if pos >= 0 else 0] = 1.0
+        return rows
 
 
 def make_counting_backend(modulus: int = 10) -> CountingBackend:

@@ -1,11 +1,13 @@
-"""Decode state: one token row per instance, of which the exact prefix and the window are views.
+"""Token state of a batch: one row per instance, of which the exact prefix and the window are views.
 
 Each instance's state is a single block, ``prompt ‖ exact ‖ window``, kept
 in one row of a preallocated int64 array.  ``exact`` holds tokens proven
 equal to greedy autoregressive output; ``window`` holds the current block
 of unverified lookahead guesses; ``frontier`` is the absolute index of the
 first guess (prompt length + committed count).  The window length ``c`` is
-fixed per batch, so a context is always ``frontier + c`` tokens long.
+fixed per batch, so a context is always ``frontier + c`` tokens long.  A
+run's progress (its iteration count and which instances are still
+decoding) is the decode loop's, not kept here.
 
 Verification compares the window's previous guesses against the fresh
 predictions from the fused forward call and reports the length K of the
@@ -58,12 +60,13 @@ class BatchBuffers:
     """The decode state of a batch sharing one backend and one window length.
 
     Per instance: a row of ``store`` holding ``prompt ‖ exact ‖ window``
-    (``capacity`` tokens wide, by default the initial context), the
-    ``prompt_len``, ``frontier`` and ``iteration`` counters, the
-    ``finished`` flag, and a :class:`HistoryMask` marking prompt ∪ exact.
-    :meth:`context`, :meth:`exact` and :meth:`window` are views of the row:
-    read them, do not keep them, since :func:`update` overwrites the tail.
-    Prompt ids must already be checked to lie in the vocabulary.
+    (``capacity`` tokens wide, by default the initial context), its
+    ``prompt_len`` and ``frontier``, and a :class:`HistoryMask` marking
+    prompt ∪ exact.  Tokens only: the decode loop keeps the iteration
+    count and the active set.  :meth:`context`, :meth:`exact` and
+    :meth:`window` are views of the row: read them, do not keep them,
+    since :func:`update` overwrites the tail.  Prompt ids must already be
+    checked to lie in the vocabulary.
     """
 
     def __init__(
@@ -83,8 +86,6 @@ class BatchBuffers:
         self.pad_id = spec.pad_id
         self.prompt_len = [len(p) for p in prompts]
         self.frontier = list(self.prompt_len)
-        self.iteration = [0] * len(prompts)
-        self.finished = [False] * len(prompts)
         need = max(self.prompt_len) + window_len
         if capacity is None:
             capacity = need
@@ -110,12 +111,6 @@ class BatchBuffers:
         f = self.frontier[i]
         return self.store[i, f : f + self.window_len]
 
-    def __len__(self) -> int:
-        return len(self.prompt_len)
-
-    def active_indices(self) -> list[int]:
-        return [i for i, done in enumerate(self.finished) if not done]
-
 
 def update(buffers: BatchBuffers, i: int, preds: Sequence[int], m: int) -> None:
     """Commit ``preds[:m]`` for instance ``i`` and slide the rest into its window.
@@ -137,4 +132,3 @@ def update(buffers: BatchBuffers, i: int, preds: Sequence[int], m: int) -> None:
     row[start:end] = list(preds) + [buffers.pad_id] * (m - 1)
     buffers.histories[i].extend(row[start : start + m])
     buffers.frontier[i] = start + m
-    buffers.iteration[i] += 1

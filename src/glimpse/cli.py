@@ -193,9 +193,9 @@ def _setup(
     """
     file_cfg = _load_config(args.config)
     cfg = _build_config(args, file_cfg)
-    try:  # a bad seed, shape, modulus or table file
+    try:  # a bad seed, shape, modulus or table file, or a shape no machine can allocate
         backend, desc = _build_backend(args, file_cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
     prompts = _prompts_from_args(args)
     for prompt in prompts:

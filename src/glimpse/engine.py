@@ -170,33 +170,31 @@ def iterate_once(
     backend: Backend,
     cache: CacheBuffer | None,
     cfg: DecodeConfig,
-    instances: Sequence[int] | None = None,
-    times: TimeBreakdown | None = None,
+    instances: Sequence[int],
+    iteration: int,
+    times: TimeBreakdown,
 ) -> list[IterationRecord]:
-    """Run one fused forward + pick + verify + update over the given instances.
+    """Run iteration ``iteration`` (from 1) of the listed instances: forward, pick, verify, update.
 
-    Every listed instance must be unfinished.  Each gets exactly one
-    forward call over ``[cached prefix | frontier-1 token | window]`` with
-    a query block of ``window_len + 1`` (the first call also computes the
-    uncached prompt); the cache is extended by the newly exact positions
-    only.  The commit count is decided here alone: ``1 + match_len`` with
-    skip (else 1), cut at the token budget and after the first EOS.  The
-    forward for the whole batch happens, and its scores are checked to be
-    finite, before any instance is updated, so a backend error or a
-    non-finite score leaves every buffer untouched.  Cache write-back and
-    update then run instance by instance and are not rolled back: a
-    write-back error on one instance leaves the earlier ones advanced.
-    ``times`` gains the ``infer``, ``decode`` and ``kv_cache`` segments
-    (see :class:`TimeBreakdown`).  Returns one record per instance.
+    The caller keeps the run's progress: every listed instance is still
+    decoding and has run ``iteration - 1`` iterations.  Each gets exactly
+    one forward call over ``[cached prefix | frontier-1 token | window]``
+    with a query block of ``window_len + 1`` (the first call also computes
+    the uncached prompt); the cache is extended by the newly exact
+    positions only.  The commit count is decided here alone:
+    ``1 + match_len`` with skip (else 1), cut at the token budget and after
+    the first EOS.  The forward for the whole batch happens, and each
+    instance's scores are checked to be one finite ``(window_len + 1,
+    vocab_size)`` array, before any instance is updated, so a backend
+    error or a score array of the wrong shape or with a non-finite value
+    leaves every buffer untouched.  Cache write-back and update then run
+    instance by instance and are not rolled back: a write-back error on
+    one instance leaves the earlier ones advanced.  ``times`` gains the
+    ``infer``, ``decode`` and ``kv_cache`` segments (see
+    :class:`TimeBreakdown`).  Returns one record per instance.
     """
     clock = time.perf_counter
     t = clock()
-    if instances is None:
-        instances = range(len(buffers))
-    for i in instances:
-        if buffers.finished[i]:
-            raise ContractError(f"instance {i} already finished")
-    times = times or TimeBreakdown()
     eos, pad = backend.spec.eos_id, backend.spec.pad_id
     c = buffers.window_len
     penalty = cfg.repetition_penalty
@@ -204,7 +202,12 @@ def iterate_once(
     contexts = [buffers.context(i) for i in instances]
     slots = [cache.slot(i) for i in instances] if cache is not None else None
     scores = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
+    shape = (c + 1, backend.spec.vocab_size)
+    if len(scores) != len(contexts):
+        raise ContractError(f"backend returned {len(scores)} score arrays for {len(contexts)}")
     for rows in scores:
+        if rows.shape != shape:
+            raise ContractError(f"backend returned scores of shape {rows.shape}, not {shape}")
         if not np.isfinite(rows).all():
             raise ContractError("backend returned non-finite scores")
     now = clock()
@@ -241,7 +244,7 @@ def iterate_once(
         update(buffers, i, preds, m)
         records.append(
             IterationRecord(
-                iteration=buffers.iteration[i],
+                iteration=iteration,
                 frontier_before=frontier,
                 frontier=frontier + m,
                 window_before=window_before,
@@ -297,8 +300,10 @@ def _decode(
 ) -> list[DecodeResult]:
     """One batch decode run: the fused loop until every instance stops.
 
-    ``cache`` continues an earlier run's cache (the answer phase extends
-    the rationale's); without it a backend with layers gets a fresh cache
+    The loop owns the run's progress, one iteration count and the list of
+    active instances; :class:`BatchBuffers` holds only tokens.  ``cache``
+    continues an earlier run's cache (the answer phase extends the
+    rationale's); without it a backend with layers gets a fresh cache
     sized for this run.  Each trace is labelled by the config alone:
     ``"ar"`` for a zero-length window, else ``"parallel"``.
     """
@@ -326,18 +331,18 @@ def _decode(
     ]
     eos = spec.eos_id
     clock = time.perf_counter
-    active = buffers.active_indices()
+    # Every instance starts in the first iteration and each iteration
+    # advances every active one, so one count serves the batch.
+    active = list(range(len(prompts)))
+    iteration = 0
     while active:
-        records = iterate_once(buffers, backend, cache, cfg, active, times)
+        iteration += 1
+        records = iterate_once(buffers, backend, cache, cfg, active, iteration, times)
         t = clock()
         for i, rec in zip(active, records):
             traces[i].records.append(rec)
-            stop = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
-            if stop is not None:
-                buffers.finished[i] = True
-                stops[i] = stop
-        if stops.count(None) < len(active):
-            active = buffers.active_indices()
+            stops[i] = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
+        active = [i for i in active if stops[i] is None]
         times.stop_check += clock() - t
     return [
         DecodeResult(
@@ -395,13 +400,15 @@ def decode(
     totals: ``wall_s`` is the wall time of the whole call and
     ``breakdown`` the phases of its loops.
     """
+    spec = backend.spec
     if answer:
+        for prompt in prompts:  # checked as ``_decode`` checks them, before they size the run
+            check_forward_args(spec, prompt, 1)
         _check_trigger(backend, cfg)
         need = _max_context(prompts, cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
         _check_capacity(backend, len(prompts), need, "the answer phase")
     t0 = time.perf_counter()
     times = TimeBreakdown()
-    spec = backend.spec
     cache = CacheBuffer(len(prompts), need, spec) if answer and spec.n_layers else None
     results = _decode(prompts, backend, cfg, cache, times)
     if answer:

@@ -20,7 +20,7 @@ from typing import IO
 class TimeBreakdown:
     """Wall-clock seconds of the consecutive segments of a run's iterations.
 
-    ``infer`` runs through the forward call and its finiteness check;
+    ``infer`` runs through the forward call and its score checks;
     ``decode`` is each instance's pick, verify, commit count, update and
     record; ``kv_cache`` the cache write-back alone; ``stop_check`` the
     trace appends, stop conditions and next active set.  The rest is set-up.

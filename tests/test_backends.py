@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glimpse.backends import (
+    CountingBackend,
     NgramBackend,
     make_counting_backend,
     make_ngram_backend,
@@ -131,20 +134,20 @@ def test_penalized_pick_matches_oracle(row, penalty, data):
     hist = HistoryMask(vocab)
     hist.extend(history)
     block = np.asarray(rows, dtype=np.float64)
-    # Rows score the block's last positions: without its first `lead` rows,
-    # the block's row j still sees window[:j].
-    for lead in range(n):
-        assert hist.pick(block[lead:], penalty, window) == [
-            penalized_argmax(rows[j], history + window[:j], penalty) for j in range(lead, n)
-        ]
+    assert hist.pick(block, penalty, window) == [
+        penalized_argmax(rows[j], history + window[:j], penalty) for j in range(n)
+    ]
     assert hist.mask.tolist() == mask
+    # A block is exactly one row more than its window.
     if n > 1:
         with pytest.raises(ContractError):
             hist.pick(block, penalty, window[:-1])
+        with pytest.raises(ContractError):
+            hist.pick(block[1:], penalty, window)
 
 
 @pytest.mark.parametrize("penalty", [1.2, 2.0])
-def test_block_pick_at_every_lead_matches_oracle(penalty):
+def test_block_pick_matches_oracle(penalty):
     # The window repeats token 2, holds history tokens 0 and 1, and PAD (5)
     # twice; every cell of every row scores 2.4, -2.4, 1.2, -1.2 or 0, so
     # penalties make ties that must break to the lowest id.
@@ -153,11 +156,9 @@ def test_block_pick_at_every_lead_matches_oracle(penalty):
     rows = rng.choice([2.4, -2.4, 1.2, -1.2, 0.0], size=(len(window) + 1, vocab))
     hist = HistoryMask(vocab)
     hist.extend(history)
-    for lead in range(len(window) + 1):
-        assert hist.pick(rows[lead:], penalty, window) == [
-            penalized_argmax(rows[j], history + window[:j], penalty)
-            for j in range(lead, len(window) + 1)
-        ]
+    assert hist.pick(rows, penalty, window) == [
+        penalized_argmax(rows[j], history + window[:j], penalty) for j in range(len(window) + 1)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +195,6 @@ def test_counting_deterministic(counting_backend):
 def test_counting_forward_returns_fresh_rows(counting_backend):
     pad, eos = counting_backend.spec.pad_id, counting_backend.spec.eos_id
     one_hot = np.eye(counting_backend.spec.vocab_size)
-    table = counting_backend._eye.copy()
     # Each block starts at PAD or EOS, so the forward scans back for the last
     # digit d and scores (d + gap) mod 10; with no digit it scores 0.
     cases = [
@@ -207,7 +207,19 @@ def test_counting_forward_returns_fresh_rows(counting_backend):
         assert np.array_equal(rows, one_hot[digits])
         rows[:] = -1.0
         assert np.array_equal(counting_backend.forward(ctx, block_len), one_hot[digits])
-    assert np.array_equal(counting_backend._eye, table)
+
+
+def test_counting_memory_grows_with_the_block_not_the_vocabulary():
+    # An identity table over 20,002 ids alone would take 3 GiB.
+    tracemalloc.start()
+    try:
+        backend = CountingBackend(20_000)
+        rows = backend.forward([19_998, 19_999, 20_000], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.argmax(axis=-1).tolist() == [0, 1]
+    assert peak < 16 * 2**20
 
 
 def test_counting_rejects_oversized_block(counting_backend):

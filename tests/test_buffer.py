@@ -10,7 +10,7 @@ SPEC = BackendSpec(vocab_size=100, pad_id=PAD, eos_id=98)
 
 
 def _state(b, i=0):
-    return b.exact(i).tolist(), b.window(i).tolist(), b.frontier[i], b.iteration[i]
+    return b.exact(i).tolist(), b.window(i).tolist(), b.frontier[i]
 
 
 def _slide(preds, m):
@@ -22,13 +22,13 @@ def _slide(preds, m):
 
 def test_init_pure_ar_mode():
     b = BatchBuffers([list(range(10))], 0, SPEC)
-    assert _state(b) == ([], [], 10, 0)
+    assert _state(b) == ([], [], 10)
     assert b.context(0).tolist() == list(range(10))
 
 
 def test_init_window_filled_with_pad():
     b = BatchBuffers([list(range(10))], 3, SPEC)
-    assert _state(b) == ([], [PAD, PAD, PAD], 10, 0)
+    assert _state(b) == ([], [PAD, PAD, PAD], 10)
     assert b.histories[0].mask.nonzero()[0].tolist() == list(range(10))
 
 
@@ -78,11 +78,11 @@ def test_update_advances_frontier_and_iteration():
     preds = [4, 5, 6, 7]
     update(b, 0, preds, 1 + verify(b.window(0), preds).match_len)
     # PAD window: only the AR token commits
-    assert _state(b) == ([4], [5, 6, 7], 11, 1)
+    assert _state(b) == ([4], [5, 6, 7], 11)
     preds = b.window(0).tolist() + [8]
     update(b, 0, preds, 1 + verify(b.window(0), preds).match_len)
     # full match commits 1 + 3
-    assert _state(b) == ([4, 5, 6, 7, 8], [PAD, PAD, PAD], 15, 2)
+    assert _state(b) == ([4, 5, 6, 7, 8], [PAD, PAD, PAD], 15)
     assert b.histories[0].mask[[4, 5, 6, 7, 8]].all()
     assert not b.histories[0].mask[PAD]
 
@@ -124,7 +124,6 @@ def test_exact_stream_append_only():
 
 def test_batch_buffers_contract():
     batch = BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC)
-    assert batch.active_indices() == [0, 1]
     assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
     assert batch.store.shape == (2, 7)
     with pytest.raises(ContractError):
@@ -137,11 +136,9 @@ def test_batch_buffers_contract():
     update(batch, 0, [7, 8, 9, 9], 1)
     assert batch.context(0).tolist() == [1, 2, 7, 8, 9, 9]
     assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
-    batch.finished[0] = True
-    assert batch.active_indices() == [1]
     with pytest.raises(CapacityError):
         update(batch, 1, [1] * 4, 3)  # 4 + 3 + 3 > 9
     for preds, m in (([1] * 3, 1), ([1] * 4, 0), ([1] * 4, 5)):
         with pytest.raises(ContractError):
             update(batch, 1, preds, m)
-    assert _state(batch, 1) == ([], [PAD, PAD, PAD], 4, 0)
+    assert _state(batch, 1) == ([], [PAD, PAD, PAD], 4)

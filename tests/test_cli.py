@@ -1033,6 +1033,17 @@ def test_a_budget_no_machine_can_allocate_exits_2_and_writes_nothing(tmp_path, c
     assert not out.exists()
 
 
+def test_a_toy_shape_no_machine_can_allocate_exits_2_and_writes_nothing(tmp_path, capsys):
+    # The position table alone takes hundreds of TiB, which the allocator
+    # refuses at once, before any page is touched.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {"kind": "toy", "max_len": 10**12}}))
+    out = tmp_path / "o"
+    assert run_cli("decode", "--config", str(cfg), "--prompt", "3", "--out", str(out)) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, flags",
     [

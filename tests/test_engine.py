@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from dataclasses import replace
 from unittest import mock
@@ -27,7 +28,7 @@ from glimpse.engine import (
     iterate_once,
 )
 from glimpse.errors import CapacityError, ConfigError, ContractError
-from glimpse.trace import IterationRecord
+from glimpse.trace import IterationRecord, TimeBreakdown
 
 from conftest import as_ar, random_ngram_backend, random_prompt, small_toy_spec
 from oracles import greedy_ar_reference, jacobi_reference
@@ -88,12 +89,9 @@ def test_batch_matches_solo_runs(toy_backend):
         ]
 
 
-def test_iterate_once_rejects_finished_instance(counting_backend):
-    cfg = cfg_for(counting_backend, 2)
-    bufs = BatchBuffers([[0]], 2, counting_backend.spec)
-    bufs.finished[0] = True
-    with pytest.raises(ContractError):
-        iterate_once(bufs, counting_backend, None, cfg)
+def _buffer_state(bufs):
+    """Copies of every row, frontier and history mask."""
+    return bufs.store.tolist(), list(bufs.frontier), [h.mask.tolist() for h in bufs.histories]
 
 
 def test_iterate_once_atomic_on_backend_error(counting_backend):
@@ -110,14 +108,44 @@ def test_iterate_once_atomic_on_backend_error(counting_backend):
 
     cfg = cfg_for(counting_backend, 2)
     bufs = BatchBuffers([[0]], 2, counting_backend.spec, capacity=6)
-
-    def state():
-        return bufs.store.tolist(), bufs.frontier, bufs.iteration, bufs.histories[0].mask.tolist()
-
-    snapshot = state()
+    snapshot = _buffer_state(bufs)
     with pytest.raises(RuntimeError):
-        iterate_once(bufs, Flaky(counting_backend), None, cfg)
-    assert state() == snapshot
+        iterate_once(bufs, Flaky(counting_backend), None, cfg, [0], 1, TimeBreakdown())
+    assert _buffer_state(bufs) == snapshot
+
+
+# Score arrays of a batch of two, each (c + 1, vocab), made the wrong shape.
+_MISSHAPEN = {
+    # the second instance gets c rows: the first would be advanced before verify refuses it
+    "one-instance-c-rows": lambda scores: [scores[0], scores[1][1:]],
+    # three extra columns that outscore every token: id 12 would reach the row
+    "too-wide": lambda scores: [np.hstack([r, np.full((len(r), 3), 2.0)]) for r in scores],
+    # 5 columns instead of 12: would decode a wrong stream and raise nothing
+    "too-narrow": lambda scores: [r[:, :5] for r in scores],
+    "one-array-missing": lambda scores: scores[:1],
+}
+
+
+@pytest.mark.parametrize("penalty", [1.0, 1.2])
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_wrong_shaped_scores_leave_every_buffer_untouched(counting_backend, case, penalty):
+    class Misshapen:
+        spec = counting_backend.spec
+
+        def forward_batch(self, contexts, block_lens, slots=None):
+            return _MISSHAPEN[case](counting_backend.forward_batch(contexts, block_lens, slots))
+
+    prompts, c = [[0], [4, 5, 6]], 3
+    cfg = DecodeConfig(window_len=c, max_new_tokens=8, repetition_penalty=penalty)
+    bufs = BatchBuffers(prompts, c, counting_backend.spec, capacity=3 + 8 + c)
+    # A first, well-shaped iteration puts guesses in the windows.
+    iterate_once(bufs, counting_backend, None, cfg, [0, 1], 1, TimeBreakdown())
+    snapshot = _buffer_state(bufs)
+    with pytest.raises(ContractError, match="score arrays|shape"):
+        iterate_once(bufs, Misshapen(), None, cfg, [0, 1], 2, TimeBreakdown())
+    assert _buffer_state(bufs) == snapshot
+    with pytest.raises(ContractError, match="score arrays|shape"):
+        decode(prompts, Misshapen(), cfg)
 
 
 def test_max_new_tokens_never_exceeded(counting_backend):
@@ -648,10 +676,15 @@ def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
     streams = [jacobi_reference(counting_backend, p, c, True, budget)[0] for p in prompts]
     bufs = BatchBuffers(prompts, c, counting_backend.spec, capacity=3 + budget + c)
     truncated = 0
-    active = bufs.active_indices()
+    active, iteration = [0, 1], 0
     while active:
-        records = iterate_once(bufs, counting_backend, None, cfg, instances=active)
+        iteration += 1
+        records = iterate_once(
+            bufs, counting_backend, None, cfg, active, iteration, TimeBreakdown()
+        )
+        still = []
         for i, rec in zip(active, records):
+            assert rec.iteration == iteration
             m = len(rec.committed)
             # commits go 1, 4, 1, 4: the fourth is cut to the 2 tokens left
             truncated += m < 1 + rec.match_len
@@ -660,9 +693,9 @@ def test_truncated_commit_keeps_rows_equal_to_buffers(counting_backend):
             slide = rec.predictions[m:] + [pad] * (m - 1)
             assert rec.window == slide
             assert bufs.context(i).tolist() == prompts[i] + streams[i][:n_exact] + slide
-            if check_stop(rec, n_exact, eos, cfg):
-                bufs.finished[i] = True
-        active = bufs.active_indices()
+            if check_stop(rec, n_exact, eos, cfg) is None:
+                still.append(i)
+        active = still
     assert truncated == 2
     assert [len(bufs.context(i)) for i in range(2)] == [1 + budget + c, 3 + budget + c]
     with pytest.raises(CapacityError):
@@ -755,15 +788,16 @@ def test_prompt_ids_checked_like_contexts(counting_backend):
     vocab = counting_backend.spec.vocab_size
     bad_prompts = (
         [1.0, 2.0], [3.7], np.array([True, False]), [2, True], (np.bool_(False), 3),
-        [0, vocab], [-1], [2**70], [],
+        [0, vocab], [-1], [2**70], [], 5, None,
     )
-    for bad in bad_prompts:
+    # A run that answers sizes itself from the prompts, after checking them.
+    for bad, answer in itertools.product(bad_prompts, (False, True)):
         with pytest.raises(ContractError):
-            decode([bad], counting_backend, cfg)
+            decode([bad], counting_backend, cfg, answer=answer)
         with pytest.raises(ContractError):
-            decode([[0], bad], counting_backend, cfg)
+            decode([[0], bad], counting_backend, cfg, answer=answer)
         with pytest.raises(ContractError):
-            decode([bad], counting_backend, as_ar(cfg))
+            decode([bad], counting_backend, as_ar(cfg), answer=answer)
 
 
 def test_empty_batch_refused(toy_backend, counting_backend):
