@@ -46,10 +46,10 @@ def verify(window: Sequence[int], preds: Sequence[int]) -> VerifyOutcome:
     """Count the window guesses the fresh predictions confirm.
 
     ``match_len`` is the longest k with ``window[:k] == preds[:k]``.
+    ``preds`` holds ``len(window) + 1`` picks: the engine's score-shape
+    check and the block pick's row check refuse any other count.
     """
     c = len(window)
-    if len(preds) != c + 1:
-        raise ContractError(f"expected {c + 1} predictions for a window of {c}, got {len(preds)}")
     k = 0
     while k < c and window[k] == preds[k]:
         k += 1
@@ -60,7 +60,7 @@ class BatchBuffers:
     """The decode state of a batch sharing one backend and one window length.
 
     Per instance: a row of ``store`` holding ``prompt ‖ exact ‖ window``
-    (``capacity`` tokens wide, by default the initial context), its
+    (``capacity`` tokens wide, at least the initial context), its
     ``prompt_len`` and ``frontier``, and a :class:`HistoryMask` marking
     prompt ∪ exact.  Tokens only: the decode loop keeps the iteration
     count and the active set.  :meth:`context`, :meth:`exact` and
@@ -74,7 +74,7 @@ class BatchBuffers:
         prompts: Sequence[Sequence[int]],
         window_len: int,
         spec: BackendSpec,
-        capacity: int | None = None,
+        capacity: int,
     ) -> None:
         if len(prompts) == 0:
             raise ContractError("batch must be nonempty")
@@ -87,8 +87,6 @@ class BatchBuffers:
         self.prompt_len = [len(p) for p in prompts]
         self.frontier = list(self.prompt_len)
         need = max(self.prompt_len) + window_len
-        if capacity is None:
-            capacity = need
         if capacity < need:
             raise CapacityError(f"context of {need} tokens exceeds capacity {capacity}")
         # Zeros, not a PAD fill: pages past the decoded tokens stay untouched.
@@ -117,11 +115,10 @@ def update(buffers: BatchBuffers, i: int, preds: Sequence[int], m: int) -> None:
 
     Writes ``preds ‖ PAD^(m-1)`` at the frontier, marks ``preds[:m]`` in
     the history and advances the frontier by ``m``, so the next window is
-    ``preds[m:] ‖ PAD^(m-1)``.
+    ``preds[m:] ‖ PAD^(m-1)``.  ``preds`` holds ``window_len + 1`` picks,
+    as for :func:`verify`.
     """
     c = buffers.window_len
-    if len(preds) != c + 1:
-        raise ContractError(f"expected {c + 1} predictions for a window of {c}, got {len(preds)}")
     if not 1 <= m <= c + 1:
         raise ContractError(f"commit of {m} tokens outside 1..{c + 1}")
     start = buffers.frontier[i]

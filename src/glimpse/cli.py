@@ -249,8 +249,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     # Every chunk is decoded before the first write, so a refused run writes
     # nothing; every trace carries its chunk's totals.  A chunk's results
     # are dropped once its payloads and token lines are taken and its traces
-    # are spooled to an anonymous file, so memory does not grow with the
-    # prompts file.
+    # are spooled to an anonymous file, so of each prompt only its payload
+    # and token line are kept, not its trace or K/V cache.
     payloads: list[dict] = []
     lines: list[str] = []
     with tempfile.TemporaryFile("w+", newline="") as spool:

@@ -1,12 +1,13 @@
 """Decode engine: fused autoregressive + lookahead iteration with verified commits.
 
-Each iteration issues one forward call per instance over
-``[cached prefix | last exact token | window]`` with a query block of
-``window + 1`` positions.  The first scored position is conditioned only on
-exact context, so its pick is always committed; further picks commit while
-the window guesses they were conditioned on match.  The uncommitted fresh
-predictions slide into the next window.  With a zero-length window the loop
-is plain greedy autoregressive decoding.
+Each iteration issues one ``forward_batch`` call per batch, over each
+instance's ``[cached prefix | last exact token | window]`` with a query
+block of ``window + 1`` positions.  The first scored position is
+conditioned only on exact context, so its pick is always committed;
+further picks commit while the window guesses they were conditioned on
+match.  The uncommitted fresh predictions slide into the next window.
+With a zero-length window the loop is plain greedy autoregressive
+decoding.
 
 There is one loop, and one call around it, :func:`decode`, which decodes a
 batch and, given ``answer=True``, answers it; a solo run is a batch of one.
@@ -259,18 +260,6 @@ def iterate_once(
     return records
 
 
-def _max_context(prompts: Sequence[TokenSeq], cfg: DecodeConfig) -> int:
-    """Longest context a forward of this run can see.
-
-    The last iteration starts with at most ``max_new_tokens - 1`` exact
-    tokens and scores them behind the prompt, with the window after them.
-    Every run sizes itself with this first, so it refuses an empty batch.
-    """
-    if len(prompts) == 0:
-        raise ContractError("batch must be nonempty")
-    return max(len(p) for p in prompts) + cfg.max_new_tokens - 1 + cfg.window_len
-
-
 def _check_trigger(backend: Backend, cfg: DecodeConfig) -> None:
     """Refuse up front an answer trigger the backend cannot read."""
     for tok in cfg.answer_trigger:
@@ -278,40 +267,50 @@ def _check_trigger(backend: Backend, cfg: DecodeConfig) -> None:
             raise ConfigError(f"answer trigger token {tok} outside vocab")
 
 
-def _check_capacity(backend: Backend, rows: int, need: int, what: str) -> None:
-    """Refuse up front a run whose ``rows`` contexts would outgrow the backend or any array."""
-    limit = backend.spec.max_len
-    if limit and need > limit:
-        raise ConfigError(
-            f"{what} needs contexts of up to {need} tokens,"
-            f" over the backend's max_len {limit}"
-        )
-    # numpy refuses an array of more than sys.maxsize bytes; a row holds need + 1 int64s.
-    if 8 * rows * (need + 1) > sys.maxsize:
-        raise ConfigError(f"{what} needs contexts of up to {need} tokens, more than an array holds")
-
-
 def _decode(
     prompts: Sequence[TokenSeq],
     backend: Backend,
     cfg: DecodeConfig,
-    cache: CacheBuffer | None,
     times: TimeBreakdown,
+    cache: CacheBuffer | None = None,
+    answer: bool = False,
 ) -> list[DecodeResult]:
-    """One batch decode run: the fused loop until every instance stops.
+    """One batch run: checked and sized, the fused loop, then, if ``answer``, its answer phase.
 
-    The loop owns the run's progress, one iteration count and the list of
-    active instances; :class:`BatchBuffers` holds only tokens.  ``cache``
-    continues an earlier run's cache (the answer phase extends the
-    rationale's); without it a backend with layers gets a fresh cache
-    sized for this run.  Each trace is labelled by the config alone:
-    ``"ar"`` for a zero-length window, else ``"parallel"``.
+    Every refusal comes before the first forward, in this order: the
+    prompt ids (the backends' own check), the trigger (only when
+    answering), then the capacity of the whole run, the answer's trigger
+    and budget included.  ``cache`` continues an earlier run's cache (the
+    answer phase extends the rationale's); without it a backend with
+    layers gets a fresh cache sized for this run and its answer.  The loop
+    owns the run's progress, one iteration count and the list of active
+    instances; :class:`BatchBuffers` holds only tokens.  The answer phase
+    reads each instance's row, ``prompt ‖ exact ‖ approximate tail``, as
+    its context.  Each trace is labelled by the config alone: ``"ar"``
+    for a zero-length window, else ``"parallel"``.
     """
     spec = backend.spec
     # The backends' own check: integer ids inside the vocabulary.
     prompts = [check_forward_args(spec, prompt, 1) for prompt in prompts]
-    need = _max_context(prompts, cfg)
-    _check_capacity(backend, len(prompts), need, "decoding")
+    room, what = 0, "decoding"
+    if answer:
+        _check_trigger(backend, cfg)
+        room, what = len(cfg.answer_trigger) + cfg.answer_max_tokens, "the answer phase"
+    if len(prompts) == 0:
+        raise ContractError("batch must be nonempty")
+    # The longest context a forward sees: the last iteration starts with at
+    # most max_new_tokens - 1 exact tokens behind the prompt, then the window.
+    need = max(len(p) for p in prompts) + cfg.max_new_tokens - 1 + cfg.window_len
+    # The answer's contexts extend the longest by the trigger and its budget.
+    total = need + room
+    if spec.max_len and total > spec.max_len:
+        raise ConfigError(
+            f"{what} needs contexts of up to {total} tokens,"
+            f" over the backend's max_len {spec.max_len}"
+        )
+    # numpy refuses an array of more than sys.maxsize bytes; a row holds total + 1 int64s.
+    if 8 * len(prompts) * (total + 1) > sys.maxsize:
+        raise ConfigError(f"{what} needs contexts of up to {total} tokens, more than an array holds")
     # The last update's tail write ends at most one token past the last forward's context.
     try:
         buffers = BatchBuffers(prompts, cfg.window_len, spec, capacity=need + 1)
@@ -322,7 +321,7 @@ def _decode(
             " context tokens, more than this machine can allocate"
         ) from exc
     if cache is None and spec.n_layers > 0:
-        cache = CacheBuffer(len(prompts), need, spec)
+        cache = CacheBuffer(len(prompts), total, spec)
     stops: list[StopDecision | None] = [None] * len(prompts)
     method = "parallel" if cfg.window_len else "ar"
     traces = [
@@ -344,7 +343,7 @@ def _decode(
             stops[i] = check_stop(rec, rec.frontier - buffers.prompt_len[i], eos, cfg)
         active = [i for i in active if stops[i] is None]
         times.stop_check += clock() - t
-    return [
+    results = [
         DecodeResult(
             exact_rationale=buffers.exact(i).tolist(),
             approximate_tail=buffers.window(i).tolist(),
@@ -354,6 +353,11 @@ def _decode(
         )
         for i, (trace, stop) in enumerate(zip(traces, stops))
     ]
+    if answer:
+        contexts = [buffers.context(i) for i in range(len(prompts))]
+        for result, tokens in zip(results, answer_phase(contexts, backend, cfg, cache, times)):
+            result.answer = tokens
+    return results
 
 
 def _greedy(cfg: DecodeConfig, budget: int) -> DecodeConfig:
@@ -371,17 +375,22 @@ def answer_phase(
     """Decode each instance's answer after its context and the trigger.
 
     One zero-window run over every ``context ‖ trigger``, where a
-    rationale's context is ``prompt ‖ exact ‖ approximate tail``, the tail
-    verbatim, PAD tokens and all.  Decoding is greedy with the configured
-    penalty, up to ``answer_max_tokens`` or EOS (EOS itself is not
-    returned).  Given ``cache`` (the rationale's) instance ``i`` extends
-    row ``i``; without it the run gets a fresh one.  ``times`` gains the
-    loop's phases.
+    rationale's context is its row, ``prompt ‖ exact ‖ approximate
+    tail``, the tail verbatim, PAD tokens and all.  Each context is
+    checked as a prompt is, before the trigger is appended, so an empty
+    one is refused.  Decoding is greedy with the configured penalty, up to
+    ``answer_max_tokens`` or EOS (EOS itself is not returned).  Given
+    ``cache`` (the rationale's) instance ``i`` extends row ``i``; without
+    it the run gets a fresh one.  ``times`` gains the loop's phases.
     """
     _check_trigger(backend, cfg)
-    seqs = [[*context, *cfg.answer_trigger] for context in contexts]
+    trigger = np.array(cfg.answer_trigger, dtype=np.int64)
+    seqs = [
+        np.concatenate((check_forward_args(backend.spec, context, 1), trigger))
+        for context in contexts
+    ]
     greedy = _greedy(cfg, cfg.answer_max_tokens)
-    results = _decode(seqs, backend, greedy, cache, times or TimeBreakdown())
+    results = _decode(seqs, backend, greedy, times or TimeBreakdown(), cache)
     eos = backend.spec.eos_id
     answers = [result.exact_rationale for result in results]
     return [answer[:-1] if answer and answer[-1] == eos else answer for answer in answers]
@@ -393,31 +402,16 @@ def decode(
     """Decode a batch: the rationale loop, then, if ``answer``, its answer phase.
 
     Per-instance results match solo runs (a batch of one).  Without
-    ``answer`` each result's answer is empty.  A run that answers is
-    refused before the rationale starts when the trigger is outside the
-    vocabulary or the answer would not fit the backend's ``max_len``; its
-    cache holds the answer rows too.  Every trace carries the batch's
-    totals: ``wall_s`` is the wall time of the whole call and
+    ``answer`` each result's answer is empty.  The run is checked and
+    sized as :func:`_decode` says, so a run that answers is refused before
+    the rationale starts when the trigger is outside the vocabulary or the
+    answer would not fit the backend's ``max_len``.  Every trace carries
+    the batch's totals: ``wall_s`` is the wall time of the whole call and
     ``breakdown`` the phases of its loops.
     """
-    spec = backend.spec
-    if answer:
-        for prompt in prompts:  # checked as ``_decode`` checks them, before they size the run
-            check_forward_args(spec, prompt, 1)
-        _check_trigger(backend, cfg)
-        need = _max_context(prompts, cfg) + len(cfg.answer_trigger) + cfg.answer_max_tokens
-        _check_capacity(backend, len(prompts), need, "the answer phase")
     t0 = time.perf_counter()
     times = TimeBreakdown()
-    cache = CacheBuffer(len(prompts), need, spec) if answer and spec.n_layers else None
-    results = _decode(prompts, backend, cfg, cache, times)
-    if answer:
-        contexts = [
-            [*prompt, *result.exact_rationale, *result.approximate_tail]
-            for prompt, result in zip(prompts, results)
-        ]
-        for result, tokens in zip(results, answer_phase(contexts, backend, cfg, cache, times)):
-            result.answer = tokens
+    results = _decode(prompts, backend, cfg, times, answer=answer)
     wall_s = time.perf_counter() - t0
     for result in results:
         result.trace.wall_s = wall_s

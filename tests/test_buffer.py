@@ -21,20 +21,20 @@ def _slide(preds, m):
 
 
 def test_init_pure_ar_mode():
-    b = BatchBuffers([list(range(10))], 0, SPEC)
+    b = BatchBuffers([list(range(10))], 0, SPEC, capacity=10)
     assert _state(b) == ([], [], 10)
     assert b.context(0).tolist() == list(range(10))
 
 
 def test_init_window_filled_with_pad():
-    b = BatchBuffers([list(range(10))], 3, SPEC)
+    b = BatchBuffers([list(range(10))], 3, SPEC, capacity=13)
     assert _state(b) == ([], [PAD, PAD, PAD], 10)
     assert b.histories[0].mask.nonzero()[0].tolist() == list(range(10))
 
 
 def test_init_rejects_negative_window():
     with pytest.raises(ContractError):
-        BatchBuffers([list(range(10))], -1, SPEC)
+        BatchBuffers([list(range(10))], -1, SPEC, capacity=10)
 
 
 def test_verify_skip_commits_matched_prefix():
@@ -66,11 +66,6 @@ def test_verify_full_match_refills_with_pad():
     out = verify([1, 2], [1, 2, 3])
     assert out.match_len == 2
     assert _slide([1, 2, 3], 3) == ([1, 2, 3], [PAD, PAD])
-
-
-def test_verify_length_mismatch_rejected():
-    with pytest.raises(ContractError):
-        verify([1, 2, 3], [1, 2, 3])
 
 
 def test_update_advances_frontier_and_iteration():
@@ -123,13 +118,13 @@ def test_exact_stream_append_only():
 
 
 def test_batch_buffers_contract():
-    batch = BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC)
+    batch = BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC, capacity=7)
     assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
     assert batch.store.shape == (2, 7)
     with pytest.raises(ContractError):
-        BatchBuffers([[1, 2], []], 3, SPEC)
+        BatchBuffers([[1, 2], []], 3, SPEC, capacity=7)
     with pytest.raises(ContractError):
-        BatchBuffers([], 3, SPEC)
+        BatchBuffers([], 3, SPEC, capacity=7)
     with pytest.raises(CapacityError):
         BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC, capacity=6)
     batch = BatchBuffers([[1, 2], [3, 4, 5, 6]], 3, SPEC, capacity=9)
@@ -138,7 +133,7 @@ def test_batch_buffers_contract():
     assert batch.context(1).tolist() == [3, 4, 5, 6, PAD, PAD, PAD]
     with pytest.raises(CapacityError):
         update(batch, 1, [1] * 4, 3)  # 4 + 3 + 3 > 9
-    for preds, m in (([1] * 3, 1), ([1] * 4, 0), ([1] * 4, 5)):
+    for m in (0, 5):
         with pytest.raises(ContractError):
-            update(batch, 1, preds, m)
+            update(batch, 1, [1] * 4, m)
     assert _state(batch, 1) == ([], [PAD, PAD, PAD], 4)

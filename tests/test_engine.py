@@ -584,10 +584,14 @@ def test_ar_baseline_fills_max_len():
 
 def test_answer_that_cannot_fit_refused_before_rationale():
     backend = _small_max_len_toy()
-    # the 56-token rationale fits, but its 16-token answer would not
+    # the 56-token rationale fits, but its 16-token answer would not: one
+    # refusal, for the whole run, under the answer's label
     cfg = DecodeConfig(window_len=0, max_new_tokens=56)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^the answer phase needs contexts of up to 79 tokens"):
         decode([PROMPT_10_17], backend, cfg, answer=True)
+    too_long = replace(cfg, max_new_tokens=58)
+    with pytest.raises(ConfigError, match="^decoding needs contexts of up to 65 tokens"):
+        decode([PROMPT_10_17], backend, too_long)
     assert backend.calls == 0
     # 8 + 40 - 1 + 0 + 1 trigger + 16 answer = 64 fits exactly
     fits = DecodeConfig(window_len=0, max_new_tokens=40, answer_trigger=(5,))
@@ -747,15 +751,39 @@ def test_answer_phase_rows_extend_the_rationale_cache(toy_backend, context_rows)
     cfg = DecodeConfig(window_len=3, max_new_tokens=10, answer_trigger=(2, 3), answer_max_tokens=6)
     res = decode([[4, 5, 6]], toy_backend, cfg, answer=True)[0]
     assert all(view and n <= width for n, width, view in context_rows)
-    # The answer session's first context is prompt ‖ exact ‖ approx ‖ trigger.
+    # The answer reads the rationale's row, prompt ‖ exact ‖ approx, once;
+    # the answer session's first context then appends the trigger.
     answer_start = 3 + len(res.exact_rationale) + len(res.approximate_tail) + 2
     first_answer = res.trace.iterations
-    assert context_rows[first_answer][0] == answer_start
-    assert context_rows[first_answer][1] == answer_start + cfg.answer_max_tokens
+    assert context_rows[first_answer][0] == answer_start - 2
+    assert context_rows[first_answer + 1][0] == answer_start
+    assert context_rows[first_answer + 1][1] == answer_start + cfg.answer_max_tokens
     [fresh] = answer_phase(
         [[4, 5, 6, *res.exact_rationale, *res.approximate_tail]], toy_backend, cfg
     )
     assert res.answer == fresh
+
+
+@pytest.mark.parametrize("kind", ["counting", "toy"])
+def test_answer_contexts_are_the_rationale_rows(monkeypatch, counting_backend, toy_backend, kind):
+    backend = {"counting": counting_backend, "toy": toy_backend}[kind]
+    prompts = [[0]] if kind == "counting" else [[4, 5, 6], [7], [8, 9, 1, 2, 3], [6, 6]]
+    seen = []
+    original = engine_mod.answer_phase
+
+    def spy(contexts, *args):
+        seen.append(contexts)
+        return original(contexts, *args)
+
+    monkeypatch.setattr(engine_mod, "answer_phase", spy)
+    for c in (0, 3):
+        cfg = DecodeConfig(window_len=c, max_new_tokens=9, answer_trigger=(2, 3))
+        seen.clear()
+        results = decode(prompts, backend, cfg, answer=True)
+        [contexts] = seen
+        for prompt, res, ctx in zip(prompts, results, contexts):
+            assert isinstance(ctx, np.ndarray) and ctx.dtype == np.int64
+            assert ctx.tolist() == [*prompt, *res.exact_rationale, *res.approximate_tail]
 
 
 def test_results_hold_python_ints(toy_backend, counting_backend):
@@ -798,6 +826,16 @@ def test_prompt_ids_checked_like_contexts(counting_backend):
             decode([[0], bad], counting_backend, cfg, answer=answer)
         with pytest.raises(ContractError):
             decode([bad], counting_backend, as_ar(cfg), answer=answer)
+    # An answer context is checked as a prompt is, before the trigger is
+    # appended and before any forward; so an empty one is refused too.
+    backend = _CountingForwards(counting_backend)
+    answering = replace(cfg, answer_trigger=(3,))
+    for bad in bad_prompts:
+        with pytest.raises(ContractError):
+            answer_phase([bad], backend, answering)
+        with pytest.raises(ContractError):
+            answer_phase([[0], bad], backend, answering)
+    assert backend.calls == 0
 
 
 def test_empty_batch_refused(toy_backend, counting_backend):

@@ -330,8 +330,8 @@ def _traces_of_every_kind(monkeypatch, counting_backend, toy_backend):
     traces = []
     loop = engine._decode
 
-    def keep(*args):
-        results = loop(*args)
+    def keep(*args, **kwargs):
+        results = loop(*args, **kwargs)
         traces.extend(r.trace for r in results)
         return results
 
