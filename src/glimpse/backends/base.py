@@ -70,13 +70,13 @@ class Backend(Protocol):
 
     ``forward`` returns the ``[block_len, vocab_size]`` float64 score array:
     row ``j`` scores the token following context position ``split + j``,
-    where ``split = len(context) - block_len``.  ``forward_batch`` returns
-    one such array per instance.  The toy's forward also takes a cache
-    slot: it writes the K/V of its new positions into the slot's rows past
-    the valid length (the commit pointer), and
+    where ``split = len(context) - block_len``.  ``forward_batch`` stacks
+    these into one ``[batch, block_len, vocab_size]`` array, for a nonempty
+    batch of one block length (:func:`check_batch_args`).  The toy's
+    forward also takes a cache slot: it writes the K/V of its new positions
+    into the slot's rows past the valid length (the commit pointer), and
     :meth:`~glimpse.cache.CacheBuffer.write_back` commits them by moving
-    the pointer.  Cacheless backends refuse a slot in
-    :class:`SequentialBatchMixin`.
+    the pointer.  Cacheless backends refuse a slot in :class:`SequentialBatchMixin`.
     """
 
     spec: BackendSpec
@@ -88,24 +88,38 @@ class Backend(Protocol):
         contexts: Sequence[TokenSeq],
         block_lens: Sequence[int],
         slots: Sequence["CacheSlot | None"] | None = None,
-    ) -> list[np.ndarray]: ...
+    ) -> np.ndarray: ...
+
+
+def check_batch_args(
+    contexts: Sequence[TokenSeq], block_lens: Sequence[int], slots: Sequence | None
+) -> int:
+    """The one block length of a nonempty ``forward_batch`` call, one entry per context."""
+    n = len(contexts)
+    if len(block_lens) != n or (slots is not None and len(slots) != n):
+        raise ContractError("forward_batch arguments must have equal lengths")
+    if n == 0:
+        raise ContractError("a batch must be nonempty")
+    if block_lens.count(block_lens[0]) != n:
+        raise ContractError(f"a batch takes one block length, got {list(block_lens)}")
+    return block_lens[0]
 
 
 class SequentialBatchMixin:
-    """Batch path of the cacheless backends: one forward per instance, and no cache slot."""
+    """Batch path of the cacheless backends: one forward per instance, stacked, and no cache slot."""
 
     def forward_batch(
         self,
         contexts: Sequence[TokenSeq],
         block_lens: Sequence[int],
         slots: Sequence["CacheSlot | None"] | None = None,
-    ) -> list[np.ndarray]:
-        n = len(contexts)
-        if len(block_lens) != n or (slots is not None and len(slots) != n):
-            raise ContractError("forward_batch arguments must have equal lengths")
+    ) -> np.ndarray:
+        check_batch_args(contexts, block_lens, slots)
         if slots is not None and any(slot is not None for slot in slots):
             raise ContractError(f"{type(self).__name__} has no K/V cache: it takes no cache slot")
-        return list(map(self.forward, contexts, block_lens))  # type: ignore[attr-defined]
+        rows = list(map(self.forward, contexts, block_lens))  # type: ignore[attr-defined]
+        # A view for a batch of one: np.stack would copy the rows.
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 _BOOLS = frozenset({bool, np.bool_})

@@ -23,12 +23,7 @@ import numbers
 
 import numpy as np
 
-from glimpse.backends.base import (
-    BackendSpec,
-    SequentialBatchMixin,
-    TokenSeq,
-    check_forward_args,
-)
+from glimpse.backends.base import BackendSpec, SequentialBatchMixin, TokenSeq, check_forward_args
 from glimpse.errors import ContractError
 
 

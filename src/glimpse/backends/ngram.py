@@ -22,12 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from glimpse.backends.base import (
-    BackendSpec,
-    SequentialBatchMixin,
-    TokenSeq,
-    check_forward_args,
-)
+from glimpse.backends.base import BackendSpec, SequentialBatchMixin, TokenSeq, check_forward_args
 from glimpse.errors import ContractError, TableParseError
 
 

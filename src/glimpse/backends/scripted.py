@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from glimpse.backends.base import (
-    BackendSpec,
-    SequentialBatchMixin,
-    TokenSeq,
-    check_forward_args,
-)
+from glimpse.backends.base import BackendSpec, SequentialBatchMixin, TokenSeq, check_forward_args
 from glimpse.errors import ConfigError
 
 PAD = 0

@@ -45,9 +45,9 @@ the K/V of its new positions straight into each slot's rows past the valid
 length (the commit pointer) and attends over them there; the caller's
 :meth:`~glimpse.cache.CacheBuffer.write_back` commits them by moving the
 pointer.  A call without slots attends in a fresh buffer of its own, which
-it discards.  A call returns only its score rows.  One visibility rule
-covers causality and all padding: key ``t`` is visible to query ``j`` of
-an instance iff ``t <= valid_len + j``.
+it discards.  A call returns one ``[batch, block_len, vocab_size]`` score
+array.  One visibility rule covers causality and all padding: key ``t`` is
+visible to query ``j`` of an instance iff ``t <= valid_len + j``.
 
 A call runs its row-wise layers (embedding, QKV, ``wo``, MLP, residual
 adds and head) over one ``[rows, d]`` matrix that holds only the
@@ -55,22 +55,21 @@ instances' real rows: instance ``b`` owns ``rows[off_b : off_b + n_b]``.
 Only attention has per-instance ``[batch, heads, n_max, key_len]``
 shapes, sized by the two padding plans of :mod:`glimpse.cache`: the key
 range ``[0, valid_len + n)`` pads to the longest in the batch, and the
-queries pad to the longest block.  At equal block lengths (every solo
-call, and every batched call after a batch's first) the rows reshape to
-that layout for free; otherwise each layer scatters its QKV rows into a
-zeroed padded layout before attention and gathers the real rows after it.
-The visibility rule hides every padded slot from every real query, so
-each batched instance reproduces its solo output.
+queries pad to the longest ``n``.  At equal ``n`` (every solo call, and
+every batched call after a batch's first) rows and scores reshape to that
+layout for free; otherwise each layer scatters its QKV rows into a zeroed
+padded layout before attention and gathers the real rows after it, and the
+scores are gathered once.  The visibility rule hides every padded slot
+from every real query, so each batched instance reproduces its solo output.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from glimpse.backends.base import BackendSpec, TokenSeq, check_forward_args
+from glimpse.backends.base import BackendSpec, TokenSeq, check_batch_args, check_forward_args
 from glimpse.cache import CacheBuffer, CacheSlot, plan_input_padding, plan_kv_padding
 from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 
@@ -156,23 +155,18 @@ class ToyTransformer:
         contexts: Sequence[TokenSeq],
         block_lens: Sequence[int],
         slots: Sequence[CacheSlot | None] | None = None,
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
+        bl = check_batch_args(contexts, block_lens, slots)
         if slots is None:
             slots = [None] * len(contexts)
-        if not len(contexts) == len(block_lens) == len(slots):
-            raise ContractError("forward_batch arguments must have equal lengths")
-        if len(contexts) == 0:
-            return []
 
         spec = self.spec
         valid_lens: list[int] = []
         blocks: list[np.ndarray] = []
-        for ctx, bl, slot in zip(contexts, block_lens, slots):
+        for ctx, slot in zip(contexts, slots):
             ids = check_forward_args(spec, ctx, bl)
             if len(ids) > spec.max_len:
-                raise CapacityError(
-                    f"context length {len(ids)} exceeds max_len {spec.max_len}"
-                )
+                raise CapacityError(f"context length {len(ids)} exceeds max_len {spec.max_len}")
             v = 0
             if slot is not None:
                 v = slot.valid_len
@@ -191,7 +185,7 @@ class ToyTransformer:
         batch, lens = len(blocks), [len(b) for b in blocks]
         # Instance b owns rows [off_b, off_b + n_b) of the call's [rows, d]
         # matrix.  Attention alone runs in a padded [batch, n_max] layout:
-        # a free reshape at equal block lengths, else one scatter before
+        # a free reshape at equal uncached lengths, else one scatter before
         # it and one gather after it (``real`` marks the real slots).
         n_max, real = lens[0], None
         if min(lens) != max(lens):
@@ -268,7 +262,10 @@ class ToyTransformer:
             x += np.maximum(h, 0.0, out=h) @ layer["w2"]
 
         logits = self._normed_matmul(x, self.lm_head)
-        return [logits[end - bl : end] for end, bl in zip(accumulate(lens), block_lens)]
+        if real is None:
+            return logits.reshape(batch, n_max, spec.vocab_size)[:, n_max - bl :]  # a view
+        # Instance b's block is the last bl of its rows, which end at sum(lens[: b + 1]).
+        return logits[(np.cumsum(lens) - bl)[:, None] + np.arange(bl)]
 
     def _normed_matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Layer norm of ``x``'s rows times ``w / sqrt(d)``, in one fresh array.
@@ -286,8 +283,9 @@ class ToyTransformer:
     ) -> tuple[CacheBuffer, list[int]]:
         """The cache buffer one call writes and attends in, and each instance's row.
 
-        The slots must be distinct instances of one buffer with ``n_rows``
-        rows of room; a call without slots gets a fresh buffer of that size.
+        The slots must be distinct instances of one buffer built for this
+        model's spec, with ``n_rows`` rows of room; a call without slots
+        gets a fresh buffer of that size.
         """
         if all(s is None for s in slots):
             return CacheBuffer(len(slots), n_rows, self.spec), list(range(len(slots)))
@@ -295,6 +293,8 @@ class ToyTransformer:
         rows = [s.instance for s in slots if s is not None and s.buffer is buf]
         if len(rows) != len(slots) or len(set(rows)) != len(rows):
             raise ContractError("cache slots must be distinct instances of one buffer")
+        if buf.spec != self.spec:
+            raise ContractError(f"cache buffer built for {buf.spec}, not this model's {self.spec}")
         if n_rows > buf.max_len:
             raise CapacityError(f"cache capacity {buf.max_len} exceeded at position {n_rows}")
         return buf, rows

@@ -19,7 +19,7 @@ when its instances progress unevenly:
 * cache padding — pad the key/value length dimension to the longest valid
   length in the batch;
 * input padding — pad uneven input blocks to the longest; the toy needs it
-  only when block lengths differ (in the engine, a batch's first call).
+  only when uncached lengths differ (in the engine, a batch's first call).
 
 A plan only counts the padded slots.  The toy runs its row-wise layers
 over the real rows alone and pads only inside attention, where it hides

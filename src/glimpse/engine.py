@@ -184,11 +184,11 @@ def iterate_once(
     the uncached prompt); the cache is extended by the newly exact
     positions only.  The commit count is decided here alone:
     ``1 + match_len`` with skip (else 1), cut at the token budget and after
-    the first EOS.  The forward for the whole batch happens, and each
-    instance's scores are checked to be one finite ``(window_len + 1,
+    the first EOS.  The forward for the whole batch happens, and its
+    scores are checked to be one finite ``(len(instances), window_len + 1,
     vocab_size)`` array, before any instance is updated, so a backend
-    error or a score array of the wrong shape or with a non-finite value
-    leaves every buffer untouched.  Cache write-back and update then run
+    error or scores of the wrong shape or with a non-finite value leave
+    every buffer untouched.  Cache write-back and update then run
     instance by instance and are not rolled back: a write-back error on
     one instance leaves the earlier ones advanced.  ``times`` gains the
     ``infer``, ``decode`` and ``kv_cache`` segments (see
@@ -196,21 +196,19 @@ def iterate_once(
     """
     clock = time.perf_counter
     t = clock()
-    eos, pad = backend.spec.eos_id, backend.spec.pad_id
+    eos = backend.spec.eos_id
     c = buffers.window_len
     penalty = cfg.repetition_penalty
 
     contexts = [buffers.context(i) for i in instances]
     slots = [cache.slot(i) for i in instances] if cache is not None else None
     scores = backend.forward_batch(contexts, [c + 1] * len(contexts), slots)
-    shape = (c + 1, backend.spec.vocab_size)
-    if len(scores) != len(contexts):
-        raise ContractError(f"backend returned {len(scores)} score arrays for {len(contexts)}")
-    for rows in scores:
-        if rows.shape != shape:
-            raise ContractError(f"backend returned scores of shape {rows.shape}, not {shape}")
-        if not np.isfinite(rows).all():
-            raise ContractError("backend returned non-finite scores")
+    shape = (len(contexts), c + 1, backend.spec.vocab_size)
+    if not isinstance(scores, np.ndarray) or scores.shape != shape:
+        got = getattr(scores, "shape", type(scores).__name__)
+        raise ContractError(f"backend returned scores of shape {got}, not {shape}")
+    if not np.isfinite(scores).all():
+        raise ContractError("backend returned non-finite scores")
     now = clock()
     times.infer += now - t
     t = now
@@ -252,8 +250,7 @@ def iterate_once(
                 predictions=preds,
                 match_len=outcome.match_len,
                 committed=committed,
-                # The next window, as update wrote it.
-                window=preds[m:] + [pad] * (m - 1),
+                window=buffers.window(i).tolist(),
             )
         )
     times.decode += clock() - t

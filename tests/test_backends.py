@@ -559,7 +559,7 @@ def test_out_of_vocab_anywhere_in_context_rejected(kind, bad, where):
     with pytest.raises(ContractError):
         backend.forward(ctx, 2)
     with pytest.raises(ContractError):
-        backend.forward_batch([[spec.pad_id] * 4, ctx], [1, 2])
+        backend.forward_batch([[spec.pad_id] * 4, ctx], [2, 2])
     ctx[where] = spec.pad_id
     backend.forward(ctx, 2)  # the same context with the id replaced is fine
     # Ids are refused, not cast, when they are not integers.
@@ -572,7 +572,7 @@ def test_out_of_vocab_anywhere_in_context_rejected(kind, bad, where):
             with pytest.raises(ContractError):
                 backend.forward(mixed, 2)
             with pytest.raises(ContractError):
-                backend.forward_batch([[spec.pad_id] * 4, mixed], [1, 2])
+                backend.forward_batch([[spec.pad_id] * 4, mixed], [2, 2])
     view = np.asarray([ctx, ctx], dtype=np.int64)[1, :30]
     assert check_forward_args(spec, view, 2) is view  # an int64 view is not copied
 
@@ -600,5 +600,47 @@ def test_the_sequential_batch_path_refuses_a_cache_slot(kind):
         backend.forward_batch([[pad], [pad]], [1, 1], [None, slot])
     # no slots, or only None ones, is the cacheless call
     for slots in (None, [None, None]):
-        rows = backend.forward_batch([[pad], [pad, pad]], [1, 2], slots)
-        assert [r.shape[0] for r in rows] == [1, 2]
+        rows = backend.forward_batch([[pad], [pad, pad]], [1, 1], slots)
+        assert rows.shape == (2, 1, backend.spec.vocab_size)
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_forward_batch_returns_one_array_of_the_solo_rows(kind):
+    # One float64 [batch, block_len, vocab] array whose [b] is instance b's
+    # forward: exactly for the cacheless backends, to float rounding for
+    # the toy, whose batch pads uneven lengths.  A batch of one is exact.
+    backend = _BACKENDS[kind]()
+    vocab = backend.spec.vocab_size
+    rng = np.random.default_rng(5)
+    for lens in ((4, 4, 4), (3, 9, 6)):
+        contexts = [rng.integers(0, vocab - 2, size=n).tolist() for n in lens]
+        for block_len in (1, 3):
+            rows = backend.forward_batch(contexts, [block_len] * len(contexts))
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            assert rows.shape == (len(contexts), block_len, vocab)
+            solo = np.stack([backend.forward(ctx, block_len) for ctx in contexts])
+            if kind == "toy":
+                np.testing.assert_allclose(rows, solo, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(rows, solo)
+            one = backend.forward_batch(contexts[1:2], [block_len])
+            assert np.array_equal(one, solo[1:2])
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_forward_batch_refuses_a_batch_it_cannot_stack(kind):
+    # Nonempty, one block length, and one block length and slot per context.
+    backend = _BACKENDS[kind]()
+    pad = backend.spec.pad_id
+    two = [[pad, pad], [pad, pad, pad]]
+    for contexts, block_lens, slots, match in (
+        ([], [], None, "nonempty"),
+        ([], [], [], "nonempty"),
+        (two, [1], None, "equal lengths"),
+        (two, [1, 1, 1], None, "equal lengths"),
+        (two, [1, 1], [None], "equal lengths"),
+        (two, [1, 2], None, "one block length"),
+        (two, [2, 1], [None, None], "one block length"),
+    ):
+        with pytest.raises(ContractError, match=match):
+            backend.forward_batch(contexts, block_lens, slots)

@@ -54,6 +54,9 @@ def test_tracer_counts_every_layer_and_restores_names(tracer):
         "trace.records",
         "engine.answer_phase_s",
         "engine.check_stop_s",
+        # The window/AR split reads forward_batch's block lengths per instance.
+        "toy.window_call_ratio",
+        "buffer.accept_ratio",
     ):
         assert metrics[name] > 0, name
     # one block pick per iteration, answer iterations included

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ def test_cache_sound_after_mixed_iterations(toy):
 
 
 def test_batched_forward_matches_solo(toy):
-    # mixed valid lengths (cache padding) and mixed block widths (input padding)
+    # mixed valid lengths (cache padding) and mixed uncached lengths (input padding)
     rng = np.random.default_rng(3)
     contexts = [
         [int(t) for t in rng.integers(0, 64, size=n)] for n in (5, 9, 12, 7)
@@ -170,11 +172,11 @@ def test_batched_forward_matches_solo(toy):
         if cl:
             toy.forward(ctx[:cl], 1, cache.slot(i))
             cache.write_back(i, ctx, 0, cl)
-    block_lens = [2, 4, 3, 1]
+    # 3, 9, 5 and 4 uncached positions, of which the last 3 are scored
     slots = [cache.slot(i) for i in range(len(contexts))]
-    batched = toy.forward_batch(contexts, block_lens, slots)
-    for i, (ctx, bl) in enumerate(zip(contexts, block_lens)):
-        solo = toy.forward(ctx, bl, slots[i])
+    batched = toy.forward_batch(contexts, [3] * len(contexts), slots)
+    for i, ctx in enumerate(contexts):
+        solo = toy.forward(ctx, 3, slots[i])
         assert np.abs(batched[i] - solo).max() < 1e-6
 
     # one query per instance at equal valid lengths, as in a batched AR
@@ -251,15 +253,15 @@ def test_batched_forward_matches_solo_on_any_slot_layout(toy):
     rng = np.random.default_rng(4)
     contexts = [[int(t) for t in rng.integers(0, 62, size=n)] for n in (6, 11, 8)]
     cached_lens = [3, 9, 5]
-    block_lens = [3, 2, 1]
     cache = CacheBuffer(3, 48, toy.spec)
     slots = [cache.slot(2), cache.slot(0), cache.slot(1)]
     for slot, ctx, cl in zip(slots, contexts, cached_lens):
         toy.forward(ctx[:cl], 1, slot)
         cache.write_back(slot.instance, ctx, 0, cl)
-    batched = toy.forward_batch(contexts, block_lens, slots)
-    for out, ctx, bl in zip(batched, contexts, block_lens):
-        fresh = toy.forward(ctx, bl)
+    # 3, 2 and 3 uncached positions
+    batched = toy.forward_batch(contexts, [2, 2, 2], slots)
+    for out, ctx in zip(batched, contexts):
+        fresh = toy.forward(ctx, 2)
         assert np.abs(out - fresh).max() < 1e-6
 
 
@@ -278,6 +280,21 @@ def test_forward_refuses_slots_it_cannot_attend_in(toy):
             toy.forward_batch(contexts, [1, 1], slots)
 
 
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_forward_refuses_a_cache_built_for_another_shape(toy, n_layers):
+    # A buffer with fewer layers would cut the layer loop short, and one
+    # with more would be accepted; either is refused before any K/V write.
+    other = CacheBuffer(2, 16, replace(toy.spec, n_layers=n_layers))
+    for call in (
+        lambda: toy.forward([1, 2, 3], 1, other.slot(0)),
+        lambda: toy.forward_batch([[1, 2, 3], [4, 5]], [1, 1], [other.slot(0), other.slot(1)]),
+    ):
+        with pytest.raises(ContractError, match="cache buffer built for"):
+            call()
+        assert not any(a.any() for a in other.keys + other.values)
+        assert other.valid_len.tolist() == [0, 0]
+
+
 def test_block_past_capacity_refused_before_any_write(toy):
     ctx = [3, 1, 4, 1, 5, 9, 2, 6]
     cache = CacheBuffer(2, 8, toy.spec)
@@ -286,12 +303,12 @@ def test_block_past_capacity_refused_before_any_write(toy):
         cache.write_back(i, ctx, 0, cached)
     before = [_committed_state(cache, i) for i in range(2)]
     slots = [cache.slot(0), cache.slot(1)]
-    # each block fits on its own, but the padded block writes rows 6..9
-    # for instance 0
+    # each instance's 1 and 4 uncached positions fit on their own, but the
+    # padded block writes rows 6..9 for instance 0
     toy.forward(ctx[:7], 1, slots[0])
-    toy.forward(ctx[:6], 4, slots[1])
+    toy.forward(ctx[:6], 1, slots[1])
     with pytest.raises(CapacityError):
-        toy.forward_batch([ctx[:7], ctx[:6]], [1, 4], slots)
+        toy.forward_batch([ctx[:7], ctx[:6]], [1, 1], slots)
     with pytest.raises(CapacityError):
         toy.forward(ctx + [5], 4, slots[1])
     assert cache.valid_len.tolist() == [6, 2]
@@ -365,8 +382,8 @@ def test_batched_forward_runs_row_wise_layers_over_real_rows_only(toy, monkeypat
             cache.write_back(i, contexts[i], 0, cached)
     slots = [cache.slot(i) for i in range(3)]
     rows.clear()
-    batched = toy.forward_batch(contexts, [2, 1, 3], slots)
+    batched = toy.forward_batch(contexts, [2, 2, 2], slots)
     # blocks of 4, 2 and 3 rows: 9 real rows against 3 x 4 padded ones
     assert rows == [9] * (2 * len(toy.layers) + 1)
-    for out, ctx, bl in zip(batched, contexts, (2, 1, 3)):
-        assert np.abs(out - toy.forward(ctx, bl)).max() < 1e-6
+    for out, ctx in zip(batched, contexts):
+        assert np.abs(out - toy.forward(ctx, 2)).max() < 1e-6

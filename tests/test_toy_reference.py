@@ -43,8 +43,8 @@ def _toy_calls(toy):
         return [int(t) for t in rng.integers(0, spec.vocab_size, size=n)]
 
     calls = [(c, bl, toy.forward(c, bl)) for c, bl in [(ids(1), 1), (ids(23), 1), (ids(23), 6)]]
-    ctxs, bls = [ids(5), ids(17), ids(9)], [2, 5, 1]
-    calls += zip(ctxs, bls, toy.forward_batch(ctxs, bls))
+    ctxs = [ids(5), ids(17), ids(9)]
+    calls += [(c, 4, rows) for c, rows in zip(ctxs, toy.forward_batch(ctxs, [4] * 3))]
 
     buf = CacheBuffer(1, spec.max_len, spec)
     slot = buf.slot(0)
@@ -59,16 +59,15 @@ def _toy_calls(toy):
 
     buf = CacheBuffer(3, spec.max_len, spec)
     prompts = [ids(n) for n in (4, 19, 10)]
-    bls = [1, 3, 2]
-    steps = toy.forward_batch(prompts, bls, [buf.slot(i) for i in range(3)])
-    calls += zip(prompts, bls, steps)
+    steps = toy.forward_batch(prompts, [2] * 3, [buf.slot(i) for i in range(3)])
+    calls += [(p, 2, rows) for p, rows in zip(prompts, steps)]
     for i, p in enumerate(prompts):
         buf.write_back(i, p, 0, len(p))
+    # 2, 4 and 6 uncached positions behind valid lengths 4, 19 and 10
     for order in ([0, 1, 2], [2, 0, 1]):
-        ctxs = [prompts[i] + ids(1 + 2 * i) for i in order]
-        bls = [1 + 2 * i for i in order]
-        steps = toy.forward_batch(ctxs, bls, [buf.slot(i) for i in order])
-        calls += zip(ctxs, bls, steps)
+        ctxs = [prompts[i] + ids(2 + 2 * i) for i in order]
+        steps = toy.forward_batch(ctxs, [2] * 3, [buf.slot(i) for i in order])
+        calls += [(c, 2, rows) for c, rows in zip(ctxs, steps)]
     return calls
 
 
