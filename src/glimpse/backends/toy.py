@@ -29,13 +29,13 @@ every stored key is a key of this model or a zero: padded slots hold zero
 K/V, and the scratch rows past a slot's valid length were written by
 earlier calls of the same model.  While the bound is at most
 :data:`EXP_LIMIT`, softmax subtracts no row max and ``exp`` stays finite
-on every entry.  Visibility is then a 0/1 multiplier applied after
-``exp``: ``exp(s) * 1 == exp(s)`` and ``exp(s) * 0 == 0`` exactly, so a
-hidden key weighs nothing, and no hidden score reaches ``exp`` as a huge
-negative that would underflow (a slow path of numpy's ``exp``).  Above
-the bound, hidden scores become ``-inf`` before the row max over visible
-keys is subtracted, so none can overflow.  Key 0 is visible to every
-query, so no row's weights sum to 0.
+on every entry.  Visibility is then a boolean mask applied after ``exp``: it
+zeroes each hidden entry and keeps each visible one, bit for bit what a 0/1
+multiplier does to a positive finite ``exp(s)``.  A hidden key weighs
+nothing, and no hidden score reaches ``exp`` as a huge negative that would
+underflow (a slow path of numpy's ``exp``).  Above the bound, hidden scores
+become ``-inf`` before the row max over visible keys is subtracted, so none
+can overflow.  Key 0 is visible to every query, so no row sums to 0.
 
 Every call attends over a :class:`~glimpse.cache.CacheBuffer`: the one its
 slots share, or a fresh one when it is given none.  Per head, the buffer
@@ -47,7 +47,7 @@ length (the commit pointer) and attends over them there; the caller's
 pointer.  A call without slots attends in a fresh buffer of its own, which
 it discards.  A call returns one ``[batch, block_len, vocab_size]`` score
 array.  One visibility rule covers causality and all padding: key ``t`` is
-visible to query ``j`` of an instance iff ``t <= valid_len + j``.
+hidden from query ``j`` of an instance iff ``t > valid_len + j``.
 
 A call runs its row-wise layers (embedding, QKV, ``wo``, MLP, residual
 adds and head) over one ``[rows, d]`` matrix that holds only the
@@ -65,6 +65,7 @@ from every real query, so each batched instance reproduces its solo output.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +77,14 @@ from glimpse.errors import CacheMismatchError, CapacityError, ContractError
 #: Largest score bound at which softmax skips the row max: exp() then stays
 #: in [e^-500, e^500], far from float64 underflow and overflow (e^+-709).
 EXP_LIMIT = 500.0
+
+
+@lru_cache(maxsize=64)
+def _hidden_triangle(n: int) -> np.ndarray:
+    """Read-only: key ``i`` of the last ``n`` is hidden from query ``j`` iff ``i > j``."""
+    hidden = ~np.tri(n, dtype=bool)
+    hidden.flags.writeable = False
+    return hidden
 
 
 def default_toy_spec(
@@ -120,24 +129,25 @@ class ToyTransformer:
         # The residual stream's rows have mean 0 (see the module docstring).
         self.wte = centred(draw(v, d, std=0.5))
         self.wpe = centred(draw(spec.max_len, d, std=0.5))
-        self.layers = []
+        self.layers: list[tuple[np.ndarray, ...]] = []
         for _ in range(spec.n_layers):
             # Weights a norm feeds hold its sqrt(d), so they draw at std 1, not 1/sqrt(d).
             wq, wk, wv = (draw(d, d, std=1.0) for _ in range(3))
             self.layers.append(
-                {
+                (
                     # Fused QKV projection, one matmul instead of three, with
                     # the 1/sqrt(head_dim) score scale folded into the query columns.
-                    "wqkv": np.concatenate([wq / np.sqrt(hd), wk, wv], axis=1),
-                    "wo": centred(draw(d, d, std=proj)),
-                    "w1": draw(d, 4 * d, std=1.0),
-                    "w2": centred(draw(4 * d, d, std=1.0 / np.sqrt(4 * d))),
-                }
+                    np.concatenate([wq / np.sqrt(hd), wk, wv], axis=1),
+                    centred(draw(d, d, std=proj)),
+                    draw(d, 4 * d, std=1.0),
+                    centred(draw(4 * d, d, std=1.0 / np.sqrt(4 * d))),
+                )
             )
         self.lm_head = draw(d, v, std=1.0)
         self._ones = np.ones((spec.max_len, 1))
+        self._norm_eps = d * 1e-5
         # The score bound of the module docstring: one Gram product per layer.
-        qk = [layer["wqkv"][:, : 2 * d].reshape(d, 2 * heads, hd) for layer in self.layers]
+        qk = [layer[0][:, : 2 * d].reshape(d, 2 * heads, hd) for layer in self.layers]
         lam = np.abs([w.transpose(1, 2, 0) @ w.transpose(1, 0, 2) for w in qk]).sum(-1).max(-1)
         self.score_bound = float(np.sqrt(lam[:, :heads] * lam[:, heads:]).max())
 
@@ -177,7 +187,7 @@ class ToyTransformer:
                     )
                 # Both are int64, so equal bytes mean equal tokens; at toy
                 # lengths this is several times cheaper than np.array_equal.
-                if slot.tokens.tobytes() != ids[:v].tobytes():
+                if slot.buffer.tokens[slot.instance, :v].tobytes() != ids[:v].tobytes():
                     raise CacheMismatchError("cached tokens disagree with context prefix")
             valid_lens.append(v)
             blocks.append(ids[v:])
@@ -203,24 +213,23 @@ class ToyTransformer:
         # Input slot j of instance b sits at absolute position valid_len + j,
         # which is also the store row its K/V are written to.  At equal
         # valid lengths these rows are one slice for every instance.
-        # One visibility rule: key t is visible to query j iff t <= valid_len + j.
-        # Attention applies it as a 0/1 multiplier ``mult`` on the
-        # exponentiated scores of the keys ``seen``; it also hides the
-        # padded slots, whose Q/K/V are zero, from every real query.
+        # One visibility rule: key t is hidden from query j iff t > valid_len + j.
+        # Attention zeroes the exponentiated scores where the boolean mask
+        # ``hidden`` is set, over the keys ``seen``; it also hides the padded
+        # slots, whose Q/K/V are zero, from every real query.
         v_min = min(valid_lens)
         if v_min == max(valid_lens):
             pos = self.wpe[v_min : v_min + n_max]
             write_at: tuple = (read, slice(v_min, v_min + n_max))
-            # Every query sees the keys before v_min, so the multiplier is an
-            # n x n lower triangle over the last n_max keys (none for one query).
-            mult = np.tri(n_max) if n_max > 1 else None
+            # Every query sees the keys before v_min, so the mask covers only the last n_max.
+            hidden = _hidden_triangle(n_max) if n_max > 1 else None
             seen = slice(v_min, None)
         else:
             new_rows = np.asarray(valid_lens)[:, None] + np.arange(n_max)  # [batch, n]
             pos = self.wpe[np.minimum(new_rows, spec.max_len - 1)]
             write_at = (np.asarray(store_rows)[:, None], new_rows)
             # [batch, 1, n_max, key_len], over every key.
-            mult = (np.arange(key_len) <= new_rows[:, None, :, None]).astype(float)
+            hidden = np.arange(key_len) > new_rows[:, None, :, None]
             seen = slice(None)
         ids = np.concatenate(blocks)
         rows = len(ids)
@@ -229,8 +238,8 @@ class ToyTransformer:
         else:
             x = self.wte[ids] + np.broadcast_to(pos, (batch, n_max, d))[real]
 
-        for layer, k_store, v_store in zip(self.layers, buf.keys, buf.values):
-            qkv = self._normed_matmul(x, layer["wqkv"])
+        for (wqkv, wo, w1, w2), k_store, v_store in zip(self.layers, buf.keys, buf.values):
+            qkv = self._normed_matmul(x, wqkv)
             if real is not None:
                 qkv, packed = np.zeros((batch, n_max, 3 * d)), qkv
                 qkv[real] = packed
@@ -244,22 +253,21 @@ class ToyTransformer:
             weights = q @ k_store[read, ..., :key_len]
             masked = weights[..., seen]  # a view
             if self.score_bound > EXP_LIMIT:
-                # The row max is over visible keys, and no hidden key reaches
-                # exp unbounded: an overflow times 0 would be NaN.
-                if mult is not None:
-                    np.copyto(masked, -np.inf, where=mult == 0)
+                # The row max is over visible keys, and hidden ones reach exp as -inf.
+                if hidden is not None:
+                    np.copyto(masked, -np.inf, where=hidden)
                 weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
             np.exp(weights, out=weights)
-            if mult is not None:
-                np.multiply(masked, mult, out=masked)
+            if hidden is not None:
+                np.copyto(masked, 0.0, where=hidden)
             attn = weights @ v_store[read, :, :key_len]
             attn /= weights @ self._ones[:key_len]
             attn = attn.transpose(0, 2, 1, 3)  # [batch, n_max, heads, hd]
             attn = (attn if real is None else attn[real]).reshape(rows, d)
             # x is this call's own array, so the residual adds and the ReLU run in place.
-            x += attn @ layer["wo"]
-            h = self._normed_matmul(x, layer["w1"])
-            x += np.maximum(h, 0.0, out=h) @ layer["w2"]
+            x += attn @ wo
+            h = self._normed_matmul(x, w1)
+            x += np.maximum(h, 0.0, out=h) @ w2
 
         logits = self._normed_matmul(x, self.lm_head)
         if real is None:
@@ -275,7 +283,7 @@ class ToyTransformer:
         which for QKV, the first MLP and the head is 3, 4 and vocab/d times
         wider.
         """
-        s = np.vecdot(x, x, keepdims=True) + self.spec.model_dim * 1e-5
+        s = np.vecdot(x, x, keepdims=True) + self._norm_eps
         return (x / np.sqrt(s, out=s)) @ w
 
     def _kv_store(
@@ -293,7 +301,7 @@ class ToyTransformer:
         rows = [s.instance for s in slots if s is not None and s.buffer is buf]
         if len(rows) != len(slots) or len(set(rows)) != len(rows):
             raise ContractError("cache slots must be distinct instances of one buffer")
-        if buf.spec != self.spec:
+        if buf.spec is not self.spec and buf.spec != self.spec:
             raise ContractError(f"cache buffer built for {buf.spec}, not this model's {self.spec}")
         if n_rows > buf.max_len:
             raise CapacityError(f"cache capacity {buf.max_len} exceeded at position {n_rows}")

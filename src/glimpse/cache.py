@@ -142,7 +142,3 @@ class CacheSlot:
     @property
     def valid_len(self) -> int:
         return int(self.buffer.valid_len[self.instance])
-
-    @property
-    def tokens(self) -> np.ndarray:
-        return self.buffer.tokens[self.instance, : self.valid_len]

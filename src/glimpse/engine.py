@@ -181,18 +181,18 @@ def iterate_once(
     decoding and has run ``iteration - 1`` iterations.  Each gets exactly
     one forward call over ``[cached prefix | frontier-1 token | window]``
     with a query block of ``window_len + 1`` (the first call also computes
-    the uncached prompt); the cache is extended by the newly exact
-    positions only.  The commit count is decided here alone:
-    ``1 + match_len`` with skip (else 1), cut at the token budget and after
-    the first EOS.  The forward for the whole batch happens, and its
-    scores are checked to be one finite ``(len(instances), window_len + 1,
-    vocab_size)`` array, before any instance is updated, so a backend
-    error or scores of the wrong shape or with a non-finite value leave
-    every buffer untouched.  Cache write-back and update then run
-    instance by instance and are not rolled back: a write-back error on
-    one instance leaves the earlier ones advanced.  ``times`` gains the
-    ``infer``, ``decode`` and ``kv_cache`` segments (see
-    :class:`TimeBreakdown`).  Returns one record per instance.
+    the uncached prompt); the cache is extended by the newly exact positions
+    only.  The commit count is decided here alone: ``1 + match_len`` with
+    skip (else 1), cut at the token budget and after the first EOS.  The
+    forward for the whole batch happens, and its scores are checked to be
+    one finite float64 ``(len(instances), window_len + 1, vocab_size)``
+    array, before any instance is updated, so a backend error or scores of a
+    wrong shape or dtype or with a non-finite value leave every buffer
+    untouched.  Cache write-back and update then run instance by instance
+    and are not rolled back: a write-back error on one instance leaves the
+    earlier ones advanced.  ``times`` gains the ``infer``, ``decode`` and
+    ``kv_cache`` segments (see :class:`TimeBreakdown`).  Returns one record
+    per instance.
     """
     clock = time.perf_counter
     t = clock()
@@ -207,6 +207,8 @@ def iterate_once(
     if not isinstance(scores, np.ndarray) or scores.shape != shape:
         got = getattr(scores, "shape", type(scores).__name__)
         raise ContractError(f"backend returned scores of shape {got}, not {shape}")
+    if scores.dtype != np.float64:
+        raise ContractError(f"backend returned {scores.dtype} scores, not float64")
     if not np.isfinite(scores).all():
         raise ContractError("backend returned non-finite scores")
     now = clock()

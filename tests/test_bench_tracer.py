@@ -90,3 +90,16 @@ def test_tracer_counts_the_positions_write_back_commits(tracer):
     metrics = tracer.layer_metrics(tr, untimed_s=0.0, trace_bytes=0)
     expected = sum(len(p) + len(r.exact_rationale) - 1 for p, r in zip(prompts, results))
     assert metrics["cache.positions_written"] == expected == 29
+
+
+@pytest.mark.parametrize("answer", [False, True], ids=["rationale", "answer"])
+def test_tracer_sees_every_check_and_plan_of_a_solo_toy_decode(tracer, answer):
+    # Each toy forward checks its one context and plans its key padding
+    # through the module names the tracer wraps; a refactor that bound one
+    # of them locally would zero its per-layer metric without failing above.
+    toy = make_toy_transformer(1, default_toy_spec(vocab_size=64, model_dim=32, max_len=96))
+    cfg = DecodeConfig(window_len=3, max_new_tokens=12, answer_trigger=(4, 5), answer_max_tokens=3)
+    tr = tracer.Tracer()
+    with tracer.installed(tr):
+        decode([[7, 8, 9]], toy, cfg, answer=answer)
+    assert tr.calls["base.check_args"] == tr.calls["cache.plan"] == tr.calls["toy.forward"] > 0

@@ -128,26 +128,49 @@ _MISSHAPEN = {
 }
 
 
-@pytest.mark.parametrize("penalty", [1.0, 1.2])
-@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
-def test_wrong_shaped_scores_leave_every_buffer_untouched(counting_backend, case, penalty):
-    class Misshapen:
-        spec = counting_backend.spec
+# The contract says float64: an object or string array would fail inside
+# np.isfinite with a TypeError, and an int or float32 one would be picked from.
+_MISTYPED = {
+    "object": lambda scores: scores.astype(object),
+    "str": lambda scores: scores.astype(str),
+    "float32": lambda scores: scores.astype(np.float32),
+    "int64": lambda scores: scores.astype(np.int64),
+}
+
+
+def _assert_refused_untouched(backend, transform, match, penalty):
+    """Scores passed through ``transform`` are refused, on a decode and on a step
+    whose buffers stay as they were."""
+
+    class Wrapped:
+        spec = backend.spec
 
         def forward_batch(self, contexts, block_lens, slots=None):
-            return _MISSHAPEN[case](counting_backend.forward_batch(contexts, block_lens, slots))
+            return transform(backend.forward_batch(contexts, block_lens, slots))
 
     prompts, c = [[0], [4, 5, 6]], 3
     cfg = DecodeConfig(window_len=c, max_new_tokens=8, repetition_penalty=penalty)
-    bufs = BatchBuffers(prompts, c, counting_backend.spec, capacity=3 + 8 + c)
-    # A first, well-shaped iteration puts guesses in the windows.
-    iterate_once(bufs, counting_backend, None, cfg, [0, 1], 1, TimeBreakdown())
+    bufs = BatchBuffers(prompts, c, backend.spec, capacity=3 + 8 + c)
+    # A first, well-formed iteration puts guesses in the windows.
+    iterate_once(bufs, backend, None, cfg, [0, 1], 1, TimeBreakdown())
     snapshot = _buffer_state(bufs)
-    with pytest.raises(ContractError, match="shape"):
-        iterate_once(bufs, Misshapen(), None, cfg, [0, 1], 2, TimeBreakdown())
+    with pytest.raises(ContractError, match=match):
+        iterate_once(bufs, Wrapped(), None, cfg, [0, 1], 2, TimeBreakdown())
     assert _buffer_state(bufs) == snapshot
-    with pytest.raises(ContractError, match="shape"):
-        decode(prompts, Misshapen(), cfg)
+    with pytest.raises(ContractError, match=match):
+        decode(prompts, Wrapped(), cfg)
+
+
+@pytest.mark.parametrize("penalty", [1.0, 1.2])
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_wrong_shaped_scores_leave_every_buffer_untouched(counting_backend, case, penalty):
+    _assert_refused_untouched(counting_backend, _MISSHAPEN[case], "shape", penalty)
+
+
+@pytest.mark.parametrize("penalty", [1.0, 1.2])
+@pytest.mark.parametrize("case", sorted(_MISTYPED))
+def test_scores_not_float64_leave_every_buffer_untouched(counting_backend, case, penalty):
+    _assert_refused_untouched(counting_backend, _MISTYPED[case], "not float64", penalty)
 
 
 def test_max_new_tokens_never_exceeded(counting_backend):

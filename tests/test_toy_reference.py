@@ -7,6 +7,7 @@ score bound allows, exponentiates scores without subtracting the row max;
 none of that may move a logit by more than float rounding.
 """
 
+import copy
 import importlib.util
 import sys
 from pathlib import Path
@@ -142,6 +143,51 @@ def test_batch_that_is_mostly_padding(name, row_max, monkeypatch):
     for ctx, rows in zip(ctxs, steps):
         np.testing.assert_allclose(rows, toy.forward(ctx, 5), rtol=0, atol=TOL)
         np.testing.assert_allclose(rows, ref.logits(ctx)[-5:], rtol=0, atol=TOL)
+
+
+_BATCHES = {"solo": (9,), "equal-batch": (9, 9, 9), "uneven-batch": (4, 13, 9)}
+
+
+@pytest.mark.parametrize("kind", _BATCHES)
+@pytest.mark.parametrize("row_max", [False, True], ids=["raw-exp", "row-max"])
+def test_cached_masks_give_the_bytes_of_a_first_call(kind, row_max, monkeypatch):
+    """Window calls at random block lengths 1..17, each compared with the
+    same call made first on a fresh copy of the cache, with no mask cached."""
+    seed, spec = SPECS["small"]
+    if row_max:
+        monkeypatch.setattr(toy_module, "EXP_LIMIT", 0.0)
+    toy, rng = make_toy_transformer(seed, spec), np.random.default_rng(5)
+
+    def ids(n):
+        return [int(t) for t in rng.integers(0, spec.vocab_size, size=n)]
+
+    batch = len(_BATCHES[kind])
+    buf = CacheBuffer(batch, spec.max_len, spec)
+    prompts = [ids(n) for n in _BATCHES[kind]]
+    for i, p in enumerate(prompts):
+        toy.forward(p, len(p), buf.slot(i))
+        buf.write_back(i, p, 0, len(p))
+    for bl in (int(n) for n in rng.integers(1, 18, size=12)):
+        ctxs = [p + ids(bl) for p in prompts]
+        fresh = copy.deepcopy(buf)
+        with monkeypatch.context() as m:
+            m.setattr(toy_module, "_hidden_triangle", toy_module._hidden_triangle.__wrapped__)
+            first = toy.forward_batch(ctxs, [bl] * batch, [fresh.slot(i) for i in range(batch)])
+        rows = toy.forward_batch(ctxs, [bl] * batch, [buf.slot(i) for i in range(batch)])
+        assert rows.tobytes() == first.tobytes(), bl
+        # Commit a few positions, the same count for every instance of an equal batch.
+        commits = rng.integers(0, min(bl, 4) + 1, size=1 if kind == "equal-batch" else batch)
+        for i, k in enumerate(np.broadcast_to(commits, batch)):
+            buf.write_back(i, ctxs[i], len(prompts[i]), int(k))
+            prompts[i] = ctxs[i][: len(prompts[i]) + int(k)]
+
+
+def test_cached_mask_is_read_only_and_states_the_rule():
+    mask = toy_module._hidden_triangle(6)
+    assert mask is toy_module._hidden_triangle(6)
+    assert np.array_equal(mask, np.arange(6) > np.arange(6)[:, None])
+    with pytest.raises(ValueError):
+        mask[0, 1] = False
 
 
 def _benchmark_toy(monkeypatch):
